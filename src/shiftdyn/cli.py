@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import random
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -283,8 +284,8 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_periodic(args) -> int:
     op = _default_pair(args)
+    g = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
     lam = cmath.exp(1j * math.pi / args.q)
-    g = periodic_point_from_eigen(op, args.q, args.tail)
     gnorm = tensor_norm_log(g)
     res_q = eigen_residual_log(g, lam, lam, q=args.q)
     res_1 = periodic_residual_numeric_log(op, g, 1) if args.q > 1 else res_q
@@ -379,6 +380,26 @@ def _cmd_density_probe(args) -> int:
     series = (["sample", "q", "approx_error_log"], rows)
     _emit(args, result, series)
     return _EXIT_OK
+
+
+# options whose value may start with '-' without being a plain negative number
+_DASH_VALUE_OPTIONS = ("--lambda", "--mu", "-z", "--range", "--tail", "--alpha", "--threshold")
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_dash_values(argv) -> list[str]:
+    """Rewrite `--lambda -2,0.5` as `--lambda=-2,0.5`.
+
+    argparse reads a token such as `-2,0.5` as an option string, not as the
+    value of the option before it.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,7 +522,10 @@ def main(argv=None) -> int:
         print(f"shiftdyn: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # --help, --version, or a usage error already printed
+        return exc.code if isinstance(exc.code, int) else _EXIT_VALIDATION
     args._t0 = time.monotonic()
     try:
         return args.func(args)

@@ -196,6 +196,12 @@ class _AxisSeries:
         return log_add_exp(self.head_sq_log(cut), self.tail_sq_log(cut))
 
 
+def _check_tail_tol(tail_tol_log: float) -> None:
+    # a NaN target is never met, so the series would grow to its cap
+    if not math.isfinite(tail_tol_log):
+        raise ValidationError(f"tail_tol_log must be finite, got {tail_tol_log}")
+
+
 def _rect_tail_log(ax1: _AxisSeries, ax2: _AxisSeries, cut1: int, cut2: int) -> float:
     """Certified log bound on the norm omitted outside the rectangle."""
     t1 = ax1.tail_sq_log(cut1)
@@ -217,6 +223,7 @@ def _build_eigenvector(
 ) -> tuple[TensorVector, EigenSpec]:
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("eigenvectors are built for the backward tensor operator")
+    _check_tail_tol(tail_tol_log)
     if band_margin < 1:
         raise ValidationError(f"band margin must be >= 1, got {band_margin}")
     p1, p2 = op.offsets
@@ -280,6 +287,8 @@ def eigenvector_build(
     log|lambda*mu| when that is positive), so the residual band of T^q for
     q <= band_margin is certified as well.
     """
+    if not (cmath.isfinite(lam) and cmath.isfinite(mu)):
+        raise ValidationError(f"eigenvalues must be finite, got lambda={lam}, mu={mu}")
     return _build_eigenvector(
         op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, band_margin
     )
@@ -366,6 +375,7 @@ def periodic_from_target(
     """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("periodic points are built for the backward operator")
+    _check_tail_tol(tail_tol_log)
     if y.is_zero:
         return y
     top = max(y.entries) - op.offset_p

@@ -12,12 +12,25 @@ m >= p+1) with a direction:
 
 All applications act entrywise on finite-support vectors; weights never
 touch phases, so phases survive every direction bit-for-bit.
+
+Powers take each weight product as one log-sum over a span of source
+indices (`ShiftOperator.log_weight_span`).  Every operator keeps a lazily
+grown table of its log action weights, holding the very floats
+`log_action_weight` returns, appended in ascending order and only up to the
+highest index a span has asked for.  A span adds the tabulated floats one by
+one, left to right from 0.0, so it is bit-identical to evaluating each
+weight and summing in a loop; each weight is evaluated once per operator
+instead of once per span.  Indices the weights reject are never tabulated:
+a span touching one raises the same error, at the same index, as the
+termwise loop.  Growth is serialized by a lock and only ever appends, so
+one operator may be shared across threads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 from .basis import CoeffVector
 from .errors import OffsetMismatch, ValidationError
@@ -31,10 +44,40 @@ class Direction(enum.Enum):
     ADJOINT_FORWARD = "adjoint_forward"
 
 
+class _LogWeightTable:
+    """Log action weights at indices base, base+1, ..., appended on demand."""
+
+    __slots__ = ("base", "values", "lock")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.values: list[float] = []
+        self.lock = threading.Lock()
+
+    def __reduce__(self):  # copies and pickles start empty; a lock does not pickle
+        return (_LogWeightTable, (self.base,))
+
+    def grow(self, weight, top: int) -> None:
+        """Tabulate up to index `top`, stopping at the first rejected index."""
+        with self.lock:
+            values = self.values
+            try:
+                for i in range(self.base + len(values), top + 1):
+                    values.append(weight(i))
+            except ValidationError:
+                pass
+
+
 @dataclass(frozen=True, slots=True)
 class ShiftOperator:
     weights: WeightSequence
     direction: Direction = Direction.BACKWARD
+    _table: _LogWeightTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # spans start at p+1; a table's weights may start later
+        base = max(self.offset_p + 1, self.weights.scan_start)
+        object.__setattr__(self, "_table", _LogWeightTable(base))
 
     @property
     def offset_p(self) -> int:
@@ -42,6 +85,30 @@ class ShiftOperator:
 
     def log_action_weight(self, m: int) -> float:
         return self.weights.log_weight(m)
+
+    def log_weight_span(self, lo: int, hi: int) -> float:
+        """Sum of log action weights over source indices lo..hi, ascending.
+
+        Bit-identical to adding `log_action_weight(j)` for j = lo..hi one by
+        one to 0.0; 0.0 when hi < lo.
+        """
+        if hi < lo:
+            return 0.0
+        table = self._table
+        base, values = table.base, table.values
+        if lo < base or hi - base >= len(values):
+            table.grow(self.log_action_weight, hi)
+            if lo < base or hi - base >= len(values):
+                # the span reaches below the table or to an index the weights
+                # reject; the termwise loop raises where it always did
+                acc = 0.0
+                for j in range(lo, hi + 1):
+                    acc += self.log_action_weight(j)
+                return acc
+        acc = 0.0
+        for w in values[lo - base : hi - base + 1]:
+            acc += w
+        return acc
 
     def to_json_dict(self) -> dict:
         return {"direction": self.direction.value, "weights": self.weights.to_json_dict()}
@@ -87,14 +154,6 @@ def apply(op: ShiftOperator, v: CoeffVector) -> CoeffVector:
     return CoeffVector(p, out)
 
 
-def _weight_span_log(op: ShiftOperator, lo: int, hi: int) -> float:
-    """Sum of log action weights over source indices lo..hi, ascending."""
-    acc = 0.0
-    for j in range(lo, hi + 1):
-        acc += op.log_action_weight(j)
-    return acc
-
-
 def apply_power(op: ShiftOperator, v: CoeffVector, k: int) -> CoeffVector:
     """k-fold application, with the weight product taken as one log-sum.
 
@@ -112,15 +171,15 @@ def apply_power(op: ShiftOperator, v: CoeffVector, k: int) -> CoeffVector:
         for m, c in v.entries.items():
             if k > m - p:
                 continue
-            s = _weight_span_log(op, m - k + 1, m)
+            s = op.log_weight_span(m - k + 1, m)
             out[m - k] = LogComplex(c.logmag + s, c.phase)
     elif op.direction is Direction.RIGHT_INVERSE:
         for m, c in v.entries.items():
-            s = _weight_span_log(op, m + 1, m + k)
+            s = op.log_weight_span(m + 1, m + k)
             out[m + k] = LogComplex(c.logmag - s, c.phase)
     else:
         for m, c in v.entries.items():
-            s = _weight_span_log(op, m + 1, m + k)
+            s = op.log_weight_span(m + 1, m + k)
             out[m + k] = LogComplex(c.logmag + s, c.phase)
     return CoeffVector(p, out)
 

@@ -25,7 +25,7 @@ from .numerics import (
     lc_sub,
     wrap_phase,
 )
-from .shift_ops import Direction, ShiftOperator, adjoint, right_inverse, _weight_span_log
+from .shift_ops import Direction, ShiftOperator, adjoint, right_inverse
 
 
 @dataclass(slots=True)
@@ -169,18 +169,18 @@ def tensor_power_apply(op: TensorOperator, w: TensorVector, k: int) -> TensorVec
         for (m, n), c in w.entries.items():
             if k > m - p1 or k > n - p2:
                 continue
-            s1 = _weight_span_log(op.left, m - k + 1, m)
-            s2 = _weight_span_log(op.right, n - k + 1, n)
+            s1 = op.left.log_weight_span(m - k + 1, m)
+            s2 = op.right.log_weight_span(n - k + 1, n)
             out[(m - k, n - k)] = LogComplex(c.logmag + s1 + s2, c.phase)
     elif op.direction is Direction.RIGHT_INVERSE:
         for (m, n), c in w.entries.items():
-            s1 = _weight_span_log(op.left, m + 1, m + k)
-            s2 = _weight_span_log(op.right, n + 1, n + k)
+            s1 = op.left.log_weight_span(m + 1, m + k)
+            s2 = op.right.log_weight_span(n + 1, n + k)
             out[(m + k, n + k)] = LogComplex(c.logmag - s1 - s2, c.phase)
     else:
         for (m, n), c in w.entries.items():
-            s1 = _weight_span_log(op.left, m + 1, m + k)
-            s2 = _weight_span_log(op.right, n + 1, n + k)
+            s1 = op.left.log_weight_span(m + 1, m + k)
+            s2 = op.right.log_weight_span(n + 1, n + k)
             out[(m + k, n + k)] = LogComplex(c.logmag + s1 + s2, c.phase)
     return TensorVector(op.offsets, out)
 

@@ -283,3 +283,48 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["logmag"] == 0.0
+
+
+def test_negative_complex_values_parse_like_the_equals_form(tmp_path):
+    spaced = tmp_path / "spaced.json"
+    joined = tmp_path / "joined.json"
+    assert main(["eigen", "--lambda", "-2,0.5", "--mu", "1,0", "--out", str(spaced)]) == 0
+    assert main(["eigen", "--lambda=-2,0.5", "--mu", "1,0", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert (tmp_path / "spaced.json.series.csv").read_bytes() == (
+        tmp_path / "joined.json.series.csv"
+    ).read_bytes()
+    config = [
+        json.loads((tmp_path / f"{name}.json.manifest.json").read_text())["config"]
+        for name in ("spaced", "joined")
+    ]
+    assert config[0]["lam"] == config[1]["lam"] == "-2,0.5"
+    assert main(["basis", "eval", "--basis", "bargmann", "-m", "1", "-z", "-1,0",
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert json.loads((tmp_path / "b.json").read_text())["phase"] != 0.0
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    assert main(["--version"]) == 0
+    assert main(["eigen", "--help"]) == 0
+    assert main(["eigen", "--lambda"]) == 2
+    assert main(["no-such-command"]) == 2
+    assert main([]) == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_periodic_nonpositive_q_exits_2(capsys):
+    for q in ("0", "-3"):
+        assert main(["periodic", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert "q_order must be >= 1" in err
+        assert "Traceback" not in err
+
+
+def test_non_finite_tail_exits_2(capsys):
+    for tail in ("nan", "-inf", "inf"):
+        assert main(["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--tail", tail]) == 2
+        assert main(["periodic", "--q", "4", "--tail", tail]) == 2
+        assert main(["density-probe", "--count", "1", "--tail", tail]) == 2
+    assert "tail_tol_log must be finite" in capsys.readouterr().err

@@ -288,3 +288,18 @@ def test_hypercyclic_validations():
         hypercyclic_vector_build(op, [CoeffVector.unit(0, 0)], 0.0)
     with pytest.raises(ValidationError):
         hypercyclic_vector_build(op, [CoeffVector.unit(1, 1)], 1e-6)
+
+
+def test_non_finite_inputs_rejected_at_the_library_entry():
+    op = default_tensor_shift(0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="tail_tol_log"):
+            eigenvector_build(op, 0.5, 0.3, bad)
+        with pytest.raises(ValidationError, match="tail_tol_log"):
+            periodic_point_from_eigen(op, 4, bad)
+        with pytest.raises(ValidationError, match="tail_tol_log"):
+            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit(2, 0), 4, bad)
+        with pytest.raises(ValidationError, match="eigenvalues"):
+            eigenvector_build(op, complex(bad, 0.0), 0.3, -60.0)
+        with pytest.raises(ValidationError, match="eigenvalues"):
+            eigenvector_build(op, 0.5, complex(0.1, bad), -60.0)
