@@ -5,7 +5,6 @@ from .numerics import (
     LC_ONE,
     LC_ZERO,
     LogComplex,
-    lc_abs_log,
     lc_add,
     lc_conj,
     lc_from_cartesian,
@@ -62,20 +61,13 @@ from .shift_ops import (
 from .tensor_ops import (
     TensorOperator,
     TensorVector,
-    tensor_add,
     tensor_adjoint,
     tensor_adjoint_pairing_gap_log,
     tensor_apply,
-    tensor_inner,
-    tensor_neg,
-    tensor_norm_log,
     tensor_of,
     tensor_operator_from_json,
     tensor_power_apply,
     tensor_right_inverse,
-    tensor_right_inverse_apply,
-    tensor_scale,
-    tensor_sub,
 )
 from .criteria import (
     BcsReport,

@@ -1,8 +1,11 @@
 """Coefficient vectors and concrete orthonormal basis evaluation.
 
 A `CoeffVector` holds finitely many log-domain coefficients over basis
-indices m >= offset_p; exact zeros are never stored.  Inner products are
-taken in coefficient (Parseval) space.  Pointwise basis evaluation is
+indices m >= offset_p; exact zeros are never stored.  The `coeff_*`
+algebra serves it and the two-axis `TensorVector` alike: both are sparse
+maps from index to log-domain scalar with per-axis `offsets`, and each
+result is rebuilt with its input's own type.  Inner products are taken in
+coefficient (Parseval) space.  Pointwise basis evaluation is
 provided for the monomial basis z^n/sqrt(n!) and for the theta-lattice
 basis, both computed termwise in the log domain so no intermediate is
 exponentiated at full size.
@@ -10,8 +13,9 @@ exponentiated at full size.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .errors import OffsetMismatch, ValidationError
@@ -58,6 +62,10 @@ class CoeffVector:
     def support(self) -> list[int]:
         return sorted(self.entries)
 
+    @property
+    def offsets(self) -> tuple[int]:
+        return (self.offset_p,)
+
     def get(self, m: int) -> LogComplex:
         return self.entries.get(m, LC_ZERO)
 
@@ -75,51 +83,61 @@ class CoeffVector:
         return cls.from_entries(int(obj["p"]), entries)
 
 
-def coeff_add(u: CoeffVector, v: CoeffVector) -> CoeffVector:
-    if u.offset_p != v.offset_p:
-        raise OffsetMismatch(f"offsets differ: {u.offset_p} vs {v.offset_p}")
+def _check_same_space(u, v) -> None:
+    if u is not v and u.offsets != v.offsets:
+        raise OffsetMismatch(f"offsets differ: {u.offsets} vs {v.offsets}")
+
+
+def coeff_add(u, v):
+    _check_same_space(u, v)
     out = dict(u.entries)
-    for m, c in v.entries.items():
-        s = lc_add(out[m], c) if m in out else c
+    for key, c in v.entries.items():
+        s = lc_add(out[key], c) if key in out else c
         if s.is_zero:
-            out.pop(m, None)
+            out.pop(key, None)
         else:
-            out[m] = s
-    return CoeffVector(u.offset_p, out)
+            out[key] = s
+    return replace(u, entries=out)
 
 
-def coeff_scale(u: CoeffVector, a: LogComplex) -> CoeffVector:
+def coeff_scale(u, a: LogComplex):
     if a.is_zero:
-        return CoeffVector(u.offset_p, {})
-    return CoeffVector(u.offset_p, {m: lc_mul(c, a) for m, c in u.entries.items()})
+        return replace(u, entries={})
+    return replace(u, entries={key: lc_mul(c, a) for key, c in u.entries.items()})
 
 
-def coeff_neg(u: CoeffVector) -> CoeffVector:
-    return CoeffVector(u.offset_p, {m: lc_neg(c) for m, c in u.entries.items()})
+def coeff_neg(u):
+    return replace(u, entries={key: lc_neg(c) for key, c in u.entries.items()})
 
 
-def coeff_sub(u: CoeffVector, v: CoeffVector) -> CoeffVector:
+def coeff_sub(u, v):
     return coeff_add(u, coeff_neg(v))
 
 
-def coeff_inner(u: CoeffVector, v: CoeffVector) -> LogComplex:
-    """<u, v> = sum_m u_m * conj(v_m), linear on the left."""
-    if u.offset_p != v.offset_p:
-        raise OffsetMismatch(f"offsets differ: {u.offset_p} vs {v.offset_p}")
+def coeff_inner(u, v) -> LogComplex:
+    """<u, v> = sum u_key * conj(v_key) over shared keys, linear on the left."""
+    _check_same_space(u, v)
     acc = LC_ZERO
-    for m in sorted(set(u.entries) & set(v.entries)):
-        acc = lc_add(acc, lc_mul(u.entries[m], lc_conj(v.entries[m])))
+    for key in sorted(set(u.entries) & set(v.entries)):
+        acc = lc_add(acc, lc_mul(u.entries[key], lc_conj(v.entries[key])))
     return acc
 
-def coeff_norm_log(u: CoeffVector) -> float:
+
+def coeff_norm_log(u) -> float:
     """log ||u||; -inf for the zero vector.  <u,u> is real, so halve its log."""
     return coeff_inner(u, u).logmag / 2.0
+
+
+def _check_point(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise ValidationError(f"z must be finite, got {z}")
 
 
 def bargmann_basis_eval(n: int, z: complex) -> LogComplex:
     """z^n / sqrt(n!) in log form; z = 0 follows the empty-product rule."""
     if n < 0:
         raise ValidationError(f"basis index must be >= 0, got {n}")
+    _check_point(z)
     if n == 0:
         return LogComplex(0.0, 0.0)
     if z == 0:
@@ -138,6 +156,7 @@ def theta_basis_eval(m: int, z: complex, params: ThetaParams) -> LogComplex:
     """
     if m < 0:
         raise ValidationError(f"basis index must be >= 0, got {m}")
+    _check_point(z)
     nu = params.nu
     x, y = z.real, z.imag
     ma = m + params.alpha

@@ -25,7 +25,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .basis import CoeffVector, bargmann_basis_eval, coeff_norm_log, coeff_sub, theta_basis_eval
+from .basis import (
+    CoeffVector,
+    bargmann_basis_eval,
+    coeff_inner,
+    coeff_norm_log,
+    coeff_sub,
+    theta_basis_eval,
+)
 from .criteria import salas_scan, tensor_salas_scan
 from .dynamics import (
     eigen_residual_log,
@@ -45,14 +52,7 @@ from .errors import (
 )
 from .numerics import LogComplex, lc_to_json
 from .shift_ops import ShiftOperator, apply, apply_power, matrix_triplets, shift_operator_from_json
-from .tensor_ops import (
-    TensorOperator,
-    TensorVector,
-    tensor_apply,
-    tensor_inner,
-    tensor_norm_log,
-    tensor_power_apply,
-)
+from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_power_apply
 from .weights import (
     BargmannActionWeights,
     BlockPatternWeights,
@@ -128,9 +128,12 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(args, result: dict, series: tuple[list[str], list] | None = None) -> None:
-    """Write the result (and optional series CSV) plus the run manifest."""
-    text = _dump_json(result)
+def _emit(args, result: dict | str, series: tuple[list[str], list] | None = None) -> None:
+    """Write the result (and optional series CSV) plus the run manifest.
+
+    A dict is written as JSON; a str (a CSV table) is written as given.
+    """
+    text = result if isinstance(result, str) else _dump_json(result)
     if args.out is None:
         sys.stdout.write(text)
         return
@@ -181,20 +184,10 @@ def _cmd_weights(args) -> int:
     lo, hi = _parse_range(args.range)
     rows = [(i, w.log_weight(i)) for i in range(lo, hi)]
     if args.format == "csv":
-        text = _csv_text(["index", "logweight"], rows)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            _write_text(Path(args.out), text)
-            _emit_manifest_only(args)
-        return _EXIT_OK
-    _emit(args, {"family": w.family, "rows": [[i, v] for i, v in rows]})
+        _emit(args, _csv_text(["index", "logweight"], rows))
+    else:
+        _emit(args, {"family": w.family, "rows": [[i, v] for i, v in rows]})
     return _EXIT_OK
-
-
-def _emit_manifest_only(args) -> None:
-    out = Path(args.out)
-    _write_text(out.with_suffix(out.suffix + ".manifest.json"), _dump_json(_manifest(args)))
 
 
 def _cmd_basis_eval(args) -> int:
@@ -212,14 +205,9 @@ def _cmd_op(args) -> int:
     if args.action == "matrix":
         triplets = matrix_triplets(op, args.n)
         if args.format == "csv":
-            text = _csv_text(["row", "col", "logmag"], triplets)
-            if args.out is None:
-                sys.stdout.write(text)
-            else:
-                _write_text(Path(args.out), text)
-                _emit_manifest_only(args)
-            return _EXIT_OK
-        _emit(args, {"triplets": [[r, c, v] for r, c, v in triplets]})
+            _emit(args, _csv_text(["row", "col", "logmag"], triplets))
+        else:
+            _emit(args, {"triplets": [[r, c, v] for r, c, v in triplets]})
         return _EXIT_OK
     vec = CoeffVector.from_json_dict(_load_json(args.vec))
     if args.action == "apply":
@@ -240,7 +228,7 @@ def _cmd_tensor(args) -> int:
         if args.vec2 is None:
             raise ValidationError("inner requires --vec2")
         w2 = TensorVector.from_json_dict(_load_json(args.vec2))
-        _emit(args, lc_to_json(tensor_inner(w, w2)))
+        _emit(args, lc_to_json(coeff_inner(w, w2)))
         return _EXIT_OK
     if args.action == "apply":
         result = tensor_apply(op, w)
@@ -266,13 +254,13 @@ def _cmd_eigen(args) -> int:
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     g, spec = eigenvector_build(op, lam, mu, args.tail)
-    gnorm = tensor_norm_log(g)
+    gnorm = coeff_norm_log(g)
     residual = eigen_residual_log(g, lam, mu, q=1)
     result = {
         "eigen_spec": spec.to_json_dict(),
         "gnorm_log": gnorm,
-        "residual_log": "-inf" if residual == float("-inf") else residual,
-        "residual_rel_log": "-inf" if residual == float("-inf") else residual - gnorm,
+        "residual_log": residual,
+        "residual_rel_log": residual - gnorm,
         "tail_tol_log": args.tail,
         "vector": g.to_json_dict(),
     }
@@ -286,15 +274,15 @@ def _cmd_periodic(args) -> int:
     op = _default_pair(args)
     g = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
     lam = cmath.exp(1j * math.pi / args.q)
-    gnorm = tensor_norm_log(g)
+    gnorm = coeff_norm_log(g)
     res_q = eigen_residual_log(g, lam, lam, q=args.q)
     res_1 = periodic_residual_numeric_log(op, g, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
         "tail_tol_log": args.tail,
         "gnorm_log": gnorm,
-        "residual_q_rel_log": "-inf" if res_q == float("-inf") else res_q - gnorm,
-        "residual_1_rel_log": "-inf" if res_1 == float("-inf") else res_1 - gnorm,
+        "residual_q_rel_log": res_q - gnorm,
+        "residual_1_rel_log": res_1 - gnorm,
         "vector": g.to_json_dict(),
     }
     trace = orbit(op, g, 2 * args.q, keep_vectors=False)
@@ -303,12 +291,15 @@ def _cmd_periodic(args) -> int:
     return _EXIT_OK
 
 
+def _op_or_default(args) -> ShiftOperator:
+    """The --op operator JSON, or the Bargmann backward shift of order 0."""
+    if args.op:
+        return shift_operator_from_json(_load_json(args.op))
+    return ShiftOperator(BargmannActionWeights(p=0))
+
+
 def _cmd_hypercyclic(args) -> int:
-    op = (
-        shift_operator_from_json(_load_json(args.op))
-        if args.op
-        else ShiftOperator(BargmannActionWeights(p=0))
-    )
+    op = _op_or_default(args)
     payload = _load_json(args.targets)
     target_dicts = payload["targets"] if isinstance(payload, dict) else payload
     targets = [CoeffVector.from_json_dict(d) for d in target_dicts]
@@ -351,11 +342,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_density_probe(args) -> int:
-    op = (
-        shift_operator_from_json(_load_json(args.op))
-        if args.op
-        else ShiftOperator(BargmannActionWeights(p=0))
-    )
+    op = _op_or_default(args)
     rng = random.Random(args.seed)
     p = op.offset_p
     samples = []

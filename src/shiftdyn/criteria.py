@@ -15,6 +15,7 @@ strictly decaying right-inverse orbits.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ from .tensor_ops import (
     TensorVector,
     tensor_apply,
     tensor_power_apply,
-    tensor_norm_log,
     tensor_right_inverse,
 )
 from .weights import WeightSequence
@@ -90,12 +90,18 @@ def _verdict_from_partials(partials: np.ndarray, threshold: float) -> tuple[Verd
     return Verdict.INCONCLUSIVE, None
 
 
+def _check_scan(n_horizon: int, threshold: float) -> None:
+    if n_horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
+
+
 def salas_scan(
     w: WeightSequence, n_horizon: int = 10_000, threshold: float = 100.0
 ) -> CriterionReport:
     """Partial log-products of w over its scan range, with a verdict."""
-    if n_horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
+    _check_scan(n_horizon, threshold)
     start = w.scan_start
     idx = np.arange(start, start + n_horizon, dtype=np.int64)
     logs = w.log_weights(idx)
@@ -120,8 +126,7 @@ def tensor_salas_scan(
     Each factor is scanned from its own start index, so the k-th product
     term pairs the k-th scanned weight of each factor.
     """
-    if n_horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
+    _check_scan(n_horizon, threshold)
     idx1 = np.arange(w1.scan_start, w1.scan_start + n_horizon, dtype=np.int64)
     idx2 = np.arange(w2.scan_start, w2.scan_start + n_horizon, dtype=np.int64)
     logs = w1.log_weights(idx1) + w2.log_weights(idx2)
@@ -203,41 +208,27 @@ def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsRepor
     """
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    results = []
+    if op.direction is not Direction.BACKWARD:
+        raise ValidationError("premises are checked on the backward operator")
     if isinstance(op, TensorOperator):
-        if op.direction is not Direction.BACKWARD:
-            raise ValidationError("premises are checked on the backward operator")
-        s_op = tensor_right_inverse(op)
+        step, power, s_op = tensor_apply, tensor_power_apply, tensor_right_inverse(op)
         p1, p2 = op.offsets
-        for (m, n) in probe_indices:
-            f = TensorVector.unit(m, n, op.offsets)
-            ident = _is_exact_unit(tensor_apply(op, tensor_apply(s_op, f)), (m, n))
-            bound = min(m - p1, n - p2)
-            nil = (
-                tensor_power_apply(op, f, bound + 1).is_zero
-                and not tensor_power_apply(op, f, bound).is_zero
-            )
-            decreasing, below_at = _inverse_orbit_scan(
-                lambda k: tensor_norm_log(tensor_power_apply(s_op, f, k)), k_max, tol_log
-            )
-            results.append(BcsProbeResult((m, n), ident, nil, decreasing, below_at))
+        probes = [  # (key, unit vector, nilpotence bound)
+            ((m, n), TensorVector.unit(m, n, op.offsets), min(m - p1, n - p2))
+            for m, n in probe_indices
+        ]
     else:
-        if op.direction is not Direction.BACKWARD:
-            raise ValidationError("premises are checked on the backward operator")
-        s_op = right_inverse(op)
+        step, power, s_op = apply, apply_power, right_inverse(op)
         p = op.offset_p
-        for m in probe_indices:
-            f = CoeffVector.unit(m, p)
-            ident = _is_exact_unit(apply(op, apply(s_op, f)), m)
-            bound = m - p
-            nil = (
-                apply_power(op, f, bound + 1).is_zero
-                and not apply_power(op, f, bound).is_zero
-            )
-            decreasing, below_at = _inverse_orbit_scan(
-                lambda k: coeff_norm_log(apply_power(s_op, f, k)), k_max, tol_log
-            )
-            results.append(BcsProbeResult(m, ident, nil, decreasing, below_at))
+        probes = [(m, CoeffVector.unit(m, p), m - p) for m in probe_indices]
+    results = []
+    for key, f, bound in probes:
+        ident = _is_exact_unit(step(op, step(s_op, f)), key)
+        nil = power(op, f, bound + 1).is_zero and not power(op, f, bound).is_zero
+        decreasing, below_at = _inverse_orbit_scan(
+            lambda k: coeff_norm_log(power(s_op, f, k)), k_max, tol_log
+        )
+        results.append(BcsProbeResult(key, ident, nil, decreasing, below_at))
     return BcsReport(results, k_max, tol_log)
 
 

@@ -24,7 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .basis import CoeffVector, coeff_add, coeff_norm_log
+from .basis import CoeffVector, coeff_add, coeff_norm_log, coeff_scale, coeff_sub
 from .errors import (
     QTooSmall,
     ScheduleOverflow,
@@ -42,15 +42,7 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply, apply_power, right_inverse
-from .tensor_ops import (
-    TensorOperator,
-    TensorVector,
-    tensor_apply,
-    tensor_norm_log,
-    tensor_power_apply,
-    tensor_scale,
-    tensor_sub,
-)
+from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_power_apply
 
 _AXIS_CAP = 10_000
 
@@ -80,19 +72,16 @@ def orbit(op, seed, k_max: int, keep_vectors: bool = True) -> OrbitTrace:
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    if isinstance(op, TensorOperator):
-        apply_fn, norm_fn = tensor_apply, tensor_norm_log
-    else:
-        apply_fn, norm_fn = apply, coeff_norm_log
+    step = tensor_apply if isinstance(op, TensorOperator) else apply
     steps = []
     annihilation_k = None
     cur = seed
     for k in range(k_max + 1):
         if k > 0:
-            cur = apply_fn(op, cur)
+            cur = step(op, cur)
         if cur.is_zero and annihilation_k is None:
             annihilation_k = k
-        steps.append(OrbitStep(k, norm_fn(cur), cur if keep_vectors else None))
+        steps.append(OrbitStep(k, coeff_norm_log(cur), cur if keep_vectors else None))
         if cur.is_zero:
             # the zero state is absorbing; fill the remaining slots
             for kk in range(k + 1, k_max + 1):
@@ -327,8 +316,8 @@ def eigen_residual_numeric_log(
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    scaled = tensor_scale(g, lc_pow_int(lc_from_complex(lam * mu), q))
-    return tensor_norm_log(tensor_sub(tensor_power_apply(op, g, q), scaled))
+    scaled = coeff_scale(g, lc_pow_int(lc_from_complex(lam * mu), q))
+    return coeff_norm_log(coeff_sub(tensor_power_apply(op, g, q), scaled))
 
 
 def periodic_residual_numeric_log(op: TensorOperator, g: TensorVector, q: int) -> float:
@@ -340,7 +329,7 @@ def periodic_residual_numeric_log(op: TensorOperator, g: TensorVector, q: int) -
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    return tensor_norm_log(tensor_sub(tensor_power_apply(op, g, q), g))
+    return coeff_norm_log(coeff_sub(tensor_power_apply(op, g, q), g))
 
 
 def periodic_point_from_eigen(

@@ -120,11 +120,6 @@ def lc_pow_int(a: LogComplex, k: int) -> LogComplex:
     return LogComplex(k * a.logmag, wrap_phase(k * a.phase))
 
 
-def lc_abs_log(a: LogComplex) -> float:
-    """log|a|; -inf for the exact zero."""
-    return a.logmag
-
-
 def lc_from_cartesian(re: float, im: float) -> LogComplex:
     if re == 0.0 and im == 0.0:
         return LC_ZERO

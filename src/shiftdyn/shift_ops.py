@@ -13,11 +13,12 @@ m >= p+1) with a direction:
 All applications act entrywise on finite-support vectors; weights never
 touch phases, so phases survive every direction bit-for-bit.
 
-Powers take each weight product as one log-sum over a span of source
-indices (`ShiftOperator.log_weight_span`).  Every operator keeps a lazily
-grown table of its log action weights, holding the very floats
-`log_action_weight` returns, appended in ascending order and only up to the
-highest index a span has asked for.  A span adds the tabulated floats one by
+Every action is one k-step rule (`apply` is k = 1).  Powers take each
+weight product as one log-sum over a span of source indices
+(`ShiftOperator.log_weight_span`); a single step reads its one weight
+directly.  Every operator keeps a lazily grown table of its log action
+weights, holding the very floats `log_action_weight` returns, appended in
+ascending order and only up to the highest index a span has asked for.  A span adds the tabulated floats one by
 one, left to right from 0.0, so it is bit-identical to evaluating each
 weight and summing in a loop; each weight is evaluated once per operator
 instead of once per span.  Indices the weights reject are never tabulated:
@@ -135,23 +136,27 @@ def _check_offsets(op: ShiftOperator, v: CoeffVector) -> None:
         )
 
 
+def _action_rule(op: ShiftOperator, k: int):
+    """The k-step action of op, k >= 1, as (shift, lo, hi, sign, floor, span).
+
+    The entry at source index m survives when m >= floor, moves to m + shift
+    and adds sign * span(m + lo, m + hi) to its log-magnitude.  `span` is
+    `op.log_weight_span`, except at k = 1: a single step reads its one
+    weight directly, so a step at a far index does not tabulate every weight
+    below it.  That weight is the span's float too (0.0 + w == w), and
+    c + (-w) == c - w, so a step adds or subtracts the very float
+    `log_action_weight` returns.
+    """
+    span = op.log_weight_span if k > 1 else lambda lo, hi: op.log_action_weight(lo)
+    if op.direction is Direction.BACKWARD:
+        return -k, 1 - k, 0, 1.0, op.offset_p + k, span
+    sign = -1.0 if op.direction is Direction.RIGHT_INVERSE else 1.0
+    return k, 1, k, sign, op.offset_p, span
+
+
 def apply(op: ShiftOperator, v: CoeffVector) -> CoeffVector:
     """One application of the operator, extended linearly over the support."""
-    _check_offsets(op, v)
-    p = op.offset_p
-    out: dict[int, LogComplex] = {}
-    if op.direction is Direction.BACKWARD:
-        for m, c in v.entries.items():
-            if m == p:
-                continue
-            out[m - 1] = LogComplex(c.logmag + op.log_action_weight(m), c.phase)
-    elif op.direction is Direction.RIGHT_INVERSE:
-        for m, c in v.entries.items():
-            out[m + 1] = LogComplex(c.logmag - op.log_action_weight(m + 1), c.phase)
-    else:
-        for m, c in v.entries.items():
-            out[m + 1] = LogComplex(c.logmag + op.log_action_weight(m + 1), c.phase)
-    return CoeffVector(p, out)
+    return apply_power(op, v, 1)
 
 
 def apply_power(op: ShiftOperator, v: CoeffVector, k: int) -> CoeffVector:
@@ -165,23 +170,12 @@ def apply_power(op: ShiftOperator, v: CoeffVector, k: int) -> CoeffVector:
     _check_offsets(op, v)
     if k == 0:
         return CoeffVector(v.offset_p, dict(v.entries))
-    p = op.offset_p
+    shift, lo, hi, sign, floor, span = _action_rule(op, k)
     out: dict[int, LogComplex] = {}
-    if op.direction is Direction.BACKWARD:
-        for m, c in v.entries.items():
-            if k > m - p:
-                continue
-            s = op.log_weight_span(m - k + 1, m)
-            out[m - k] = LogComplex(c.logmag + s, c.phase)
-    elif op.direction is Direction.RIGHT_INVERSE:
-        for m, c in v.entries.items():
-            s = op.log_weight_span(m + 1, m + k)
-            out[m + k] = LogComplex(c.logmag - s, c.phase)
-    else:
-        for m, c in v.entries.items():
-            s = op.log_weight_span(m + 1, m + k)
-            out[m + k] = LogComplex(c.logmag + s, c.phase)
-    return CoeffVector(p, out)
+    for m, c in v.entries.items():
+        if m >= floor:
+            out[m + shift] = LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)
+    return CoeffVector(op.offset_p, out)
 
 
 def adjoint_pairing_gap_log(op: ShiftOperator, u: CoeffVector, v: CoeffVector) -> float:

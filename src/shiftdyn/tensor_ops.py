@@ -5,7 +5,9 @@ n >= p2 -- eigenvector truncations fill dense rectangles while orbit
 vectors live on sparse diagonals, and one map serves both.  The tensor
 operator acts diagonally on the product basis: the pair (m, n) moves to
 (m-1, n-1) carrying the product of the factor action weights, and dies
-exactly when either factor sits at its lowest index.
+exactly when either factor sits at its lowest index.  The vector algebra
+(sum, scaling, inner product, norm) is the `coeff_*` family of `basis`,
+which serves both vector kinds.
 """
 
 from __future__ import annotations
@@ -13,19 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .basis import CoeffVector
+from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
-from .numerics import (
-    LC_ZERO,
-    LogComplex,
-    lc_add,
-    lc_conj,
-    lc_mul,
-    lc_neg,
-    lc_sub,
-    wrap_phase,
-)
-from .shift_ops import Direction, ShiftOperator, adjoint, right_inverse
+from .numerics import LC_ZERO, LogComplex, lc_mul, lc_sub, wrap_phase
+from .shift_ops import Direction, ShiftOperator, _action_rule, adjoint, right_inverse
 
 
 @dataclass(slots=True)
@@ -125,117 +118,67 @@ def _check_offsets(op: TensorOperator, w: TensorVector) -> None:
         raise OffsetMismatch(f"vector offsets {w.offsets} do not match operator {op.offsets}")
 
 
-def _step_weight_log(op: TensorOperator, m: int, n: int) -> float:
-    """Combined log-weight of one diagonal step at source (m, n).
+def _factor_terms(op: TensorOperator, w: TensorVector, k: int):
+    """(target, c, s1, s2) for each entry of w that survives k >= 1 steps.
 
-    Kept as a single float so the right-inverse-then-backward roundtrip
-    subtracts and re-adds the identical value.
+    Each factor acts by the k-step rule of `shift_ops`; s1 and s2 are its
+    signed log-weight spans, taken once per distinct index on each axis.  An
+    entry is dropped on its indices alone, before any weight is read.
     """
-    return op.left.log_action_weight(m) + op.right.log_action_weight(n)
+    # the factors share a direction, so their rules differ only in floor and span
+    shift, lo, hi, sign, floor1, span1 = _action_rule(op.left, k)
+    floor2, span2 = _action_rule(op.right, k)[4:]
+    spans1: dict[int, float] = {}
+    spans2: dict[int, float] = {}
+    for (m, n), c in w.entries.items():
+        if m < floor1 or n < floor2:
+            continue
+        s1 = spans1.get(m)
+        if s1 is None:
+            s1 = spans1[m] = sign * span1(m + lo, m + hi)
+        s2 = spans2.get(n)
+        if s2 is None:
+            s2 = spans2[n] = sign * span2(n + lo, n + hi)
+        yield (m + shift, n + shift), c, s1, s2
 
 
 def tensor_apply(op: TensorOperator, w: TensorVector) -> TensorVector:
-    """One application of left (x) right, extended linearly."""
+    """One application of left (x) right, extended linearly.
+
+    The two factor weights are added first, (wl + wr), and applied as one
+    float, so a right-inverse step followed by a backward step subtracts and
+    re-adds the identical value.
+    """
     _check_offsets(op, w)
-    p1, p2 = op.offsets
-    out: dict[tuple[int, int], LogComplex] = {}
-    if op.direction is Direction.BACKWARD:
-        for (m, n), c in w.entries.items():
-            if m == p1 or n == p2:
-                continue
-            out[(m - 1, n - 1)] = LogComplex(c.logmag + _step_weight_log(op, m, n), c.phase)
-    elif op.direction is Direction.RIGHT_INVERSE:
-        for (m, n), c in w.entries.items():
-            out[(m + 1, n + 1)] = LogComplex(c.logmag - _step_weight_log(op, m + 1, n + 1), c.phase)
-    else:
-        for (m, n), c in w.entries.items():
-            out[(m + 1, n + 1)] = LogComplex(c.logmag + _step_weight_log(op, m + 1, n + 1), c.phase)
+    out = {
+        key: LogComplex(c.logmag + (s1 + s2), c.phase)
+        for key, c, s1, s2 in _factor_terms(op, w, 1)
+    }
     return TensorVector(op.offsets, out)
 
 
 def tensor_power_apply(op: TensorOperator, w: TensorVector, k: int) -> TensorVector:
     """k-fold application with each factor's weight product as one log-sum.
 
-    Backward entries vanish exactly once k exceeds min(m - p1, n - p2).
+    Backward entries vanish exactly once k exceeds min(m - p1, n - p2).  The
+    spans are applied one after the other, (c + s1) + s2.
     """
     if k < 0:
         raise ValidationError(f"power must be >= 0, got {k}")
     _check_offsets(op, w)
     if k == 0:
         return TensorVector(w.offsets, dict(w.entries))
-    p1, p2 = op.offsets
-    out: dict[tuple[int, int], LogComplex] = {}
-    if op.direction is Direction.BACKWARD:
-        for (m, n), c in w.entries.items():
-            if k > m - p1 or k > n - p2:
-                continue
-            s1 = op.left.log_weight_span(m - k + 1, m)
-            s2 = op.right.log_weight_span(n - k + 1, n)
-            out[(m - k, n - k)] = LogComplex(c.logmag + s1 + s2, c.phase)
-    elif op.direction is Direction.RIGHT_INVERSE:
-        for (m, n), c in w.entries.items():
-            s1 = op.left.log_weight_span(m + 1, m + k)
-            s2 = op.right.log_weight_span(n + 1, n + k)
-            out[(m + k, n + k)] = LogComplex(c.logmag - s1 - s2, c.phase)
-    else:
-        for (m, n), c in w.entries.items():
-            s1 = op.left.log_weight_span(m + 1, m + k)
-            s2 = op.right.log_weight_span(n + 1, n + k)
-            out[(m + k, n + k)] = LogComplex(c.logmag + s1 + s2, c.phase)
+    out = {
+        key: LogComplex(c.logmag + s1 + s2, c.phase)
+        for key, c, s1, s2 in _factor_terms(op, w, k)
+    }
     return TensorVector(op.offsets, out)
-
-
-def tensor_right_inverse_apply(op: TensorOperator, w: TensorVector, k: int) -> TensorVector:
-    if op.direction is not Direction.RIGHT_INVERSE:
-        raise ValidationError("operator factors must be in the right-inverse direction")
-    return tensor_power_apply(op, w, k)
-
-
-def tensor_inner(w1: TensorVector, w2: TensorVector) -> LogComplex:
-    """<w1, w2> over index pairs; factorizes on rank-one inputs."""
-    if w1.offsets != w2.offsets:
-        raise OffsetMismatch(f"offsets differ: {w1.offsets} vs {w2.offsets}")
-    acc = LC_ZERO
-    for key in sorted(set(w1.entries) & set(w2.entries)):
-        acc = lc_add(acc, lc_mul(w1.entries[key], lc_conj(w2.entries[key])))
-    return acc
-
-
-def tensor_norm_log(w: TensorVector) -> float:
-    return tensor_inner(w, w).logmag / 2.0
-
-
-def tensor_add(w1: TensorVector, w2: TensorVector) -> TensorVector:
-    if w1.offsets != w2.offsets:
-        raise OffsetMismatch(f"offsets differ: {w1.offsets} vs {w2.offsets}")
-    out = dict(w1.entries)
-    for key, c in w2.entries.items():
-        s = lc_add(out[key], c) if key in out else c
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return TensorVector(w1.offsets, out)
-
-
-def tensor_neg(w: TensorVector) -> TensorVector:
-    return TensorVector(w.offsets, {k: lc_neg(c) for k, c in w.entries.items()})
-
-
-def tensor_sub(w1: TensorVector, w2: TensorVector) -> TensorVector:
-    return tensor_add(w1, tensor_neg(w2))
-
-
-def tensor_scale(w: TensorVector, a: LogComplex) -> TensorVector:
-    if a.is_zero:
-        return TensorVector(w.offsets, {})
-    return TensorVector(w.offsets, {k: lc_mul(c, a) for k, c in w.entries.items()})
 
 
 def tensor_adjoint_pairing_gap_log(op: TensorOperator, w1: TensorVector, w2: TensorVector) -> float:
     """log |<T w1, w2> - <w1, T* w2>| with T* the tensor of factor adjoints."""
-    lhs = tensor_inner(tensor_apply(op, w1), w2)
-    rhs = tensor_inner(w1, tensor_apply(tensor_adjoint(op), w2))
+    lhs = coeff_inner(tensor_apply(op, w1), w2)
+    rhs = coeff_inner(w1, tensor_apply(tensor_adjoint(op), w2))
     return lc_sub(lhs, rhs).logmag
 
 

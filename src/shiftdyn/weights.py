@@ -24,6 +24,8 @@ natural logs.  Factorial ratios go through lgamma, never integer factorials
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,8 +44,10 @@ class ThetaParams:
     p: int = 0
 
     def __post_init__(self):
-        if not (self.nu > 0):
-            raise ValidationError(f"invariant violated: nu must be > 0, got {self.nu}")
+        if not (0 < self.nu < math.inf):
+            raise ValidationError(f"invariant violated: nu must be finite and > 0, got {self.nu}")
+        if not math.isfinite(self.alpha):
+            raise ValidationError(f"alpha must be finite, got {self.alpha}")
         if self.p < 0:
             raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
 
@@ -262,10 +266,14 @@ class TableWeights(WeightSequence):
 
     @classmethod
     def from_weights(cls, weights, start: int = 1) -> "TableWeights":
+        if not isinstance(weights, Iterable):
+            raise ValidationError(f"table weights must be a list of numbers, got {weights!r}")
         logs = []
         for w in weights:
-            if not (w > 0):
-                raise ValidationError(f"invariant violated: table weights must be > 0, got {w}")
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise ValidationError(f"table weights must be numbers, got {w!r}")
+            if not (0 < w < math.inf):
+                raise ValidationError(f"table weights must be finite and > 0, got {w}")
             logs.append(math.log(w))
         return cls(log_values=tuple(logs), start=start)
 

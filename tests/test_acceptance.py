@@ -38,7 +38,6 @@ from shiftdyn import (
     salas_scan,
     tensor_adjoint_pairing_gap_log,
     tensor_apply,
-    tensor_norm_log,
     tensor_power_apply,
     tensor_right_inverse,
     tensor_salas_scan,
@@ -145,7 +144,7 @@ def test_criterion_03_right_inverse_decay():
         s2 = tensor_right_inverse(pair)
         sf1, sf2 = right_inverse(pair.left), right_inverse(pair.right)
         for k in range(1, 21):
-            tnorm = tensor_norm_log(tensor_power_apply(s2, TensorVector.unit(1, 1, (1, 1)), k))
+            tnorm = coeff_norm_log(tensor_power_apply(s2, TensorVector.unit(1, 1, (1, 1)), k))
             n1 = coeff_norm_log(apply_power(sf1, CoeffVector.unit(1, 1), k))
             n2 = coeff_norm_log(apply_power(sf2, CoeffVector.unit(1, 1), k))
             assert tnorm == n1 + n2
@@ -162,7 +161,7 @@ def test_criterion_04_eigen_relation():
             assert abs(lam * mu) <= 2.0
             g, spec = eigenvector_build(op, lam, mu, -60.0)
             assert spec.tail_log_bound <= -60.0
-            rel = eigen_residual_log(g, lam, mu) - tensor_norm_log(g)
+            rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
             assert rel <= -55.0
     report(4, "eigen residual ||Tg - lm*g||/||g|| below e^-55 at tail -60, 20 draws", budget)
 
@@ -171,7 +170,7 @@ def test_criterion_05_periodicity_order_four():
     with Budget(5.0) as budget:
         op = default_tensor_shift()
         g = periodic_point_from_eigen(op, 4, -60.0)
-        gnorm = tensor_norm_log(g)
+        gnorm = coeff_norm_log(g)
         lam = cmath.exp(1j * math.pi / 4)
         assert eigen_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
         assert periodic_residual_numeric_log(op, g, 1) - gnorm >= -5.0
@@ -253,7 +252,7 @@ def test_criterion_10_adjoint_pairing():
             w1 = rand_tensor_vector(rng, (0, 0), 10, 40)
             w2 = rand_tensor_vector(rng, (0, 0), 10, 40)
             gap = tensor_adjoint_pairing_gap_log(op, w1, w2)
-            bound = math.log(1e-11) + tensor_norm_log(w1) + tensor_norm_log(w2) + max_w
+            bound = math.log(1e-11) + coeff_norm_log(w1) + coeff_norm_log(w2) + max_w
             assert gap <= bound
     report(10, "<T w1, w2> = <w1, T* w2> to 1e-11 relative on 100 random tensors", budget)
 

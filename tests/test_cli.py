@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -271,14 +272,21 @@ def test_debug_log_level_accepted(monkeypatch, tmp_path):
 
 
 def test_console_script_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import shiftdyn
+
+    # the child imports the package the suite imports, with or without PYTHONPATH set
+    src = str(Path(shiftdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "shiftdyn.cli", "basis", "eval", "--basis", "bargmann",
          "-m", "0", "-z", "1,0"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
@@ -328,3 +336,29 @@ def test_non_finite_tail_exits_2(capsys):
         assert main(["periodic", "--q", "4", "--tail", tail]) == 2
         assert main(["density-probe", "--count", "1", "--tail", tail]) == 2
     assert "tail_tol_log must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--alpha", "nan"], "alpha"),
+        (["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--alpha", "inf"], "alpha"),
+        (["periodic", "--q", "3", "--nu", "inf"], "nu"),
+        (["weights", "--spec", "{table}", "--range", "1:3"], "table weights"),
+        (["criterion", "--weights", "{bargmann}", "-N", "50", "--threshold", "nan"], "threshold"),
+        (["counterexample", "-N", "50", "--threshold", "-inf"], "threshold"),
+        (["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "nan,0"], "z"),
+        (["basis", "eval", "--basis", "theta", "-m", "0", "-z", "0,inf"], "z"),
+    ],
+)
+def test_non_finite_parameters_exit_2(tmp_path, capsys, argv, name):
+    specs = {
+        "{table}": write_json(tmp_path / "t.json", {"family": "table", "table": ["a"]}),
+        "{bargmann}": write_json(tmp_path / "b.json", {"family": "bargmann_raw"}),
+    }
+    out = tmp_path / "out.json"
+    assert main([specs.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from shiftdyn import (
+    BargmannRawWeights,
     CoeffVector,
     LogComplex,
     QTooSmall,
@@ -15,9 +16,11 @@ from shiftdyn import (
     TableWeights,
     TailNotCertifiable,
     TensorOperator,
+    ThetaParams,
     ValidationError,
     apply_power,
     bargmann_backward_shift,
+    bargmann_basis_eval,
     coeff_norm_log,
     coeff_sub,
     default_tensor_shift,
@@ -30,8 +33,10 @@ from shiftdyn import (
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
     right_inverse,
-    tensor_norm_log,
+    salas_scan,
+    tensor_salas_scan,
     theta_backward_shift,
+    theta_basis_eval,
 )
 
 from conftest import NEG_INF, rand_coeff_vector
@@ -94,10 +99,10 @@ def test_eigenvector_certified_tail_and_residual():
         mu = cmath.rect(rng.uniform(0.05, 1.4), rng.uniform(-math.pi, math.pi))
         g, spec = eigenvector_build(op, lam, mu, -60.0)
         assert spec.tail_log_bound <= -60.0
-        rel = eigen_residual_log(g, lam, mu) - tensor_norm_log(g)
+        rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
         assert rel <= -58.0  # certified band is below the tail tolerance
         # independent cross-check: generic subtraction, float-noise floor
-        assert eigen_residual_numeric_log(op, g, lam, mu) - tensor_norm_log(g) <= -20.0
+        assert eigen_residual_numeric_log(op, g, lam, mu) - coeff_norm_log(g) <= -20.0
 
 
 def test_eigenvector_coefficients_against_extended_precision():
@@ -145,7 +150,7 @@ def test_eigenvector_nonzero_offsets():
         assert g.entries[(p, p)] == LogComplex(0.0, 0.0)
         assert min(m for m, _ in g.entries) == p
         assert min(n for _, n in g.entries) == p
-        rel = eigen_residual_log(g, lam, mu) - tensor_norm_log(g)
+        rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
         assert rel <= -48.0
         assert spec.tail_log_bound <= -50.0
 
@@ -177,7 +182,7 @@ def test_periodic_point_q4():
     op = default_tensor_shift()
     g = periodic_point_from_eigen(op, 4, -60.0)
     lam = cmath.exp(1j * math.pi / 4)
-    gnorm = tensor_norm_log(g)
+    gnorm = coeff_norm_log(g)
     assert eigen_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
     # genuinely period 4: proper divisors leave a large defect
     assert periodic_residual_numeric_log(op, g, 1) - gnorm >= -5.0
@@ -187,7 +192,7 @@ def test_periodic_point_q4():
 def test_periodic_point_q1_fixed_point():
     op = default_tensor_shift()
     g = periodic_point_from_eigen(op, 1, -50.0)
-    gnorm = tensor_norm_log(g)
+    gnorm = coeff_norm_log(g)
     assert eigen_residual_log(g, 1.0 + 0j, 1.0 + 0j, q=1) - gnorm <= -45.0
 
 
@@ -303,3 +308,35 @@ def test_non_finite_inputs_rejected_at_the_library_entry():
             eigenvector_build(op, complex(bad, 0.0), 0.3, -60.0)
         with pytest.raises(ValidationError, match="eigenvalues"):
             eigenvector_build(op, 0.5, complex(0.1, bad), -60.0)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("nu", lambda: ThetaParams(nu=_NAN)),
+        ("nu", lambda: ThetaParams(nu=_INF)),
+        ("alpha", lambda: ThetaParams(nu=math.pi, alpha=_NAN)),
+        ("alpha", lambda: ThetaParams(nu=math.pi, alpha=_INF)),
+        ("alpha", lambda: ThetaParams(nu=math.pi, alpha=-_INF)),
+        ("table weights", lambda: TableWeights.from_weights([1.0, "a"])),
+        ("table weights", lambda: TableWeights.from_weights([None])),
+        ("table weights", lambda: TableWeights.from_weights([True, 2.0])),
+        ("table weights", lambda: TableWeights.from_weights(5)),
+        ("table weights", lambda: TableWeights.from_weights([2.0, _INF])),
+        ("table weights", lambda: TableWeights.from_weights([_NAN])),
+        ("threshold", lambda: salas_scan(BargmannRawWeights(), 10, _NAN)),
+        ("threshold", lambda: salas_scan(BargmannRawWeights(), 10, -_INF)),
+        ("threshold", lambda: tensor_salas_scan(BargmannRawWeights(), BargmannRawWeights(), 10, _INF)),
+        ("z", lambda: bargmann_basis_eval(3, complex(_NAN, 0.0))),
+        ("z", lambda: bargmann_basis_eval(0, complex(0.0, _INF))),
+        ("z", lambda: theta_basis_eval(2, complex(_INF, 1.0), ThetaParams(nu=math.pi))),
+        ("z", lambda: theta_basis_eval(0, complex(0.5, _NAN), ThetaParams(nu=math.pi))),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_non_finite_parameters_rejected_where_taken_in(name, call):
+    with pytest.raises(ValidationError, match=name):
+        call()

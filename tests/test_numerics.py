@@ -11,7 +11,6 @@ from shiftdyn import (
     LC_ZERO,
     LogComplex,
     OverflowNotRepresentable,
-    lc_abs_log,
     lc_add,
     lc_conj,
     lc_from_cartesian,
@@ -51,7 +50,7 @@ def test_mul_group_law_exact():
     rng = random.Random(7)
     for _ in range(200):
         a, b = rand_lc(rng, -200, 200), rand_lc(rng, -200, 200)
-        assert lc_abs_log(lc_mul(a, b)) == a.logmag + b.logmag
+        assert lc_mul(a, b).logmag == a.logmag + b.logmag
 
 
 def test_add_identity():

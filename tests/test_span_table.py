@@ -32,7 +32,9 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     right_inverse,
+    tensor_apply,
     tensor_power_apply,
+    tensor_right_inverse,
     theta_backward_shift,
 )
 
@@ -194,6 +196,20 @@ def test_each_weight_is_evaluated_once_and_never_beyond_the_span():
         assert bits(op.log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
     assert sorted(weights.calls) == list(range(3, 61))
     assert set(weights.calls.values()) == {1}
+
+
+def test_tensor_step_reads_each_factor_weight_once():
+    for direction in ("backward", "right_inverse"):
+        left, right = CountingWeights(1), CountingWeights(2)
+        op = TensorOperator(ShiftOperator(left), ShiftOperator(right))
+        if direction == "right_inverse":
+            op = tensor_right_inverse(op)
+        entries = {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30) for n in range(2, 25)}
+        tensor_apply(op, TensorVector((1, 2), entries))
+        step = 0 if direction == "backward" else 1  # source index of the weight read
+        assert sorted(left.calls) == list(range(2, 30 + step)), direction
+        assert sorted(right.calls) == list(range(3, 25 + step)), direction
+        assert set(left.calls.values()) == set(right.calls.values()) == {1}, direction
 
 
 def test_shared_operator_across_four_threads():

@@ -10,26 +10,28 @@ from shiftdyn import (
     LC_ZERO,
     LogComplex,
     OffsetMismatch,
+    ShiftOperator,
+    TableRangeError,
+    TableWeights,
     TensorOperator,
     TensorVector,
     ValidationError,
     apply,
     apply_power,
     bargmann_backward_shift,
+    coeff_add,
     coeff_inner,
     coeff_norm_log,
+    coeff_scale,
+    coeff_sub,
     lc_from_complex,
     lc_mul,
     tensor_adjoint_pairing_gap_log,
     tensor_apply,
-    tensor_inner,
-    tensor_norm_log,
     tensor_of,
     tensor_operator_from_json,
     tensor_power_apply,
     tensor_right_inverse,
-    tensor_right_inverse_apply,
-    tensor_scale,
     theta_backward_shift,
 )
 
@@ -64,8 +66,6 @@ def test_tensor_of_scalar_moves_freely():
     for _ in range(20):
         u = rand_coeff_vector(rng, 0, 4, 10)
         v = rand_coeff_vector(rng, 0, 4, 10)
-        from shiftdyn import coeff_scale
-
         left = tensor_of(coeff_scale(u, lam), v)
         right = tensor_of(u, coeff_scale(v, lam))
         assert left.support() == right.support()
@@ -80,6 +80,20 @@ def test_tensor_apply_kills_bottom_rows():
         assert tensor_apply(op, w).is_zero
         w2 = TensorVector.unit(n, 0)
         assert tensor_apply(op, w2).is_zero
+
+
+def test_annihilated_entry_reads_no_weight_of_the_other_factor():
+    short = ShiftOperator(TableWeights.from_weights([2.0, 3.0]))  # weights at 1 and 2 only
+    bargmann = bargmann_backward_shift(0)
+    for op, at in (
+        (TensorOperator(short, bargmann), lambda i, j: (i, j)),
+        (TensorOperator(bargmann, short), lambda i, j: (j, i)),
+    ):
+        with pytest.raises(TableRangeError):  # a surviving entry does read the table
+            tensor_apply(op, TensorVector.unit(*at(40, 1)))
+        assert tensor_apply(op, TensorVector.unit(*at(40, 0))).is_zero
+        assert tensor_power_apply(op, TensorVector.unit(*at(40, 0)), 1).is_zero
+        assert tensor_power_apply(op, TensorVector.unit(*at(40, 3)), 4).is_zero
 
 
 def test_tensor_apply_single_pair_example():
@@ -170,32 +184,29 @@ def test_tensor_inverse_norm_additivity_exact():
     s_right = tensor_right_inverse(op).right
     f = TensorVector.unit(1, 1, (1, 1))
     for k in range(1, 12):
-        tensor_norm = tensor_norm_log(tensor_power_apply(s, f, k))
+        tensor_norm = coeff_norm_log(tensor_power_apply(s, f, k))
         left_norm = coeff_norm_log(apply_power(s_left, CoeffVector.unit(1, 1), k))
         right_norm = coeff_norm_log(apply_power(s_right, CoeffVector.unit(1, 1), k))
         assert tensor_norm == left_norm + right_norm
 
 
-def test_tensor_right_inverse_apply_requires_direction():
-    op = pair(0, 0)
-    with pytest.raises(ValidationError):
-        tensor_right_inverse_apply(op, TensorVector.unit(1, 1), 1)
-    s = tensor_right_inverse(op)
-    out = tensor_right_inverse_apply(s, TensorVector.unit(1, 1), 2)
+def test_tensor_right_inverse_power_support():
+    s = tensor_right_inverse(pair(0, 0))
+    out = tensor_power_apply(s, TensorVector.unit(1, 1), 2)
     assert out.support() == [(3, 3)]
 
 
 def test_tensor_inner_orthonormal_and_factorization():
     rng = random.Random(67)
     w = TensorVector.unit(2, 3)
-    assert tensor_inner(w, w) == LogComplex(0.0, 0.0)
-    assert tensor_inner(w, TensorVector.unit(2, 4)) == LC_ZERO
+    assert coeff_inner(w, w) == LogComplex(0.0, 0.0)
+    assert coeff_inner(w, TensorVector.unit(2, 4)) == LC_ZERO
     for _ in range(30):
         u = rand_coeff_vector(rng, 0, 4, 10)
         v = rand_coeff_vector(rng, 0, 4, 10)
         u2 = rand_coeff_vector(rng, 0, 4, 10)
         v2 = rand_coeff_vector(rng, 0, 4, 10)
-        lhs = tensor_inner(tensor_of(u, v), tensor_of(u2, v2))
+        lhs = coeff_inner(tensor_of(u, v), tensor_of(u2, v2))
         rhs = lc_mul(coeff_inner(u, u2), coeff_inner(v, v2))
         if lhs.is_zero and rhs.is_zero:
             continue
@@ -206,10 +217,10 @@ def test_tensor_inner_positive_definite():
     rng = random.Random(71)
     for _ in range(50):
         w = rand_tensor_vector(rng, (0, 0), 8, 20)
-        q = tensor_inner(w, w)
+        q = coeff_inner(w, w)
         assert q.phase == 0.0
         assert math.isfinite(q.logmag)
-    assert tensor_inner(TensorVector((0, 0), {}), TensorVector((0, 0), {})) == LC_ZERO
+    assert coeff_inner(TensorVector((0, 0), {}), TensorVector((0, 0), {})) == LC_ZERO
 
 
 def test_tensor_adjoint_pairing():
@@ -220,7 +231,7 @@ def test_tensor_adjoint_pairing():
         w1 = rand_tensor_vector(rng, (1, 1), 10, 20)
         w2 = rand_tensor_vector(rng, (1, 1), 10, 20)
         gap = tensor_adjoint_pairing_gap_log(op, w1, w2)
-        bound = math.log(1e-11) + tensor_norm_log(w1) + tensor_norm_log(w2) + max_w
+        bound = math.log(1e-11) + coeff_norm_log(w1) + coeff_norm_log(w2) + max_w
         assert gap <= bound
 
 
@@ -253,9 +264,14 @@ def test_tensor_offset_mismatch():
     with pytest.raises(OffsetMismatch):
         tensor_apply(op, TensorVector.unit(2, 2, (0, 0)))
     with pytest.raises(OffsetMismatch):
-        tensor_inner(TensorVector.unit(1, 1, (1, 1)), TensorVector.unit(1, 1, (0, 0)))
+        coeff_inner(TensorVector.unit(1, 1, (1, 1)), TensorVector.unit(1, 1, (0, 0)))
+    u, w = CoeffVector.unit(0, 0), TensorVector.unit(0, 0)
+    for fn in (coeff_add, coeff_sub, coeff_inner):
+        for a, b in ((u, w), (w, u)):
+            with pytest.raises(OffsetMismatch):
+                fn(a, b)
 
 
 def test_tensor_scale_zero_gives_zero():
     w = rand_tensor_vector(random.Random(83), (0, 0), 5, 10)
-    assert tensor_scale(w, LC_ZERO).is_zero
+    assert coeff_scale(w, LC_ZERO).is_zero
