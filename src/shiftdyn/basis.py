@@ -18,14 +18,16 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .errors import OffsetMismatch, ValidationError
+from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import (
     LC_ZERO,
     LogComplex,
+    int_parse,
     lc_add,
     lc_conj,
     lc_mul,
     lc_neg,
+    lc_parse,
     wrap_phase,
 )
 from .weights import ThetaParams
@@ -77,10 +79,12 @@ class CoeffVector:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CoeffVector":
-        entries = {}
-        for m, logmag, phase in obj.get("entries", []):
-            entries[int(m)] = LogComplex(float(logmag), wrap_phase(float(phase)))
-        return cls.from_entries(int(obj["p"]), entries)
+        p = int_parse(obj["p"], "p")
+        entries = {
+            int_parse(m, "entry index"): lc_parse(logmag, phase)
+            for m, logmag, phase in obj.get("entries", [])
+        }
+        return cls.from_entries(p, entries)
 
 
 def _check_same_space(u, v) -> None:
@@ -120,6 +124,8 @@ def coeff_inner(u, v) -> LogComplex:
     acc = LC_ZERO
     for key in sorted(set(u.entries) & set(v.entries)):
         acc = lc_add(acc, lc_mul(u.entries[key], lc_conj(v.entries[key])))
+    if not acc.logmag < math.inf:  # a product overflowed; two infinite terms add to NaN
+        raise OverflowNotRepresentable(f"inner product log-magnitude {acc.logmag} is beyond float range")
     return acc
 
 

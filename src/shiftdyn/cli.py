@@ -6,6 +6,10 @@ the seed, package version, timestamp and wall time.  Result files are
 byte-reproducible for a fixed config and seed; only the manifest's
 timestamp/wall-time fields vary between runs.
 
+Each leaf command has one handler, which returns its result (a dict for
+JSON, a str for CSV) and an optional series table.  Every input file is
+read by `_read`, so a missing or malformed file is a validation error.
+
 Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 """
 
@@ -43,13 +47,7 @@ from .dynamics import (
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
 )
-from .errors import (
-    OverflowNotRepresentable,
-    ScheduleOverflow,
-    ShiftDynError,
-    TailNotCertifiable,
-    ValidationError,
-)
+from .errors import ShiftDynError, ValidationError
 from .numerics import LogComplex, lc_to_json
 from .shift_ops import ShiftOperator, apply, apply_power, matrix_triplets, shift_operator_from_json
 from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_power_apply
@@ -76,9 +74,19 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(levelname)s %(message)s")
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read(path: str, parse):
+    """parse(json.load(path)); an unreadable or malformed file is a ValidationError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{path}: wrong JSON type: {exc}") from None
+    except (ValueError, OverflowError, RecursionError) as exc:  # ValidationError included
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _jsonable(obj):
@@ -116,7 +124,7 @@ def _manifest(args) -> dict:
     config = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "command") and not k.startswith("_") and not callable(v)
+        if k != "command" and not k.startswith("_") and not callable(v)
     }
     return {
         "command": args.command,
@@ -128,7 +136,7 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(args, result: dict | str, series: tuple[list[str], list] | None = None) -> None:
+def _emit(args, result: dict | str, series: tuple[list[str], list] | None) -> None:
     """Write the result (and optional series CSV) plus the run manifest.
 
     A dict is written as JSON; a str (a CSV table) is written as given.
@@ -165,92 +173,91 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_pair(args) -> TensorOperator:
-    left = (
-        shift_operator_from_json(_load_json(args.left))
-        if args.left
-        else ShiftOperator(ThetaActionWeights(ThetaParams(nu=args.nu, alpha=args.alpha, p=args.p)))
-    )
-    right = (
-        shift_operator_from_json(_load_json(args.right))
-        if args.right
-        else ShiftOperator(BargmannActionWeights(p=args.p))
-    )
-    return TensorOperator(left, right)
+def _operator(path: str | None, default_weights=None) -> ShiftOperator:
+    """The operator JSON at path, or the backward shift of default_weights()."""
+    if path:
+        return _read(path, shift_operator_from_json)
+    return ShiftOperator(default_weights())
 
 
-def _cmd_weights(args) -> int:
-    w = weight_sequence_from_json(_load_json(args.spec))
+def _pair(args) -> TensorOperator:
+    """--left (x) --right; a side not given is the theta or Bargmann shift of order --p."""
+    left = _operator(args.left, lambda: ThetaActionWeights(ThetaParams(args.nu, args.alpha, args.p)))
+    return TensorOperator(left, _operator(args.right, lambda: BargmannActionWeights(p=args.p)))
+
+
+def _targets(payload) -> list[CoeffVector]:
+    """Hypercyclic targets: {"targets": [vector, ...]} or the bare list."""
+    vectors = payload["targets"] if isinstance(payload, dict) else payload
+    return [CoeffVector.from_json_dict(v) for v in vectors]
+
+
+def _orbit_result(args, op, g, steps: int, result: dict):
+    """result with the vector g and the tail target, and g's orbit log-norms as the series."""
+    result.update(tail_tol_log=args.tail, vector=g.to_json_dict())
+    trace = orbit(op, g, steps, keep_vectors=False)
+    return result, (["k", "log_norm"], [(s.k, s.log_norm) for s in trace.steps])
+
+
+def _cmd_weights(args):
+    w = _read(args.spec, weight_sequence_from_json)
     lo, hi = _parse_range(args.range)
     rows = [(i, w.log_weight(i)) for i in range(lo, hi)]
     if args.format == "csv":
-        _emit(args, _csv_text(["index", "logweight"], rows))
-    else:
-        _emit(args, {"family": w.family, "rows": [[i, v] for i, v in rows]})
-    return _EXIT_OK
+        return _csv_text(["index", "logweight"], rows), None
+    return {"family": w.family, "rows": [[i, v] for i, v in rows]}, None
 
 
-def _cmd_basis_eval(args) -> int:
+def _cmd_basis_eval(args):
     z = _parse_complex(args.z)
     if args.basis == "bargmann":
-        val = bargmann_basis_eval(args.m, z)
-    else:
-        val = theta_basis_eval(args.m, z, ThetaParams(nu=args.nu, alpha=args.alpha))
-    _emit(args, lc_to_json(val))
-    return _EXIT_OK
+        return lc_to_json(bargmann_basis_eval(args.m, z)), None
+    return lc_to_json(theta_basis_eval(args.m, z, ThetaParams(nu=args.nu, alpha=args.alpha))), None
 
 
-def _cmd_op(args) -> int:
-    op = shift_operator_from_json(_load_json(args.op))
-    if args.action == "matrix":
-        triplets = matrix_triplets(op, args.n)
-        if args.format == "csv":
-            _emit(args, _csv_text(["row", "col", "logmag"], triplets))
-        else:
-            _emit(args, {"triplets": [[r, c, v] for r, c, v in triplets]})
-        return _EXIT_OK
-    vec = CoeffVector.from_json_dict(_load_json(args.vec))
-    if args.action == "apply":
-        result = apply(op, vec)
-    else:
-        result = apply_power(op, vec, args.k)
-    _emit(args, result.to_json_dict())
-    return _EXIT_OK
+def _cmd_op_apply(args):
+    return apply(_operator(args.op), _read(args.vec, CoeffVector.from_json_dict)).to_json_dict(), None
 
 
-def _cmd_tensor(args) -> int:
-    op = TensorOperator(
-        shift_operator_from_json(_load_json(args.left)),
-        shift_operator_from_json(_load_json(args.right)),
-    )
-    w = TensorVector.from_json_dict(_load_json(args.vec))
-    if args.action == "inner":
-        if args.vec2 is None:
-            raise ValidationError("inner requires --vec2")
-        w2 = TensorVector.from_json_dict(_load_json(args.vec2))
-        _emit(args, lc_to_json(coeff_inner(w, w2)))
-        return _EXIT_OK
-    if args.action == "apply":
-        result = tensor_apply(op, w)
-    else:
-        result = tensor_power_apply(op, w, args.k)
-    _emit(args, result.to_json_dict())
-    return _EXIT_OK
+def _cmd_op_power(args):
+    op, v = _operator(args.op), _read(args.vec, CoeffVector.from_json_dict)
+    return apply_power(op, v, args.k).to_json_dict(), None
 
 
-def _cmd_criterion(args) -> int:
-    w1 = weight_sequence_from_json(_load_json(args.weights))
+def _cmd_op_matrix(args):
+    triplets = matrix_triplets(_operator(args.op), args.n)
+    if args.format == "csv":
+        return _csv_text(["row", "col", "logmag"], triplets), None
+    return {"triplets": [[r, c, v] for r, c, v in triplets]}, None
+
+
+def _cmd_tensor_apply(args):
+    return tensor_apply(_pair(args), _read(args.vec, TensorVector.from_json_dict)).to_json_dict(), None
+
+
+def _cmd_tensor_power(args):
+    op, w = _pair(args), _read(args.vec, TensorVector.from_json_dict)
+    return tensor_power_apply(op, w, args.k).to_json_dict(), None
+
+
+def _cmd_tensor_inner(args):
+    _pair(args)  # checks the operator files, which the inner product does not use
+    w = _read(args.vec, TensorVector.from_json_dict)
+    return lc_to_json(coeff_inner(w, _read(args.vec2, TensorVector.from_json_dict))), None
+
+
+def _cmd_criterion(args):
+    w1 = _read(args.weights, weight_sequence_from_json)
     if args.weights2:
-        w2 = weight_sequence_from_json(_load_json(args.weights2))
+        w2 = _read(args.weights2, weight_sequence_from_json)
         report = tensor_salas_scan(w1, w2, args.n, args.threshold)
     else:
         report = salas_scan(w1, args.n, args.threshold)
-    _emit(args, report.to_json_dict(include_series=True))
-    return _EXIT_OK
+    return report.to_json_dict(include_series=True), None
 
 
-def _cmd_eigen(args) -> int:
-    op = _default_pair(args)
+def _cmd_eigen(args):
+    op = _pair(args)
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     g, spec = eigenvector_build(op, lam, mu, args.tail)
@@ -261,17 +268,12 @@ def _cmd_eigen(args) -> int:
         "gnorm_log": gnorm,
         "residual_log": residual,
         "residual_rel_log": residual - gnorm,
-        "tail_tol_log": args.tail,
-        "vector": g.to_json_dict(),
     }
-    trace = orbit(op, g, 8, keep_vectors=False)
-    series = (["k", "log_norm"], [(s.k, s.log_norm) for s in trace.steps])
-    _emit(args, result, series)
-    return _EXIT_OK
+    return _orbit_result(args, op, g, 8, result)
 
 
-def _cmd_periodic(args) -> int:
-    op = _default_pair(args)
+def _cmd_periodic(args):
+    op = _pair(args)
     g = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
     lam = cmath.exp(1j * math.pi / args.q)
     gnorm = coeff_norm_log(g)
@@ -279,30 +281,16 @@ def _cmd_periodic(args) -> int:
     res_1 = periodic_residual_numeric_log(op, g, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
-        "tail_tol_log": args.tail,
         "gnorm_log": gnorm,
         "residual_q_rel_log": res_q - gnorm,
         "residual_1_rel_log": res_1 - gnorm,
-        "vector": g.to_json_dict(),
     }
-    trace = orbit(op, g, 2 * args.q, keep_vectors=False)
-    series = (["k", "log_norm"], [(s.k, s.log_norm) for s in trace.steps])
-    _emit(args, result, series)
-    return _EXIT_OK
+    return _orbit_result(args, op, g, 2 * args.q, result)
 
 
-def _op_or_default(args) -> ShiftOperator:
-    """The --op operator JSON, or the Bargmann backward shift of order 0."""
-    if args.op:
-        return shift_operator_from_json(_load_json(args.op))
-    return ShiftOperator(BargmannActionWeights(p=0))
-
-
-def _cmd_hypercyclic(args) -> int:
-    op = _op_or_default(args)
-    payload = _load_json(args.targets)
-    target_dicts = payload["targets"] if isinstance(payload, dict) else payload
-    targets = [CoeffVector.from_json_dict(d) for d in target_dicts]
+def _cmd_hypercyclic(args):
+    op = _operator(args.op, lambda: BargmannActionWeights(p=0))
+    targets = _read(args.targets, _targets)
     psi, schedule = hypercyclic_vector_build(op, targets, args.eps)
     replay = []
     for n, y in zip(schedule, targets):
@@ -314,12 +302,10 @@ def _cmd_hypercyclic(args) -> int:
         "replay_error_logs": [[n, e] for n, e in replay],
         "psi": psi.to_json_dict(),
     }
-    series = (["k", "replay_error_log"], replay)
-    _emit(args, result, series)
-    return _EXIT_OK
+    return result, (["k", "replay_error_log"], replay)
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args):
     omega = BlockPatternWeights(role="omega")
     varpi = BlockPatternWeights(role="varpi")
     r_omega = salas_scan(omega, args.n, args.threshold)
@@ -336,13 +322,11 @@ def _cmd_counterexample(args) -> int:
          float(r_prod.partial_log_products[i]))
         for i in range(min(args.n, 100_000))
     ]
-    series = (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
-    _emit(args, result, series)
-    return _EXIT_OK
+    return result, (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
 
 
-def _cmd_density_probe(args) -> int:
-    op = _op_or_default(args)
+def _cmd_density_probe(args):
+    op = _operator(args.op, lambda: BargmannActionWeights(p=0))
     rng = random.Random(args.seed)
     p = op.offset_p
     samples = []
@@ -364,29 +348,38 @@ def _cmd_density_probe(args) -> int:
             rows.append((s, q, err))
         samples.append({"target": y.to_json_dict(), "q_and_error_log": errs})
     result = {"seed": args.seed, "tail_tol_log": args.tail, "samples": samples}
-    series = (["sample", "q", "approx_error_log"], rows)
-    _emit(args, result, series)
-    return _EXIT_OK
+    return result, (["sample", "q", "approx_error_log"], rows)
 
 
-# options whose value may start with '-' without being a plain negative number
-_DASH_VALUE_OPTIONS = ("--lambda", "--mu", "-z", "--range", "--tail", "--alpha", "--threshold")
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _join_dash_values(argv) -> list[str]:
-    """Rewrite `--lambda -2,0.5` as `--lambda=-2,0.5`.
+    """Rewrite `--lambda -2,0.5` as `--lambda=-2,0.5`, after any option.
 
-    argparse reads a token such as `-2,0.5` as an option string, not as the
-    value of the option before it.
+    argparse reads a token such as `-2,0.5` or `-1e-6` as an option string,
+    not as the value of the option before it.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _DASH_VALUE_OPTIONS and _NEGATIVE_VALUE.match(tok):
+        if out and out[-1].startswith("-") and "=" not in out[-1] and _NEGATIVE_VALUE.match(tok):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
+
+
+# options of the leaf commands, as (flags..., add_argument keywords)
+_REQUIRED = {"required": True}
+_OP = ("--op", _REQUIRED)
+_VEC = ("--vec", _REQUIRED)
+_K = ("-k", {"type": int, "required": True})
+_N = ("-N", {"dest": "n", "type": int, "default": 10_000})
+_FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
+_NU = ("--nu", {"type": float, "default": math.pi})
+_ALPHA = ("--alpha", {"type": float, "default": 0.0})
+_TAIL = ("--tail", {"type": float, "default": -60.0})
+_TENSOR = (("--left", _REQUIRED), ("--right", _REQUIRED), _VEC)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,137 +389,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"shiftdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options several commands share, declared once as parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--left", default=None, help="left operator JSON (default: theta)")
+    pair.add_argument("--right", default=None, help="right operator JSON (default: bargmann)")
+    for flag, kwargs in (_NU, _ALPHA, ("--p", {"type": int, "default": 0})):
+        pair.add_argument(flag, **kwargs)
 
-    def add_out(p):
-        p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    def leaf(group, name, func, help, *options, parents=()):
+        p = group.add_parser(name, parents=[*parents, out], help=help)
+        for *flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("weights", help="evaluate a weight sequence over an index range")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--range", required=True, help="lo:hi (hi exclusive)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_out(p)
-    p.set_defaults(func=_cmd_weights)
+    def group(name, dest, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
-    p_basis = sub.add_parser("basis", help="basis function evaluation")
-    sub_basis = p_basis.add_subparsers(dest="basis_action", required=True)
-    p = sub_basis.add_parser("eval")
-    p.add_argument("--basis", choices=("theta", "bargmann"), required=True)
-    p.add_argument("--nu", type=float, default=math.pi)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-z", required=True, help="re,im")
-    add_out(p)
-    p.set_defaults(func=_cmd_basis_eval)
-
-    p_op = sub.add_parser("op", help="single-space operator actions")
-    sub_op = p_op.add_subparsers(dest="action", required=True)
-    for action in ("apply", "power", "matrix"):
-        p = sub_op.add_parser(action)
-        p.add_argument("--op", required=True)
-        if action != "matrix":
-            p.add_argument("--vec", required=True)
-        if action == "power":
-            p.add_argument("-k", type=int, required=True)
-        if action == "matrix":
-            p.add_argument("-N", dest="n", type=int, required=True)
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-        add_out(p)
-        p.set_defaults(func=_cmd_op, action=action)
-
-    p_tensor = sub.add_parser("tensor", help="tensor operator actions")
-    sub_tensor = p_tensor.add_subparsers(dest="action", required=True)
-    for action in ("apply", "power", "inner"):
-        p = sub_tensor.add_parser(action)
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        p.add_argument("--vec", required=True)
-        if action == "power":
-            p.add_argument("-k", type=int, required=True)
-        if action == "inner":
-            p.add_argument("--vec2", default=None)
-        add_out(p)
-        p.set_defaults(func=_cmd_tensor, action=action)
-
-    p = sub.add_parser("criterion", help="Salas partial-product scan")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--weights2", default=None)
-    p.add_argument("-N", dest="n", type=int, default=10_000)
-    p.add_argument("--threshold", type=float, default=100.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_criterion)
-
-    def add_pair(p):
-        p.add_argument("--left", default=None, help="left operator JSON (default: theta)")
-        p.add_argument("--right", default=None, help="right operator JSON (default: bargmann)")
-        p.add_argument("--nu", type=float, default=math.pi)
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--p", type=int, default=0)
-
-    p = sub.add_parser("eigen", help="build a truncated tensor eigenvector")
-    p.add_argument("--lambda", dest="lam", required=True, help="re,im")
-    p.add_argument("--mu", required=True, help="re,im")
-    p.add_argument("--tail", type=float, default=-60.0)
-    add_pair(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_eigen)
-
-    p = sub.add_parser("periodic", help="build a truncated q-periodic point")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--tail", type=float, default=-60.0)
-    add_pair(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_periodic)
-
-    p = sub.add_parser("hypercyclic", help="build a vector whose orbit visits targets")
-    p.add_argument("--targets", required=True)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--op", default=None, help="operator JSON (default: bargmann p=0)")
-    add_out(p)
-    p.set_defaults(func=_cmd_hypercyclic)
-
-    p = sub.add_parser("counterexample", help="block-pattern tensor counterexample scans")
-    p.add_argument("-N", dest="n", type=int, default=10_000)
-    # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
-    p.add_argument("--threshold", type=float, default=30.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("density-probe", help="periodic approximation of random targets")
-    p.add_argument("--op", default=None)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", type=float, default=-40.0)
-    add_out(p)
-    p.set_defaults(func=_cmd_density_probe)
-
+    leaf(sub, "weights", _cmd_weights, "evaluate a weight sequence over an index range",
+         ("--spec", _REQUIRED),
+         ("--range", {"required": True, "help": "lo:hi (hi exclusive)"}),
+         _FORMAT)
+    leaf(group("basis", "basis_action", "basis function evaluation"), "eval", _cmd_basis_eval,
+         "evaluate one basis function at z",
+         ("--basis", {"choices": ("theta", "bargmann"), "required": True}),
+         _NU, _ALPHA,
+         ("-m", {"type": int, "required": True}),
+         ("-z", {"required": True, "help": "re,im"}))
+    ops = group("op", "action", "single-space operator actions")
+    leaf(ops, "apply", _cmd_op_apply, "apply the operator once", _OP, _VEC)
+    leaf(ops, "power", _cmd_op_power, "apply the operator k times", _OP, _VEC, _K)
+    leaf(ops, "matrix", _cmd_op_matrix, "the truncated matrix as (row, col, logmag) triplets",
+         _OP,
+         ("-N", {"dest": "n", "type": int, "required": True}),
+         _FORMAT)
+    tensors = group("tensor", "action", "tensor operator actions")
+    leaf(tensors, "apply", _cmd_tensor_apply, "apply left (x) right once", *_TENSOR)
+    leaf(tensors, "power", _cmd_tensor_power, "apply left (x) right k times", *_TENSOR, _K)
+    leaf(tensors, "inner", _cmd_tensor_inner, "inner product of --vec and --vec2",
+         *_TENSOR, ("--vec2", _REQUIRED))
+    leaf(sub, "criterion", _cmd_criterion, "Salas partial-product scan",
+         ("--weights", _REQUIRED),
+         ("--weights2", {"default": None}),
+         _N,
+         ("--threshold", {"type": float, "default": 100.0}))
+    leaf(sub, "eigen", _cmd_eigen, "build a truncated tensor eigenvector",
+         ("--lambda", {"dest": "lam", "required": True, "help": "re,im"}),
+         ("--mu", {"required": True, "help": "re,im"}),
+         _TAIL, parents=[pair])
+    leaf(sub, "periodic", _cmd_periodic, "build a truncated q-periodic point",
+         ("--q", {"type": int, "required": True}),
+         _TAIL, parents=[pair])
+    leaf(sub, "hypercyclic", _cmd_hypercyclic, "build a vector whose orbit visits targets",
+         ("--targets", _REQUIRED),
+         ("--eps", {"type": float, "default": 1e-6}),
+         ("--op", {"default": None, "help": "operator JSON (default: bargmann p=0)"}))
+    leaf(sub, "counterexample", _cmd_counterexample, "block-pattern tensor counterexample scans",
+         _N,
+         # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
+         ("--threshold", {"type": float, "default": 30.0}))
+    leaf(sub, "density-probe", _cmd_density_probe, "periodic approximation of random targets",
+         ("--op", {"default": None}),
+         ("--count", {"type": int, "default": 5}),
+         ("--seed", {"type": int, "default": 0}),
+         ("--tail", {"type": float, "default": -40.0}))
     return parser
 
 
 def main(argv=None) -> int:
     try:
         _setup_logging()
+        try:
+            args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+        except SystemExit as exc:  # --help, --version, or a usage error already printed
+            return exc.code if isinstance(exc.code, int) else _EXIT_VALIDATION
+        args._t0 = time.monotonic()
+        _emit(args, *args.func(args))
+        return _EXIT_OK
     except ValidationError as exc:
-        print(f"shiftdyn: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    parser = build_parser()
-    try:
-        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:  # --help, --version, or a usage error already printed
-        return exc.code if isinstance(exc.code, int) else _EXIT_VALIDATION
-    args._t0 = time.monotonic()
-    try:
-        return args.func(args)
-    except (TailNotCertifiable, ScheduleOverflow, OverflowNotRepresentable) as exc:
-        print(f"shiftdyn: numeric failure: {exc}", file=sys.stderr)
-        return _EXIT_NUMERIC
-    except (ValidationError, ValueError, KeyError) as exc:
         print(f"shiftdyn: invalid input: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"shiftdyn: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
     except ShiftDynError as exc:
-        print(f"shiftdyn: {exc}", file=sys.stderr)
+        print(f"shiftdyn: numeric failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
 
 

@@ -15,6 +15,7 @@ strictly decaying right-inverse orbits.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,22 +91,17 @@ def _verdict_from_partials(partials: np.ndarray, threshold: float) -> tuple[Verd
     return Verdict.INCONCLUSIVE, None
 
 
-def _check_scan(n_horizon: int, threshold: float) -> None:
+def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionReport:
+    """The scan on the termwise product of ws, each factor from its own start index."""
     if n_horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
-
-
-def salas_scan(
-    w: WeightSequence, n_horizon: int = 10_000, threshold: float = 100.0
-) -> CriterionReport:
-    """Partial log-products of w over its scan range, with a verdict."""
-    _check_scan(n_horizon, threshold)
-    start = w.scan_start
-    idx = np.arange(start, start + n_horizon, dtype=np.int64)
-    logs = w.log_weights(idx)
-    partials = np.cumsum(logs)
+    logs = [
+        w.log_weights(np.arange(w.scan_start, w.scan_start + n_horizon, dtype=np.int64))
+        for w in ws
+    ]
+    partials = np.cumsum(functools.reduce(np.add, logs))
     verdict, bound = _verdict_from_partials(partials, threshold)
     return CriterionReport(
         partial_log_products=partials,
@@ -114,8 +110,15 @@ def salas_scan(
         bound=bound,
         horizon_n=n_horizon,
         threshold=threshold,
-        scan_start=start,
+        scan_start=min(w.scan_start for w in ws),
     )
+
+
+def salas_scan(
+    w: WeightSequence, n_horizon: int = 10_000, threshold: float = 100.0
+) -> CriterionReport:
+    """Partial log-products of w over its scan range, with a verdict."""
+    return _scan(n_horizon, threshold, w)
 
 
 def tensor_salas_scan(
@@ -126,21 +129,7 @@ def tensor_salas_scan(
     Each factor is scanned from its own start index, so the k-th product
     term pairs the k-th scanned weight of each factor.
     """
-    _check_scan(n_horizon, threshold)
-    idx1 = np.arange(w1.scan_start, w1.scan_start + n_horizon, dtype=np.int64)
-    idx2 = np.arange(w2.scan_start, w2.scan_start + n_horizon, dtype=np.int64)
-    logs = w1.log_weights(idx1) + w2.log_weights(idx2)
-    partials = np.cumsum(logs)
-    verdict, bound = _verdict_from_partials(partials, threshold)
-    return CriterionReport(
-        partial_log_products=partials,
-        sup_attained=float(np.max(partials)),
-        verdict=verdict,
-        bound=bound,
-        horizon_n=n_horizon,
-        threshold=threshold,
-        scan_start=min(w1.scan_start, w2.scan_start),
-    )
+    return _scan(n_horizon, threshold, w1, w2)
 
 
 @dataclass(slots=True)

@@ -10,6 +10,9 @@ Phases are kept in (-pi, pi].  Negation adds pi through the same canonical
 wrap used everywhere, which makes x + (-x) cancel to the exact zero state:
 `lc_add` recognizes operands with equal log-magnitude and canonically
 opposite phases before any trigonometry can smear the cancellation.
+
+`lc_parse` and `int_parse` check the scalars and integers read from
+files; `LogComplex` itself checks nothing, as it sits on every hot path.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OverflowNotRepresentable
+from .errors import OverflowNotRepresentable, ValidationError
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -152,10 +155,28 @@ def lc_to_json(a: LogComplex) -> dict:
 
 
 def lc_from_json(obj: dict) -> LogComplex:
-    logmag = obj["logmag"]
-    if logmag == "-inf":
-        return LC_ZERO
-    return LogComplex(float(logmag), wrap_phase(float(obj["phase"])))
+    return lc_parse(obj["logmag"], obj["phase"])
+
+
+def lc_parse(logmag, phase) -> LogComplex:
+    """A scalar read from a file: logmag below +inf ("-inf" is zero), phase finite."""
+    logmag, phase = float(logmag), float(phase)
+    if not logmag < math.inf:
+        raise ValidationError(f"logmag must be a number below +inf, got {logmag}")
+    if not math.isfinite(phase):
+        raise ValidationError(f"phase must be finite, got {phase}")
+    return LC_ZERO if logmag == NEG_INF else LogComplex(logmag, wrap_phase(phase))
+
+
+def int_parse(value, name: str) -> int:
+    """An integer read from a file: an int, or a float of integral value.
+
+    Its magnitude stays below 2**53, where every integer is still a float.
+    """
+    n = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(n, bool) or not isinstance(n, int) or abs(n) >= 2**53:
+        raise ValidationError(f"{name} must be an integer of magnitude below 2**53, got {value!r}")
+    return n
 
 
 def log_add_exp(x: float, y: float) -> float:

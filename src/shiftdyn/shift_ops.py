@@ -33,10 +33,10 @@ import enum
 import threading
 from dataclasses import dataclass, field
 
-from .basis import CoeffVector
+from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
 from .numerics import LogComplex, lc_sub
-from .weights import WeightSequence
+from .weights import WeightSequence, weight_sequence_from_json
 
 
 class Direction(enum.Enum):
@@ -180,8 +180,6 @@ def apply_power(op: ShiftOperator, v: CoeffVector, k: int) -> CoeffVector:
 
 def adjoint_pairing_gap_log(op: ShiftOperator, u: CoeffVector, v: CoeffVector) -> float:
     """log |<T u, v> - <u, T* v>|; -inf when the pairing matches exactly."""
-    from .basis import coeff_inner
-
     lhs = coeff_inner(apply(op, u), v)
     rhs = coeff_inner(u, apply(adjoint(op), v))
     return lc_sub(lhs, rhs).logmag
@@ -204,10 +202,10 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
 
 
 def shift_operator_from_json(obj: dict) -> ShiftOperator:
-    from .weights import weight_sequence_from_json
-
+    # read first, so that a non-object raises TypeError here rather than AttributeError
+    weights = weight_sequence_from_json(obj["weights"])
     try:
         direction = Direction(obj.get("direction", "backward"))
     except ValueError:
         raise ValidationError(f"unknown direction {obj.get('direction')!r}") from None
-    return ShiftOperator(weight_sequence_from_json(obj["weights"]), direction)
+    return ShiftOperator(weights, direction)

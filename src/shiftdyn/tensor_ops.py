@@ -17,8 +17,15 @@ from typing import Mapping
 
 from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
-from .numerics import LC_ZERO, LogComplex, lc_mul, lc_sub, wrap_phase
-from .shift_ops import Direction, ShiftOperator, _action_rule, adjoint, right_inverse
+from .numerics import LC_ZERO, LogComplex, int_parse, lc_mul, lc_parse, lc_sub
+from .shift_ops import (
+    Direction,
+    ShiftOperator,
+    _action_rule,
+    adjoint,
+    right_inverse,
+    shift_operator_from_json,
+)
 
 
 @dataclass(slots=True)
@@ -66,10 +73,12 @@ class TensorVector:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TensorVector":
-        entries = {}
-        for m, n, logmag, phase in obj.get("entries", []):
-            entries[(int(m), int(n))] = LogComplex(float(logmag), wrap_phase(float(phase)))
-        return cls.from_entries((int(obj["p1"]), int(obj["p2"])), entries)
+        offsets = (int_parse(obj["p1"], "p1"), int_parse(obj["p2"], "p2"))
+        entries = {
+            (int_parse(m, "entry index"), int_parse(n, "entry index")): lc_parse(logmag, phase)
+            for m, n, logmag, phase in obj.get("entries", [])
+        }
+        return cls.from_entries(offsets, entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,8 +192,6 @@ def tensor_adjoint_pairing_gap_log(op: TensorOperator, w1: TensorVector, w2: Ten
 
 
 def tensor_operator_from_json(obj: dict) -> TensorOperator:
-    from .shift_ops import shift_operator_from_json
-
     return TensorOperator(
         shift_operator_from_json(obj["left"]), shift_operator_from_json(obj["right"])
     )

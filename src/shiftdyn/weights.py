@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexBelowOffset, TableRangeError, ValidationError
+from .numerics import int_parse
 
 _LN2 = math.log(2.0)
 
@@ -310,15 +311,15 @@ def weight_sequence_from_json(obj: dict) -> WeightSequence:
             ThetaParams(
                 nu=float(obj["nu"]),
                 alpha=float(obj.get("alpha", 0.0)),
-                p=int(obj.get("p", 0)),
+                p=int_parse(obj.get("p", 0), "p"),
             )
         )
     if family == "bargmann_raw":
         return BargmannRawWeights()
     if family == "bargmann_composite":
-        return BargmannActionWeights(p=int(obj.get("p", 0)))
+        return BargmannActionWeights(p=int_parse(obj.get("p", 0), "p"))
     if family == "block_pattern":
         return BlockPatternWeights(role=obj.get("role", "omega"))
     if family == "table":
-        return TableWeights.from_weights(obj["table"], start=int(obj.get("start", 1)))
+        return TableWeights.from_weights(obj["table"], start=int_parse(obj.get("start", 1), "start"))
     raise ValidationError(f"unknown weight family {family!r}")

@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shiftdyn.cli import main
 
@@ -362,3 +364,130 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, argv, name):
     assert f"{name} must be" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_OP_APPLY = ["op", "apply", "--op", "{op}", "--vec", "{v}"]
+
+
+def _vec(*entries, p=1):
+    return {"{v}": {"p": p, "entries": list(entries)}}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        pytest.param(_OP_APPLY, _vec(p=None), id="vector-p-null"),
+        pytest.param(_OP_APPLY, {"{v}": [[1, 0.0, 0.0]]}, id="vector-is-a-list"),
+        pytest.param(["hypercyclic", "--targets", "{v}"], {"{v}": {"targets": 5}},
+                     id="targets-not-a-list"),
+        pytest.param(["op", "apply", "--op", "{dir}", "--vec", "{v}"], _vec(),
+                     id="operator-is-a-directory"),
+        pytest.param(_OP_APPLY, _vec([3, math.nan, 0.0]), id="nan-logmag"),
+        pytest.param(_OP_APPLY, _vec([3, 0.0, math.nan]), id="nan-phase"),
+        pytest.param(_OP_APPLY, _vec([3, 0.0, math.inf]), id="infinite-phase"),
+        pytest.param(_OP_APPLY, _vec([3, math.inf, 0.0]), id="infinite-logmag"),
+        pytest.param(_OP_APPLY, _vec([3, 10**400, 0.0]), id="logmag-beyond-float"),
+        pytest.param(_OP_APPLY, _vec(p=1.5), id="non-integral-p"),
+        pytest.param(["weights", "--spec", "{v}", "--range", "2:4"],
+                     {"{v}": {"family": "bargmann_composite", "p": 1.9}}, id="non-integral-weight-p"),
+        pytest.param(["weights", "--spec", "{v}", "--range", "1:2"],
+                     {"{v}": {"family": "table", "table": [1.0], "start": 1.5}}, id="non-integral-start"),
+        pytest.param(["tensor", "apply", "--left", "{op}", "--right", "{op}", "--vec", "{v}"],
+                     {"{v}": {"p1": 1.5, "p2": 1, "entries": []}}, id="non-integral-p1"),
+        pytest.param(_OP_APPLY, _vec([2.5, 0.0, 0.0]), id="non-integral-index"),
+        pytest.param(_OP_APPLY, _vec([10**400, 0.0, 0.0]), id="huge-index-bargmann"),
+        pytest.param(["op", "apply", "--op", "{theta}", "--vec", "{v}"], _vec([10**400, 0.0, 0.0]),
+                     id="huge-index-theta"),
+        pytest.param(["weights", "--spec", "{missing}", "--range", "0:3"], {}, id="missing-file"),
+        pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
+                     id="invalid-json"),
+        pytest.param(_OP_APPLY, {"{v}": "[" * 100_000 + "]" * 100_000}, id="nesting-too-deep"),
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_op_spec, argv, files):
+    paths = {"{op}": bargmann_op_spec, "{theta}": theta_op_spec, "{dir}": str(tmp_path),
+             "{missing}": str(tmp_path / "missing.json")}
+    for name, obj in files.items():
+        path = tmp_path / "input.json"
+        if isinstance(obj, str):
+            path.write_text(obj, encoding="utf-8")
+        else:
+            write_json(path, obj)
+        paths[name] = str(path)
+    out = tmp_path / "out.json"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("shiftdyn:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_json_floats_keep_their_meaning(tmp_path, capsys):
+    outs = []
+    for p in (2, 2.0):
+        spec = write_json(tmp_path / "w.json", {"family": "bargmann_composite", "p": p})
+        assert main(["weights", "--spec", spec, "--range", "3:6"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=5), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+# vector-shaped values, so that some examples are valid and reach the operator
+_ENTRY = st.one_of(
+    st.tuples(st.integers(0, 40), st.floats(-50.0, 50.0), st.floats(-4.0, 4.0)),
+    st.tuples(st.integers(0, 40), st.floats(), st.floats()),
+    st.lists(_JSON, min_size=3, max_size=3),
+)
+_VECTOR_LIKE = st.fixed_dictionaries(
+    {"p": st.just(0) | _JSON, "entries": st.lists(_ENTRY, max_size=3) | _JSON}
+)
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vec=_JSON | _VECTOR_LIKE)
+def test_any_json_vector_exits_0_or_2(tmp_path, vec):
+    op = write_json(tmp_path / "op.json", {"weights": {"family": "bargmann_composite", "p": 0}})
+    path = write_json(tmp_path / "vec.json", vec)
+    out = str(tmp_path / "out.json")
+    assert main(["op", "apply", "--op", op, "--vec", path, "--out", out]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["hypercyclic", "--targets", "{targets}"], "--eps", "-1e-6"),
+        (["eigen", "--lambda", "0.5,0", "--mu", "0.3,0"], "--nu", "-inf"),
+    ],
+)
+def test_negative_values_after_a_space_reach_the_library(tmp_path, capsys, argv, option, value):
+    targets = write_json(tmp_path / "t.json", {"targets": [{"p": 0, "entries": [[0, 0.0, 0.0]]}]})
+    argv = [targets if a == "{targets}" else a for a in argv]
+    assert main(argv + [option, value]) == 2
+    spaced = capsys.readouterr().err
+    assert main(argv + [f"{option}={value}"]) == 2
+    assert spaced == capsys.readouterr().err
+    assert "must be" in spaced
+
+
+def test_tensor_inner_beyond_float_range_is_a_numeric_failure(tmp_path, capsys, bargmann_op_spec):
+    entries = [[1, 1, 1e308, 0.0], [2, 2, 1e308, 0.0]]  # each product's logmag overflows
+    vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": entries})
+    out = tmp_path / "ip.json"
+    assert main(["tensor", "inner", "--left", bargmann_op_spec, "--right", bargmann_op_spec,
+                 "--vec", vec, "--vec2", vec, "--out", str(out)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tensor_inner_requires_vec2(tmp_path, capsys, theta_op_spec, bargmann_op_spec):
+    vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
+    argv = ["tensor", "inner", "--left", theta_op_spec, "--right", bargmann_op_spec, "--vec", vec]
+    assert main(argv) == 2
+    assert "--vec2" in capsys.readouterr().err
