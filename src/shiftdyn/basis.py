@@ -21,6 +21,7 @@ from typing import Mapping
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import (
     LC_ZERO,
+    NEG_INF,
     LogComplex,
     int_parse,
     lc_add,
@@ -130,8 +131,22 @@ def coeff_inner(u, v) -> LogComplex:
 
 
 def coeff_norm_log(u) -> float:
-    """log ||u||; -inf for the zero vector.  <u,u> is real, so halve its log."""
-    return coeff_inner(u, u).logmag / 2.0
+    """log ||u||; -inf for the zero vector.
+
+    Every term of <u, u> has phase exactly 0.0, so `lc_add` would always take
+    its equal-phase path; the same float steps, run on 2*logmag in key order,
+    give the bits of `coeff_inner(u, u)` without a `LogComplex` per entry.
+    """
+    acc = NEG_INF
+    for key in sorted(u.entries):
+        t = 2.0 * u.entries[key].logmag
+        if t > acc:
+            acc, t = t, acc
+        if t != NEG_INF:
+            acc += math.log1p(math.exp(t - acc))
+    if not acc < math.inf:  # a term overflowed; two infinite terms add to NaN
+        raise OverflowNotRepresentable(f"norm log-magnitude {acc} is beyond float range")
+    return acc / 2.0
 
 
 def _check_point(z: complex) -> None:

@@ -13,6 +13,7 @@ from shiftdyn import (
     LC_ZERO,
     LogComplex,
     OffsetMismatch,
+    OverflowNotRepresentable,
     ThetaBasis,
     ThetaParams,
     ValidationError,
@@ -174,6 +175,20 @@ def test_inner_positive_definite():
         assert q.phase == 0.0
         assert math.isfinite(q.logmag)
     assert coeff_inner(CoeffVector(0, {}), CoeffVector(0, {})) == LC_ZERO
+
+
+def test_norm_has_the_bits_of_the_inner_product():
+    rng = random.Random(39)
+    for _ in range(300):
+        u = rand_coeff_vector(rng, 0, 30, 80)
+        for m in rng.sample(sorted(u.entries), min(3, len(u.entries))):
+            u.entries[m] = LogComplex(rng.uniform(-900.0, 900.0), rng.choice((math.pi, 0.0)))
+        assert coeff_norm_log(u) == coeff_inner(u, u).logmag / 2.0
+    assert coeff_norm_log(CoeffVector(0, {})) == float("-inf")
+    for logmags in ((1e308, 1e308), (1e308, 1.0)):
+        u = CoeffVector(0, {m: LogComplex(x) for m, x in enumerate(logmags)})
+        with pytest.raises(OverflowNotRepresentable):
+            coeff_norm_log(u)
 
 
 def test_inner_conjugate_symmetry():
