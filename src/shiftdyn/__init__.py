@@ -88,6 +88,8 @@ from .dynamics import (
     periodic_from_target,
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
+    rank_one_log_norms,
+    rank_one_residual_log,
 )
 from .errors import (
     IndexBelowOffset,

@@ -131,11 +131,9 @@ def coeff_inner(u, v) -> LogComplex:
 
 
 def coeff_norm_log(u) -> float:
-    """log ||u||; -inf for the zero vector.
+    """log ||u||; -inf for the zero vector, with the bits of coeff_inner(u, u).
 
-    Every term of <u, u> has phase exactly 0.0, so `lc_add` would always take
-    its equal-phase path; the same float steps, run on 2*logmag in key order,
-    give the bits of `coeff_inner(u, u)` without a `LogComplex` per entry.
+    Every term of <u, u> has phase 0.0, so this runs `lc_add`'s equal-phase path on floats.
     """
     acc = NEG_INF
     for key in sorted(u.entries):

@@ -39,13 +39,14 @@ from .basis import (
 )
 from .criteria import salas_scan, tensor_salas_scan
 from .dynamics import (
-    eigen_residual_log,
+    EIGEN_SERIES_STEPS,
     eigenvector_build,
     hypercyclic_vector_build,
-    orbit,
     periodic_from_target,
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
+    rank_one_log_norms,
+    rank_one_residual_log,
 )
 from .errors import ShiftDynError, ValidationError
 from .numerics import LogComplex, lc_to_json
@@ -192,11 +193,10 @@ def _targets(payload) -> list[CoeffVector]:
     return [CoeffVector.from_json_dict(v) for v in vectors]
 
 
-def _orbit_result(args, op, g, steps: int, result: dict):
+def _orbit_result(args, g, log_norms: list[float], result: dict):
     """result with the vector g and the tail target, and g's orbit log-norms as the series."""
     result.update(tail_tol_log=args.tail, vector=g.to_json_dict())
-    trace = orbit(op, g, steps, keep_vectors=False)
-    return result, (["k", "log_norm"], [(s.k, s.log_norm) for s in trace.steps])
+    return result, (["k", "log_norm"], list(enumerate(log_norms)))
 
 
 def _cmd_weights(args):
@@ -261,23 +261,24 @@ def _cmd_eigen(args):
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     g, spec = eigenvector_build(op, lam, mu, args.tail)
-    gnorm = coeff_norm_log(g)
-    residual = eigen_residual_log(g, lam, mu, q=1)
+    log_norms = rank_one_log_norms(op, g, EIGEN_SERIES_STEPS)
+    residual = rank_one_residual_log(g, lam, mu, q=1)
     result = {
         "eigen_spec": spec.to_json_dict(),
-        "gnorm_log": gnorm,
+        "gnorm_log": log_norms[0],
         "residual_log": residual,
-        "residual_rel_log": residual - gnorm,
+        "residual_rel_log": residual - log_norms[0],
     }
-    return _orbit_result(args, op, g, 8, result)
+    return _orbit_result(args, g, log_norms, result)
 
 
 def _cmd_periodic(args):
     op = _pair(args)
     g = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
     lam = cmath.exp(1j * math.pi / args.q)
-    gnorm = coeff_norm_log(g)
-    res_q = eigen_residual_log(g, lam, lam, q=args.q)
+    log_norms = rank_one_log_norms(op, g, 2 * args.q)
+    gnorm = log_norms[0]
+    res_q = rank_one_residual_log(g, lam, lam, q=args.q)
     res_1 = periodic_residual_numeric_log(op, g, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
@@ -285,7 +286,7 @@ def _cmd_periodic(args):
         "residual_q_rel_log": res_q - gnorm,
         "residual_1_rel_log": res_1 - gnorm,
     }
-    return _orbit_result(args, op, g, 2 * args.q, result)
+    return _orbit_result(args, g, log_norms, result)
 
 
 def _cmd_hypercyclic(args):

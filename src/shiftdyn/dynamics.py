@@ -9,13 +9,19 @@ adaptively and certified by geometric domination: once the per-term log
 ratio log|lambda| - log a(m+1) is negative (the weights are monotone), the
 omitted tail is below a closed-form geometric bound.
 
+The rectangle grows one axis at a time, the one whose omitted mass dominates
+the bound, and stays factored: norms and orbits are taken per axis.
+
 Residual evaluation exploits the same telescoping the convergence argument
 rests on: for the truncated series, T^q g - (lambda*mu)^q g cancels
 identically on the interior and equals -(lambda*mu)^q times the outermost
-width-q band of the truncation rectangle.  `eigen_residual_log` evaluates
-exactly that band; `eigen_residual_numeric_log` is the generic entrywise
-subtraction, whose floor is set by float rounding (~1e-13 relative) rather
-than by the truncation, and is kept as an independent cross-check.
+width-q band of the truncation rectangle.  `rank_one_residual_log` takes
+that band per axis, as B1 H2 + h1 B2 (B: an axis's squared mass in its top
+q indices, h: below them, H = h + B), with no subtraction: H1 H2 - h1 h2
+would cancel about 100 digits at certification depth.  The dense band sum
+`eigen_residual_log` and the entrywise subtraction
+`eigen_residual_numeric_log` (floored by float rounding, ~1e-13 relative)
+are kept as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -42,9 +48,10 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply, apply_power, right_inverse
-from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_power_apply
+from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_of, tensor_power_apply
 
-_AXIS_CAP = 10_000
+_ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
+EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
 
 
 @dataclass(slots=True)
@@ -118,6 +125,7 @@ class _AxisSeries:
         self.phase_step = scale.phase if not scale.is_zero else 0.0
         self.term_logs = [0.0]
         self.term_phases = [0.0]
+        self.sq_prefix = [0.0]  # log sum of the squared term magnitudes up to each position
         self._last_lw = None
         self.frozen = scale.is_zero
 
@@ -146,11 +154,15 @@ class _AxisSeries:
         self._last_lw = lw
         self.term_logs.append(self.term_logs[-1] + self.log_scale - lw)
         self.term_phases.append(wrap_phase(self.term_phases[-1] + self.phase_step))
+        self.sq_prefix.append(log_add_exp(self.sq_prefix[-1], 2.0 * self.term_logs[-1]))
 
     def head_sq_log(self, cut: int) -> float:
         """log sum of squared term magnitudes for indices p..cut."""
-        hi = min(cut - self.p, len(self.term_logs) - 1)
-        return log_sum_exp(2.0 * t for t in self.term_logs[: hi + 1])
+        return self.sq_prefix[min(cut - self.p, len(self.sq_prefix) - 1)]
+
+    def factor(self) -> CoeffVector:
+        terms = zip(self.term_logs, self.term_phases)
+        return CoeffVector(self.p, {self.p + i: LogComplex(t, ph) for i, (t, ph) in enumerate(terms)})
 
     def tail_sq_log(self, cut: int) -> float:
         """Certified log bound on the squared-magnitude sum beyond `cut`.
@@ -164,12 +176,10 @@ class _AxisSeries:
         i = cut - self.p + 1  # first omitted term position
         if i < len(self.term_logs):
             first_omitted = self.term_logs[i]
-        elif i == len(self.term_logs):
+        else:  # cut is the top index: cuts sit at most band_margin below it
             first_omitted = (
                 self.term_logs[-1] + self.log_scale - self.op.log_action_weight(cut + 1)
             )
-        else:
-            raise TailNotCertifiable("truncation cut beyond materialized terms")
         try:
             ratio_log = 2.0 * (self.log_scale - self.op.log_action_weight(cut + 2))
         except TableRangeError:
@@ -181,24 +191,24 @@ class _AxisSeries:
             return first_omitted_sq - math.log1p(-math.exp(ratio_log))
         return first_omitted_sq
 
-    def full_sq_log(self, cut: int) -> float:
-        return log_add_exp(self.head_sq_log(cut), self.tail_sq_log(cut))
-
 
 def _check_tail_tol(tail_tol_log: float) -> None:
-    # a NaN target is never met, so the series would grow to its cap
-    if not math.isfinite(tail_tol_log):
-        raise ValidationError(f"tail_tol_log must be finite, got {tail_tol_log}")
+    # a NaN target is never met, and a norm bound of e^0 or more certifies nothing
+    if not (math.isfinite(tail_tol_log) and tail_tol_log < 0.0):
+        raise ValidationError(f"tail_tol_log must be finite and < 0, got {tail_tol_log}")
 
 
-def _rect_tail_log(ax1: _AxisSeries, ax2: _AxisSeries, cut1: int, cut2: int) -> float:
-    """Certified log bound on the norm omitted outside the rectangle."""
+def _rect_tail(ax1: _AxisSeries, ax2: _AxisSeries, cut1: int, cut2: int) -> tuple[float, _AxisSeries]:
+    """Certified log bound on the norm omitted outside the rectangle, and the axis to grow:
+    one not yet certifiable, else the one whose omitted mass dominates the bound.
+    """
     t1 = ax1.tail_sq_log(cut1)
     t2 = ax2.tail_sq_log(cut2)
     if t1 == math.inf or t2 == math.inf:
-        return math.inf
-    total_sq = log_add_exp(t1 + ax2.full_sq_log(cut2), ax1.head_sq_log(cut1) + t2)
-    return total_sq / 2.0
+        return math.inf, ax1 if t1 == math.inf else ax2
+    beyond1 = t1 + log_add_exp(ax2.head_sq_log(cut2), t2)
+    within1 = ax1.head_sq_log(cut1) + t2
+    return log_add_exp(beyond1, within1) / 2.0, ax1 if beyond1 >= within1 else ax2
 
 
 def _build_eigenvector(
@@ -209,57 +219,38 @@ def _build_eigenvector(
     mu: complex,
     tail_tol_log: float,
     band_margin: int,
-) -> tuple[TensorVector, EigenSpec]:
+    min_terms: int,
+) -> tuple[CoeffVector, CoeffVector, EigenSpec]:
+    """The eigenvector's factors a, b; growing axes keep min_terms terms, so T^k g != 0 below."""
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("eigenvectors are built for the backward tensor operator")
     _check_tail_tol(tail_tol_log)
     if band_margin < 1:
         raise ValidationError(f"band margin must be >= 1, got {band_margin}")
-    p1, p2 = op.offsets
     ax1 = _AxisSeries(op.left, lam_lc)
     ax2 = _AxisSeries(op.right, mu_lc)
 
     lm_abs = lam_lc.logmag + mu_lc.logmag  # -inf when either eigenvalue is 0
     target = tail_tol_log - max(0.0, lm_abs) if lm_abs != NEG_INF else tail_tol_log
+    floor = max(band_margin + 3, min_terms)
 
-    for ax in (ax1, ax2):
-        while not ax.frozen and len(ax) < band_margin + 3:
-            ax.extend()
-
-    def certified(margin: int) -> float:
+    def certified(margin: int) -> tuple[float, _AxisSeries]:
         cut1 = ax1.top_index() - (0 if ax1.frozen else margin)
         cut2 = ax2.top_index() - (0 if ax2.frozen else margin)
-        return _rect_tail_log(ax1, ax2, cut1, cut2)
+        return _rect_tail(ax1, ax2, cut1, cut2)
 
     while True:
-        bound = certified(band_margin)
-        if bound <= target:
-            break
-        grew = False
-        for ax in (ax1, ax2):
-            if not ax.frozen and len(ax) < _AXIS_CAP:
-                ax.extend()
-                grew = True
-        if not grew:
-            raise TailNotCertifiable(
-                f"tail bound {bound:.3g} not below target {target:.3g} within the axis cap"
-            )
+        grow = next((ax for ax in (ax1, ax2) if not ax.frozen and len(ax) < floor), None)
+        if grow is None:
+            bound, grow = certified(band_margin)
+            if bound <= target:
+                break
+        if len(ax1) * len(ax2) >= _ENTRY_BUDGET:
+            raise TailNotCertifiable(f"tail not below {target:.3g} within {_ENTRY_BUDGET} entries")
+        grow.extend()
 
-    entries: dict[tuple[int, int], LogComplex] = {}
-    for i1, s1 in enumerate(ax1.term_logs):
-        for i2, s2 in enumerate(ax2.term_logs):
-            entries[(p1 + i1, p2 + i2)] = LogComplex(
-                s1 + s2, wrap_phase(ax1.term_phases[i1] + ax2.term_phases[i2])
-            )
-    g = TensorVector((p1, p2), entries)
-    spec = EigenSpec(
-        lam=lam,
-        mu=mu,
-        trunc_m=ax1.top_index(),
-        trunc_n=ax2.top_index(),
-        tail_log_bound=certified(0) if not (ax1.frozen and ax2.frozen) else NEG_INF,
-    )
-    return g, spec
+    bound = certified(0)[0] if not (ax1.frozen and ax2.frozen) else NEG_INF
+    return ax1.factor(), ax2.factor(), EigenSpec(lam, mu, ax1.top_index(), ax2.top_index(), bound)
 
 
 def eigenvector_build(
@@ -278,9 +269,11 @@ def eigenvector_build(
     """
     if not (cmath.isfinite(lam) and cmath.isfinite(mu)):
         raise ValidationError(f"eigenvalues must be finite, got lambda={lam}, mu={mu}")
-    return _build_eigenvector(
-        op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, band_margin
+    a, b, spec = _build_eigenvector(
+        op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, band_margin,
+        EIGEN_SERIES_STEPS + 1,
     )
+    return tensor_of(a, b), spec
 
 
 def eigen_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -> float:
@@ -304,6 +297,33 @@ def eigen_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -
         if m > trunc_m - q or n > trunc_n - q
     )
     return q * lm.logmag + band_sq / 2.0
+
+
+def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
+    """log squared mass of v below its top q indices, and within them."""
+    cut = max(v.entries) - q
+    sq = [(m, 2.0 * v.entries[m].logmag) for m in sorted(v.entries)]
+    return log_sum_exp(t for m, t in sq if m <= cut), log_sum_exp(t for m, t in sq if m > cut)
+
+
+def rank_one_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -> float:
+    """`eigen_residual_log` per axis, for g = tensor_of(a, b): see the module notes."""
+    if q < 1:
+        raise ValidationError(f"power must be >= 1, got {q}")
+    lm = lc_from_complex(lam * mu)
+    if lm.is_zero or g.is_zero:
+        return NEG_INF
+    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in g.factors)
+    return q * lm.logmag + log_add_exp(b1 + log_add_exp(h2, b2), h1 + b2) / 2.0
+
+
+def rank_one_log_norms(op: TensorOperator, g: TensorVector, k_max: int) -> list[float]:
+    """log ||T^k g||, k = 0..k_max, as log ||T1^k a|| + log ||T2^k b|| for g = tensor_of(a, b)."""
+    a, b = g.factors
+    return [
+        coeff_norm_log(apply_power(op.left, a, k)) + coeff_norm_log(apply_power(op.right, b, k))
+        for k in range(k_max + 1)
+    ]
 
 
 def eigen_residual_numeric_log(
@@ -346,10 +366,10 @@ def periodic_point_from_eigen(
     phase = math.pi / q_order
     lam = cmath.exp(1j * phase)
     lam_lc = LogComplex(0.0, wrap_phase(phase))
-    g, _spec = _build_eigenvector(
-        op, lam_lc, lam_lc, lam, lam, tail_tol_log, band_margin=q_order
+    a, b, _spec = _build_eigenvector(
+        op, lam_lc, lam_lc, lam, lam, tail_tol_log, band_margin=q_order, min_terms=2 * q_order + 1
     )
-    return g
+    return tensor_of(a, b)
 
 
 def periodic_from_target(

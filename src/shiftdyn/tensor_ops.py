@@ -32,6 +32,8 @@ from .shift_ops import (
 class TensorVector:
     offsets: tuple[int, int] = (0, 0)
     entries: dict[tuple[int, int], LogComplex] = field(default_factory=dict)
+    # (u, v) on what tensor_of(u, v) returns; None on any other vector, replace() results included
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p1, p2 = self.offsets
@@ -114,12 +116,14 @@ def tensor_adjoint(op: TensorOperator) -> TensorOperator:
 
 
 def tensor_of(u: CoeffVector, v: CoeffVector) -> TensorVector:
-    """Outer product; bilinear, and zero whenever either factor is zero."""
+    """Outer product, keeping (u, v) as its `factors`; bilinear, zero when either factor is."""
     entries = {}
     for m, cu in u.entries.items():
         for n, cv in v.entries.items():
             entries[(m, n)] = lc_mul(cu, cv)
-    return TensorVector((u.offset_p, v.offset_p), entries)
+    w = TensorVector((u.offset_p, v.offset_p), entries)
+    w.factors = (u, v)
+    return w
 
 
 def _check_offsets(op: TensorOperator, w: TensorVector) -> None:

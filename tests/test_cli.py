@@ -340,6 +340,23 @@ def test_non_finite_tail_exits_2(capsys):
     assert "tail_tol_log must be finite" in capsys.readouterr().err
 
 
+def test_non_negative_tail_exits_2(capsys):
+    for tail in ("0", "5", "50"):
+        assert main(["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--tail", tail]) == 2
+        assert main(["periodic", "--q", "4", "--tail", tail]) == 2
+        assert main(["density-probe", "--count", "1", "--tail", tail]) == 2
+    err = capsys.readouterr().err
+    assert "tail_tol_log must be finite and < 0" in err
+    assert "Traceback" not in err
+
+
+def test_eigen_beyond_the_entry_budget_exits_3(tmp_path, capsys):
+    out = tmp_path / "eigen.json"
+    assert main(["eigen", "--lambda=100,0", "--mu=100,0", "--out", str(out)]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

@@ -32,6 +32,8 @@ from shiftdyn import (
     periodic_from_target,
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
+    rank_one_log_norms,
+    rank_one_residual_log,
     right_inverse,
     salas_scan,
     tensor_salas_scan,
@@ -39,7 +41,11 @@ from shiftdyn import (
     theta_basis_eval,
 )
 
+from shiftdyn.dynamics import EIGEN_SERIES_STEPS
+
 from conftest import NEG_INF, rand_coeff_vector
+
+U = 2.0**-53
 
 
 def test_orbit_unit_seed_annihilation():
@@ -161,6 +167,75 @@ def test_eigenvector_single_zero_axis():
     assert all(m == 0 for (m, _n) in g.entries)
     assert spec.trunc_m == 0
     assert eigen_residual_log(g, 0.0, 0.5 + 0.1j) == NEG_INF
+
+
+def _allowance(w, value: float, steps: int = 0) -> float:
+    """Rounding of a dense log-norm: the log-sum-exp's n*u, plus a few ulps of
+    the log and of the entries that carry it, each rounded once per step."""
+    if w.is_zero:
+        return 0.0
+    top = max(c.logmag for c in w.entries.values())
+    big = max(abs(c.logmag) for c in w.entries.values() if c.logmag > top - 40.0)
+    return 2 * len(w.entries) * U + 8 * U * (abs(value) + (steps + 1) * big)
+
+
+def _agree(dense: float, factored: float, tol: float) -> bool:
+    return dense == factored or abs(dense - factored) <= tol
+
+
+def test_factored_norm_band_and_orbit_match_the_dense_vector():
+    rng = random.Random(401)
+    pairs = [
+        (p, cmath.rect(rng.uniform(0.05, 3.0), rng.uniform(-math.pi, math.pi)),
+         cmath.rect(rng.uniform(0.05, 3.0), rng.uniform(-math.pi, math.pi)))
+        for p in (0, 1, 2) for _ in range(2)
+    ]
+    pairs.append((1, 0.0, 0.7 + 0.2j))  # one zero eigenvalue: a frozen axis
+    for p, lam, mu in pairs:
+        op = default_tensor_shift(p=p)
+        g, _ = eigenvector_build(op, lam, mu, -60.0)
+        a, b = g.factors
+        dense = coeff_norm_log(g)
+        assert _agree(dense, coeff_norm_log(a) + coeff_norm_log(b), _allowance(g, dense))
+        for q in range(1, 5):
+            dense = eigen_residual_log(g, lam, mu, q)
+            assert _agree(dense, rank_one_residual_log(g, lam, mu, q), _allowance(g, dense))
+        trace = orbit(op, g, 8)
+        for step, factored in zip(trace.steps, rank_one_log_norms(op, g, 8)):
+            assert _agree(step.log_norm, factored, _allowance(step.vector, step.log_norm, step.k))
+
+
+def test_only_the_dominant_axis_grows():
+    # |lambda| 0.01 certifies the theta axis at once; |mu| 4 needs a long Bargmann axis
+    g, spec = eigenvector_build(default_tensor_shift(p=0), 0.01, 4.0, -60.0)
+    assert spec.trunc_m <= 10 and spec.trunc_n >= 100
+    assert len(g.entries) == (spec.trunc_m + 1) * (spec.trunc_n + 1)
+    assert [len(f.entries) for f in g.factors] == [spec.trunc_m + 1, spec.trunc_n + 1]
+
+
+def test_large_eigenvalues_certify():
+    g, spec = eigenvector_build(default_tensor_shift(), 50.0, 50.0, -60.0)
+    assert spec.tail_log_bound <= -60.0 - math.log(2500.0)
+    assert len(g.entries) == (spec.trunc_m + 1) * (spec.trunc_n + 1)
+
+
+def test_entry_budget_is_a_numeric_failure():
+    with pytest.raises(TailNotCertifiable, match="entries"):
+        eigenvector_build(default_tensor_shift(), 100.0, 100.0, -60.0)
+
+
+def test_no_series_row_is_zero_for_nonzero_eigenvalues():
+    rng = random.Random(409)
+    for p in (0, 1, 2):
+        op = default_tensor_shift(p=p)
+        for _ in range(3):
+            lam = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
+            mu = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
+            g, _ = eigenvector_build(op, lam, mu, -60.0)
+            assert NEG_INF not in rank_one_log_norms(op, g, EIGEN_SERIES_STEPS)
+        for q in range(2, 17):
+            g = periodic_point_from_eigen(op, q, -40.0)
+            assert NEG_INF not in rank_one_log_norms(op, g, 2 * q)
 
 
 def test_eigenvector_rejects_non_backward():
@@ -308,6 +383,11 @@ def test_non_finite_inputs_rejected_at_the_library_entry():
             eigenvector_build(op, complex(bad, 0.0), 0.3, -60.0)
         with pytest.raises(ValidationError, match="eigenvalues"):
             eigenvector_build(op, 0.5, complex(0.1, bad), -60.0)
+    for tail in (0.0, 5.0, 50.0):
+        with pytest.raises(ValidationError, match="tail_tol_log"):
+            eigenvector_build(op, 0.5, 0.3, tail)
+        with pytest.raises(ValidationError, match="tail_tol_log"):
+            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit(2, 0), 4, tail)
 
 
 _NAN, _INF = math.nan, math.inf
