@@ -17,9 +17,9 @@ rests on: for the truncated series, T^q g - (lambda*mu)^q g cancels
 identically on the interior and equals -(lambda*mu)^q times the outermost
 width-q band of the truncation rectangle.  `rank_one_residual_log` takes
 that band per axis, as B1 H2 + h1 B2 (B: an axis's squared mass in its top
-q indices, h: below them, H = h + B), with no subtraction: H1 H2 - h1 h2
-would cancel about 100 digits at certification depth.  The dense band sum
-`eigen_residual_log` and the entrywise subtraction
+q indices, h: below them, H = h + B), with no subtraction: the band sits
+e^-120 and more below H1 H2, so H1 H2 - h1 h2 keeps no digit.  The dense
+band sum `eigen_residual_log` and the entrywise subtraction
 `eigen_residual_numeric_log` (floored by float rounding, ~1e-13 relative)
 are kept as independent cross-checks.
 """
