@@ -58,17 +58,7 @@ from .shift_ops import (
     right_inverse,
     shift_operator_from_json,
 )
-from .tensor_ops import (
-    TensorOperator,
-    TensorVector,
-    tensor_adjoint,
-    tensor_adjoint_pairing_gap_log,
-    tensor_apply,
-    tensor_of,
-    tensor_operator_from_json,
-    tensor_power_apply,
-    tensor_right_inverse,
-)
+from .tensor_ops import TensorOperator, TensorVector, tensor_of, tensor_operator_from_json
 from .criteria import (
     BcsReport,
     CriterionReport,

@@ -1,11 +1,13 @@
 """Coefficient vectors and concrete orthonormal basis evaluation.
 
-A `CoeffVector` holds finitely many log-domain coefficients over basis
-indices m >= offset_p; exact zeros are never stored.  The `coeff_*`
-algebra serves it and the two-axis `TensorVector` alike: both are sparse
-maps from index to log-domain scalar with per-axis `offsets`, and each
-result is rebuilt with its input's own type.  Inner products are taken in
-coefficient (Parseval) space.  Pointwise basis evaluation is
+A `CoeffVector` holds finitely many log-domain coefficients over index
+tuples, one index per axis, with axis i holding indices >= offsets[i]; exact
+zeros are never stored.  A single-space vector has one axis and is keyed
+(m,), so its sorted keys order as its indices do; a tensor vector has one
+axis per factor space (`tensor_of` concatenates keys and offsets).  The
+`coeff_*` algebra treats every vector alike, and each result is rebuilt
+with its input's own offsets.  Inner products are taken in coefficient
+(Parseval) space.  Pointwise basis evaluation is
 provided for the monomial basis z^n/sqrt(n!) and for the theta-lattice
 basis, both computed termwise in the log domain so no intermediate is
 exponentiated at full size.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from operator import lt
 from typing import Mapping
 
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
@@ -36,56 +39,59 @@ from .weights import ThetaParams
 
 @dataclass(slots=True)
 class CoeffVector:
-    """Finite-support coefficient vector over indices m >= offset_p."""
+    """Finite-support coefficient vector over index tuples key >= offsets, axis by axis."""
 
-    offset_p: int = 0
-    entries: dict[int, LogComplex] = field(default_factory=dict)
+    offsets: tuple[int, ...] = (0,)
+    entries: dict[tuple[int, ...], LogComplex] = field(default_factory=dict)
+    # (u, v) on what tensor_of(u, v) returns; None on any other vector, replace() results included
+    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for m, c in self.entries.items():
-            if m < self.offset_p:
-                raise ValidationError(
-                    f"index {m} below the vector's base offset {self.offset_p}"
-                )
-            if c.is_zero:
+        offsets = self.offsets
+        for key, c in self.entries.items():
+            if len(key) != len(offsets):
+                raise ValidationError(f"index {key} has {len(key)} axes, the vector {len(offsets)}")
+            if any(map(lt, key, offsets)):
+                raise ValidationError(f"index {key} below the vector's offsets {offsets}")
+            if c.logmag == NEG_INF:
                 raise ValidationError("exact zeros must be absent keys, not stored")
 
     @classmethod
-    def unit(cls, m: int, offset_p: int = 0) -> "CoeffVector":
-        return cls(offset_p, {m: LogComplex(0.0, 0.0)})
+    def unit(cls, key: tuple[int, ...], offsets: tuple[int, ...]) -> "CoeffVector":
+        return cls(offsets, {key: LogComplex(0.0, 0.0)})
 
     @classmethod
-    def from_entries(cls, offset_p: int, entries: Mapping[int, LogComplex]) -> "CoeffVector":
-        return cls(offset_p, {m: c for m, c in entries.items() if not c.is_zero})
+    def from_entries(
+        cls, offsets: tuple[int, ...], entries: Mapping[tuple[int, ...], LogComplex]
+    ) -> "CoeffVector":
+        return cls(offsets, {key: c for key, c in entries.items() if not c.is_zero})
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
-    def support(self) -> list[int]:
+    def support(self) -> list[tuple[int, ...]]:
         return sorted(self.entries)
 
-    @property
-    def offsets(self) -> tuple[int]:
-        return (self.offset_p,)
-
-    def get(self, m: int) -> LogComplex:
-        return self.entries.get(m, LC_ZERO)
-
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.offset_p,
-            "entries": [[m, self.entries[m].logmag, self.entries[m].phase] for m in self.support()],
-        }
+        """{"p", entries [m, logmag, phase]} for one axis, {"p1", "p2", entries [m, n, ...]} for two."""
+        out = dict(zip(_offset_names(len(self.offsets)), self.offsets))
+        out["entries"] = [[*key, c.logmag, c.phase] for key, c in sorted(self.entries.items())]
+        return out
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CoeffVector":
-        p = int_parse(obj["p"], "p")
+        # read the offsets first, so that a non-object raises TypeError here rather than AttributeError
+        offsets = tuple(int_parse(obj[name], name) for name in _offset_names(1 if "p" in obj else 2))
         entries = {
-            int_parse(m, "entry index"): lc_parse(logmag, phase)
-            for m, logmag, phase in obj.get("entries", [])
+            tuple(int_parse(m, "entry index") for m in key): lc_parse(logmag, phase)
+            for *key, logmag, phase in obj.get("entries", [])
         }
-        return cls.from_entries(p, entries)
+        return cls.from_entries(offsets, entries)
+
+
+def _offset_names(n_axes: int) -> tuple[str, ...]:
+    return ("p",) if n_axes == 1 else tuple(f"p{i}" for i in range(1, n_axes + 1))
 
 
 def _check_same_space(u, v) -> None:
@@ -208,8 +214,8 @@ class ThetaBasis:
 
 
 def synth(v: CoeffVector, z: complex, basis) -> LogComplex:
-    """Pointwise synthesis sum_m c_m * basis(m, z) over the finite support."""
+    """Pointwise synthesis sum_m c_m * basis(m, z) over the finite support of a one-axis v."""
     acc = LC_ZERO
-    for m in v.support():
-        acc = lc_add(acc, lc_mul(v.entries[m], basis.eval(m, z)))
+    for (m,) in v.support():
+        acc = lc_add(acc, lc_mul(v.entries[(m,)], basis.eval(m, z)))
     return acc

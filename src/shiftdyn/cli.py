@@ -50,8 +50,8 @@ from .dynamics import (
 )
 from .errors import ShiftDynError, ValidationError
 from .numerics import LogComplex, lc_to_json
-from .shift_ops import ShiftOperator, apply, apply_power, matrix_triplets, shift_operator_from_json
-from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_power_apply
+from .shift_ops import ShiftOperator, apply_power, matrix_triplets, shift_operator_from_json
+from .tensor_ops import TensorOperator
 from .weights import (
     BargmannActionWeights,
     BlockPatternWeights,
@@ -215,13 +215,11 @@ def _cmd_basis_eval(args):
     return lc_to_json(theta_basis_eval(args.m, z, ThetaParams(nu=args.nu, alpha=args.alpha))), None
 
 
-def _cmd_op_apply(args):
-    return apply(_operator(args.op), _read(args.vec, CoeffVector.from_json_dict)).to_json_dict(), None
-
-
-def _cmd_op_power(args):
-    op, v = _operator(args.op), _read(args.vec, CoeffVector.from_json_dict)
-    return apply_power(op, v, args.k).to_json_dict(), None
+def _cmd_power(args):
+    """`op` and `tensor` apply (k = 1) and power; only the operator loader differs."""
+    op = _pair(args) if args.command == "tensor" else _operator(args.op)
+    v = _read(args.vec, CoeffVector.from_json_dict)
+    return apply_power(op, v, getattr(args, "k", 1)).to_json_dict(), None
 
 
 def _cmd_op_matrix(args):
@@ -231,19 +229,12 @@ def _cmd_op_matrix(args):
     return {"triplets": [[r, c, v] for r, c, v in triplets]}, None
 
 
-def _cmd_tensor_apply(args):
-    return tensor_apply(_pair(args), _read(args.vec, TensorVector.from_json_dict)).to_json_dict(), None
-
-
-def _cmd_tensor_power(args):
-    op, w = _pair(args), _read(args.vec, TensorVector.from_json_dict)
-    return tensor_power_apply(op, w, args.k).to_json_dict(), None
-
-
 def _cmd_tensor_inner(args):
     _pair(args)  # checks the operator files, which the inner product does not use
-    w = _read(args.vec, TensorVector.from_json_dict)
-    return lc_to_json(coeff_inner(w, _read(args.vec2, TensorVector.from_json_dict))), None
+    w, w2 = (_read(path, CoeffVector.from_json_dict) for path in (args.vec, args.vec2))
+    if len(w.offsets) != 2:
+        raise ValidationError(f"{args.vec}: a tensor vector has two axes, got {len(w.offsets)}")
+    return lc_to_json(coeff_inner(w, w2)), None
 
 
 def _cmd_criterion(args):
@@ -335,10 +326,10 @@ def _cmd_density_probe(args):
     for s in range(args.count):
         support = sorted(rng.sample(range(p, p + 8), rng.randint(1, 4)))
         entries = {
-            m: LogComplex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
+            (m,): LogComplex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
             for m in support
         }
-        y = CoeffVector(p, entries)
+        y = CoeffVector(op.offsets, entries)
         q0 = max(support) - p + 1
         errs = []
         for mult in (1, 2, 4):
@@ -419,15 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
          ("-m", {"type": int, "required": True}),
          ("-z", {"required": True, "help": "re,im"}))
     ops = group("op", "action", "single-space operator actions")
-    leaf(ops, "apply", _cmd_op_apply, "apply the operator once", _OP, _VEC)
-    leaf(ops, "power", _cmd_op_power, "apply the operator k times", _OP, _VEC, _K)
+    leaf(ops, "apply", _cmd_power, "apply the operator once", _OP, _VEC)
+    leaf(ops, "power", _cmd_power, "apply the operator k times", _OP, _VEC, _K)
     leaf(ops, "matrix", _cmd_op_matrix, "the truncated matrix as (row, col, logmag) triplets",
          _OP,
          ("-N", {"dest": "n", "type": int, "required": True}),
          _FORMAT)
     tensors = group("tensor", "action", "tensor operator actions")
-    leaf(tensors, "apply", _cmd_tensor_apply, "apply left (x) right once", *_TENSOR)
-    leaf(tensors, "power", _cmd_tensor_power, "apply left (x) right k times", *_TENSOR, _K)
+    leaf(tensors, "apply", _cmd_power, "apply left (x) right once", *_TENSOR)
+    leaf(tensors, "power", _cmd_power, "apply left (x) right k times", *_TENSOR, _K)
     leaf(tensors, "inner", _cmd_tensor_inner, "inner product of --vec and --vec2",
          *_TENSOR, ("--vec2", _REQUIRED))
     leaf(sub, "criterion", _cmd_criterion, "Salas partial-product scan",

@@ -24,13 +24,6 @@ import numpy as np
 from .basis import CoeffVector, coeff_norm_log
 from .errors import ValidationError
 from .shift_ops import Direction, apply, apply_power, right_inverse
-from .tensor_ops import (
-    TensorOperator,
-    TensorVector,
-    tensor_apply,
-    tensor_power_apply,
-    tensor_right_inverse,
-)
 from .weights import WeightSequence
 
 
@@ -151,7 +144,7 @@ class BcsProbeResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "probe": list(self.probe) if isinstance(self.probe, tuple) else self.probe,
+            "probe": list(self.probe),
             "right_inverse_identity": self.right_inverse_identity,
             "nilpotent_exactly": self.nilpotent_exactly,
             "inverse_orbit_decreasing": self.inverse_orbit_decreasing,
@@ -189,7 +182,9 @@ def _is_exact_unit(v, key) -> bool:
 def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsReport:
     """Probe the hypercyclicity-criterion premises on basis vectors.
 
-    For each probe f: (a) T(S f) = f must hold exactly (it does by
+    Each probe is an index tuple, one index per axis of the operator: (m,)
+    for a single-space operator, (m, n) for a tensor operator.  For each
+    probe f: (a) T(S f) = f must hold exactly (it does by
     construction on unit vectors: the same log-weight is subtracted and
     added back starting from log-magnitude 0); (b) T^k f must be exactly
     zero just past the nilpotence bound and nonzero at it; (c) log||S^k f||
@@ -199,23 +194,15 @@ def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsRepor
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("premises are checked on the backward operator")
-    if isinstance(op, TensorOperator):
-        step, power, s_op = tensor_apply, tensor_power_apply, tensor_right_inverse(op)
-        p1, p2 = op.offsets
-        probes = [  # (key, unit vector, nilpotence bound)
-            ((m, n), TensorVector.unit(m, n, op.offsets), min(m - p1, n - p2))
-            for m, n in probe_indices
-        ]
-    else:
-        step, power, s_op = apply, apply_power, right_inverse(op)
-        p = op.offset_p
-        probes = [(m, CoeffVector.unit(m, p), m - p) for m in probe_indices]
+    s_op = right_inverse(op)
     results = []
-    for key, f, bound in probes:
-        ident = _is_exact_unit(step(op, step(s_op, f)), key)
-        nil = power(op, f, bound + 1).is_zero and not power(op, f, bound).is_zero
+    for key in probe_indices:
+        f = CoeffVector.unit(key, op.offsets)
+        bound = min(m - p for m, p in zip(key, op.offsets))  # the nilpotence index of f
+        ident = _is_exact_unit(apply(op, apply(s_op, f)), key)
+        nil = apply_power(op, f, bound + 1).is_zero and not apply_power(op, f, bound).is_zero
         decreasing, below_at = _inverse_orbit_scan(
-            lambda k: coeff_norm_log(power(s_op, f, k)), k_max, tol_log
+            lambda k: coeff_norm_log(apply_power(s_op, f, k)), k_max, tol_log
         )
         results.append(BcsProbeResult(key, ident, nil, decreasing, below_at))
     return BcsReport(results, k_max, tol_log)

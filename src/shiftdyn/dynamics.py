@@ -48,7 +48,7 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply, apply_power, right_inverse
-from .tensor_ops import TensorOperator, TensorVector, tensor_apply, tensor_of, tensor_power_apply
+from .tensor_ops import TensorOperator, tensor_of
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
 EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
@@ -79,13 +79,12 @@ def orbit(op, seed, k_max: int, keep_vectors: bool = True) -> OrbitTrace:
     """
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    step = tensor_apply if isinstance(op, TensorOperator) else apply
     steps = []
     annihilation_k = None
     cur = seed
     for k in range(k_max + 1):
         if k > 0:
-            cur = step(op, cur)
+            cur = apply(op, cur)
         if cur.is_zero and annihilation_k is None:
             annihilation_k = k
         steps.append(OrbitStep(k, coeff_norm_log(cur), cur if keep_vectors else None))
@@ -162,7 +161,8 @@ class _AxisSeries:
 
     def factor(self) -> CoeffVector:
         terms = zip(self.term_logs, self.term_phases)
-        return CoeffVector(self.p, {self.p + i: LogComplex(t, ph) for i, (t, ph) in enumerate(terms)})
+        entries = {(self.p + i,): LogComplex(t, ph) for i, (t, ph) in enumerate(terms)}
+        return CoeffVector((self.p,), entries)
 
     def tail_sq_log(self, cut: int) -> float:
         """Certified log bound on the squared-magnitude sum beyond `cut`.
@@ -259,7 +259,7 @@ def eigenvector_build(
     mu: complex,
     tail_tol_log: float,
     band_margin: int = 1,
-) -> tuple[TensorVector, EigenSpec]:
+) -> tuple[CoeffVector, EigenSpec]:
     """Truncated eigenvector of the tensor backward shift for lambda*mu.
 
     The truncation rectangle is grown until the certified tail bound of the
@@ -276,7 +276,7 @@ def eigenvector_build(
     return tensor_of(a, b), spec
 
 
-def eigen_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -> float:
+def eigen_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
     """log ||T^q g - (lambda*mu)^q g|| for a truncated eigenvector g.
 
     The interior of the truncation telescopes identically (the applied
@@ -300,26 +300,33 @@ def eigen_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -
 
 
 def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
-    """log squared mass of v below its top q indices, and within them."""
-    cut = max(v.entries) - q
-    sq = [(m, 2.0 * v.entries[m].logmag) for m in sorted(v.entries)]
+    """log squared mass of the one-axis v below its top q indices, and within them."""
+    cut = max(v.entries)[0] - q
+    sq = [(m, 2.0 * v.entries[(m,)].logmag) for (m,) in sorted(v.entries)]
     return log_sum_exp(t for m, t in sq if m <= cut), log_sum_exp(t for m, t in sq if m > cut)
 
 
-def rank_one_residual_log(g: TensorVector, lam: complex, mu: complex, q: int = 1) -> float:
+def _rank_one_factors(g: CoeffVector) -> tuple[CoeffVector, CoeffVector]:
+    if g.factors is None:
+        raise ValidationError("rank-one evaluation needs the factors that tensor_of keeps")
+    return g.factors
+
+
+def rank_one_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
     """`eigen_residual_log` per axis, for g = tensor_of(a, b): see the module notes."""
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
+    factors = _rank_one_factors(g)
     lm = lc_from_complex(lam * mu)
     if lm.is_zero or g.is_zero:
         return NEG_INF
-    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in g.factors)
+    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in factors)
     return q * lm.logmag + log_add_exp(b1 + log_add_exp(h2, b2), h1 + b2) / 2.0
 
 
-def rank_one_log_norms(op: TensorOperator, g: TensorVector, k_max: int) -> list[float]:
+def rank_one_log_norms(op: TensorOperator, g: CoeffVector, k_max: int) -> list[float]:
     """log ||T^k g||, k = 0..k_max, as log ||T1^k a|| + log ||T2^k b|| for g = tensor_of(a, b)."""
-    a, b = g.factors
+    a, b = _rank_one_factors(g)
     return [
         coeff_norm_log(apply_power(op.left, a, k)) + coeff_norm_log(apply_power(op.right, b, k))
         for k in range(k_max + 1)
@@ -327,7 +334,7 @@ def rank_one_log_norms(op: TensorOperator, g: TensorVector, k_max: int) -> list[
 
 
 def eigen_residual_numeric_log(
-    op: TensorOperator, g: TensorVector, lam: complex, mu: complex, q: int = 1
+    op: TensorOperator, g: CoeffVector, lam: complex, mu: complex, q: int = 1
 ) -> float:
     """log ||T^q g - (lambda*mu)^q g|| by generic entrywise subtraction.
 
@@ -337,10 +344,10 @@ def eigen_residual_numeric_log(
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
     scaled = coeff_scale(g, lc_pow_int(lc_from_complex(lam * mu), q))
-    return coeff_norm_log(coeff_sub(tensor_power_apply(op, g, q), scaled))
+    return coeff_norm_log(coeff_sub(apply_power(op, g, q), scaled))
 
 
-def periodic_residual_numeric_log(op: TensorOperator, g: TensorVector, q: int) -> float:
+def periodic_residual_numeric_log(op: TensorOperator, g: CoeffVector, q: int) -> float:
     """log ||T^q g - g||, the direct periodicity defect.
 
     Used to confirm that a point of order q is NOT periodic for proper
@@ -349,12 +356,12 @@ def periodic_residual_numeric_log(op: TensorOperator, g: TensorVector, q: int) -
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    return coeff_norm_log(coeff_sub(tensor_power_apply(op, g, q), g))
+    return coeff_norm_log(coeff_sub(apply_power(op, g, q), g))
 
 
 def periodic_point_from_eigen(
     op: TensorOperator, q_order: int, tail_tol_log: float
-) -> TensorVector:
+) -> CoeffVector:
     """A truncated q-periodic point: the eigenvector for a primitive root.
 
     lambda = mu = exp(i*pi/q) so lambda*mu = exp(2*pi*i/q); both factors
@@ -387,7 +394,7 @@ def periodic_from_target(
     _check_tail_tol(tail_tol_log)
     if y.is_zero:
         return y
-    top = max(y.entries) - op.offset_p
+    top = max(y.entries)[0] - op.offset_p
     if q <= top:
         raise QTooSmall(f"q must exceed max(support) - p = {top}, got {q}")
     s_op = right_inverse(op)
@@ -420,8 +427,10 @@ def hypercyclic_vector_build(
     if not (eps > 0.0):
         raise ValidationError(f"eps must be > 0, got {eps}")
     for y in targets:
-        if y.offset_p != op.offset_p:
-            raise ValidationError("targets must share the operator's offset")
+        if y.offsets != op.offsets:
+            raise ValidationError(
+                f"targets must have the operator's offsets {op.offsets}, got {y.offsets}"
+            )
     p = op.offset_p
     s_op = right_inverse(op)
     schedule: list[int] = []
@@ -432,7 +441,7 @@ def hypercyclic_vector_build(
             for i, yi in enumerate(targets[: j - 1], start=1):
                 if yi.is_zero:
                     continue
-                need = schedule[i - 1] + (max(yi.entries) - p) + 1
+                need = schedule[i - 1] + (max(yi.entries)[0] - p) + 1
                 n = max(n, need)
         budget = math.log(eps) - j * math.log(2.0)
         while True:
@@ -450,7 +459,7 @@ def hypercyclic_vector_build(
                 break
             n += 1
         schedule.append(n)
-    psi = CoeffVector(p, {})
+    psi = CoeffVector(op.offsets)
     for n, y in zip(schedule, targets):
         psi = coeff_add(psi, apply_power(s_op, y, n))
     return psi, schedule

@@ -25,7 +25,7 @@ def rand_coeff_vector(
 ) -> CoeffVector:
     size = rng.randint(1, max_support)
     support = rng.sample(range(p, max_index + 1), size)
-    return CoeffVector(p, {m: rand_lc(rng) for m in support})
+    return CoeffVector((p,), {(m,): rand_lc(rng) for m in support})
 
 def rand_tensor_vector(
     rng: random.Random, offsets=(0, 0), n_entries: int = 10, max_index: int = 40

@@ -419,6 +419,17 @@ def _vec(*entries, p=1):
         pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
                      id="invalid-json"),
         pytest.param(_OP_APPLY, {"{v}": "[" * 100_000 + "]" * 100_000}, id="nesting-too-deep"),
+        # one reader takes both vector shapes; the axis count must still match the command
+        pytest.param(_OP_APPLY, {"{v}": {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]}},
+                     id="two-axis-vector-to-op-apply"),
+        pytest.param(["tensor", "apply", "--left", "{op}", "--right", "{op}", "--vec", "{v}"],
+                     _vec([2, 0.0, 0.0]), id="one-axis-vector-to-tensor-apply"),
+        pytest.param(["tensor", "inner", "--left", "{op}", "--right", "{op}", "--vec", "{v}",
+                      "--vec2", "{v}"], _vec([2, 0.0, 0.0]), id="one-axis-vector-to-tensor-inner"),
+        pytest.param(_OP_APPLY, _vec([2, 3, 0.0, 0.0]), id="one-axis-entry-with-four-fields"),
+        pytest.param(["hypercyclic", "--targets", "{v}"],
+                     {"{v}": {"targets": [{"p1": 0, "p2": 0, "entries": [[1, 1, 0.0, 0.0]]}]}},
+                     id="two-axis-hypercyclic-target"),
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_op_spec, argv, files):

@@ -128,7 +128,7 @@ def test_report_json_shape():
 
 def test_bcs_premises_theta_p1():
     op = theta_backward_shift(math.pi, 0.0, 1)
-    report = bcs_premise_check(op, list(range(1, 7)), k_max=40, tol_log=-100.0)
+    report = bcs_premise_check(op, [(m,) for m in range(1, 7)], k_max=40, tol_log=-100.0)
     assert report.all_passed
     for probe in report.probes:
         assert probe.right_inverse_identity
@@ -150,7 +150,7 @@ def test_bcs_flags_flat_weights():
 
     flat = bcs_premise_check(
         ShiftOperator(TableWeights.from_weights([1.0] * 60)),
-        [2, 3],
+        [(2,), (3,)],
         k_max=30,
         tol_log=-50.0,
     )
@@ -162,7 +162,7 @@ def test_bcs_flags_flat_weights():
 
 def test_bcs_json_round_trip_shape():
     op = bargmann_backward_shift(0)
-    report = bcs_premise_check(op, [1, 2, 3], k_max=60, tol_log=-40.0)
+    report = bcs_premise_check(op, [(1,), (2,), (3,)], k_max=60, tol_log=-40.0)
     obj = report.to_json_dict()
     assert obj["all_passed"] is True
     assert len(obj["probes"]) == 3

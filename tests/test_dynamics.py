@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from shiftdyn import (
     TableWeights,
     TailNotCertifiable,
     TensorOperator,
+    TensorVector,
     ThetaParams,
     ValidationError,
     apply_power,
@@ -50,7 +52,7 @@ U = 2.0**-53
 
 def test_orbit_unit_seed_annihilation():
     op = bargmann_backward_shift(0)
-    trace = orbit(op, CoeffVector.unit(5, 0), 8)
+    trace = orbit(op, CoeffVector.unit((5,), (0,)), 8)
     assert trace.annihilation_k == 6
     norms = trace.log_norms()
     assert all(math.isfinite(v) for v in norms[:6])
@@ -61,7 +63,7 @@ def test_orbit_unit_seed_annihilation():
 def test_orbit_retraces_right_inverse_seed():
     op = theta_backward_shift(math.pi, 0.0, 0)
     s = right_inverse(op)
-    seed = apply_power(s, CoeffVector.unit(0, 0), 10)
+    seed = apply_power(s, CoeffVector.unit((0,), (0,)), 10)
     trace = orbit(op, seed, 12)
     assert trace.annihilation_k == 11
     norms = trace.log_norms()
@@ -71,7 +73,7 @@ def test_orbit_retraces_right_inverse_seed():
 
 def test_orbit_zero_steps():
     op = bargmann_backward_shift(0)
-    trace = orbit(op, CoeffVector.unit(2, 0), 0)
+    trace = orbit(op, CoeffVector.unit((2,), (0,)), 0)
     assert len(trace.steps) == 1
     assert trace.steps[0].k == 0
     assert trace.annihilation_k is None
@@ -213,6 +215,17 @@ def test_only_the_dominant_axis_grows():
     assert [len(f.entries) for f in g.factors] == [spec.trunc_m + 1, spec.trunc_n + 1]
 
 
+def test_rank_one_helpers_need_the_factors():
+    op = default_tensor_shift()
+    g, _ = eigenvector_build(op, 0.5, 0.3, -40.0)
+    # a copy drops the factors, and a hand-built tensor vector never had them
+    for w in (replace(g), TensorVector.unit((1, 1), (0, 0))):
+        with pytest.raises(ValidationError, match="tensor_of"):
+            rank_one_log_norms(op, w, 2)
+        with pytest.raises(ValidationError, match="tensor_of"):
+            rank_one_residual_log(w, 0.5, 0.3)
+
+
 def test_large_eigenvalues_certify():
     g, spec = eigenvector_build(default_tensor_shift(), 50.0, 50.0, -60.0)
     assert spec.tail_log_bound <= -60.0 - math.log(2500.0)
@@ -239,9 +252,7 @@ def test_no_series_row_is_zero_for_nonzero_eigenvalues():
 
 
 def test_eigenvector_rejects_non_backward():
-    from shiftdyn import tensor_right_inverse
-
-    op = tensor_right_inverse(default_tensor_shift())
+    op = right_inverse(default_tensor_shift())
     with pytest.raises(ValidationError):
         eigenvector_build(op, 0.5, 0.5, -40.0)
 
@@ -278,15 +289,15 @@ def test_periodic_point_rejects_bad_order():
 
 def test_periodic_from_target_support_and_residual():
     op = theta_backward_shift(math.pi, 0.0, 0)
-    y = CoeffVector.unit(0, 0)
+    y = CoeffVector.unit((0,), (0,))
     q = 3
     x = periodic_from_target(op, y, q, -60.0)
-    assert all(m % q == 0 for m in x.support())
+    assert all(m % q == 0 for (m,) in x.support())
     assert len(x.support()) >= 2  # at least the r=1 correction is retained
     # telescoping: T^q x - x is exactly minus the last retained term
     residual = coeff_sub(apply_power(op, x, q), x)
     assert coeff_norm_log(residual) <= -20.0
-    top = max(x.support())
+    (top,) = max(x.support())
     s = right_inverse(op)
     last_term = apply_power(s, y, top)
     assert abs(coeff_norm_log(last_term) - coeff_norm_log(residual)) <= 1e-6 or coeff_norm_log(
@@ -298,16 +309,16 @@ def test_periodic_from_target_two_term_case():
     # when the first correction is already below tolerance the result is
     # x = y + S^q y, never bare y
     op = theta_backward_shift(math.pi, 0.0, 0)
-    y = CoeffVector.unit(0, 0)
+    y = CoeffVector.unit((0,), (0,))
     x = periodic_from_target(op, y, 12, -30.0)
-    assert x.support() == [0, 12]
+    assert x.support() == [(0,), (12,)]
 
 
 def test_periodic_from_target_approximation_improves_with_q():
     op = bargmann_backward_shift(0)
     rng = random.Random(303)
     y = rand_coeff_vector(rng, 0, 4, 5)
-    q0 = max(y.support()) + 1
+    q0 = max(y.support())[0] + 1
     errs = []
     for q in (q0, 2 * q0, 4 * q0):
         x = periodic_from_target(op, y, q, -80.0)
@@ -317,14 +328,14 @@ def test_periodic_from_target_approximation_improves_with_q():
 
 def test_periodic_from_target_q_too_small():
     op = bargmann_backward_shift(0)
-    y = CoeffVector.unit(5, 0)
+    y = CoeffVector.unit((5,), (0,))
     with pytest.raises(QTooSmall):
         periodic_from_target(op, y, 5, -40.0)
 
 
 def test_hypercyclic_single_target_exact():
     op = bargmann_backward_shift(0)
-    y = CoeffVector.unit(0, 0)
+    y = CoeffVector.unit((0,), (0,))
     psi, schedule = hypercyclic_vector_build(op, [y], 1e-8)
     assert len(schedule) == 1
     replay = apply_power(op, psi, schedule[0])
@@ -333,8 +344,8 @@ def test_hypercyclic_single_target_exact():
 
 def test_hypercyclic_two_targets_replay():
     op = bargmann_backward_shift(0)
-    t1 = CoeffVector.unit(0, 0)
-    t2 = CoeffVector(0, {0: LogComplex(0.0, 0.0), 1: LogComplex(0.0, 0.0)})
+    t1 = CoeffVector.unit((0,), (0,))
+    t2 = CoeffVector((0,), {(0,): LogComplex(0.0, 0.0), (1,): LogComplex(0.0, 0.0)})
     psi, schedule = hypercyclic_vector_build(op, [t1, t2], 1e-6)
     assert schedule[0] < schedule[1]
     for n, y in zip(schedule, (t1, t2)):
@@ -355,7 +366,7 @@ def test_hypercyclic_orbit_replay_via_trace():
 
 def test_hypercyclic_schedule_overflow_on_flat_weights():
     flat = ShiftOperator(TableWeights.from_weights([1.0] * 300))
-    targets = [CoeffVector.unit(0, 0), CoeffVector.unit(1, 0)]
+    targets = [CoeffVector.unit((0,), (0,)), CoeffVector.unit((1,), (0,))]
     with pytest.raises(ScheduleOverflow):
         hypercyclic_vector_build(flat, targets, 1e-6, n_cap=100)
 
@@ -365,9 +376,9 @@ def test_hypercyclic_validations():
     with pytest.raises(ValidationError):
         hypercyclic_vector_build(op, [], 1e-6)
     with pytest.raises(ValidationError):
-        hypercyclic_vector_build(op, [CoeffVector.unit(0, 0)], 0.0)
+        hypercyclic_vector_build(op, [CoeffVector.unit((0,), (0,))], 0.0)
     with pytest.raises(ValidationError):
-        hypercyclic_vector_build(op, [CoeffVector.unit(1, 1)], 1e-6)
+        hypercyclic_vector_build(op, [CoeffVector.unit((1,), (1,))], 1e-6)
 
 
 def test_non_finite_inputs_rejected_at_the_library_entry():
@@ -378,7 +389,7 @@ def test_non_finite_inputs_rejected_at_the_library_entry():
         with pytest.raises(ValidationError, match="tail_tol_log"):
             periodic_point_from_eigen(op, 4, bad)
         with pytest.raises(ValidationError, match="tail_tol_log"):
-            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit(2, 0), 4, bad)
+            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit((2,), (0,)), 4, bad)
         with pytest.raises(ValidationError, match="eigenvalues"):
             eigenvector_build(op, complex(bad, 0.0), 0.3, -60.0)
         with pytest.raises(ValidationError, match="eigenvalues"):
@@ -387,7 +398,7 @@ def test_non_finite_inputs_rejected_at_the_library_entry():
         with pytest.raises(ValidationError, match="tail_tol_log"):
             eigenvector_build(op, 0.5, 0.3, tail)
         with pytest.raises(ValidationError, match="tail_tol_log"):
-            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit(2, 0), 4, tail)
+            periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit((2,), (0,)), 4, tail)
 
 
 _NAN, _INF = math.nan, math.inf

@@ -38,16 +38,16 @@ def all_test_operators():
 def test_backward_annihilates_lowest_index():
     for op in all_test_operators():
         p = op.offset_p
-        out = apply(op, CoeffVector.unit(p, p))
+        out = apply(op, CoeffVector.unit((p,), (p,)))
         assert out.is_zero
 
 
 def test_backward_bargmann_example():
     op = bargmann_backward_shift(0)
-    out = apply(op, CoeffVector.unit(4, 0))
-    assert out.support() == [3]
-    assert abs(out.entries[3].logmag - math.log(2.0)) <= 1e-12
-    assert out.entries[3].phase == 0.0
+    out = apply(op, CoeffVector.unit((4,), (0,)))
+    assert out.support() == [(3,)]
+    assert abs(out.entries[(3,)].logmag - math.log(2.0)) <= 1e-12
+    assert out.entries[(3,)].phase == 0.0
 
 
 def test_right_inverse_then_backward_is_identity():
@@ -67,26 +67,26 @@ def test_right_inverse_identity_exact_on_units():
     for op in all_test_operators():
         s = right_inverse(op)
         for m in range(op.offset_p, op.offset_p + 40):
-            back = apply(op, apply(s, CoeffVector.unit(m, op.offset_p)))
-            assert back.entries == {m: LogComplex(0.0, 0.0)}
+            back = apply(op, apply(s, CoeffVector.unit((m,), (op.offset_p,))))
+            assert back.entries == {(m,): LogComplex(0.0, 0.0)}
 
 
 def test_backward_then_right_inverse_projects_out_bottom():
     op = theta_backward_shift(math.pi, 0.0, 1)
     s = right_inverse(op)
-    v = CoeffVector(1, {1: LogComplex(0.2, 0.1), 3: LogComplex(-0.4, -1.0)})
+    v = CoeffVector((1,), {(1,): LogComplex(0.2, 0.1), (3,): LogComplex(-0.4, -1.0)})
     out = apply(s, apply(op, v))
     # the bottom-index component is killed, the rest returns
-    assert out.support() == [3]
-    assert out.entries[3].phase == v.entries[3].phase
-    assert abs(out.entries[3].logmag - v.entries[3].logmag) <= 1e-11
+    assert out.support() == [(3,)]
+    assert out.entries[(3,)].phase == v.entries[(3,)].phase
+    assert abs(out.entries[(3,)].logmag - v.entries[(3,)].logmag) <= 1e-11
 
 
 def test_power_nilpotence_iff():
     for op in all_test_operators():
         p = op.offset_p
         for m in range(p, p + 12):
-            f = CoeffVector.unit(m, p)
+            f = CoeffVector.unit((m,), (p,))
             assert apply_power(op, f, m - p + 1).is_zero
             if m > p:
                 assert not apply_power(op, f, m - p).is_zero
@@ -114,7 +114,7 @@ def test_inverse_orbit_norms_theta_p1():
     # so log ||S^k e_1|| = -(3k^2 + 2k) exactly
     op = theta_backward_shift(math.pi, 0.0, 1)
     s = right_inverse(op)
-    f = CoeffVector.unit(1, 1)
+    f = CoeffVector.unit((1,), (1,))
     prev = 0.0
     for k in range(1, 12):
         norm = coeff_norm_log(apply_power(s, f, k))
@@ -127,7 +127,7 @@ def test_inverse_orbit_norms_theta_p1():
 def test_inverse_orbit_reaches_minus_100_within_40():
     op = theta_backward_shift(math.pi, 0.0, 1)
     s = right_inverse(op)
-    f = CoeffVector.unit(1, 1)
+    f = CoeffVector.unit((1,), (1,))
     ks = [k for k in range(1, 41) if coeff_norm_log(apply_power(s, f, k)) < -100.0]
     assert ks and ks[0] <= 40
 
@@ -135,7 +135,7 @@ def test_inverse_orbit_reaches_minus_100_within_40():
 def test_inverse_orbit_decreasing_all_growing_families():
     for op in all_test_operators():
         s = right_inverse(op)
-        f = CoeffVector.unit(op.offset_p + 1, op.offset_p)
+        f = CoeffVector.unit((op.offset_p + 1,), (op.offset_p,))
         prev = coeff_norm_log(f)
         for k in range(1, 16):
             cur = coeff_norm_log(apply_power(s, f, k))
@@ -146,9 +146,9 @@ def test_inverse_orbit_decreasing_all_growing_families():
 def test_adjoint_pairing_single_elements():
     op = theta_backward_shift(math.pi, 0.0, 1)
     # u = e_m, v = e_{m-1}: both sides equal the action weight exactly
-    assert adjoint_pairing_gap_log(op, CoeffVector.unit(4, 1), CoeffVector.unit(3, 1)) == NEG_INF
+    assert adjoint_pairing_gap_log(op, CoeffVector.unit((4,), (1,)), CoeffVector.unit((3,), (1,))) == NEG_INF
     # off-diagonal: both sides zero
-    assert adjoint_pairing_gap_log(op, CoeffVector.unit(4, 1), CoeffVector.unit(4, 1)) == NEG_INF
+    assert adjoint_pairing_gap_log(op, CoeffVector.unit((4,), (1,)), CoeffVector.unit((4,), (1,))) == NEG_INF
 
 
 def test_adjoint_pairing_random_vectors():
@@ -197,9 +197,9 @@ def test_matrix_triplets_minimal_and_bounds():
 def test_offset_mismatch_raises():
     op = theta_backward_shift(math.pi, 0.0, 1)
     with pytest.raises(OffsetMismatch):
-        apply(op, CoeffVector.unit(3, 0))
+        apply(op, CoeffVector.unit((3,), (0,)))
     with pytest.raises(OffsetMismatch):
-        apply_power(op, CoeffVector.unit(3, 2), 1)
+        apply_power(op, CoeffVector.unit((3,), (2,)), 1)
 
 
 def test_operator_json_round_trip():

@@ -32,9 +32,6 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     right_inverse,
-    tensor_apply,
-    tensor_power_apply,
-    tensor_right_inverse,
     theta_backward_shift,
 )
 
@@ -54,14 +51,14 @@ def ref_span(weights: WeightSequence, lo: int, hi: int) -> float:
 def ref_power(op: ShiftOperator, v: CoeffVector, k: int) -> dict:
     p, w, name = op.offset_p, op.weights, op.direction.value
     out = {}
-    for m, c in v.entries.items():
+    for (m,), c in v.entries.items():
         if name == "backward":
             if k <= m - p:
-                out[m - k] = (c.logmag + ref_span(w, m - k + 1, m), c.phase)
+                out[(m - k,)] = (c.logmag + ref_span(w, m - k + 1, m), c.phase)
         elif name == "right_inverse":
-            out[m + k] = (c.logmag - ref_span(w, m + 1, m + k), c.phase)
+            out[(m + k,)] = (c.logmag - ref_span(w, m + 1, m + k), c.phase)
         else:
-            out[m + k] = (c.logmag + ref_span(w, m + 1, m + k), c.phase)
+            out[(m + k,)] = (c.logmag + ref_span(w, m + 1, m + k), c.phase)
     return out
 
 
@@ -106,11 +103,11 @@ def test_power_matches_termwise_loop_bitwise(family, direction):
     ]
     p = op.offset_p
     v = CoeffVector(
-        p,
+        (p,),
         {
-            p: LogComplex(0.25, 1.0),
-            p + 7: LogComplex(-1.5, -2.0),
-            p + _K_MAX + 3: LogComplex(3.0, 0.5),
+            (p,): LogComplex(0.25, 1.0),
+            (p + 7,): LogComplex(-1.5, -2.0),
+            (p + _K_MAX + 3,): LogComplex(3.0, 0.5),
         },
     )
     ks = list(range(1, 65)) + list(range(65, _K_MAX, 211)) + [_K_MAX - 1, _K_MAX]
@@ -125,13 +122,13 @@ def test_tensor_power_matches_termwise_loop_bitwise():
     op = TensorOperator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2))
     w = TensorVector((1, 2), {(40, 9): LogComplex(0.5, 0.3), (7, 60): LogComplex(-2.0, -1.0)})
     for k in (1, 2, 5, 6, 30, 6, 1):
-        got = tensor_power_apply(op, w, k)
+        got = apply_power(op, w, k)
         want = {}
         for (m, n), c in w.entries.items():
             if k <= m - 1 and k <= n - 2:
                 s1 = ref_span(op.left.weights, m - k + 1, m)
                 s2 = ref_span(op.right.weights, n - k + 1, n)
-                want[(m - k, n - k)] = (c.logmag + s1 + s2, c.phase)
+                want[(m - k, n - k)] = (c.logmag + (s1 + s2), c.phase)
         assert entry_bits(got) == as_bits(want)
 
 
@@ -158,16 +155,16 @@ def test_table_power_raises_past_the_end_and_below_start():
     op = ShiftOperator(TableWeights.from_weights([1.0 + i for i in range(10)], start=4))
     s = right_inverse(op)
     with pytest.raises(TableRangeError, match="index 14 outside"):
-        apply_power(s, CoeffVector.unit(12, 0), 3)  # needs 13, 14, 15
+        apply_power(s, CoeffVector.unit((12,), (0,)), 3)  # needs 13, 14, 15
     with pytest.raises(TableRangeError, match="index 2 outside"):
-        apply_power(op, CoeffVector.unit(5, 0), 4)  # needs 2..5
+        apply_power(op, CoeffVector.unit((5,), (0,)), 4)  # needs 2..5
     with pytest.raises(TableRangeError, match="index 3 outside"):
-        apply_power(op, CoeffVector.unit(3, 0), 1)
+        apply_power(op, CoeffVector.unit((3,), (0,)), 1)
     # in-range spans still succeed after the failed attempts
-    got = apply_power(op, CoeffVector.unit(13, 0), 9)
-    assert bits(got.entries[4].logmag) == bits(ref_span(op.weights, 5, 13))
-    got = apply_power(s, CoeffVector.unit(3, 0), 10)
-    assert bits(got.entries[13].logmag) == bits(-ref_span(op.weights, 4, 13))
+    got = apply_power(op, CoeffVector.unit((13,), (0,)), 9)
+    assert bits(got.entries[(4,)].logmag) == bits(ref_span(op.weights, 5, 13))
+    got = apply_power(s, CoeffVector.unit((3,), (0,)), 10)
+    assert bits(got.entries[(13,)].logmag) == bits(-ref_span(op.weights, 4, 13))
     with pytest.raises(IndexBelowOffset):
         theta_backward_shift(3.0, 0.0, 2).log_weight_span(2, 5)
 
@@ -203,9 +200,9 @@ def test_tensor_step_reads_each_factor_weight_once():
         left, right = CountingWeights(1), CountingWeights(2)
         op = TensorOperator(ShiftOperator(left), ShiftOperator(right))
         if direction == "right_inverse":
-            op = tensor_right_inverse(op)
+            op = right_inverse(op)
         entries = {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30) for n in range(2, 25)}
-        tensor_apply(op, TensorVector((1, 2), entries))
+        apply(op, TensorVector((1, 2), entries))
         step = 0 if direction == "backward" else 1  # source index of the weight read
         assert sorted(left.calls) == list(range(2, 30 + step)), direction
         assert sorted(right.calls) == list(range(3, 25 + step)), direction
@@ -258,15 +255,15 @@ def test_right_inverse_identity_bitwise_with_warm_tables():
     for op in (theta_backward_shift(3.1, 0.0, 1), bargmann_backward_shift(1)):
         s = right_inverse(op)
         p = op.offset_p
-        apply_power(s, CoeffVector.unit(p + 50, p), 2000)  # warm both tables
-        apply_power(op, CoeffVector.unit(p + 2000, p), 1990)
+        apply_power(s, CoeffVector.unit((p + 50,), (p,)), 2000)  # warm both tables
+        apply_power(op, CoeffVector.unit((p + 2000,), (p,)), 1990)
         for m in range(p, p + 60):
-            e = CoeffVector.unit(m, p)
-            assert apply(op, apply(s, e)).entries == {m: LogComplex(0.0, 0.0)}
+            e = CoeffVector.unit((m,), (p,))
+            assert apply(op, apply(s, e)).entries == {(m,): LogComplex(0.0, 0.0)}
             for k in (1, 2, 17, 300):
-                assert apply_power(op, apply_power(s, e, k), k).entries == {m: LogComplex(0.0, 0.0)}
+                assert apply_power(op, apply_power(s, e, k), k).entries == {(m,): LogComplex(0.0, 0.0)}
         rng = random.Random(5)
-        v = CoeffVector(p, {m: LogComplex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for m in range(p, p + 30, 3)})
+        v = CoeffVector((p,), {(m,): LogComplex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for m in range(p, p + 30, 3)})
         for k in (1, 4, 25, 900):
             for target, fresh in ((op, ShiftOperator(op.weights)), (s, right_inverse(ShiftOperator(op.weights)))):
                 assert entry_bits(apply_power(target, v, k)) == entry_bits(apply_power(fresh, v, k))

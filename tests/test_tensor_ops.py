@@ -16,6 +16,8 @@ from shiftdyn import (
     TensorOperator,
     TensorVector,
     ValidationError,
+    adjoint,
+    adjoint_pairing_gap_log,
     apply,
     apply_power,
     bargmann_backward_shift,
@@ -26,12 +28,9 @@ from shiftdyn import (
     coeff_sub,
     lc_from_complex,
     lc_mul,
-    tensor_adjoint_pairing_gap_log,
-    tensor_apply,
+    right_inverse,
     tensor_of,
     tensor_operator_from_json,
-    tensor_power_apply,
-    tensor_right_inverse,
     theta_backward_shift,
 )
 
@@ -43,19 +42,19 @@ def pair(p1=0, p2=0):
 
 
 def test_tensor_of_units_and_distributivity():
-    u = CoeffVector.unit(2, 0)
-    v = CoeffVector.unit(5, 0)
+    u = CoeffVector.unit((2,), (0,))
+    v = CoeffVector.unit((5,), (0,))
     w = tensor_of(u, v)
     assert w.entries == {(2, 5): LogComplex(0.0, 0.0)}
-    u2 = CoeffVector(0, {0: LogComplex(0.0, 0.0), 1: LogComplex(0.0, 0.0)})
-    w2 = tensor_of(u2, CoeffVector.unit(0, 0))
+    u2 = CoeffVector((0,), {(0,): LogComplex(0.0, 0.0), (1,): LogComplex(0.0, 0.0)})
+    w2 = tensor_of(u2, CoeffVector.unit((0,), (0,)))
     assert w2.support() == [(0, 0), (1, 0)]
     assert all(c == LogComplex(0.0, 0.0) for c in w2.entries.values())
 
 
 def test_tensor_of_zero_factor_collapses():
-    zero = CoeffVector(0, {})
-    u = CoeffVector.unit(1, 0)
+    zero = CoeffVector((0,), {})
+    u = CoeffVector.unit((1,), (0,))
     assert tensor_of(zero, u).is_zero
     assert tensor_of(u, zero).is_zero
 
@@ -76,10 +75,10 @@ def test_tensor_of_scalar_moves_freely():
 def test_tensor_apply_kills_bottom_rows():
     op = pair(0, 0)
     for n in range(0, 5):
-        w = TensorVector.unit(0, n)
-        assert tensor_apply(op, w).is_zero
-        w2 = TensorVector.unit(n, 0)
-        assert tensor_apply(op, w2).is_zero
+        w = TensorVector.unit((0, n), (0, 0))
+        assert apply(op, w).is_zero
+        w2 = TensorVector.unit((n, 0), (0, 0))
+        assert apply(op, w2).is_zero
 
 
 def test_annihilated_entry_reads_no_weight_of_the_other_factor():
@@ -90,15 +89,28 @@ def test_annihilated_entry_reads_no_weight_of_the_other_factor():
         (TensorOperator(bargmann, short), lambda i, j: (j, i)),
     ):
         with pytest.raises(TableRangeError):  # a surviving entry does read the table
-            tensor_apply(op, TensorVector.unit(*at(40, 1)))
-        assert tensor_apply(op, TensorVector.unit(*at(40, 0))).is_zero
-        assert tensor_power_apply(op, TensorVector.unit(*at(40, 0)), 1).is_zero
-        assert tensor_power_apply(op, TensorVector.unit(*at(40, 3)), 4).is_zero
+            apply(op, TensorVector.unit(at(40, 1), (0, 0)))
+        assert apply(op, TensorVector.unit(at(40, 0), (0, 0))).is_zero
+        assert apply_power(op, TensorVector.unit(at(40, 0), (0, 0)), 1).is_zero
+        assert apply_power(op, TensorVector.unit(at(40, 3), (0, 0)), 4).is_zero
+
+
+def test_single_step_is_power_one_bitwise():
+    rng = random.Random(59)
+
+    def bits(w):
+        return {key: (c.logmag.hex(), c.phase.hex()) for key, c in w.entries.items()}
+
+    for op in (pair(0, 0), pair(1, 2)):
+        for target in (op, right_inverse(op), adjoint(op)):
+            for _ in range(40):
+                w = rand_tensor_vector(rng, op.offsets, 20, 60)
+                assert bits(apply(target, w)) == bits(apply_power(target, w, 1))
 
 
 def test_tensor_apply_single_pair_example():
     op = pair(0, 0)
-    out = tensor_apply(op, TensorVector.unit(1, 1))
+    out = apply(op, TensorVector.unit((1, 1), (0, 0)))
     # theta weight at 1 is exp(1) for nu=pi, alpha=0; bargmann weight is 1
     assert out.entries == {(0, 0): LogComplex(1.0, 0.0)}
 
@@ -107,17 +119,17 @@ def test_tensor_apply_rank_one_coherence():
     rng = random.Random(53)
     op = pair(0, 0)
     # exact on unit tensors
-    w = tensor_of(CoeffVector.unit(3, 0), CoeffVector.unit(2, 0))
-    lhs = tensor_apply(op, w)
+    w = tensor_of(CoeffVector.unit((3,), (0,)), CoeffVector.unit((2,), (0,)))
+    lhs = apply(op, w)
     rhs = tensor_of(
-        apply(op.left, CoeffVector.unit(3, 0)), apply(op.right, CoeffVector.unit(2, 0))
+        apply(op.left, CoeffVector.unit((3,), (0,))), apply(op.right, CoeffVector.unit((2,), (0,)))
     )
     assert lhs.entries == rhs.entries
     # within float tolerance on random rank-one tensors
     for _ in range(20):
         u = rand_coeff_vector(rng, 0, 5, 12)
         v = rand_coeff_vector(rng, 0, 5, 12)
-        lhs = tensor_apply(op, tensor_of(u, v))
+        lhs = apply(op, tensor_of(u, v))
         rhs = tensor_of(apply(op.left, u), apply(op.right, v))
         assert lhs.support() == rhs.support()
         for key in lhs.support():
@@ -128,10 +140,10 @@ def test_tensor_right_inverse_then_apply_identity():
     rng = random.Random(59)
     for offsets in ((0, 0), (1, 1), (2, 1)):
         op = pair(*offsets)
-        s = tensor_right_inverse(op)
+        s = right_inverse(op)
         for _ in range(20):
             w = rand_tensor_vector(rng, offsets, 8, 30)
-            back = tensor_apply(op, tensor_apply(s, w))
+            back = apply(op, apply(s, w))
             assert back.support() == w.support()
             for key in w.support():
                 assert back.entries[key].phase == w.entries[key].phase
@@ -140,11 +152,11 @@ def test_tensor_right_inverse_then_apply_identity():
 
 def test_tensor_right_inverse_identity_exact_on_units():
     op = pair(1, 1)
-    s = tensor_right_inverse(op)
+    s = right_inverse(op)
     for m in range(1, 6):
         for n in range(1, 6):
-            w = TensorVector.unit(m, n, (1, 1))
-            back = tensor_apply(op, tensor_apply(s, w))
+            w = TensorVector.unit((m, n), (1, 1))
+            back = apply(op, apply(s, w))
             assert back.entries == {(m, n): LogComplex(0.0, 0.0)}
 
 
@@ -152,26 +164,26 @@ def test_tensor_power_nilpotence_bound():
     op = pair(0, 0)
     for m in range(0, 6):
         for n in range(0, 6):
-            w = TensorVector.unit(m, n)
+            w = TensorVector.unit((m, n), (0, 0))
             bound = min(m, n)
-            assert tensor_power_apply(op, w, bound + 1).is_zero
+            assert apply_power(op, w, bound + 1).is_zero
             if bound >= 1:
-                assert not tensor_power_apply(op, w, bound).is_zero
-            assert tensor_power_apply(op, w, 0).entries == w.entries
+                assert not apply_power(op, w, bound).is_zero
+            assert apply_power(op, w, 0).entries == w.entries
 
 
 def test_tensor_power_matches_iteration():
     rng = random.Random(61)
     op = pair(0, 0)
-    s = tensor_right_inverse(op)
+    s = right_inverse(op)
     for target in (op, s):
         for _ in range(10):
             w = rand_tensor_vector(rng, (0, 0), 6, 15)
             k = rng.randint(1, 4)
-            direct = tensor_power_apply(target, w, k)
+            direct = apply_power(target, w, k)
             iterated = w
             for _ in range(k):
-                iterated = tensor_apply(target, iterated)
+                iterated = apply(target, iterated)
             assert direct.support() == iterated.support()
             for key in direct.support():
                 assert rel_gap_log(direct.entries[key], iterated.entries[key]) <= math.log(1e-12)
@@ -179,28 +191,28 @@ def test_tensor_power_matches_iteration():
 
 def test_tensor_inverse_norm_additivity_exact():
     op = pair(1, 1)
-    s = tensor_right_inverse(op)
-    s_left = tensor_right_inverse(op).left
-    s_right = tensor_right_inverse(op).right
-    f = TensorVector.unit(1, 1, (1, 1))
+    s = right_inverse(op)
+    s_left = right_inverse(op).left
+    s_right = right_inverse(op).right
+    f = TensorVector.unit((1, 1), (1, 1))
     for k in range(1, 12):
-        tensor_norm = coeff_norm_log(tensor_power_apply(s, f, k))
-        left_norm = coeff_norm_log(apply_power(s_left, CoeffVector.unit(1, 1), k))
-        right_norm = coeff_norm_log(apply_power(s_right, CoeffVector.unit(1, 1), k))
+        tensor_norm = coeff_norm_log(apply_power(s, f, k))
+        left_norm = coeff_norm_log(apply_power(s_left, CoeffVector.unit((1,), (1,)), k))
+        right_norm = coeff_norm_log(apply_power(s_right, CoeffVector.unit((1,), (1,)), k))
         assert tensor_norm == left_norm + right_norm
 
 
 def test_tensor_right_inverse_power_support():
-    s = tensor_right_inverse(pair(0, 0))
-    out = tensor_power_apply(s, TensorVector.unit(1, 1), 2)
+    s = right_inverse(pair(0, 0))
+    out = apply_power(s, TensorVector.unit((1, 1), (0, 0)), 2)
     assert out.support() == [(3, 3)]
 
 
 def test_tensor_inner_orthonormal_and_factorization():
     rng = random.Random(67)
-    w = TensorVector.unit(2, 3)
+    w = TensorVector.unit((2, 3), (0, 0))
     assert coeff_inner(w, w) == LogComplex(0.0, 0.0)
-    assert coeff_inner(w, TensorVector.unit(2, 4)) == LC_ZERO
+    assert coeff_inner(w, TensorVector.unit((2, 4), (0, 0))) == LC_ZERO
     for _ in range(30):
         u = rand_coeff_vector(rng, 0, 4, 10)
         v = rand_coeff_vector(rng, 0, 4, 10)
@@ -230,7 +242,7 @@ def test_tensor_adjoint_pairing():
     for _ in range(50):
         w1 = rand_tensor_vector(rng, (1, 1), 10, 20)
         w2 = rand_tensor_vector(rng, (1, 1), 10, 20)
-        gap = tensor_adjoint_pairing_gap_log(op, w1, w2)
+        gap = adjoint_pairing_gap_log(op, w1, w2)
         bound = math.log(1e-11) + coeff_norm_log(w1) + coeff_norm_log(w2) + max_w
         assert gap <= bound
 
@@ -251,7 +263,7 @@ def test_tensor_operator_validation_and_json():
     with pytest.raises(ValidationError):
         TensorOperator(
             theta_backward_shift(math.pi, 0.0, 0),
-            tensor_right_inverse(pair(0, 0)).right,
+            right_inverse(pair(0, 0)).right,
         )
     op = pair(1, 2)
     op2 = tensor_operator_from_json(op.to_json_dict())
@@ -262,10 +274,10 @@ def test_tensor_operator_validation_and_json():
 def test_tensor_offset_mismatch():
     op = pair(1, 1)
     with pytest.raises(OffsetMismatch):
-        tensor_apply(op, TensorVector.unit(2, 2, (0, 0)))
+        apply(op, TensorVector.unit((2, 2), (0, 0)))
     with pytest.raises(OffsetMismatch):
-        coeff_inner(TensorVector.unit(1, 1, (1, 1)), TensorVector.unit(1, 1, (0, 0)))
-    u, w = CoeffVector.unit(0, 0), TensorVector.unit(0, 0)
+        coeff_inner(TensorVector.unit((1, 1), (1, 1)), TensorVector.unit((1, 1), (0, 0)))
+    u, w = CoeffVector.unit((0,), (0,)), TensorVector.unit((0, 0), (0, 0))
     for fn in (coeff_add, coeff_sub, coeff_inner):
         for a, b in ((u, w), (w, u)):
             with pytest.raises(OffsetMismatch):
