@@ -26,11 +26,6 @@ from .weights import (
     ThetaParams,
     ThetaRawWeights,
     WeightSequence,
-    bargmann_action_log,
-    bargmann_raw_log,
-    block_pattern_log,
-    theta_action_log,
-    theta_raw_log,
     weight_sequence_from_json,
 )
 from .basis import (

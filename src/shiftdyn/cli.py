@@ -28,6 +28,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .basis import (
     CoeffVector,
@@ -49,7 +51,7 @@ from .dynamics import (
     rank_one_residual_log,
 )
 from .errors import ShiftDynError, ValidationError
-from .numerics import LogComplex, lc_to_json
+from .numerics import LogComplex, int_parse, lc_to_json
 from .shift_ops import ShiftOperator, apply_power, matrix_triplets, shift_operator_from_json
 from .tensor_ops import TensorOperator
 from .weights import (
@@ -169,6 +171,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(lo_s), int(hi_s)
     except Exception:
         raise ValidationError(f"expected 'lo:hi', got {text!r}") from None
+    int_parse(lo, "range start")
+    int_parse(hi, "range end")
     if hi <= lo:
         raise ValidationError(f"empty range {text!r}")
     return lo, hi
@@ -202,7 +206,7 @@ def _orbit_result(args, g, log_norms: list[float], result: dict):
 def _cmd_weights(args):
     w = _read(args.spec, weight_sequence_from_json)
     lo, hi = _parse_range(args.range)
-    rows = [(i, w.log_weight(i)) for i in range(lo, hi)]
+    rows = list(zip(range(lo, hi), w.log_weights(np.arange(lo, hi, dtype=np.int64)).tolist()))
     if args.format == "csv":
         return _csv_text(["index", "logweight"], rows), None
     return {"family": w.family, "rows": [[i, v] for i, v in rows]}, None
@@ -223,7 +227,7 @@ def _cmd_power(args):
 
 
 def _cmd_op_matrix(args):
-    triplets = matrix_triplets(_operator(args.op), args.n)
+    triplets = matrix_triplets(_operator(args.op), int_parse(args.n, "-N"))
     if args.format == "csv":
         return _csv_text(["row", "col", "logmag"], triplets), None
     return {"triplets": [[r, c, v] for r, c, v in triplets]}, None

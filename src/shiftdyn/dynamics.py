@@ -30,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .basis import CoeffVector, coeff_add, coeff_norm_log, coeff_scale, coeff_sub
+from .basis import CoeffVector, coeff_add, coeff_inner, coeff_norm_log, coeff_scale, coeff_sub
 from .errors import (
     QTooSmall,
     ScheduleOverflow,
@@ -51,6 +51,8 @@ from .shift_ops import Direction, ShiftOperator, apply, apply_power, right_inver
 from .tensor_ops import TensorOperator, tensor_of
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
+_EIGEN_BAND_MARGIN = 1  # an eigenvector certifies the residual band of T^1
+_SERIES_TERMS_CAP = 10_000  # terms of a periodic approximant
 EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
 
 
@@ -58,7 +60,7 @@ EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
 class OrbitStep:
     k: int
     log_norm: float
-    vector: object | None
+    vector: CoeffVector
 
 
 @dataclass(slots=True)
@@ -70,7 +72,7 @@ class OrbitTrace:
         return [s.log_norm for s in self.steps]
 
 
-def orbit(op, seed, k_max: int, keep_vectors: bool = True) -> OrbitTrace:
+def orbit(op, seed, k_max: int) -> OrbitTrace:
     """Iterate the operator on a finite-support seed, recording norms.
 
     Works for single-space and tensor operators; exact annihilation (the
@@ -87,11 +89,11 @@ def orbit(op, seed, k_max: int, keep_vectors: bool = True) -> OrbitTrace:
             cur = apply(op, cur)
         if cur.is_zero and annihilation_k is None:
             annihilation_k = k
-        steps.append(OrbitStep(k, coeff_norm_log(cur), cur if keep_vectors else None))
+        steps.append(OrbitStep(k, coeff_norm_log(cur), cur))
         if cur.is_zero:
             # the zero state is absorbing; fill the remaining slots
             for kk in range(k + 1, k_max + 1):
-                steps.append(OrbitStep(kk, NEG_INF, cur if keep_vectors else None))
+                steps.append(OrbitStep(kk, NEG_INF, cur))
             break
     return OrbitTrace(steps, annihilation_k)
 
@@ -225,8 +227,6 @@ def _build_eigenvector(
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("eigenvectors are built for the backward tensor operator")
     _check_tail_tol(tail_tol_log)
-    if band_margin < 1:
-        raise ValidationError(f"band margin must be >= 1, got {band_margin}")
     ax1 = _AxisSeries(op.left, lam_lc)
     ax2 = _AxisSeries(op.right, mu_lc)
 
@@ -258,19 +258,18 @@ def eigenvector_build(
     lam: complex,
     mu: complex,
     tail_tol_log: float,
-    band_margin: int = 1,
 ) -> tuple[CoeffVector, EigenSpec]:
     """Truncated eigenvector of the tensor backward shift for lambda*mu.
 
     The truncation rectangle is grown until the certified tail bound of the
-    rectangle shrunk by `band_margin` is below tail_tol_log (adjusted by
-    log|lambda*mu| when that is positive), so the residual band of T^q for
-    q <= band_margin is certified as well.
+    rectangle shrunk by one index per axis is below tail_tol_log (adjusted
+    by log|lambda*mu| when that is positive), so the residual band of T^1
+    is certified as well.
     """
     if not (cmath.isfinite(lam) and cmath.isfinite(mu)):
         raise ValidationError(f"eigenvalues must be finite, got lambda={lam}, mu={mu}")
     a, b, spec = _build_eigenvector(
-        op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, band_margin,
+        op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, _EIGEN_BAND_MARGIN,
         EIGEN_SERIES_STEPS + 1,
     )
     return tensor_of(a, b), spec
@@ -348,15 +347,31 @@ def eigen_residual_numeric_log(
 
 
 def periodic_residual_numeric_log(op: TensorOperator, g: CoeffVector, q: int) -> float:
-    """log ||T^q g - g||, the direct periodicity defect.
+    """log ||T^q g - g||, the direct periodicity defect, per axis for g = tensor_of(a, b).
 
-    Used to confirm that a point of order q is NOT periodic for proper
-    divisors of q; for the passing direction (tiny defects) use
-    `eigen_residual_log`, since this one bottoms out at float noise.
+    ||T^q g - g||^2 = ||T^q g||^2 + ||g||^2 - 2 Re<T^q g, g>, with
+    ||T^q g|| = ||T1^q a|| ||T2^q b|| and <T^q g, g> = <T1^q a, a> <T2^q b, b>,
+    scaled by the largest of the three terms before exponentiating.  Used to
+    confirm that a point of order q is NOT periodic for proper divisors of q;
+    where the subtraction keeps no digit it returns its rounding floor, so for
+    the passing direction (tiny defects) use `rank_one_residual_log`.
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    return coeff_norm_log(coeff_sub(apply_power(op, g, q), g))
+    factors = _rank_one_factors(g)
+    if g.is_zero:
+        return NEG_INF
+    moved = [apply_power(f, v, q) for f, v in zip(op.factors, factors)]
+    ip1, ip2 = (coeff_inner(w, v) for w, v in zip(moved, factors))
+    logs = [2.0 * sum(map(coeff_norm_log, vs)) for vs in (moved, factors)]
+    logs.append(math.log(2.0) + ip1.logmag + ip2.logmag)
+    top = max(logs)
+    moved_sq, g_sq, cross = (math.exp(t - top) for t in logs)
+    cross *= math.cos(ip1.phase + ip2.phase)
+    # each log carries a rounding error of about eps * |top|; below that share
+    # of its terms the sum keeps no digit
+    floor = 4.0 * math.ulp(1.0) * (1.0 + abs(top)) * (moved_sq + g_sq + abs(cross))
+    return (top + math.log(max(moved_sq + g_sq - cross, floor))) / 2.0
 
 
 def periodic_point_from_eigen(
@@ -380,7 +395,7 @@ def periodic_point_from_eigen(
 
 
 def periodic_from_target(
-    op: ShiftOperator, y: CoeffVector, q: int, tail_tol_log: float, r_cap: int = 10_000
+    op: ShiftOperator, y: CoeffVector, q: int, tail_tol_log: float
 ) -> CoeffVector:
     """Periodic approximant x = sum_r S^{q r} y with T^q x = x up to the tail.
 
@@ -399,12 +414,12 @@ def periodic_from_target(
         raise QTooSmall(f"q must exceed max(support) - p = {top}, got {q}")
     s_op = right_inverse(op)
     x = y
-    for r in range(1, r_cap + 1):
+    for r in range(1, _SERIES_TERMS_CAP + 1):
         term = apply_power(s_op, y, q * r)
         x = coeff_add(x, term)
         if coeff_norm_log(term) <= tail_tol_log:
             return x
-    raise TailNotCertifiable(f"series did not reach tail_tol_log within {r_cap} terms")
+    raise TailNotCertifiable(f"series did not reach tail_tol_log within {_SERIES_TERMS_CAP} terms")
 
 
 def hypercyclic_vector_build(
@@ -436,26 +451,23 @@ def hypercyclic_vector_build(
     schedule: list[int] = []
     for j, y in enumerate(targets, start=1):
         n = schedule[-1] + 1 if schedule else 1
-        if j > 1:
-            # exact annihilation of every earlier block under T^{n_j}
-            for i, yi in enumerate(targets[: j - 1], start=1):
-                if yi.is_zero:
-                    continue
-                need = schedule[i - 1] + (max(yi.entries)[0] - p) + 1
-                n = max(n, need)
+        # exact annihilation of every earlier block under T^{n_j}
+        for i, yi in enumerate(targets[: j - 1], start=1):
+            if yi.is_zero:
+                continue
+            need = schedule[i - 1] + (max(yi.entries)[0] - p) + 1
+            n = max(n, need)
         budget = math.log(eps) - j * math.log(2.0)
         while True:
             if n > n_cap:
                 raise ScheduleOverflow(
                     f"schedule time exceeded {n_cap}; weights grow too slowly for eps={eps}"
                 )
-            ok = True
-            if not y.is_zero:
-                for jp in range(1, j):
-                    if coeff_norm_log(apply_power(s_op, y, n - schedule[jp - 1])) > budget:
-                        ok = False
-                        break
-            if ok:
+            # nearest checkpoint first: its gap is the smallest, so it is the likeliest to fail
+            if y.is_zero or not any(
+                coeff_norm_log(apply_power(s_op, y, n - schedule[jp - 1])) > budget
+                for jp in range(j - 1, 0, -1)
+            ):
                 break
             n += 1
         schedule.append(n)

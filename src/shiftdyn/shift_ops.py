@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, ge, getitem
 
+import numpy as np
+
 from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
 from .numerics import LogComplex, lc_sub
@@ -231,12 +233,11 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
     """
     if n_max <= op.offset_p:
         raise ValidationError(f"truncation must exceed the offset {op.offset_p}, got {n_max}")
-    # column m is the unit e_m under one step; sign * w is exact for sign = +-1
-    shift, lo, hi, sign, floor, span = _action_rule(op, 1)
-    return [
-        (m + shift, m, sign * span(m + lo, m + hi))
-        for m in range(floor, n_max + 1 - max(shift, 0))
-    ]
+    # column m is e_m under one step, reading the weight at m + lo; sign = +-1, so sign * w is exact
+    shift, lo, _, sign, floor, _ = _action_rule(op, 1)
+    cols = range(floor, n_max + 1 - max(shift, 0))
+    weights = op.weights.log_weights(np.arange(cols.start + lo, cols.stop + lo, dtype=np.int64))
+    return [(m + shift, m, sign * w) for m, w in zip(cols, weights.tolist())]
 
 
 def shift_operator_from_json(obj: dict) -> ShiftOperator:

@@ -1,20 +1,29 @@
 """Weight sequences driving the shift operators.
 
-Families:
+Families, each with its domain of indices:
 
 * theta raw          -- log w(m) = (pi/nu + 2*alpha) + (2*pi/nu) * m, m >= 0
 * theta composite    -- the action weight of the order-p theta shift: the
                         coefficient on e_{m-1} when the operator hits e_m,
                         log a(m) = log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j),
-                        defined for m >= p+1
+                        m >= p+1
 * bargmann raw       -- w(n) = sqrt(n+1), n >= 0
 * bargmann composite -- action weight of z^p d^{p+1}/dz^{p+1} on z^n/sqrt(n!):
                         a(n) = sqrt(n) * (n-1)! / (n-1-p)!, via log-gamma,
-                        defined for n >= p+1
-* block pattern      -- the {2, 1/2} counterexample pair: prefix (2, 1/2, 1/2)
-                        then block j of 2^j twos followed by 2^j halves
-                        ("omega"); "varpi" is the entrywise reciprocal
-* table              -- explicit finite list of positive weights
+                        n >= p+1
+* block pattern      -- the {2, 1/2} counterexample pair, i >= 1: alternating
+                        runs of twos and halves, run k of length k, starting
+                        with a single 2 ("omega"); "varpi" is the entrywise
+                        reciprocal
+* table              -- explicit finite list of positive weights, at indices
+                        start .. start + len - 1
+
+Each family writes its formula once (`_log`); `WeightSequence` holds the
+domain rule and both entry points, `log_weight(i)` and `log_weights(indices)`,
+which give the same bits.  The theta formulas take an int or an int64 array
+alike; the Bargmann ones run per index (numpy has no lgamma, and `np.log`
+differs from `math.log` in the last bit).  An index outside the domain raises
+`IndexBelowOffset` (`TableRangeError` for a table), naming the first one.
 
 All weights are strictly positive and handled exclusively through their
 natural logs.  Factorial ratios go through lgamma, never integer factorials
@@ -52,97 +61,56 @@ class ThetaParams:
         if self.p < 0:
             raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
 
-    @property
-    def log_scale(self) -> float:
-        """log of the m-independent prefactor, pi/nu + 2*alpha."""
-        return math.pi / self.nu + 2.0 * self.alpha
 
-    @property
-    def log_ratio(self) -> float:
-        """log of the consecutive-weight ratio, 2*pi/nu."""
-        return 2.0 * math.pi / self.nu
+def _theta_log(params: ThetaParams, p: int, m):
+    """log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j), for an int m or elementwise on an int64 array.
 
-
-def theta_raw_log(m: int, params: ThetaParams) -> float:
-    """log of the raw theta weight at index m >= 0 (closed form)."""
-    if m < 0:
-        raise IndexBelowOffset(f"raw theta weight undefined for m={m} < 0")
-    return params.log_scale + params.log_ratio * m
-
-
-def theta_action_log(m: int, params: ThetaParams) -> float:
-    """log action weight of the order-p theta shift at source index m."""
-    p = params.p
-    if m <= p:
-        raise IndexBelowOffset(f"action weight needs m >= p+1 = {p + 1}, got {m}")
-    acc = theta_raw_log(m - 1, params)
+    log w(k) = s + r*k, with the prefactor s = pi/nu + 2*alpha and the ratio r = 2*pi/nu.
+    """
+    s, r = math.pi / params.nu + 2.0 * params.alpha, 2.0 * math.pi / params.nu
+    acc = s + r * (m - 1)
     for j in range(1, p + 1):
-        acc += 2.0 * theta_raw_log(m - 1 - j, params)
+        acc += 2.0 * (s + r * (m - 1 - j))
     return acc
 
 
-def bargmann_raw_log(n: int) -> float:
-    """log sqrt(n+1), n >= 0."""
-    if n < 0:
-        raise IndexBelowOffset(f"raw weight undefined for n={n} < 0")
-    return 0.5 * math.log(n + 1.0)
-
-
-def bargmann_action_log(n: int, p: int) -> float:
-    """log action weight sqrt(n) * (n-1)!/(n-1-p)! at source index n >= p+1."""
-    if p < 0:
-        raise ValidationError(f"invariant violated: p must be >= 0, got {p}")
-    if n <= p:
-        raise IndexBelowOffset(f"action weight needs n >= p+1 = {p + 1}, got {n}")
-    return 0.5 * math.log(n) + math.lgamma(n) - math.lgamma(n - p)
-
-
-def _block_run_index(i: int) -> int:
-    """Run number of position i >= 1: run k covers the k indices after T(k-1)."""
-    s = math.isqrt(8 * i + 1)
-    k = (s - 1) // 2
-    if k * (k + 1) // 2 < i:
-        k += 1
-    return k
-
-
-def block_pattern_log(i: int, role: str = "omega") -> float:
-    """log of the i-th block-pattern weight, i >= 1.
-
-    Alternating runs of twos and halves, run k of length k, starting with a
-    single 2: (2 | 1/2 1/2 | 2 2 2 | 1/2 1/2 1/2 1/2 | ...).  The first
-    five entries are (2, 1/2, 1/2, 2, 2); the partial log-sums swing
-    unboundedly in BOTH directions (to +-(k/2) log 2 after run k), so the
-    pattern and its entrywise reciprocal each pass the sup-of-products
-    divergence test while their pointwise product is identically 1.
-    """
-    if i < 1:
-        raise IndexBelowOffset(f"block pattern starts at i=1, got {i}")
-    if role not in ("omega", "varpi"):
-        raise ValidationError(f"unknown block role {role!r}")
-    sign = 1.0 if _block_run_index(i) % 2 == 1 else -1.0
-    if role == "varpi":
-        sign = -sign
-    return sign * _LN2
-
-
 class WeightSequence:
-    """Common query surface over the weight families.
+    """Common query surface over the weight families, on the domain first <= i < end.
 
-    `log_weight(i)` is the scalar evaluation; `log_weights(indices)` the bulk
-    one (ndarray in, ndarray out).  `scan_start` is the first index a Salas
-    partial-product scan should include.  Instances are immutable and safe
-    for concurrent use.
+    A family defines its formula `_log(i)`.  `log_weight(i)` is the scalar
+    evaluation; `log_weights(indices)` the bulk one (int64 array in, float64
+    array out).  `scan_start` is the first index a Salas partial-product scan
+    should include.  Instances are immutable and safe for concurrent use.
     """
 
     family: str = "abstract"
     offset_p: int = 0
+    end = math.inf
+    _error = IndexBelowOffset
+
+    @property
+    def first(self) -> int:
+        """The first index with a weight: an action weight needs i >= p+1."""
+        return self.offset_p + 1
+
+    def _outside(self, i: int) -> ValidationError:
+        return self._error(f"{self.family} weight index {i} outside [{self.first}, {self.end})")
 
     def log_weight(self, i: int) -> float:
-        raise NotImplementedError
+        if not self.first <= i < self.end:
+            raise self._outside(i)
+        return self._log(i)
 
     def log_weights(self, indices: np.ndarray) -> np.ndarray:
-        return np.array([self.log_weight(int(i)) for i in indices], dtype=np.float64)
+        idx = np.asarray(indices, dtype=np.int64)
+        outside = (idx < self.first) | (idx >= self.end)
+        if outside.any():
+            raise self._outside(int(idx[outside.argmax()]))
+        return self._logs(idx)
+
+    def _logs(self, idx: np.ndarray) -> np.ndarray:
+        """The bulk formula; by default the scalar one on each element."""
+        return np.array([self._log(i) for i in idx.tolist()], dtype=np.float64)
 
     @property
     def scan_start(self) -> int:
@@ -157,9 +125,12 @@ class ThetaRawWeights(WeightSequence):
     params: ThetaParams
     family: str = field(default="theta_raw", init=False)
     offset_p: int = field(default=0, init=False)
+    first = 0
 
-    def log_weight(self, i: int) -> float:
-        return theta_raw_log(i, self.params)
+    def _log(self, m):
+        return _theta_log(self.params, 0, m + 1)  # s + r*((m+1) - 1): the bits of s + r*m
+
+    _logs = _log
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "nu": self.params.nu, "alpha": self.params.alpha}
@@ -174,8 +145,10 @@ class ThetaActionWeights(WeightSequence):
     def offset_p(self) -> int:  # type: ignore[override]
         return self.params.p
 
-    def log_weight(self, i: int) -> float:
-        return theta_action_log(i, self.params)
+    def _log(self, m):
+        return _theta_log(self.params, self.params.p, m)
+
+    _logs = _log
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,15 +163,10 @@ class ThetaActionWeights(WeightSequence):
 class BargmannRawWeights(WeightSequence):
     family: str = field(default="bargmann_raw", init=False)
     offset_p: int = field(default=0, init=False)
+    first = 0
 
-    def log_weight(self, i: int) -> float:
-        return bargmann_raw_log(i)
-
-    def log_weights(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        if np.any(idx < 0):
-            raise IndexBelowOffset("raw weight undefined below 0")
-        return 0.5 * np.log(idx + 1.0)
+    def _log(self, n: int) -> float:
+        return 0.5 * math.log(n + 1.0)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family}
@@ -217,8 +185,9 @@ class BargmannActionWeights(WeightSequence):
     def offset_p(self) -> int:  # type: ignore[override]
         return self.p
 
-    def log_weight(self, i: int) -> float:
-        return bargmann_action_log(i, self.p)
+    def _log(self, n: int) -> float:
+        """log sqrt(n) * (n-1)!/(n-1-p)!"""
+        return 0.5 * math.log(n) + math.lgamma(n) - math.lgamma(n - self.p)
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "p": self.p}
@@ -226,6 +195,16 @@ class BargmannActionWeights(WeightSequence):
 
 @dataclass(frozen=True, slots=True)
 class BlockPatternWeights(WeightSequence):
+    """Alternating runs of twos and halves, run k of length k, from i = 1.
+
+    The runs start with a single 2: (2 | 1/2 1/2 | 2 2 2 | 1/2 1/2 1/2 1/2 | ...).
+    The first five entries are (2, 1/2, 1/2, 2, 2); the partial log-sums swing
+    unboundedly in BOTH directions (to +-(k/2) log 2 after run k), so the
+    pattern ("omega") and its entrywise reciprocal ("varpi") each pass the
+    sup-of-products divergence test while their pointwise product is
+    identically 1.
+    """
+
     role: str = "omega"
     family: str = field(default="block_pattern", init=False)
     offset_p: int = field(default=0, init=False)
@@ -234,13 +213,17 @@ class BlockPatternWeights(WeightSequence):
         if self.role not in ("omega", "varpi"):
             raise ValidationError(f"unknown block role {self.role!r}")
 
-    def log_weight(self, i: int) -> float:
-        return block_pattern_log(i, self.role)
+    def _log(self, i: int) -> float:
+        # run k covers the k indices after the triangular number T(k-1)
+        k = (math.isqrt(8 * i + 1) - 1) // 2
+        if k * (k + 1) // 2 < i:
+            k += 1
+        sign = 1.0 if k % 2 == 1 else -1.0
+        if self.role == "varpi":
+            sign = -sign
+        return sign * _LN2
 
-    def log_weights(self, indices: np.ndarray) -> np.ndarray:
-        i = np.asarray(indices, dtype=np.int64)
-        if np.any(i < 1):
-            raise IndexBelowOffset("block pattern starts at i=1")
+    def _logs(self, i: np.ndarray) -> np.ndarray:
         # run index via the triangular-number inverse; sqrt of an exact
         # integer is correctly rounded, so one fix-up pass suffices
         s = np.sqrt(8.0 * i.astype(np.float64) + 1.0)
@@ -264,6 +247,7 @@ class TableWeights(WeightSequence):
     start: int = 1
     family: str = field(default="table", init=False)
     offset_p: int = field(default=0, init=False)
+    _error = TableRangeError
 
     @classmethod
     def from_weights(cls, weights, start: int = 1) -> "TableWeights":
@@ -279,16 +263,19 @@ class TableWeights(WeightSequence):
         return cls(log_values=tuple(logs), start=start)
 
     @property
+    def first(self) -> int:  # type: ignore[override]
+        return self.start
+
+    @property
+    def end(self) -> int:  # type: ignore[override]
+        return self.start + len(self.log_values)
+
+    @property
     def scan_start(self) -> int:  # type: ignore[override]
         return self.start
 
-    def log_weight(self, i: int) -> float:
-        j = i - self.start
-        if j < 0 or j >= len(self.log_values):
-            raise TableRangeError(
-                f"index {i} outside table range [{self.start}, {self.start + len(self.log_values)})"
-            )
-        return self.log_values[j]
+    def _log(self, i: int) -> float:
+        return self.log_values[i - self.start]
 
     def to_json_dict(self) -> dict:
         return {

@@ -415,6 +415,9 @@ def _vec(*entries, p=1):
         pytest.param(_OP_APPLY, _vec([10**400, 0.0, 0.0]), id="huge-index-bargmann"),
         pytest.param(["op", "apply", "--op", "{theta}", "--vec", "{v}"], _vec([10**400, 0.0, 0.0]),
                      id="huge-index-theta"),
+        pytest.param(["weights", "--spec", "{v}", "--range", "18446744073709551616:18446744073709551618"],
+                     {"{v}": {"family": "bargmann_composite", "p": 2}}, id="range-beyond-2**53"),
+        pytest.param(["op", "matrix", "--op", "{op}", "-N", str(2**53)], {}, id="matrix-size-beyond-2**53"),
         pytest.param(["weights", "--spec", "{missing}", "--range", "0:3"], {}, id="missing-file"),
         pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
                      id="invalid-json"),

@@ -40,9 +40,11 @@ from shiftdyn import (
     salas_scan,
     tensor_salas_scan,
     theta_backward_shift,
+    tensor_of,
     theta_basis_eval,
 )
 
+import shiftdyn.dynamics as dynamics
 from shiftdyn.dynamics import EIGEN_SERIES_STEPS
 
 from conftest import NEG_INF, rand_coeff_vector
@@ -224,6 +226,8 @@ def test_rank_one_helpers_need_the_factors():
             rank_one_log_norms(op, w, 2)
         with pytest.raises(ValidationError, match="tensor_of"):
             rank_one_residual_log(w, 0.5, 0.3)
+        with pytest.raises(ValidationError, match="tensor_of"):
+            periodic_residual_numeric_log(op, w, 1)
 
 
 def test_large_eigenvalues_certify():
@@ -273,6 +277,25 @@ def test_periodic_point_q4():
     # genuinely period 4: proper divisors leave a large defect
     assert periodic_residual_numeric_log(op, g, 1) - gnorm >= -5.0
     assert periodic_residual_numeric_log(op, g, 2) - gnorm >= -5.0
+
+
+def test_periodic_defect_per_axis_matches_the_dense_subtraction():
+    for p in (0, 1, 2):
+        op = default_tensor_shift(p=p)
+        for q in (2, 3, 5, 8, 12, 16):
+            g = periodic_point_from_eigen(op, q, -40.0)
+            for k in sorted({1, q - 1}):
+                dense = eigen_residual_numeric_log(op, g, 1, 1, k)
+                assert abs(periodic_residual_numeric_log(op, g, k) - dense) <= 1e-12
+
+
+def test_periodic_defect_bottoms_out_at_its_rounding_floor():
+    op = default_tensor_shift()
+    g = periodic_point_from_eigen(op, 4, -60.0)
+    gnorm = coeff_norm_log(g)
+    floor = periodic_residual_numeric_log(op, g, 4) - gnorm  # the true defect is below e^-55
+    assert -40.0 < floor < -10.0
+    assert periodic_residual_numeric_log(op, tensor_of(CoeffVector((0,)), CoeffVector((0,))), 4) == NEG_INF
 
 
 def test_periodic_point_q1_fixed_point():
@@ -362,6 +385,23 @@ def test_hypercyclic_orbit_replay_via_trace():
     for n, y in zip(schedule, targets):
         err = coeff_norm_log(coeff_sub(trace.steps[n].vector, y))
         assert err <= math.log(1e-6)
+
+
+def test_hypercyclic_search_probes_the_nearest_checkpoint_first(monkeypatch):
+    # a candidate time nearly always fails at the nearest checkpoint, whose gap is the
+    # smallest; probing from the farthest checkpoint made 385 calls for this build
+    calls = []
+
+    def counting(op, v, k):
+        calls.append(k)
+        return apply_power(op, v, k)
+
+    monkeypatch.setattr(dynamics, "apply_power", counting)
+    rng = random.Random(409)
+    targets = [rand_coeff_vector(rng, 0, 3, 4) for _ in range(8)]
+    psi, schedule = hypercyclic_vector_build(bargmann_backward_shift(0), targets, 1e-6)
+    assert schedule == [1, 17, 31, 47, 63, 81, 98, 114]
+    assert len(calls) == 112 + len(targets)  # the probes, then one term of psi per target
 
 
 def test_hypercyclic_schedule_overflow_on_flat_weights():

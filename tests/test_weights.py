@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftdyn import (
     BargmannActionWeights,
@@ -17,11 +19,6 @@ from shiftdyn import (
     ThetaParams,
     ThetaRawWeights,
     ValidationError,
-    bargmann_action_log,
-    bargmann_raw_log,
-    block_pattern_log,
-    theta_action_log,
-    theta_raw_log,
     weight_sequence_from_json,
 )
 
@@ -43,22 +40,23 @@ def bargmann_action_oracle(n: int, p: int) -> float:
 
 
 def test_theta_raw_closed_form_examples():
-    assert abs(theta_raw_log(0, ThetaParams(nu=math.pi)) - 1.0) <= 1e-15
-    assert abs(theta_raw_log(3, ThetaParams(nu=2 * math.pi, alpha=1.0)) - 5.5) <= 1e-12
+    assert abs(ThetaRawWeights(ThetaParams(nu=math.pi)).log_weight(0) - 1.0) <= 1e-15
+    assert abs(ThetaRawWeights(ThetaParams(nu=2 * math.pi, alpha=1.0)).log_weight(3) - 5.5) <= 1e-12
 
 
 def test_theta_raw_constant_increment():
     for nu, alpha in [(math.pi, 0.0), (1.7, -0.4), (2 * math.pi, 1.0)]:
         params = ThetaParams(nu=nu, alpha=alpha)
         step = 2 * math.pi / nu
+        w = ThetaRawWeights(params)
         for m in range(0, 60):
-            inc = theta_raw_log(m + 1, params) - theta_raw_log(m, params)
+            inc = w.log_weight(m + 1) - w.log_weight(m)
             assert abs(inc - step) <= 1e-9 * max(1.0, step)
 
 
 def test_theta_raw_negative_index():
     with pytest.raises(IndexBelowOffset):
-        theta_raw_log(-1, ThetaParams(nu=1.0))
+        ThetaRawWeights(ThetaParams(nu=1.0)).log_weight(-1)
 
 
 def test_theta_params_invariants():
@@ -72,13 +70,14 @@ def test_theta_params_invariants():
 
 def test_theta_action_p0_equals_raw_shifted():
     params = ThetaParams(nu=math.pi, alpha=0.3, p=0)
+    action, raw = ThetaActionWeights(params), ThetaRawWeights(params)
     for m in range(1, 201):
-        assert theta_action_log(m, params) == theta_raw_log(m - 1, params)
+        assert action.log_weight(m) == raw.log_weight(m - 1)
 
 
 def test_theta_action_example_p1():
     # log a(2) = log w(1) + 2 log w(0) = 3 + 2 = 5 at nu=pi, alpha=0
-    assert abs(theta_action_log(2, ThetaParams(nu=math.pi, p=1)) - 5.0) <= 1e-12
+    assert abs(ThetaActionWeights(ThetaParams(nu=math.pi, p=1)).log_weight(2) - 5.0) <= 1e-12
 
 
 def test_theta_action_monotone_increment():
@@ -86,8 +85,9 @@ def test_theta_action_monotone_increment():
         for nu, alpha in [(math.pi, 0.0), (2.0, 0.5)]:
             params = ThetaParams(nu=nu, alpha=alpha, p=p)
             expected = (2 * p + 1) * (2 * math.pi / nu)
+            w = ThetaActionWeights(params)
             for m in range(p + 1, 51):
-                inc = theta_action_log(m + 1, params) - theta_action_log(m, params)
+                inc = w.log_weight(m + 1) - w.log_weight(m)
                 assert abs(inc - expected) <= 1e-9 * max(1.0, expected)
 
 
@@ -95,42 +95,43 @@ def test_theta_action_below_offset():
     params = ThetaParams(nu=1.0, p=2)
     for m in (0, 1, 2):
         with pytest.raises(IndexBelowOffset):
-            theta_action_log(m, params)
+            ThetaActionWeights(params).log_weight(m)
 
 
 def test_bargmann_raw():
     for n in range(0, 50):
-        assert bargmann_raw_log(n) == 0.5 * math.log(n + 1.0)
+        assert BargmannRawWeights().log_weight(n) == 0.5 * math.log(n + 1.0)
 
 
 def test_bargmann_action_against_symbolic_oracle():
     for p in range(0, 4):
         for n in range(p + 1, 40):
-            assert abs(bargmann_action_log(n, p) - bargmann_action_oracle(n, p)) <= 1e-12
+            assert abs(BargmannActionWeights(p).log_weight(n) - bargmann_action_oracle(n, p)) <= 1e-12
 
 
 def test_bargmann_action_examples():
-    assert abs(bargmann_action_log(4, 0) - math.log(2.0)) <= 1e-12
-    assert abs(bargmann_action_log(2, 1) - 0.5 * math.log(2.0)) <= 1e-12
+    assert abs(BargmannActionWeights(0).log_weight(4) - math.log(2.0)) <= 1e-12
+    assert abs(BargmannActionWeights(1).log_weight(2) - 0.5 * math.log(2.0)) <= 1e-12
     with pytest.raises(IndexBelowOffset):
-        bargmann_action_log(3, 3)
+        BargmannActionWeights(3).log_weight(3)
 
 
 def test_bargmann_action_p0_is_sqrt_n():
     for n in range(1, 201):
-        assert abs(bargmann_action_log(n, 0) - 0.5 * math.log(n)) <= 1e-12
+        assert abs(BargmannActionWeights(0).log_weight(n) - 0.5 * math.log(n)) <= 1e-12
 
 
 def test_block_pattern_prefix_matches_display():
-    omega = [block_pattern_log(i, "omega") for i in range(1, 6)]
+    omega = [BlockPatternWeights("omega").log_weight(i) for i in range(1, 6)]
     assert omega == [LN2, -LN2, -LN2, LN2, LN2]
-    varpi = [block_pattern_log(i, "varpi") for i in range(1, 6)]
+    varpi = [BlockPatternWeights("varpi").log_weight(i) for i in range(1, 6)]
     assert varpi == [-LN2, LN2, LN2, -LN2, -LN2]
 
 
 def test_block_pattern_reciprocal_pair_exact():
+    omega, varpi = BlockPatternWeights("omega"), BlockPatternWeights("varpi")
     for i in range(1, 5000):
-        assert block_pattern_log(i, "omega") + block_pattern_log(i, "varpi") == 0.0
+        assert omega.log_weight(i) + varpi.log_weight(i) == 0.0
 
 
 def test_block_pattern_block_structure():
@@ -140,7 +141,7 @@ def test_block_pattern_block_structure():
         lo = k * (k - 1) // 2 + 1
         expected = LN2 if k % 2 == 1 else -LN2
         for i in range(lo, lo + k):
-            assert block_pattern_log(i, "omega") == expected
+            assert BlockPatternWeights("omega").log_weight(i) == expected
 
 
 def test_block_pattern_partial_sums_swing_both_ways():
@@ -171,7 +172,7 @@ def test_block_pattern_vector_matches_scalar():
     idx = np.arange(1, 3000, dtype=np.int64)
     bulk = w.log_weights(idx)
     for i, v in zip(idx, bulk):
-        assert v == block_pattern_log(int(i), "varpi")
+        assert v == w.log_weight(int(i))
 
 
 def test_all_families_positive_finite():
@@ -233,3 +234,51 @@ def test_json_rejects_bad_specs():
         weight_sequence_from_json({"family": "theta_raw", "nu": -1.0})
     with pytest.raises(ValidationError):
         weight_sequence_from_json([1, 2, 3])
+
+
+_NU = st.floats(0.05, 50.0)
+_ALPHA = st.floats(-5.0, 5.0)
+_FAMILIES = st.one_of(
+    st.builds(ThetaRawWeights, st.builds(ThetaParams, nu=_NU, alpha=_ALPHA)),
+    st.builds(ThetaActionWeights, st.builds(ThetaParams, nu=_NU, alpha=_ALPHA, p=st.integers(0, 10))),
+    st.just(BargmannRawWeights()),
+    st.builds(BargmannActionWeights, p=st.integers(0, 10)),
+    st.builds(BlockPatternWeights, role=st.sampled_from(["omega", "varpi"])),
+    st.builds(TableWeights.from_weights, st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20),
+              start=st.integers(0, 5)),
+)
+
+
+def _assert_bulk_is_scalar(w, idx):
+    bulk = w.log_weights(idx)
+    loop = np.array([w.log_weight(i) for i in idx.tolist()], dtype=np.float64)
+    assert bulk.dtype == np.float64
+    assert bulk.view(np.int64).tolist() == loop.view(np.int64).tolist()
+
+
+def test_bargmann_raw_bulk_keeps_the_scalar_bits():
+    # np.log differs from math.log in the last bit at 111 of the first 2e6 indices, from 9,169
+    _assert_bulk_is_scalar(BargmannRawWeights(), np.arange(0, 200_000, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(w=_FAMILIES, data=st.data())
+def test_bulk_equals_scalar_for_every_family(w, data):
+    top = min(w.end, w.first + 2**53) - 1
+    inside = st.integers(w.first, top) | st.integers(w.first, min(top, w.first + 1000))
+    _assert_bulk_is_scalar(w, np.array(data.draw(st.lists(inside, max_size=60)), dtype=np.int64))
+    # an index outside the domain fails both paths alike, at the first such index
+    outside = st.integers(-(2**62), w.first - 1) | st.integers(w.first - 5, w.first - 1)
+    if w.end < math.inf:
+        outside |= st.integers(w.end, w.end + 5)
+    idx = data.draw(st.lists(inside | outside, min_size=1, max_size=60))
+    idx.insert(data.draw(st.integers(0, len(idx))), data.draw(outside))
+    errors = []
+    for evaluate in (lambda: w.log_weights(np.array(idx, dtype=np.int64)),
+                     lambda: [w.log_weight(i) for i in idx]):
+        with pytest.raises(ValidationError) as caught:
+            evaluate()
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    first_bad = next(i for i in idx if not w.first <= i < w.end)
+    assert f"index {first_bad} outside" in errors[0][1]
