@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import json
 import logging
 import math
@@ -25,7 +27,9 @@ import random
 import re
 import sys
 import time
+from collections.abc import Iterable
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +63,7 @@ from .weights import (
     BlockPatternWeights,
     ThetaActionWeights,
     ThetaParams,
+    check_index_count,
     weight_sequence_from_json,
 )
 
@@ -92,23 +97,78 @@ def _read(path: str, parse):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _jsonable(obj):
-    """Map non-finite floats to strings so artifacts stay strict JSON."""
-    if isinstance(obj, float):
-        if obj == float("-inf"):
-            return "-inf"
-        if obj == float("inf"):
-            return "inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+_IND = "  "  # the indent=2 step
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NUMBERS = _SCALARS - {str}  # no bracket in their text
+_ROWS = frozenset({list, tuple})
+
+
+@functools.cache
+def _encoder(level: int):
+    """The C encoder with `indent=2`'s item separator at indent level `level`, as a function."""
+    return json.JSONEncoder(separators=(",\n" + _IND * level, ": "), allow_nan=False).encode
+
+
+def _flat(items, depth: int) -> str | None:
+    """A list of scalars, or of non-empty rows of numbers, in one encoder call.
+
+    Rows are encoded at the cells' indent; one `replace` then breaks the row
+    boundaries `],<indent>[`, which no number contains.  None where an item is
+    another container, or a float is not finite, so the caller goes per item.
+    """
+    kinds = set(map(type, items))
+    i0, i1, i2 = (_IND * (depth + k) for k in range(3))
+    try:
+        if kinds <= _SCALARS:
+            text = _encoder(depth + 1)(items)
+            return f"[\n{i1}{text[1:-1]}\n{i0}]"
+        if kinds <= _ROWS and all(items) and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS:
+            text = _encoder(depth + 2)(items).replace(f"],\n{i2}[", f"\n{i1}],\n{i1}[\n{i2}")
+            return f"[\n{i1}[\n{i2}{text[2:-2]}\n{i1}]\n{i0}]"
+    except ValueError:  # a non-finite float
+        pass
+    return None
+
+
+def _json_pieces(obj, depth: int, out: list) -> None:
+    """Append the pieces of obj as `json.dumps(indent=2, sort_keys=True)` writes it at depth."""
+    if isinstance(obj, dict) and obj:
+        ind = "\n" + _IND * (depth + 1)
+        sep = "{" + ind
+        for key, value in sorted(obj.items()):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _json_pieces(value, depth + 1, out)
+            sep = "," + ind
+        out.append("\n" + _IND * depth + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        text = _flat(obj, depth)
+        if text is not None:
+            out.append(text)
+            return
+        ind = "\n" + _IND * (depth + 1)
+        sep = "[" + ind
+        for item in obj:
+            out.append(sep)
+            _json_pieces(item, depth + 1, out)
+            sep = "," + ind
+        out.append("\n" + _IND * depth + "]")
+    elif isinstance(obj, float) and math.isinf(obj):
+        out.append('"inf"' if obj > 0 else '"-inf"')
+    else:  # a scalar or an empty container
+        out.append(_encoder(0)(obj))
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """obj as `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` writes it, plus a newline.
+
+    Dict keys are str.  An infinite float is written as the string "inf" or
+    "-inf"; NaN raises ValueError.  Lists of scalars and of numeric rows go
+    through the C encoder in one call each (`_flat`), byte for byte the same.
+    """
+    out: list[str] = []
+    _json_pieces(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -117,10 +177,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv_text(header: list[str], rows) -> str:
+    """Comma-separated lines; cells are Python scalars, and str(float) is repr(float)."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _manifest(args) -> dict:
@@ -139,7 +200,7 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(args, result: dict | str, series: tuple[list[str], list] | None) -> None:
+def _emit(args, result: dict | str, series: tuple[list[str], Iterable] | None) -> None:
     """Write the result (and optional series CSV) plus the run manifest.
 
     A dict is written as JSON; a str (a CSV table) is written as given.
@@ -206,10 +267,11 @@ def _orbit_result(args, g, log_norms: list[float], result: dict):
 def _cmd_weights(args):
     w = _read(args.spec, weight_sequence_from_json)
     lo, hi = _parse_range(args.range)
-    rows = list(zip(range(lo, hi), w.log_weights(np.arange(lo, hi, dtype=np.int64)).tolist()))
+    check_index_count(hi - lo, "--range")
+    rows = zip(range(lo, hi), w.log_weights(np.arange(lo, hi, dtype=np.int64)).tolist())
     if args.format == "csv":
         return _csv_text(["index", "logweight"], rows), None
-    return {"family": w.family, "rows": [[i, v] for i, v in rows]}, None
+    return {"family": w.family, "rows": list(rows)}, None
 
 
 def _cmd_basis_eval(args):
@@ -230,7 +292,7 @@ def _cmd_op_matrix(args):
     triplets = matrix_triplets(_operator(args.op), int_parse(args.n, "-N"))
     if args.format == "csv":
         return _csv_text(["row", "col", "logmag"], triplets), None
-    return {"triplets": [[r, c, v] for r, c, v in triplets]}, None
+    return {"triplets": triplets}, None
 
 
 def _cmd_tensor_inner(args):
@@ -313,11 +375,8 @@ def _cmd_counterexample(args):
         "varpi": r_varpi.to_json_dict(include_series=include),
         "product": r_prod.to_json_dict(include_series=include),
     }
-    rows = [
-        (i + 1, float(r_omega.partial_log_products[i]), float(r_varpi.partial_log_products[i]),
-         float(r_prod.partial_log_products[i]))
-        for i in range(min(args.n, 100_000))
-    ]
+    m = min(args.n, 100_000)
+    rows = zip(range(1, m + 1), *(r.partial_log_products[:m].tolist() for r in (r_omega, r_varpi, r_prod)))
     return result, (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
 
 

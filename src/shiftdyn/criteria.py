@@ -24,7 +24,7 @@ import numpy as np
 from .basis import CoeffVector, coeff_norm_log
 from .errors import ValidationError
 from .shift_ops import Direction, apply, apply_power, right_inverse
-from .weights import WeightSequence
+from .weights import WeightSequence, check_index_count
 
 
 class Verdict(enum.Enum):
@@ -60,7 +60,7 @@ class CriterionReport:
             "note": self.note,
         }
         if include_series:
-            out["partial_log_products"] = [float(v) for v in self.partial_log_products]
+            out["partial_log_products"] = self.partial_log_products.tolist()
         return out
 
 
@@ -88,6 +88,7 @@ def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionRep
     """The scan on the termwise product of ws, each factor from its own start index."""
     if n_horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
+    check_index_count(n_horizon, "horizon")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     logs = [

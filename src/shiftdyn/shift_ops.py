@@ -43,7 +43,7 @@ import numpy as np
 from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
 from .numerics import LogComplex, lc_sub
-from .weights import WeightSequence, weight_sequence_from_json
+from .weights import WeightSequence, check_index_count, weight_sequence_from_json
 
 
 class Direction(enum.Enum):
@@ -236,6 +236,7 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
     # column m is e_m under one step, reading the weight at m + lo; sign = +-1, so sign * w is exact
     shift, lo, _, sign, floor, _ = _action_rule(op, 1)
     cols = range(floor, n_max + 1 - max(shift, 0))
+    check_index_count(cols.stop - cols.start, "matrix size")
     weights = op.weights.log_weights(np.arange(cols.start + lo, cols.stop + lo, dtype=np.int64))
     return [(m + shift, m, sign * w) for m, w in zip(cols, weights.tolist())]
 

@@ -44,6 +44,15 @@ from .numerics import int_parse
 
 _LN2 = math.log(2.0)
 
+# the most indices one request may evaluate: a scan horizon, a matrix size or a weight range
+MAX_INDICES = 10_000_000
+
+
+def check_index_count(n: int, what: str) -> None:
+    """Reject a request for more than MAX_INDICES indices before anything is allocated."""
+    if n > MAX_INDICES:
+        raise ValidationError(f"{what} spans {n} indices, above the limit of {MAX_INDICES}")
+
 
 @dataclass(frozen=True, slots=True)
 class ThetaParams:

@@ -1,7 +1,10 @@
 """The benchmark's per-layer tracer still finds what it wraps in the package.
 
 `bench/tracer.py` wraps package functions by module and name, so a rename in
-`src` can break `bench/run.py --trace 1` without failing any other test.
+`src` can break `bench/run.py --trace 1` without failing any other test.  It
+times the CLI's `_dump_json`, `_csv_text` and `_write_text(path, text)` as
+the serialize and write parts, and counts `len(text)` in UTF-8 as the bytes
+written; those names and that signature are part of its contract.
 """
 
 import json
@@ -30,9 +33,9 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
     vec = {"p1": 0, "p2": 0, "entries": [[3, 4, 0.5, 0.25], [5, 2, -1.0, 1.0]]}
     (tmp_path / "vec.json").write_text(json.dumps(vec), encoding="utf-8")
     commands = [
-        ["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--out", "eigen.json"],
+        ["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--out", "out/eigen.json"],
         ["tensor", "power", "--left", "op.json", "--right", "op.json", "--vec", "vec.json",
-         "-k", "2", "--out", "power.json"],
+         "-k", "2", "--out", "out/power.json"],
     ]
     script = _SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"), commands=commands)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
@@ -44,3 +47,9 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
     names = [metric["name"] for metric in spec["per_layer"]]
     assert len(names) == 22
     assert set(names) <= set(out["report"])
+    report = out["report"]
+    assert report["cli.serialize_s"] > 0
+    # every file the commands wrote, the manifests (which carry a wall time) aside
+    written = [path for path in (tmp_path / "out").iterdir() if not path.name.endswith(".manifest.json")]
+    assert sorted(path.name for path in written) == ["eigen.json", "eigen.json.series.csv", "power.json"]
+    assert report["cli.bytes_written"] == sum(path.stat().st_size for path in written)

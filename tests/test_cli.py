@@ -4,11 +4,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftdyn.cli import main
+from shiftdyn.cli import _csv_text, _dump_json, main
 
 
 def write_json(path, obj):
@@ -418,6 +419,14 @@ def _vec(*entries, p=1):
         pytest.param(["weights", "--spec", "{v}", "--range", "18446744073709551616:18446744073709551618"],
                      {"{v}": {"family": "bargmann_composite", "p": 2}}, id="range-beyond-2**53"),
         pytest.param(["op", "matrix", "--op", "{op}", "-N", str(2**53)], {}, id="matrix-size-beyond-2**53"),
+        # widths below 2**53 but above the index limit: refused before an 8 TiB array is asked for
+        pytest.param(["weights", "--spec", "{v}", "--range", f"0:{2**40}"],
+                     {"{v}": {"family": "bargmann_raw"}}, id="range-above-the-index-limit"),
+        pytest.param(["op", "matrix", "--op", "{op}", "-N", str(2**40)], {},
+                     id="matrix-size-above-the-index-limit"),
+        pytest.param(["criterion", "--weights", "{v}", "-N", str(2**40)],
+                     {"{v}": {"family": "bargmann_raw"}}, id="horizon-above-the-index-limit"),
+        pytest.param(["counterexample", "-N", str(2**40)], {}, id="counterexample-above-the-index-limit"),
         pytest.param(["weights", "--spec", "{missing}", "--range", "0:3"], {}, id="missing-file"),
         pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
                      id="invalid-json"),
@@ -522,3 +531,73 @@ def test_tensor_inner_requires_vec2(tmp_path, capsys, theta_op_spec, bargmann_op
     argv = ["tensor", "inner", "--left", theta_op_spec, "--right", bargmann_op_spec, "--vec", vec]
     assert main(argv) == 2
     assert "--vec2" in capsys.readouterr().err
+
+
+def _reference_jsonable(obj):
+    """Infinite floats as strings, tuples as lists: the mapping the artifacts were first written with."""
+    if isinstance(obj, float):
+        if obj == float("-inf"):
+            return "-inf"
+        if obj == float("inf"):
+            return "inf"
+        return obj
+    if isinstance(obj, dict):
+        return {k: _reference_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonable(v) for v in obj]
+    return obj
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(_reference_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _reference_csv(header, rows) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308])
+_FLOAT = st.floats(allow_nan=False) | _EDGE_FLOATS
+_NUMBER = _FLOAT | _FLOAT.map(np.float64) | st.integers() | st.booleans()
+_TEXT = st.text(st.sampled_from('[]{}",:\\\n aé∑😀'), max_size=6) | st.text(max_size=6)
+_ROWS = st.lists(st.lists(_FLOAT | st.integers(), min_size=1, max_size=4), min_size=1, max_size=6)
+_ARTIFACT = st.recursive(
+    _NUMBER | _TEXT | st.none() | _ROWS | st.lists(_FLOAT, max_size=8),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.tuples(children, children)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(obj=_ARTIFACT)
+def test_json_artifacts_match_indent_2_byte_for_byte(obj):
+    # numeric lists and row tables take one encoder call; ragged, empty, mixed and
+    # non-finite ones go per item; every path writes the bytes of json.dumps(indent=2)
+    assert _dump_json(obj) == _reference_json(obj)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(obj=_ARTIFACT, data=st.data())
+def test_nan_fails_json_artifacts_as_before(obj, data):
+    nan = data.draw(st.sampled_from([math.nan, np.float64("nan")]))
+    where = data.draw(st.sampled_from(["item", "cell", "value"]))
+    bad = {"item": [obj, nan], "cell": [[1.0, 2], [3, nan]], "value": {"a": obj, "b": nan}}[where]
+    for dump in (_dump_json, _reference_json):
+        with pytest.raises(ValueError):
+            dump(bad)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(header=st.lists(st.text(max_size=4), min_size=1, max_size=4),
+       rows=st.lists(st.lists(_FLOAT | st.integers() | st.booleans() | _TEXT, max_size=4), max_size=8))
+def test_csv_artifacts_match_the_row_formatter(header, rows):
+    expected = _reference_csv(header, rows)
+    assert _csv_text(header, rows) == expected
+    assert _csv_text(header, iter(rows)) == expected  # rows may come from a generator or zip

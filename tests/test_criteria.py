@@ -21,6 +21,7 @@ from shiftdyn import (
     tensor_salas_scan,
     theta_backward_shift,
 )
+from shiftdyn.weights import MAX_INDICES
 
 LN2 = math.log(2.0)
 
@@ -79,6 +80,16 @@ def test_salas_scaled_table_shifts_partials_linearly():
 def test_salas_rejects_bad_horizon():
     with pytest.raises(ValidationError):
         salas_scan(BargmannRawWeights(), 0)
+
+
+def test_scans_reject_a_horizon_above_the_index_limit():
+    # checked before any array is allocated: 2**40 indices would take 8 TiB
+    for scan in (lambda n: salas_scan(BargmannRawWeights(), n),
+                 lambda n: tensor_salas_scan(BargmannRawWeights(), BlockPatternWeights(), n)):
+        with pytest.raises(ValidationError, match=f"limit of {MAX_INDICES}"):
+            scan(2**40)
+        with pytest.raises(ValidationError, match=f"limit of {MAX_INDICES}"):
+            scan(MAX_INDICES + 1)
 
 
 def test_tensor_scan_block_counterexample_exact_zero():

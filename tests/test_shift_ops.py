@@ -22,6 +22,7 @@ from shiftdyn import (
     shift_operator_from_json,
     theta_backward_shift,
 )
+from shiftdyn.weights import MAX_INDICES
 
 from conftest import NEG_INF, rand_coeff_vector, rel_gap_log
 
@@ -192,6 +193,16 @@ def test_matrix_triplets_minimal_and_bounds():
         trip = matrix_triplets(direction_builder(op), 6)
         for r, c, _ in trip:
             assert 2 <= r <= 6 and 2 <= c <= 6
+
+
+def test_matrix_triplets_reject_a_size_above_the_index_limit():
+    op = bargmann_backward_shift(0)
+    for n_max in (2**40, MAX_INDICES + 1):
+        with pytest.raises(ValidationError, match=f"limit of {MAX_INDICES}"):
+            matrix_triplets(op, n_max)
+    # the limit counts columns, not the row number: a large offset leaves a small matrix
+    far = bargmann_backward_shift(2**45)
+    assert len(matrix_triplets(far, 2**45 + 3)) == 3
 
 
 def test_offset_mismatch_raises():
