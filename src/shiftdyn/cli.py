@@ -56,7 +56,13 @@ from .dynamics import (
 )
 from .errors import ShiftDynError, ValidationError
 from .numerics import LogComplex, int_parse, lc_to_json
-from .shift_ops import ShiftOperator, apply_power, matrix_triplets, shift_operator_from_json
+from .shift_ops import (
+    ShiftOperator,
+    apply_power,
+    matrix_triplets,
+    nilpotence_index,
+    shift_operator_from_json,
+)
 from .tensor_ops import TensorOperator
 from .weights import (
     BargmannActionWeights,
@@ -393,7 +399,7 @@ def _cmd_density_probe(args):
             for m in support
         }
         y = CoeffVector(op.offsets, entries)
-        q0 = max(support) - p + 1
+        q0 = nilpotence_index(op, y)
         errs = []
         for mult in (1, 2, 4):
             q = q0 * mult

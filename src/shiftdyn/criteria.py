@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import CoeffVector, coeff_norm_log
 from .errors import ValidationError
-from .shift_ops import Direction, apply, apply_power, right_inverse
+from .shift_ops import Direction, apply, apply_power, nilpotence_index, right_inverse
 from .weights import WeightSequence, check_index_count
 
 
@@ -188,7 +188,7 @@ def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsRepor
     probe f: (a) T(S f) = f must hold exactly (it does by
     construction on unit vectors: the same log-weight is subtracted and
     added back starting from log-magnitude 0); (b) T^k f must be exactly
-    zero just past the nilpotence bound and nonzero at it; (c) log||S^k f||
+    zero at its nilpotence index k and nonzero at k - 1; (c) log||S^k f||
     must decrease strictly and fall below tol_log within k_max.
     """
     if k_max < 1:
@@ -199,9 +199,9 @@ def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsRepor
     results = []
     for key in probe_indices:
         f = CoeffVector.unit(key, op.offsets)
-        bound = min(m - p for m, p in zip(key, op.offsets))  # the nilpotence index of f
+        k_nil = nilpotence_index(op, f)
         ident = _is_exact_unit(apply(op, apply(s_op, f)), key)
-        nil = apply_power(op, f, bound + 1).is_zero and not apply_power(op, f, bound).is_zero
+        nil = apply_power(op, f, k_nil).is_zero and not apply_power(op, f, k_nil - 1).is_zero
         decreasing, below_at = _inverse_orbit_scan(
             lambda k: coeff_norm_log(apply_power(s_op, f, k)), k_max, tol_log
         )

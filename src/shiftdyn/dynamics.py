@@ -47,7 +47,7 @@ from .numerics import (
     log_sum_exp,
     wrap_phase,
 )
-from .shift_ops import Direction, ShiftOperator, apply, apply_power, right_inverse
+from .shift_ops import Direction, ShiftOperator, apply, apply_power, nilpotence_index, right_inverse
 from .tensor_ops import TensorOperator, tensor_of
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
@@ -142,7 +142,7 @@ class _AxisSeries:
             return
         m_next = self.top_index() + 1
         try:
-            lw = self.op.log_action_weight(m_next)
+            lw = self.op.weights.log_weight(m_next)
         except TableRangeError as exc:
             raise TailNotCertifiable(
                 f"weight table exhausted at index {m_next} before the tail could be certified"
@@ -180,10 +180,10 @@ class _AxisSeries:
             first_omitted = self.term_logs[i]
         else:  # cut is the top index: cuts sit at most band_margin below it
             first_omitted = (
-                self.term_logs[-1] + self.log_scale - self.op.log_action_weight(cut + 1)
+                self.term_logs[-1] + self.log_scale - self.op.weights.log_weight(cut + 1)
             )
         try:
-            ratio_log = 2.0 * (self.log_scale - self.op.log_action_weight(cut + 2))
+            ratio_log = 2.0 * (self.log_scale - self.op.weights.log_weight(cut + 2))
         except TableRangeError:
             return math.inf
         if not ratio_log < 0.0:
@@ -409,9 +409,9 @@ def periodic_from_target(
     _check_tail_tol(tail_tol_log)
     if y.is_zero:
         return y
-    top = max(y.entries)[0] - op.offset_p
-    if q <= top:
-        raise QTooSmall(f"q must exceed max(support) - p = {top}, got {q}")
+    nil = nilpotence_index(op, y)
+    if q < nil:
+        raise QTooSmall(f"q must exceed max(support) - p = {nil - 1}, got {q}")
     s_op = right_inverse(op)
     x = y
     for r in range(1, _SERIES_TERMS_CAP + 1):
@@ -446,17 +446,10 @@ def hypercyclic_vector_build(
             raise ValidationError(
                 f"targets must have the operator's offsets {op.offsets}, got {y.offsets}"
             )
-    p = op.offset_p
     s_op = right_inverse(op)
     schedule: list[int] = []
+    n = 1
     for j, y in enumerate(targets, start=1):
-        n = schedule[-1] + 1 if schedule else 1
-        # exact annihilation of every earlier block under T^{n_j}
-        for i, yi in enumerate(targets[: j - 1], start=1):
-            if yi.is_zero:
-                continue
-            need = schedule[i - 1] + (max(yi.entries)[0] - p) + 1
-            n = max(n, need)
         budget = math.log(eps) - j * math.log(2.0)
         while True:
             if n > n_cap:
@@ -471,6 +464,8 @@ def hypercyclic_vector_build(
                 break
             n += 1
         schedule.append(n)
+        # the next block waits until T^n annihilates this one exactly, as it does every earlier one
+        n += max(1, nilpotence_index(op, y))
     psi = CoeffVector(op.offsets)
     for n, y in zip(schedule, targets):
         psi = coeff_add(psi, apply_power(s_op, y, n))

@@ -17,26 +17,19 @@ Every action is one k-step rule (`apply` is k = 1), and it serves the
 tensor operators of `tensor_ops` too: an operator exposes its per-axis
 `factors` and `offsets` (a `ShiftOperator` is its own single factor), and
 each axis of a vector moves by its factor's rule.  Powers take each
-weight product as one log-sum over a span of source indices
-(`ShiftOperator.log_weight_span`); a single step reads its one weight
-directly.  Every operator keeps a lazily grown table of its log action
-weights, holding the very floats `log_action_weight` returns, appended in
-ascending order and only up to the highest index a span has asked for.  A span adds the tabulated floats one by
-one, left to right from 0.0, so it is bit-identical to evaluating each
-weight and summing in a loop; each weight is evaluated once per operator
-instead of once per span.  Indices the weights reject are never tabulated:
-a span touching one raises the same error, at the same index, as the
-termwise loop.  Growth is serialized by a lock and only ever appends, so
-one operator may be shared across threads.
+weight product as one log-sum over a span of source indices, read from the
+weight sequence's own table (`WeightSequence.log_weight_span`), which every
+operator and direction over those weights shares; a single step reads its
+one weight directly.  For the backward direction `nilpotence_index` gives
+the least power that sends a vector to exact zero.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from operator import add, ge, getitem
+from operator import add, ge, getitem, sub
 
 import numpy as np
 
@@ -52,40 +45,10 @@ class Direction(enum.Enum):
     ADJOINT_FORWARD = "adjoint_forward"
 
 
-class _LogWeightTable:
-    """Log action weights at indices base, base+1, ..., appended on demand."""
-
-    __slots__ = ("base", "values", "lock")
-
-    def __init__(self, base: int):
-        self.base = base
-        self.values: list[float] = []
-        self.lock = threading.Lock()
-
-    def __reduce__(self):  # copies and pickles start empty; a lock does not pickle
-        return (_LogWeightTable, (self.base,))
-
-    def grow(self, weight, top: int) -> None:
-        """Tabulate up to index `top`, stopping at the first rejected index."""
-        with self.lock:
-            values = self.values
-            try:
-                for i in range(self.base + len(values), top + 1):
-                    values.append(weight(i))
-            except ValidationError:
-                pass
-
-
 @dataclass(frozen=True, slots=True)
 class ShiftOperator:
     weights: WeightSequence
     direction: Direction = Direction.BACKWARD
-    _table: _LogWeightTable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # spans start at p+1; a table's weights may start later
-        base = max(self.offset_p + 1, self.weights.scan_start)
-        object.__setattr__(self, "_table", _LogWeightTable(base))
 
     @property
     def offset_p(self) -> int:
@@ -101,33 +64,6 @@ class ShiftOperator:
 
     def _redirect(self, direction: Direction) -> "ShiftOperator":
         return ShiftOperator(self.weights, direction)
-
-    def log_action_weight(self, m: int) -> float:
-        return self.weights.log_weight(m)
-
-    def log_weight_span(self, lo: int, hi: int) -> float:
-        """Sum of log action weights over source indices lo..hi, ascending.
-
-        Bit-identical to adding `log_action_weight(j)` for j = lo..hi one by
-        one to 0.0; 0.0 when hi < lo.
-        """
-        if hi < lo:
-            return 0.0
-        table = self._table
-        base, values = table.base, table.values
-        if lo < base or hi - base >= len(values):
-            table.grow(self.log_action_weight, hi)
-            if lo < base or hi - base >= len(values):
-                # the span reaches below the table or to an index the weights
-                # reject; the termwise loop raises where it always did
-                acc = 0.0
-                for j in range(lo, hi + 1):
-                    acc += self.log_action_weight(j)
-                return acc
-        acc = 0.0
-        for w in values[lo - base : hi - base + 1]:
-            acc += w
-        return acc
 
     def to_json_dict(self) -> dict:
         return {"direction": self.direction.value, "weights": self.weights.to_json_dict()}
@@ -154,17 +90,26 @@ def _action_rule(op: ShiftOperator, k: int):
 
     The entry at source index m survives when m >= floor, moves to m + shift
     and adds sign * span(m + lo, m + hi) to its log-magnitude.  `span` is
-    `op.log_weight_span`, except at k = 1: a single step reads its one
-    weight directly, so a step at a far index does not tabulate every weight
-    below it.  That weight is the span's float too (0.0 + w == w), and
-    c + (-w) == c - w, so a step adds or subtracts the very float
-    `log_action_weight` returns.
+    the weights' `log_weight_span`, except at k = 1: a single step reads its
+    one weight directly, so a step at a far index does not tabulate every
+    weight below it.  That weight is the span's float too (0.0 + w == w),
+    and c + (-w) == c - w, so a step adds or subtracts the very float
+    `log_weight` returns.
     """
-    span = op.log_weight_span if k > 1 else lambda lo, hi: op.log_action_weight(lo)
+    weights = op.weights
+    span = weights.log_weight_span if k > 1 else lambda lo, hi: weights.log_weight(lo)
     if op.direction is Direction.BACKWARD:
         return -k, 1 - k, 0, 1.0, op.offset_p + k, span
     sign = -1.0 if op.direction is Direction.RIGHT_INVERSE else 1.0
     return k, 1, k, sign, op.offset_p, span
+
+
+def nilpotence_index(op, v: CoeffVector) -> int:
+    """The least k with T^k v = 0 for op's backward direction; 0 for the zero vector.
+
+    The entry at key dies once k > min(key[i] - offsets[i]).
+    """
+    return max((min(map(sub, key, op.offsets)) + 1 for key in v.entries), default=0)
 
 
 def apply(op, v: CoeffVector) -> CoeffVector:
@@ -193,8 +138,8 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
     factors = op.factors
     if len(factors) == 1:
         # one axis, the operator its own factor: every index is its own key, so a span needs
-        # no cache.  This is the hot path (a hypercyclic search makes ~1e4 small calls), where
-        # the general path below measured several microseconds more per call.
+        # no cache.  This is the hot path (a single_orbit benchmark pass at seed 1 makes 2,159
+        # small calls); through the general path below, that pass ran 1-18% slower.
         shift, lo, hi, sign, floor, span = _action_rule(op, k)
         out = {
             (m + shift,): LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)

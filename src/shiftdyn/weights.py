@@ -25,6 +25,14 @@ alike; the Bargmann ones run per index (numpy has no lgamma, and `np.log`
 differs from `math.log` in the last bit).  An index outside the domain raises
 `IndexBelowOffset` (`TableRangeError` for a table), naming the first one.
 
+`log_weight_span(lo, hi)` sums consecutive log weights, the products behind
+every power of a shift.  Each sequence object keeps one table of its
+`log_weight` floats, from `first` up to the highest index a span has asked
+for, so every operator and direction built over the same weights shares it
+and evaluates each weight once.  The table only appends, under a lock, is
+capped at `MAX_INDICES` entries, and lives outside the fields: equality,
+hash and repr do not see it, and copies and pickles start empty.
+
 All weights are strictly positive and handled exclusively through their
 natural logs.  Factorial ratios go through lgamma, never integer factorials
 (n!/(n-p)! overflows 64-bit integers near n = 21).
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -44,8 +53,11 @@ from .numerics import int_parse
 
 _LN2 = math.log(2.0)
 
-# the most indices one request may evaluate: a scan horizon, a matrix size or a weight range
+# the most indices one request may evaluate: a scan horizon, a matrix size, a weight range or
+# the span table
 MAX_INDICES = 10_000_000
+# the highest theta order: one theta action weight adds p + 1 raw weights
+MAX_THETA_ORDER = 1000
 
 
 def check_index_count(n: int, what: str) -> None:
@@ -67,8 +79,8 @@ class ThetaParams:
             raise ValidationError(f"invariant violated: nu must be finite and > 0, got {self.nu}")
         if not math.isfinite(self.alpha):
             raise ValidationError(f"alpha must be finite, got {self.alpha}")
-        if self.p < 0:
-            raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
+        if not 0 <= self.p <= MAX_THETA_ORDER:
+            raise ValidationError(f"invariant violated: p must be in [0, {MAX_THETA_ORDER}], got {self.p}")
 
 
 def _theta_log(params: ThetaParams, p: int, m):
@@ -88,8 +100,10 @@ class WeightSequence:
 
     A family defines its formula `_log(i)`.  `log_weight(i)` is the scalar
     evaluation; `log_weights(indices)` the bulk one (int64 array in, float64
-    array out).  `scan_start` is the first index a Salas partial-product scan
-    should include.  Instances are immutable and safe for concurrent use.
+    array out); `log_weight_span(lo, hi)` a sum of consecutive scalar ones,
+    read from the object's table.  `scan_start` is the first index a Salas
+    partial-product scan should include.  Instances are immutable, apart from
+    that append-only table, and safe for concurrent use.
     """
 
     family: str = "abstract"
@@ -109,6 +123,37 @@ class WeightSequence:
         if not self.first <= i < self.end:
             raise self._outside(i)
         return self._log(i)
+
+    def log_weight_span(self, lo: int, hi: int) -> float:
+        """Sum of the log weights at lo..hi, added in ascending order to 0.0; 0.0 when hi < lo.
+
+        Bit-identical to adding `log_weight(j)` for j = lo..hi one by one, and
+        a span outside the domain raises where that loop would: at lo, or else
+        at `end`.
+        """
+        if hi < lo:
+            return 0.0
+        try:
+            values, first, lock = self.__dict__["_span_table"]
+        except KeyError:
+            values, first, lock = self.__dict__.setdefault("_span_table", ([], self.first, threading.Lock()))
+        if lo < first or hi - first >= len(values):
+            if not (first <= lo and hi < self.end):
+                raise self._outside(self.end if first <= lo < self.end else lo)
+            check_index_count(hi - first + 1, "the log-weight table")
+            with lock:
+                log_weight = self.log_weight
+                for i in range(first + len(values), hi + 1):
+                    values.append(log_weight(i))
+        acc = 0.0
+        for w in values[lo - first : hi - first + 1]:
+            acc += w
+        return acc
+
+    def __getstate__(self):
+        # the families' dataclass state holds their fields only; any other subclass drops the
+        # span table here, so its copies and pickles start empty too (a lock does not pickle)
+        return {k: v for k, v in self.__dict__.items() if k != "_span_table"}
 
     def log_weights(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)

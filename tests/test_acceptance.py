@@ -244,7 +244,7 @@ def test_criterion_10_adjoint_pairing():
     rng = random.Random(1010)
     with Budget(1.0) as budget:
         op = default_tensor_shift()
-        max_w = op.left.log_action_weight(41) + op.right.log_action_weight(41)
+        max_w = op.left.weights.log_weight(41) + op.right.weights.log_weight(41)
         for _ in range(100):
             w1 = rand_tensor_vector(rng, (0, 0), 10, 40)
             w2 = rand_tensor_vector(rng, (0, 0), 10, 40)

@@ -53,3 +53,53 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
     written = [path for path in (tmp_path / "out").iterdir() if not path.name.endswith(".manifest.json")]
     assert sorted(path.name for path in written) == ["eigen.json", "eigen.json.series.csv", "power.json"]
     assert report["cli.bytes_written"] == sum(path.stat().st_size for path in written)
+
+
+_HYPERCYCLIC_SCRIPT = """
+import collections, json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import shiftdyn.cli as cli
+from shiftdyn.weights import BargmannActionWeights, WeightSequence
+from tracer import Tracer
+
+# evaluations of the weight formula per index, split by whether a span's table asked for them
+tabulated, direct, depth = collections.Counter(), collections.Counter(), []
+span, formula = WeightSequence.log_weight_span, BargmannActionWeights._log
+
+def log_weight_span(self, lo, hi):
+    depth.append(lo)
+    try:
+        return span(self, lo, hi)
+    finally:
+        depth.pop()
+
+def _log(self, n):
+    (tabulated if depth else direct)[n] += 1
+    return formula(self, n)
+
+WeightSequence.log_weight_span = log_weight_span
+BargmannActionWeights._log = _log
+tracer = Tracer()
+tracer.install()
+code = cli.main(["hypercyclic", "--targets", "targets.json", "--eps", "1e-6", "--out", "out/h.json"])
+print(json.dumps({{"code": code, "report": tracer.report(),
+                  "tabulated": sorted(tabulated.items()), "direct": sum(direct.values())}}))
+"""
+
+
+def test_traced_hypercyclic_counts_each_weight_once(tmp_path):
+    # the build reads S^n spans and the replay T^n spans, over one weight sequence
+    targets = [{"p": 0, "entries": [[m, 0.1 * m, 0.2]]} for m in (3, 1, 4, 0, 2, 5)]
+    (tmp_path / "targets.json").write_text(json.dumps({"targets": targets}), encoding="utf-8")
+    script = _HYPERCYCLIC_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0
+    tabulated = dict(out["tabulated"])
+    # the table holds each weight from the first index up, evaluated once for both directions
+    assert sorted(tabulated) == list(range(1, max(tabulated) + 1))
+    assert set(tabulated.values()) == {1}
+    # the tracer counts every evaluation once, those made inside a span included
+    assert out["report"]["weights.scalar_calls"] == len(tabulated) + out["direct"]

@@ -427,6 +427,16 @@ def _vec(*entries, p=1):
         pytest.param(["criterion", "--weights", "{v}", "-N", str(2**40)],
                      {"{v}": {"family": "bargmann_raw"}}, id="horizon-above-the-index-limit"),
         pytest.param(["counterexample", "-N", str(2**40)], {}, id="counterexample-above-the-index-limit"),
+        # a power reads its spans from a weight table, which is capped at the same index limit
+        pytest.param(["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "2"], _vec([2**52, 0.0, 0.0]),
+                     id="power-at-a-far-index"),
+        pytest.param(["op", "power", "--op", "{ri}", "--vec", "{v}", "-k", str(2**40)],
+                     {"{ri}": {"direction": "right_inverse", "weights": {"family": "bargmann_composite", "p": 1}},
+                      **_vec([2, 0.0, 0.0])}, id="right-inverse-power-above-the-index-limit"),
+        # one theta weight adds p + 1 terms, so the order is capped
+        pytest.param(["weights", "--spec", "{v}", "--range", "30000001:30000003"],
+                     {"{v}": {"family": "theta_composite", "nu": 3.14, "p": 30000000}},
+                     id="theta-order-above-the-cap"),
         pytest.param(["weights", "--spec", "{missing}", "--range", "0:3"], {}, id="missing-file"),
         pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
                      id="invalid-json"),
@@ -447,8 +457,8 @@ def _vec(*entries, p=1):
 def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_op_spec, argv, files):
     paths = {"{op}": bargmann_op_spec, "{theta}": theta_op_spec, "{dir}": str(tmp_path),
              "{missing}": str(tmp_path / "missing.json")}
-    for name, obj in files.items():
-        path = tmp_path / "input.json"
+    for i, (name, obj) in enumerate(files.items()):
+        path = tmp_path / f"input{i}.json"
         if isinstance(obj, str):
             path.write_text(obj, encoding="utf-8")
         else:

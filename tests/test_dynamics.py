@@ -127,9 +127,9 @@ def test_eigenvector_coefficients_against_extended_precision():
         for n in range(0, 5):
             denom = mpmath.mpf(1)
             for j in range(1, m + 1):
-                denom *= mpmath.exp(op.left.log_action_weight(j))
+                denom *= mpmath.exp(op.left.weights.log_weight(j))
             for j in range(1, n + 1):
-                denom *= mpmath.exp(op.right.log_action_weight(j))
+                denom *= mpmath.exp(op.right.weights.log_weight(j))
             want = lam_m**m * mu_m**n / denom
             got = g.entries[(m, n)]
             assert abs(got.logmag - float(mpmath.log(abs(want)))) <= 1e-11 * max(

@@ -4,12 +4,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftdyn import (
     CoeffVector,
     Direction,
     LogComplex,
     OffsetMismatch,
+    TensorOperator,
     ValidationError,
     adjoint,
     adjoint_pairing_gap_log,
@@ -22,6 +25,7 @@ from shiftdyn import (
     shift_operator_from_json,
     theta_backward_shift,
 )
+from shiftdyn.shift_ops import nilpotence_index
 from shiftdyn.weights import MAX_INDICES
 
 from conftest import NEG_INF, rand_coeff_vector, rel_gap_log
@@ -94,6 +98,18 @@ def test_power_nilpotence_iff():
             assert apply_power(op, f, 0).entries == f.entries
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), offsets=st.lists(st.integers(0, 3), min_size=1, max_size=2))
+def test_power_is_zero_exactly_from_the_nilpotence_index(data, offsets):
+    factors = [bargmann_backward_shift(p) for p in offsets]
+    op = factors[0] if len(factors) == 1 else TensorOperator(*factors)
+    keys = st.tuples(*(st.integers(p, p + 12) for p in offsets))
+    v = CoeffVector(tuple(offsets), {key: LogComplex(0.5, 1.0) for key in data.draw(st.sets(keys, max_size=5))})
+    nil = nilpotence_index(op, v)
+    for k in range(16):
+        assert apply_power(op, v, k).is_zero == (k >= nil), k
+
+
 def test_power_matches_iterated_apply():
     rng = random.Random(103)
     for op in all_test_operators():
@@ -155,7 +171,7 @@ def test_adjoint_pairing_single_elements():
 def test_adjoint_pairing_random_vectors():
     rng = random.Random(107)
     op = theta_backward_shift(math.pi, 0.0, 1)
-    max_w = op.log_action_weight(45)
+    max_w = op.weights.log_weight(45)
     for _ in range(50):
         u = rand_coeff_vector(rng, 1, 10, 40)
         v = rand_coeff_vector(rng, 1, 10, 40)
@@ -218,4 +234,4 @@ def test_operator_json_round_trip():
         op2 = shift_operator_from_json(op.to_json_dict())
         assert op2.direction is op.direction
         m = op.offset_p + 3
-        assert abs(op2.log_action_weight(m) - op.log_action_weight(m)) <= 1e-15
+        assert abs(op2.weights.log_weight(m) - op.weights.log_weight(m)) <= 1e-15

@@ -148,7 +148,7 @@ def test_rejected_indices_raise_where_the_loop_did(op):
     spans.sort(key=lambda s: -s[1])
     for lo, hi in spans + spans[::-1]:
         want = outcome(ref_span, op.weights, lo, hi)
-        assert outcome(op.log_weight_span, lo, hi) == want, (lo, hi)
+        assert outcome(op.weights.log_weight_span, lo, hi) == want, (lo, hi)
 
 
 def test_table_power_raises_past_the_end_and_below_start():
@@ -166,7 +166,7 @@ def test_table_power_raises_past_the_end_and_below_start():
     got = apply_power(s, CoeffVector.unit((3,), (0,)), 10)
     assert bits(got.entries[(13,)].logmag) == bits(-ref_span(op.weights, 4, 13))
     with pytest.raises(IndexBelowOffset):
-        theta_backward_shift(3.0, 0.0, 2).log_weight_span(2, 5)
+        theta_backward_shift(3.0, 0.0, 2).weights.log_weight_span(2, 5)
 
 
 class CountingWeights(WeightSequence):
@@ -185,12 +185,12 @@ class CountingWeights(WeightSequence):
 def test_each_weight_is_evaluated_once_and_never_beyond_the_span():
     weights = CountingWeights(2)
     op = ShiftOperator(weights)
-    assert op.log_weight_span(10, 9) == 0.0
+    assert op.weights.log_weight_span(10, 9) == 0.0
     assert not weights.calls  # an empty span asks for nothing
-    op.log_weight_span(5, 40)
+    op.weights.log_weight_span(5, 40)
     assert sorted(weights.calls) == list(range(3, 41))
     for lo, hi in ((3, 40), (17, 25), (39, 40), (30, 60), (3, 3)):
-        assert bits(op.log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
+        assert bits(op.weights.log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
     assert sorted(weights.calls) == list(range(3, 61))
     assert set(weights.calls.values()) == {1}
 
@@ -209,6 +209,37 @@ def test_tensor_step_reads_each_factor_weight_once():
         assert set(left.calls.values()) == set(right.calls.values()) == {1}, direction
 
 
+def test_every_direction_over_one_weight_sequence_shares_its_table():
+    weights = CountingWeights(2)
+    op = ShiftOperator(weights)
+    v = CoeffVector((2,), {(m,): LogComplex(0.1 * m, 0.3) for m in range(2, 40, 3)})
+    for k in (2, 7, 30):
+        for target in (op, right_inverse(op), adjoint(op)):
+            apply_power(target, v, k)
+    assert sorted(weights.calls) == list(range(3, 38 + 30 + 1))
+    assert set(weights.calls.values()) == {1}
+
+
+def test_tensor_right_inverse_shares_its_factors_tables():
+    left, right = CountingWeights(1), CountingWeights(2)
+    op = TensorOperator(ShiftOperator(left), ShiftOperator(right))
+    w = TensorVector((1, 2), {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30, 4) for n in range(2, 25, 5)})
+    for k in (2, 9):
+        apply_power(op, w, k)
+        apply_power(right_inverse(op), w, k)
+    assert sorted(left.calls) == list(range(2, 29 + 9 + 1))
+    assert sorted(right.calls) == list(range(3, 22 + 9 + 1))
+    assert set(left.calls.values()) == set(right.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("weights", [BargmannActionWeights(2), CountingWeights(2)], ids=["family", "subclass"])
+def test_copies_of_weights_start_with_an_empty_table(weights):
+    weights.log_weight_span(3, 50)
+    for copied in (copy.copy(weights), copy.deepcopy(weights), pickle.loads(pickle.dumps(weights))):
+        assert "_span_table" not in vars(copied)
+        assert bits(copied.log_weight_span(3, 50)) == bits(weights.log_weight_span(3, 50))
+
+
 def test_shared_operator_across_four_threads():
     weights = CountingWeights(2)
     op = ShiftOperator(weights)
@@ -221,7 +252,7 @@ def test_shared_operator_across_four_threads():
     def worker(t: int) -> None:
         barrier.wait()
         for lo, hi in spans[t::4]:  # interleaved, growing spans
-            if bits(op.log_weight_span(lo, hi)) != want[(lo, hi)]:
+            if bits(op.weights.log_weight_span(lo, hi)) != want[(lo, hi)]:
                 wrong.append((lo, hi))
 
     old = sys.getswitchinterval()
@@ -242,13 +273,13 @@ def test_shared_operator_across_four_threads():
 
 def test_table_is_outside_equality_hash_repr_and_copies():
     op = bargmann_backward_shift(2)
-    op.log_weight_span(3, 50)
+    op.weights.log_weight_span(3, 50)
     twin = bargmann_backward_shift(2)
     assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
     assert op.to_json_dict() == twin.to_json_dict()
     for copied in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
         assert copied == op
-        assert bits(copied.log_weight_span(3, 50)) == bits(op.log_weight_span(3, 50))
+        assert bits(copied.weights.log_weight_span(3, 50)) == bits(op.weights.log_weight_span(3, 50))
 
 
 def test_right_inverse_identity_bitwise_with_warm_tables():

@@ -238,7 +238,7 @@ def test_tensor_inner_positive_definite():
 def test_tensor_adjoint_pairing():
     rng = random.Random(73)
     op = pair(1, 1)
-    max_w = op.left.log_action_weight(25) + op.right.log_action_weight(25)
+    max_w = op.left.weights.log_weight(25) + op.right.weights.log_weight(25)
     for _ in range(50):
         w1 = rand_tensor_vector(rng, (1, 1), 10, 20)
         w2 = rand_tensor_vector(rng, (1, 1), 10, 20)

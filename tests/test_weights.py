@@ -21,6 +21,7 @@ from shiftdyn import (
     ValidationError,
     weight_sequence_from_json,
 )
+from shiftdyn.weights import MAX_THETA_ORDER
 
 LN2 = math.log(2.0)
 
@@ -66,6 +67,9 @@ def test_theta_params_invariants():
         ThetaParams(nu=-2.0)
     with pytest.raises(ValidationError):
         ThetaParams(nu=1.0, p=-1)
+    assert ThetaParams(nu=1.0, p=MAX_THETA_ORDER).p == MAX_THETA_ORDER
+    with pytest.raises(ValidationError, match="p must be in"):
+        ThetaParams(nu=1.0, p=MAX_THETA_ORDER + 1)  # one weight would add p + 1 terms
 
 
 def test_theta_action_p0_equals_raw_shifted():
