@@ -43,8 +43,6 @@ class CoeffVector:
 
     offsets: tuple[int, ...] = (0,)
     entries: dict[tuple[int, ...], LogComplex] = field(default_factory=dict)
-    # (u, v) on what tensor_of(u, v) returns; None on any other vector, replace() results included
-    factors: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = self.offsets

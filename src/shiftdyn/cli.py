@@ -63,7 +63,7 @@ from .shift_ops import (
     nilpotence_index,
     shift_operator_from_json,
 )
-from .tensor_ops import TensorOperator
+from .tensor_ops import TensorOperator, tensor_of
 from .weights import (
     BargmannActionWeights,
     BlockPatternWeights,
@@ -264,9 +264,9 @@ def _targets(payload) -> list[CoeffVector]:
     return [CoeffVector.from_json_dict(v) for v in vectors]
 
 
-def _orbit_result(args, g, log_norms: list[float], result: dict):
-    """result with the vector g and the tail target, and g's orbit log-norms as the series."""
-    result.update(tail_tol_log=args.tail, vector=g.to_json_dict())
+def _orbit_result(args, a, b, log_norms: list[float], result: dict):
+    """result with the vector g = a (x) b and the tail target, and g's orbit log-norms as the series."""
+    result.update(tail_tol_log=args.tail, vector=tensor_of(a, b).to_json_dict())
     return result, (["k", "log_norm"], list(enumerate(log_norms)))
 
 
@@ -323,33 +323,33 @@ def _cmd_eigen(args):
     op = _pair(args)
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
-    g, spec = eigenvector_build(op, lam, mu, args.tail)
-    log_norms = rank_one_log_norms(op, g, EIGEN_SERIES_STEPS)
-    residual = rank_one_residual_log(g, lam, mu, q=1)
+    a, b, spec = eigenvector_build(op, lam, mu, args.tail)
+    log_norms = rank_one_log_norms(op, a, b, EIGEN_SERIES_STEPS)
+    residual = rank_one_residual_log(a, b, lam, mu, q=1)
     result = {
         "eigen_spec": spec.to_json_dict(),
         "gnorm_log": log_norms[0],
         "residual_log": residual,
         "residual_rel_log": residual - log_norms[0],
     }
-    return _orbit_result(args, g, log_norms, result)
+    return _orbit_result(args, a, b, log_norms, result)
 
 
 def _cmd_periodic(args):
     op = _pair(args)
-    g = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
+    a, b, _spec = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
     lam = cmath.exp(1j * math.pi / args.q)
-    log_norms = rank_one_log_norms(op, g, 2 * args.q)
+    log_norms = rank_one_log_norms(op, a, b, 2 * args.q)
     gnorm = log_norms[0]
-    res_q = rank_one_residual_log(g, lam, lam, q=args.q)
-    res_1 = periodic_residual_numeric_log(op, g, 1) if args.q > 1 else res_q
+    res_q = rank_one_residual_log(a, b, lam, lam, q=args.q)
+    res_1 = periodic_residual_numeric_log(op, a, b, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
         "gnorm_log": gnorm,
         "residual_q_rel_log": res_q - gnorm,
         "residual_1_rel_log": res_1 - gnorm,
     }
-    return _orbit_result(args, g, log_norms, result)
+    return _orbit_result(args, a, b, log_norms, result)
 
 
 def _cmd_hypercyclic(args):
@@ -387,6 +387,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_density_probe(args):
+    if args.count < 1:
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     op = _operator(args.op, lambda: BargmannActionWeights(p=0))
     rng = random.Random(args.seed)
     p = op.offset_p

@@ -10,7 +10,8 @@ ratio log|lambda| - log a(m+1) is negative (the weights are monotone), the
 omitted tail is below a closed-form geometric bound.
 
 The rectangle grows one axis at a time, the one whose omitted mass dominates
-the bound, and stays factored: norms and orbits are taken per axis.
+the bound, and stays factored: the builders return the factors a and b of
+g = a (x) b, and norms, orbits and residuals are taken per axis.
 
 Residual evaluation exploits the same telescoping the convergence argument
 rests on: for the truncated series, T^q g - (lambda*mu)^q g cancels
@@ -48,7 +49,7 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply, apply_power, nilpotence_index, right_inverse
-from .tensor_ops import TensorOperator, tensor_of
+from .tensor_ops import TensorOperator
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
 _EIGEN_BAND_MARGIN = 1  # an eigenvector certifies the residual band of T^1
@@ -223,7 +224,10 @@ def _build_eigenvector(
     band_margin: int,
     min_terms: int,
 ) -> tuple[CoeffVector, CoeffVector, EigenSpec]:
-    """The eigenvector's factors a, b; growing axes keep min_terms terms, so T^k g != 0 below."""
+    """The factors a, b of the eigenvector g = a (x) b, and its spec.
+
+    Growing axes keep min_terms terms, so T^k g != 0 below min_terms.
+    """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("eigenvectors are built for the backward tensor operator")
     _check_tail_tol(tail_tol_log)
@@ -258,21 +262,20 @@ def eigenvector_build(
     lam: complex,
     mu: complex,
     tail_tol_log: float,
-) -> tuple[CoeffVector, EigenSpec]:
-    """Truncated eigenvector of the tensor backward shift for lambda*mu.
+) -> tuple[CoeffVector, CoeffVector, EigenSpec]:
+    """(a, b, spec) for the truncated eigenvector g = a (x) b of the tensor backward shift.
 
-    The truncation rectangle is grown until the certified tail bound of the
-    rectangle shrunk by one index per axis is below tail_tol_log (adjusted
-    by log|lambda*mu| when that is positive), so the residual band of T^1
-    is certified as well.
+    The eigenvalue is lambda*mu.  The truncation rectangle is grown until the
+    certified tail bound of the rectangle shrunk by one index per axis is
+    below tail_tol_log (adjusted by log|lambda*mu| when that is positive), so
+    the residual band of T^1 is certified as well.
     """
     if not (cmath.isfinite(lam) and cmath.isfinite(mu)):
         raise ValidationError(f"eigenvalues must be finite, got lambda={lam}, mu={mu}")
-    a, b, spec = _build_eigenvector(
+    return _build_eigenvector(
         op, lc_from_complex(lam), lc_from_complex(mu), lam, mu, tail_tol_log, _EIGEN_BAND_MARGIN,
         EIGEN_SERIES_STEPS + 1,
     )
-    return tensor_of(a, b), spec
 
 
 def eigen_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
@@ -305,27 +308,23 @@ def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
     return log_sum_exp(t for m, t in sq if m <= cut), log_sum_exp(t for m, t in sq if m > cut)
 
 
-def _rank_one_factors(g: CoeffVector) -> tuple[CoeffVector, CoeffVector]:
-    if g.factors is None:
-        raise ValidationError("rank-one evaluation needs the factors that tensor_of keeps")
-    return g.factors
-
-
-def rank_one_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
+def rank_one_residual_log(
+    a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, q: int = 1
+) -> float:
     """`eigen_residual_log` per axis, for g = tensor_of(a, b): see the module notes."""
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    factors = _rank_one_factors(g)
     lm = lc_from_complex(lam * mu)
-    if lm.is_zero or g.is_zero:
+    if lm.is_zero or a.is_zero or b.is_zero:
         return NEG_INF
-    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in factors)
+    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in (a, b))
     return q * lm.logmag + log_add_exp(b1 + log_add_exp(h2, b2), h1 + b2) / 2.0
 
 
-def rank_one_log_norms(op: TensorOperator, g: CoeffVector, k_max: int) -> list[float]:
+def rank_one_log_norms(
+    op: TensorOperator, a: CoeffVector, b: CoeffVector, k_max: int
+) -> list[float]:
     """log ||T^k g||, k = 0..k_max, as log ||T1^k a|| + log ||T2^k b|| for g = tensor_of(a, b)."""
-    a, b = _rank_one_factors(g)
     return [
         coeff_norm_log(apply_power(op.left, a, k)) + coeff_norm_log(apply_power(op.right, b, k))
         for k in range(k_max + 1)
@@ -346,7 +345,9 @@ def eigen_residual_numeric_log(
     return coeff_norm_log(coeff_sub(apply_power(op, g, q), scaled))
 
 
-def periodic_residual_numeric_log(op: TensorOperator, g: CoeffVector, q: int) -> float:
+def periodic_residual_numeric_log(
+    op: TensorOperator, a: CoeffVector, b: CoeffVector, q: int
+) -> float:
     """log ||T^q g - g||, the direct periodicity defect, per axis for g = tensor_of(a, b).
 
     ||T^q g - g||^2 = ||T^q g||^2 + ||g||^2 - 2 Re<T^q g, g>, with
@@ -358,12 +359,11 @@ def periodic_residual_numeric_log(op: TensorOperator, g: CoeffVector, q: int) ->
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    factors = _rank_one_factors(g)
-    if g.is_zero:
+    if a.is_zero or b.is_zero:
         return NEG_INF
-    moved = [apply_power(f, v, q) for f, v in zip(op.factors, factors)]
-    ip1, ip2 = (coeff_inner(w, v) for w, v in zip(moved, factors))
-    logs = [2.0 * sum(map(coeff_norm_log, vs)) for vs in (moved, factors)]
+    moved = [apply_power(f, v, q) for f, v in zip(op.factors, (a, b))]
+    ip1, ip2 = (coeff_inner(w, v) for w, v in zip(moved, (a, b)))
+    logs = [2.0 * sum(map(coeff_norm_log, vs)) for vs in (moved, (a, b))]
     logs.append(math.log(2.0) + ip1.logmag + ip2.logmag)
     top = max(logs)
     moved_sq, g_sq, cross = (math.exp(t - top) for t in logs)
@@ -376,22 +376,22 @@ def periodic_residual_numeric_log(op: TensorOperator, g: CoeffVector, q: int) ->
 
 def periodic_point_from_eigen(
     op: TensorOperator, q_order: int, tail_tol_log: float
-) -> CoeffVector:
-    """A truncated q-periodic point: the eigenvector for a primitive root.
+) -> tuple[CoeffVector, CoeffVector, EigenSpec]:
+    """(a, b, spec) for a truncated q-periodic point g = a (x) b.
 
-    lambda = mu = exp(i*pi/q) so lambda*mu = exp(2*pi*i/q); both factors
-    have exactly unit log-magnitude in the polar representation, and the
-    truncation is certified with a width-q residual band.
+    g is the eigenvector for a primitive root: lambda = mu = exp(i*pi/q), so
+    lambda*mu = exp(2*pi*i/q).  Both have log-magnitude exactly 0 in the
+    polar representation, and the truncation is certified with a width-q
+    residual band.
     """
     if q_order < 1:
         raise ValidationError(f"q_order must be >= 1, got {q_order}")
     phase = math.pi / q_order
     lam = cmath.exp(1j * phase)
     lam_lc = LogComplex(0.0, wrap_phase(phase))
-    a, b, _spec = _build_eigenvector(
+    return _build_eigenvector(
         op, lam_lc, lam_lc, lam, lam, tail_tol_log, band_margin=q_order, min_terms=2 * q_order + 1
     )
-    return tensor_of(a, b)
 
 
 def periodic_from_target(
@@ -439,8 +439,8 @@ def hypercyclic_vector_build(
         raise ValidationError("hypercyclic vectors are built over the backward operator")
     if not targets:
         raise ValidationError("at least one target is required")
-    if not (eps > 0.0):
-        raise ValidationError(f"eps must be > 0, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise ValidationError(f"eps must be finite and > 0, got {eps}")
     for y in targets:
         if y.offsets != op.offsets:
             raise ValidationError(

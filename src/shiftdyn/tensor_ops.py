@@ -57,14 +57,12 @@ class TensorOperator:
 
 
 def tensor_of(u: CoeffVector, v: CoeffVector) -> CoeffVector:
-    """Outer product, keeping (u, v) as its `factors`; bilinear, zero when either factor is."""
+    """The dense outer product u (x) v; bilinear, zero when either factor is."""
     entries = {}
     for ku, cu in u.entries.items():
         for kv, cv in v.entries.items():
             entries[ku + kv] = lc_mul(cu, cv)
-    w = CoeffVector(u.offsets + v.offsets, entries)
-    w.factors = (u, v)
-    return w
+    return CoeffVector(u.offsets + v.offsets, entries)
 
 
 def tensor_operator_from_json(obj: dict) -> TensorOperator:

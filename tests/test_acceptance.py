@@ -37,6 +37,7 @@ from shiftdyn import (
     periodic_residual_numeric_log,
     right_inverse,
     salas_scan,
+    tensor_of,
     tensor_salas_scan,
     theta_backward_shift,
     theta_basis_eval,
@@ -156,7 +157,8 @@ def test_criterion_04_eigen_relation():
             lam = cmath.rect(rng.uniform(0.05, math.sqrt(2.0)), rng.uniform(-math.pi, math.pi))
             mu = cmath.rect(rng.uniform(0.05, math.sqrt(2.0)), rng.uniform(-math.pi, math.pi))
             assert abs(lam * mu) <= 2.0
-            g, spec = eigenvector_build(op, lam, mu, -60.0)
+            a, b, spec = eigenvector_build(op, lam, mu, -60.0)
+            g = tensor_of(a, b)
             assert spec.tail_log_bound <= -60.0
             rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
             assert rel <= -55.0
@@ -166,11 +168,12 @@ def test_criterion_04_eigen_relation():
 def test_criterion_05_periodicity_order_four():
     with Budget(5.0) as budget:
         op = default_tensor_shift()
-        g = periodic_point_from_eigen(op, 4, -60.0)
+        a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+        g = tensor_of(a, b)
         gnorm = coeff_norm_log(g)
         lam = cmath.exp(1j * math.pi / 4)
         assert eigen_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
-        assert periodic_residual_numeric_log(op, g, 1) - gnorm >= -5.0
+        assert periodic_residual_numeric_log(op, a, b, 1) - gnorm >= -5.0
     report(5, "T^4 g = g below e^-55 while T g != g (period exactly 4)", budget)
 
 

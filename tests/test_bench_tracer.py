@@ -53,6 +53,11 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
     written = [path for path in (tmp_path / "out").iterdir() if not path.name.endswith(".manifest.json")]
     assert sorted(path.name for path in written) == ["eigen.json", "eigen.json.series.csv", "power.json"]
     assert report["cli.bytes_written"] == sum(path.stat().st_size for path in written)
+    # the tracer counts the entries of the first value a builder returns, the left factor:
+    # indices p..trunc_m, with p = 0 as the eigen command defaults to
+    spec = json.loads((tmp_path / "out" / "eigen.json").read_text(encoding="utf-8"))["eigen_spec"]
+    p = 0
+    assert report["dynamics.eigen_entries"] == spec["trunc_m"] - p + 1
 
 
 _HYPERCYCLIC_SCRIPT = """

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shiftdyn import default_tensor_shift, eigenvector_build, periodic_point_from_eigen, tensor_of
 from shiftdyn.cli import _csv_text, _dump_json, main
 
 
@@ -164,6 +165,15 @@ def test_eigen_zero_case(tmp_path):
     assert (tmp_path / "eigen.json.series.csv").exists()
 
 
+def _assert_written_rectangle(vector, a, b, spec):
+    """The artifact's vector is the library's tensor_of(a, b): the full truncation rectangle in index order."""
+    assert vector == json.loads(json.dumps(tensor_of(a, b).to_json_dict()))
+    keys = [(m, n) for m, n, _logmag, _phase in vector["entries"]]
+    p = 0  # the default pair's offsets
+    assert len(keys) == (spec.trunc_m - p + 1) * (spec.trunc_n - p + 1)
+    assert keys == sorted(keys)
+
+
 def test_eigen_generic(tmp_path):
     out = tmp_path / "eigen.json"
     rc = main(["eigen", "--lambda", "0.5,0.1", "--mu", "0.3,-0.2", "--tail", "-60", "--out", str(out)])
@@ -171,6 +181,9 @@ def test_eigen_generic(tmp_path):
     result = json.loads(out.read_text())
     assert result["residual_rel_log"] <= -55.0
     assert result["eigen_spec"]["tail_log_bound"] <= -60.0
+    a, b, spec = eigenvector_build(default_tensor_shift(), 0.5 + 0.1j, 0.3 - 0.2j, -60.0)
+    assert result["eigen_spec"] == json.loads(json.dumps(spec.to_json_dict()))
+    _assert_written_rectangle(result["vector"], a, b, spec)
 
 
 def test_eigen_uncertifiable_exits_3(tmp_path, capsys):
@@ -196,6 +209,7 @@ def test_periodic(tmp_path):
     header, rows = read_csv(tmp_path / "periodic.json.series.csv")
     assert header == ["k", "log_norm"]
     assert len(rows) == 9
+    _assert_written_rectangle(result["vector"], *periodic_point_from_eigen(default_tensor_shift(), 4, -60.0))
 
 
 def test_hypercyclic(tmp_path):
@@ -254,6 +268,16 @@ def test_density_probe(tmp_path):
     for sample in result["samples"]:
         errs = [e for _, e in sample["q_and_error_log"]]
         assert errs[0] > errs[1] > errs[2]
+
+
+def test_density_probe_needs_a_sample(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    for count in ("0", "-3"):
+        assert main(["density-probe", "--count", count, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--count must be >= 1" in err
+        assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -369,12 +393,14 @@ def test_eigen_beyond_the_entry_budget_exits_3(tmp_path, capsys):
         (["counterexample", "-N", "50", "--threshold", "-inf"], "threshold"),
         (["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "nan,0"], "z"),
         (["basis", "eval", "--basis", "theta", "-m", "0", "-z", "0,inf"], "z"),
+        (["hypercyclic", "--targets", "{targets}", "--eps", "inf"], "eps"),
     ],
 )
 def test_non_finite_parameters_exit_2(tmp_path, capsys, argv, name):
     specs = {
         "{table}": write_json(tmp_path / "t.json", {"family": "table", "table": ["a"]}),
         "{bargmann}": write_json(tmp_path / "b.json", {"family": "bargmann_raw"}),
+        "{targets}": write_json(tmp_path / "y.json", {"targets": [{"p": 0, "entries": [[0, 0.0, 0.0]]}]}),
     }
     out = tmp_path / "out.json"
     assert main([specs.get(a, a) for a in argv] + ["--out", str(out)]) == 2

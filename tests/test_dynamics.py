@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,6 @@ from shiftdyn import (
     TableWeights,
     TailNotCertifiable,
     TensorOperator,
-    TensorVector,
     ThetaParams,
     ValidationError,
     apply_power,
@@ -83,7 +81,8 @@ def test_orbit_zero_steps():
 
 def test_eigenvector_zero_eigenvalues_is_corner():
     op = default_tensor_shift()
-    g, spec = eigenvector_build(op, 0.0, 0.0, -60.0)
+    a, b, spec = eigenvector_build(op, 0.0, 0.0, -60.0)
+    g = tensor_of(a, b)
     assert g.entries == {(0, 0): LogComplex(0.0, 0.0)}
     assert spec.tail_log_bound == NEG_INF
     assert eigen_residual_log(g, 0.0, 0.0) == NEG_INF
@@ -92,7 +91,8 @@ def test_eigenvector_zero_eigenvalues_is_corner():
 def test_eigenvector_first_coefficient():
     op = default_tensor_shift()
     lam, mu = 0.4 + 0.3j, -0.2 + 0.6j
-    g, _ = eigenvector_build(op, lam, mu, -60.0)
+    a, b, _ = eigenvector_build(op, lam, mu, -60.0)
+    g = tensor_of(a, b)
     # entry (1,1) = lam*mu / (a1(1) * a2(1)); log weights are 1 and 0
     expect_logmag = math.log(abs(lam * mu)) - 1.0
     got = g.entries[(1, 1)]
@@ -107,7 +107,8 @@ def test_eigenvector_certified_tail_and_residual():
     for _ in range(8):
         lam = cmath.rect(rng.uniform(0.05, 1.4), rng.uniform(-math.pi, math.pi))
         mu = cmath.rect(rng.uniform(0.05, 1.4), rng.uniform(-math.pi, math.pi))
-        g, spec = eigenvector_build(op, lam, mu, -60.0)
+        a, b, spec = eigenvector_build(op, lam, mu, -60.0)
+        g = tensor_of(a, b)
         assert spec.tail_log_bound <= -60.0
         rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
         assert rel <= -58.0  # certified band is below the tail tolerance
@@ -120,7 +121,8 @@ def test_eigenvector_coefficients_against_extended_precision():
 
     op = default_tensor_shift()
     lam, mu = 0.7 - 0.4j, -0.35 + 0.55j
-    g, _ = eigenvector_build(op, lam, mu, -60.0)
+    a, b, _ = eigenvector_build(op, lam, mu, -60.0)
+    g = tensor_of(a, b)
     lam_m = mpmath.mpc(lam.real, lam.imag)
     mu_m = mpmath.mpc(mu.real, mu.imag)
     for m in range(0, 5):
@@ -144,7 +146,8 @@ def test_certified_band_residual_matches_numeric_at_coarse_tail():
     # the band evaluator and the independent entrywise subtraction must agree
     op = default_tensor_shift()
     for lam, mu in ((0.6 + 0.2j, 0.5 - 0.3j), (1.1 + 0.0j, 0.4 + 0.9j)):
-        g, _ = eigenvector_build(op, lam, mu, -18.0)
+        a, b, _ = eigenvector_build(op, lam, mu, -18.0)
+        g = tensor_of(a, b)
         certified = eigen_residual_log(g, lam, mu)
         numeric = eigen_residual_numeric_log(op, g, lam, mu)
         assert abs(certified - numeric) <= 1e-6 * max(1.0, abs(numeric))
@@ -156,7 +159,8 @@ def test_eigenvector_nonzero_offsets():
         op = default_tensor_shift(p=p)
         lam = cmath.rect(rng.uniform(0.2, 1.2), rng.uniform(-math.pi, math.pi))
         mu = cmath.rect(rng.uniform(0.2, 1.2), rng.uniform(-math.pi, math.pi))
-        g, spec = eigenvector_build(op, lam, mu, -50.0)
+        a, b, spec = eigenvector_build(op, lam, mu, -50.0)
+        g = tensor_of(a, b)
         assert g.entries[(p, p)] == LogComplex(0.0, 0.0)
         assert min(m for m, _ in g.entries) == p
         assert min(n for _, n in g.entries) == p
@@ -167,7 +171,8 @@ def test_eigenvector_nonzero_offsets():
 
 def test_eigenvector_single_zero_axis():
     op = default_tensor_shift()
-    g, spec = eigenvector_build(op, 0.0, 0.5 + 0.1j, -50.0)
+    a, b, spec = eigenvector_build(op, 0.0, 0.5 + 0.1j, -50.0)
+    g = tensor_of(a, b)
     assert all(m == 0 for (m, _n) in g.entries)
     assert spec.trunc_m == 0
     assert eigen_residual_log(g, 0.0, 0.5 + 0.1j) == NEG_INF
@@ -197,41 +202,30 @@ def test_factored_norm_band_and_orbit_match_the_dense_vector():
     pairs.append((1, 0.0, 0.7 + 0.2j))  # one zero eigenvalue: a frozen axis
     for p, lam, mu in pairs:
         op = default_tensor_shift(p=p)
-        g, _ = eigenvector_build(op, lam, mu, -60.0)
-        a, b = g.factors
+        a, b, _ = eigenvector_build(op, lam, mu, -60.0)
+        g = tensor_of(a, b)
         dense = coeff_norm_log(g)
         assert _agree(dense, coeff_norm_log(a) + coeff_norm_log(b), _allowance(g, dense))
         for q in range(1, 5):
             dense = eigen_residual_log(g, lam, mu, q)
-            assert _agree(dense, rank_one_residual_log(g, lam, mu, q), _allowance(g, dense))
+            assert _agree(dense, rank_one_residual_log(a, b, lam, mu, q), _allowance(g, dense))
         trace = orbit(op, g, 8)
-        for step, factored in zip(trace.steps, rank_one_log_norms(op, g, 8)):
+        for step, factored in zip(trace.steps, rank_one_log_norms(op, a, b, 8)):
             assert _agree(step.log_norm, factored, _allowance(step.vector, step.log_norm, step.k))
 
 
 def test_only_the_dominant_axis_grows():
     # |lambda| 0.01 certifies the theta axis at once; |mu| 4 needs a long Bargmann axis
-    g, spec = eigenvector_build(default_tensor_shift(p=0), 0.01, 4.0, -60.0)
+    a, b, spec = eigenvector_build(default_tensor_shift(p=0), 0.01, 4.0, -60.0)
+    g = tensor_of(a, b)
     assert spec.trunc_m <= 10 and spec.trunc_n >= 100
     assert len(g.entries) == (spec.trunc_m + 1) * (spec.trunc_n + 1)
-    assert [len(f.entries) for f in g.factors] == [spec.trunc_m + 1, spec.trunc_n + 1]
-
-
-def test_rank_one_helpers_need_the_factors():
-    op = default_tensor_shift()
-    g, _ = eigenvector_build(op, 0.5, 0.3, -40.0)
-    # a copy drops the factors, and a hand-built tensor vector never had them
-    for w in (replace(g), TensorVector.unit((1, 1), (0, 0))):
-        with pytest.raises(ValidationError, match="tensor_of"):
-            rank_one_log_norms(op, w, 2)
-        with pytest.raises(ValidationError, match="tensor_of"):
-            rank_one_residual_log(w, 0.5, 0.3)
-        with pytest.raises(ValidationError, match="tensor_of"):
-            periodic_residual_numeric_log(op, w, 1)
+    assert [len(f.entries) for f in (a, b)] == [spec.trunc_m + 1, spec.trunc_n + 1]
 
 
 def test_large_eigenvalues_certify():
-    g, spec = eigenvector_build(default_tensor_shift(), 50.0, 50.0, -60.0)
+    a, b, spec = eigenvector_build(default_tensor_shift(), 50.0, 50.0, -60.0)
+    g = tensor_of(a, b)
     assert spec.tail_log_bound <= -60.0 - math.log(2500.0)
     assert len(g.entries) == (spec.trunc_m + 1) * (spec.trunc_n + 1)
 
@@ -248,11 +242,11 @@ def test_no_series_row_is_zero_for_nonzero_eigenvalues():
         for _ in range(3):
             lam = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
             mu = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
-            g, _ = eigenvector_build(op, lam, mu, -60.0)
-            assert NEG_INF not in rank_one_log_norms(op, g, EIGEN_SERIES_STEPS)
+            a, b, _ = eigenvector_build(op, lam, mu, -60.0)
+            assert NEG_INF not in rank_one_log_norms(op, a, b, EIGEN_SERIES_STEPS)
         for q in range(2, 17):
-            g = periodic_point_from_eigen(op, q, -40.0)
-            assert NEG_INF not in rank_one_log_norms(op, g, 2 * q)
+            a, b, _ = periodic_point_from_eigen(op, q, -40.0)
+            assert NEG_INF not in rank_one_log_norms(op, a, b, 2 * q)
 
 
 def test_eigenvector_rejects_non_backward():
@@ -270,37 +264,40 @@ def test_eigenvector_flat_weights_not_certifiable():
 
 def test_periodic_point_q4():
     op = default_tensor_shift()
-    g = periodic_point_from_eigen(op, 4, -60.0)
+    a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+    g = tensor_of(a, b)
     lam = cmath.exp(1j * math.pi / 4)
     gnorm = coeff_norm_log(g)
     assert eigen_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
     # genuinely period 4: proper divisors leave a large defect
-    assert periodic_residual_numeric_log(op, g, 1) - gnorm >= -5.0
-    assert periodic_residual_numeric_log(op, g, 2) - gnorm >= -5.0
+    assert periodic_residual_numeric_log(op, a, b, 1) - gnorm >= -5.0
+    assert periodic_residual_numeric_log(op, a, b, 2) - gnorm >= -5.0
 
 
 def test_periodic_defect_per_axis_matches_the_dense_subtraction():
     for p in (0, 1, 2):
         op = default_tensor_shift(p=p)
         for q in (2, 3, 5, 8, 12, 16):
-            g = periodic_point_from_eigen(op, q, -40.0)
+            a, b, _ = periodic_point_from_eigen(op, q, -40.0)
+            g = tensor_of(a, b)
             for k in sorted({1, q - 1}):
                 dense = eigen_residual_numeric_log(op, g, 1, 1, k)
-                assert abs(periodic_residual_numeric_log(op, g, k) - dense) <= 1e-12
+                assert abs(periodic_residual_numeric_log(op, a, b, k) - dense) <= 1e-12
 
 
 def test_periodic_defect_bottoms_out_at_its_rounding_floor():
     op = default_tensor_shift()
-    g = periodic_point_from_eigen(op, 4, -60.0)
-    gnorm = coeff_norm_log(g)
-    floor = periodic_residual_numeric_log(op, g, 4) - gnorm  # the true defect is below e^-55
+    a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+    gnorm = coeff_norm_log(tensor_of(a, b))
+    floor = periodic_residual_numeric_log(op, a, b, 4) - gnorm  # the true defect is below e^-55
     assert -40.0 < floor < -10.0
-    assert periodic_residual_numeric_log(op, tensor_of(CoeffVector((0,)), CoeffVector((0,))), 4) == NEG_INF
+    assert periodic_residual_numeric_log(op, CoeffVector((0,)), CoeffVector((0,)), 4) == NEG_INF
 
 
 def test_periodic_point_q1_fixed_point():
     op = default_tensor_shift()
-    g = periodic_point_from_eigen(op, 1, -50.0)
+    a, b, _ = periodic_point_from_eigen(op, 1, -50.0)
+    g = tensor_of(a, b)
     gnorm = coeff_norm_log(g)
     assert eigen_residual_log(g, 1.0 + 0j, 1.0 + 0j, q=1) - gnorm <= -45.0
 
@@ -417,6 +414,9 @@ def test_hypercyclic_validations():
         hypercyclic_vector_build(op, [], 1e-6)
     with pytest.raises(ValidationError):
         hypercyclic_vector_build(op, [CoeffVector.unit((0,), (0,))], 0.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="eps must be"):
+            hypercyclic_vector_build(op, [CoeffVector.unit((0,), (0,))], eps)
     with pytest.raises(ValidationError):
         hypercyclic_vector_build(op, [CoeffVector.unit((1,), (1,))], 1e-6)
 
