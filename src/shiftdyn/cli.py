@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -31,8 +30,6 @@ from collections.abc import Iterable
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .basis import (
@@ -274,7 +271,7 @@ def _cmd_weights(args):
     w = _read(args.spec, weight_sequence_from_json)
     lo, hi = _parse_range(args.range)
     check_index_count(hi - lo, "--range")
-    rows = zip(range(lo, hi), w.log_weights(np.arange(lo, hi, dtype=np.int64)).tolist())
+    rows = zip(range(lo, hi), w.log_weights(range(lo, hi)).tolist())
     if args.format == "csv":
         return _csv_text(["index", "logweight"], rows), None
     return {"family": w.family, "rows": list(rows)}, None
@@ -337,11 +334,10 @@ def _cmd_eigen(args):
 
 def _cmd_periodic(args):
     op = _pair(args)
-    a, b, _spec = periodic_point_from_eigen(op, args.q, args.tail)  # validates q before pi/q
-    lam = cmath.exp(1j * math.pi / args.q)
+    a, b, spec = periodic_point_from_eigen(op, args.q, args.tail)
     log_norms = rank_one_log_norms(op, a, b, 2 * args.q)
     gnorm = log_norms[0]
-    res_q = rank_one_residual_log(a, b, lam, lam, q=args.q)
+    res_q = rank_one_residual_log(a, b, spec.lam, spec.mu, q=args.q)
     res_1 = periodic_residual_numeric_log(op, a, b, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
@@ -387,8 +383,8 @@ def _cmd_counterexample(args):
 
 
 def _cmd_density_probe(args):
-    if args.count < 1:
-        raise ValidationError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= 10_000:  # time and artifact size grow with the count
+        raise ValidationError(f"--count must be >= 1 and at most 10000, got {args.count}")
     op = _operator(args.op, lambda: BargmannActionWeights(p=0))
     rng = random.Random(args.seed)
     p = op.offset_p

@@ -5,6 +5,8 @@ test: the supremum of the running weight products must be infinite.  Scans
 over a finite horizon cannot prove divergence, so verdicts are explicitly
 labelled evidence with the horizon and threshold recorded.  The tensor scan
 applies the same test to the pointwise product of two weight sequences.
+Each factor's weights are one bulk read over an index range
+(`WeightSequence.log_weights`), and the partial sums one `np.cumsum`.
 
 `bcs_premise_check` verifies, on basis-vector probes, the computable
 premises of the hypercyclicity criterion for unbounded operators: exact
@@ -64,19 +66,15 @@ class CriterionReport:
         return out
 
 
-def _verdict_from_partials(partials: np.ndarray, threshold: float) -> tuple[Verdict, float | None]:
-    """Apply the running-max rules.
+def _verdict(partials: np.ndarray, sup: float, threshold: float) -> tuple[Verdict, float | None]:
+    """Apply the running-max rules, given sup = partials.max().
 
     Divergence requires the running max to exceed the threshold AND to have
     still increased over the last quartile of the horizon; a stable running
     max yields a bound; a rising-but-subthreshold tail stays inconclusive
     (block patterns produce long plateaus).
     """
-    running_max = np.maximum.accumulate(partials)
-    sup = float(running_max[-1])
-    n = len(partials)
-    qi = max((3 * n) // 4 - 1, 0)
-    increased = n >= 2 and running_max[-1] > running_max[qi]
+    increased = sup > partials[: max(3 * len(partials) // 4, 1)].max()
     if sup > threshold and increased:
         return Verdict.DIVERGES_TO_INFINITY, None
     if not increased:
@@ -86,20 +84,18 @@ def _verdict_from_partials(partials: np.ndarray, threshold: float) -> tuple[Verd
 
 def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionReport:
     """The scan on the termwise product of ws, each factor from its own start index."""
-    if n_horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n_horizon}")
+    if not (isinstance(n_horizon, int) and n_horizon >= 1):
+        raise ValidationError(f"horizon must be an integer >= 1, got {n_horizon!r}")
     check_index_count(n_horizon, "horizon")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
-    logs = [
-        w.log_weights(np.arange(w.scan_start, w.scan_start + n_horizon, dtype=np.int64))
-        for w in ws
-    ]
+    logs = [w.log_weights(range(w.scan_start, w.scan_start + n_horizon)) for w in ws]
     partials = np.cumsum(functools.reduce(np.add, logs))
-    verdict, bound = _verdict_from_partials(partials, threshold)
+    sup = float(partials.max())
+    verdict, bound = _verdict(partials, sup, threshold)
     return CriterionReport(
         partial_log_products=partials,
-        sup_attained=float(np.max(partials)),
+        sup_attained=sup,
         verdict=verdict,
         bound=bound,
         horizon_n=n_horizon,

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, ge, getitem, sub
 
-import numpy as np
-
 from .basis import CoeffVector, coeff_inner
 from .errors import OffsetMismatch, ValidationError
 from .numerics import LogComplex, lc_sub
@@ -182,7 +180,7 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
     shift, lo, _, sign, floor, _ = _action_rule(op, 1)
     cols = range(floor, n_max + 1 - max(shift, 0))
     check_index_count(cols.stop - cols.start, "matrix size")
-    weights = op.weights.log_weights(np.arange(cols.start + lo, cols.stop + lo, dtype=np.int64))
+    weights = op.weights.log_weights(range(cols.start + lo, cols.stop + lo))
     return [(m + shift, m, sign * w) for m, w in zip(cols, weights.tolist())]
 
 

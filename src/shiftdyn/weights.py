@@ -19,10 +19,12 @@ Families, each with its domain of indices:
                         start .. start + len - 1
 
 Each family writes its formula once (`_log`); `WeightSequence` holds the
-domain rule and both entry points, `log_weight(i)` and `log_weights(indices)`,
-which give the same bits.  The theta formulas take an int or an int64 array
-alike; the Bargmann ones run per index (numpy has no lgamma, and `np.log`
-differs from `math.log` in the last bit).  An index outside the domain raises
+domain rule (`_check`) and both entry points, `log_weight(i)` and
+`log_weights(indices)`, a range in and a float64 array out, with the same
+bits.  In bulk, the theta formulas run once on an int64 array (the only numpy
+arithmetic here), the block pattern fills one run at a time, the Bargmann and
+table ones run per index (numpy has no lgamma, and `np.log` differs from
+`math.log` in the last bit).  An index outside the domain raises
 `IndexBelowOffset` (`TableRangeError` for a table), naming the first one.
 
 `log_weight_span(lo, hi)` sums consecutive log weights, the products behind
@@ -95,11 +97,16 @@ def _theta_log(params: ThetaParams, p: int, m):
     return acc
 
 
+def _theta_logs(self, indices: range) -> np.ndarray:
+    """A theta family's `_log` once, on the range as an int64 array."""
+    return self._log(np.arange(indices.start, indices.stop, dtype=np.int64))
+
+
 class WeightSequence:
     """Common query surface over the weight families, on the domain first <= i < end.
 
     A family defines its formula `_log(i)`.  `log_weight(i)` is the scalar
-    evaluation; `log_weights(indices)` the bulk one (int64 array in, float64
+    evaluation; `log_weights(indices)` the bulk one (a range in, a float64
     array out); `log_weight_span(lo, hi)` a sum of consecutive scalar ones,
     read from the object's table.  `scan_start` is the first index a Salas
     partial-product scan should include.  Instances are immutable, apart from
@@ -119,9 +126,15 @@ class WeightSequence:
     def _outside(self, i: int) -> ValidationError:
         return self._error(f"{self.family} weight index {i} outside [{self.first}, {self.end})")
 
+    def _check(self, lo: int, hi: int) -> None:
+        """The domain rule for the indices lo..hi, hi >= lo: raise at lo if it is outside, else at end."""
+        if not self.first <= lo < self.end:
+            raise self._outside(lo)
+        if hi >= self.end:
+            raise self._outside(self.end)
+
     def log_weight(self, i: int) -> float:
-        if not self.first <= i < self.end:
-            raise self._outside(i)
+        self._check(i, i)
         return self._log(i)
 
     def log_weight_span(self, lo: int, hi: int) -> float:
@@ -138,8 +151,7 @@ class WeightSequence:
         except KeyError:
             values, first, lock = self.__dict__.setdefault("_span_table", ([], self.first, threading.Lock()))
         if lo < first or hi - first >= len(values):
-            if not (first <= lo and hi < self.end):
-                raise self._outside(self.end if first <= lo < self.end else lo)
+            self._check(lo, hi)
             check_index_count(hi - first + 1, "the log-weight table")
             with lock:
                 log_weight = self.log_weight
@@ -155,16 +167,18 @@ class WeightSequence:
         # span table here, so its copies and pickles start empty too (a lock does not pickle)
         return {k: v for k, v in self.__dict__.items() if k != "_span_table"}
 
-    def log_weights(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        outside = (idx < self.first) | (idx >= self.end)
-        if outside.any():
-            raise self._outside(int(idx[outside.argmax()]))
-        return self._logs(idx)
+    def log_weights(self, indices: range) -> np.ndarray:
+        """The log weights at a range of consecutive indices, as a float64 array: the bits of
+        `log_weight` on each index, and its error at the first index outside the domain."""
+        if indices.step != 1:
+            raise ValidationError(f"bulk weights take consecutive indices, got {indices}")
+        if indices:
+            self._check(indices.start, indices.stop - 1)
+        return self._logs(indices)
 
-    def _logs(self, idx: np.ndarray) -> np.ndarray:
-        """The bulk formula; by default the scalar one on each element."""
-        return np.array([self._log(i) for i in idx.tolist()], dtype=np.float64)
+    def _logs(self, indices: range) -> np.ndarray:
+        """The bulk formula; by default the scalar one on each index."""
+        return np.fromiter(map(self._log, indices), np.float64, len(indices))
 
     @property
     def scan_start(self) -> int:
@@ -184,7 +198,7 @@ class ThetaRawWeights(WeightSequence):
     def _log(self, m):
         return _theta_log(self.params, 0, m + 1)  # s + r*((m+1) - 1): the bits of s + r*m
 
-    _logs = _log
+    _logs = _theta_logs
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "nu": self.params.nu, "alpha": self.params.alpha}
@@ -202,7 +216,7 @@ class ThetaActionWeights(WeightSequence):
     def _log(self, m):
         return _theta_log(self.params, self.params.p, m)
 
-    _logs = _log
+    _logs = _theta_logs
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,6 +261,12 @@ class BargmannActionWeights(WeightSequence):
         return {"family": self.family, "p": self.p}
 
 
+def _block_run(i: int) -> int:
+    """The block-pattern run k holding index i >= 1: run k covers the k indices after T(k-1) = k(k-1)/2."""
+    k = (math.isqrt(8 * i + 1) - 1) // 2
+    return k + (k * (k + 1) // 2 < i)
+
+
 @dataclass(frozen=True, slots=True)
 class BlockPatternWeights(WeightSequence):
     """Alternating runs of twos and halves, run k of length k, from i = 1.
@@ -268,26 +288,18 @@ class BlockPatternWeights(WeightSequence):
             raise ValidationError(f"unknown block role {self.role!r}")
 
     def _log(self, i: int) -> float:
-        # run k covers the k indices after the triangular number T(k-1)
-        k = (math.isqrt(8 * i + 1) - 1) // 2
-        if k * (k + 1) // 2 < i:
-            k += 1
-        sign = 1.0 if k % 2 == 1 else -1.0
-        if self.role == "varpi":
-            sign = -sign
-        return sign * _LN2
+        return _LN2 if (_block_run(i) % 2 == 1) == (self.role == "omega") else -_LN2
 
-    def _logs(self, i: np.ndarray) -> np.ndarray:
-        # run index via the triangular-number inverse; sqrt of an exact
-        # integer is correctly rounded, so one fix-up pass suffices
-        s = np.sqrt(8.0 * i.astype(np.float64) + 1.0)
-        k = ((s - 1.0) / 2.0).astype(np.int64)
-        k += (k * (k + 1)) // 2 < i
-        k -= (k * (k - 1)) // 2 >= i
-        signs = np.where(k % 2 == 1, 1.0, -1.0)
-        if self.role == "varpi":
-            signs = -signs
-        return signs * _LN2
+    def _logs(self, indices: range) -> np.ndarray:
+        # one run at a time: every index of run k has the weight of its first one
+        lo = i = indices.start
+        out = np.empty(len(indices))
+        while i < indices.stop:
+            k = _block_run(i)
+            end = min(k * (k + 1) // 2 + 1, indices.stop)
+            out[i - lo : end - lo] = self._log(i)
+            i = end
+        return out
 
     def to_json_dict(self) -> dict:
         return {"family": self.family, "role": self.role}

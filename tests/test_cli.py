@@ -280,6 +280,15 @@ def test_density_probe_needs_a_sample(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_density_probe_count_is_bounded(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert main(["density-probe", "--count", "10001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at most 10000" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["weights", "--spec", str(tmp_path / "nope.json"), "--range", "0:5"])
     assert rc == 2
@@ -637,3 +646,89 @@ def test_csv_artifacts_match_the_row_formatter(header, rows):
     expected = _reference_csv(header, rows)
     assert _csv_text(header, rows) == expected
     assert _csv_text(header, iter(rows)) == expected  # rows may come from a generator or zip
+
+
+
+# argv of the four bulk commands: widths of at most 2,000, or values that each command must
+# refuse before it allocates anything
+_BAD_INTS = [0, -1, -7, 2**40, 2**53, 2**63, -(2**63)]
+_NON_NUMBERS = ["inf", "-inf", "nan", "abc", "", "1.5", "1e3", "0x10", "2**40"]
+_INT_TOKEN = st.integers(1, 2000).map(str) | st.sampled_from([*map(str, _BAD_INTS), *_NON_NUMBERS])
+_FLOAT_TOKEN = st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e400", *_NON_NUMBERS])
+# weight specs, each with the offset p of its backward shift
+_BULK_SPECS = [
+    ({"family": "theta_raw", "nu": 2.0}, 0),
+    ({"family": "bargmann_composite", "p": 1}, 1),
+    ({"family": "block_pattern", "role": "varpi"}, 0),
+    ({"family": "table", "table": [0.5, 2.0, 3.0] * 7, "start": 1}, 0),
+]
+
+
+def _width(lo: str, hi: str) -> int | None:
+    """hi - lo; None where either is no integer, and the command must exit 2."""
+    try:
+        return int(hi) - int(lo)
+    except ValueError:
+        return None
+
+
+@st.composite
+def _range_text(draw):
+    """`lo:hi` of at most 2,000 indices, reversed and empty ones included; or bad bounds or text."""
+    lo = draw(st.integers(-10, 60) | st.integers(2**40 - 10, 2**40) | st.sampled_from(_BAD_INTS))
+    kind = draw(st.sampled_from(["width", "width", "tokens", "malformed"]))
+    if kind == "width":
+        return f"{lo}:{lo + draw(st.integers(-5, 2000))}"
+    if kind == "tokens":
+        return f"{draw(_INT_TOKEN)}:{draw(_INT_TOKEN)}"
+    return draw(st.sampled_from([str(lo), f"{lo}:{lo + 1}:{lo + 2}", f"{lo},{lo + 1}", ":"]))
+
+
+@st.composite
+def _bulk_argv(draw):
+    """(argv, the artifact suffix that holds the rows, their JSON key or None for CSV lines, the
+    row count an exit 0 must write: one per requested index)."""
+    i = draw(st.integers(0, len(_BULK_SPECS) - 1))
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    command = draw(st.sampled_from(["weights", "criterion", "counterexample", "op matrix"]))
+    if command == "weights":
+        text = draw(_range_text())
+        argv = ["weights", "--spec", f"spec{i}.json", f"--range={text}", "--format", fmt]
+        return argv, "", "rows" if fmt == "json" else None, _width(*text.partition(":")[::2])
+    n = draw(_INT_TOKEN)
+    if command == "op matrix":  # columns p..N, each with its one weight
+        argv = ["op", "matrix", "--op", f"op{i}.json", f"-N={n}", "--format", fmt]
+        return argv, "", "triplets" if fmt == "json" else None, _width(_BULK_SPECS[i][1], n)
+    threshold = f"--threshold={draw(_FLOAT_TOKEN)}"
+    if command == "criterion":
+        argv = ["criterion", "--weights", f"spec{i}.json", f"-N={n}", threshold]
+        return argv, "", "partial_log_products", _width(0, n)
+    return ["counterexample", f"-N={n}", threshold], ".series.csv", None, _width(0, n)
+
+
+@pytest.fixture(scope="module")
+def bulk_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("bulk")
+    for i, (spec, _) in enumerate(_BULK_SPECS):
+        write_json(files / f"spec{i}.json", spec)
+        write_json(files / f"op{i}.json", {"direction": "backward", "weights": spec})
+    return files
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_bulk_argv())
+def test_bulk_command_argv_exits_0_or_2(bulk_files, capsys, case):
+    argv, suffix, key, expected = case
+    argv = [str(bulk_files / a) if a.endswith(".json") else a for a in argv]
+    out = bulk_files / "out.txt"
+    for stale in bulk_files.glob("out.txt*"):
+        stale.unlink()
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 0:
+        text = Path(f"{out}{suffix}").read_text(encoding="utf-8")
+        rows = json.loads(text)[key] if key else text.splitlines()[1:]
+        assert len(rows) == expected, argv

@@ -80,6 +80,8 @@ def test_salas_scaled_table_shifts_partials_linearly():
 def test_salas_rejects_bad_horizon():
     with pytest.raises(ValidationError):
         salas_scan(BargmannRawWeights(), 0)
+    with pytest.raises(ValidationError, match="integer"):
+        salas_scan(BargmannRawWeights(), 2.5)
 
 
 def test_scans_reject_a_horizon_above_the_index_limit():

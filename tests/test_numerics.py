@@ -5,6 +5,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftdyn import (
     LC_ONE,
@@ -185,3 +187,89 @@ def test_json_round_trip():
 def test_to_complex_small():
     z = lc_to_complex(lc_from_complex(1.5 - 2.5j))
     assert abs(z - (1.5 - 2.5j)) <= 1e-14 * abs(1.5 - 2.5j)
+
+
+# Properties against mpmath at 60 digits, far beyond native floats.  U is the unit roundoff
+# 2**-53; TWO_PI_GAP is how far the float 2*pi lies from 2*pi, which wrap_phase's exact
+# remainder inherits once per turn.
+U = 2.0**-53
+_DIGITS = 60
+with mpmath.workdps(_DIGITS):
+    TWO_PI_GAP = float(abs(mpmath.mpf(2.0 * math.pi) - 2 * mpmath.pi))
+
+_PHASES = st.floats(-math.pi, math.pi).map(wrap_phase)
+_WIDE_LOGMAGS = st.floats(-1e5, 1e5)
+
+
+def _mp_value(a: LogComplex):
+    return mpmath.exp(mpmath.mpf(a.logmag)) * mpmath.expj(mpmath.mpf(a.phase))
+
+
+def _phase_distance(phi: float, ref) -> float:
+    """|phi - ref| on the circle."""
+    d = abs(mpmath.fmod(mpmath.mpf(phi) - ref, 2 * mpmath.pi))
+    return float(min(d, 2 * mpmath.pi - d))
+
+
+@st.composite
+def _addends(draw):
+    """Two operands at |logmag| up to 1e5: independent, or a near-cancelling pair."""
+    a = LogComplex(draw(_WIDE_LOGMAGS), draw(_PHASES))
+    kind = draw(st.sampled_from(["independent", "close", "cancelling"]))
+    if kind == "independent":
+        return a, LogComplex(draw(_WIDE_LOGMAGS), draw(_PHASES))
+    if kind == "close":
+        return a, LogComplex(a.logmag + draw(st.floats(-40.0, 40.0)), draw(_PHASES))
+    # the negated operand, moved by a few ulps in logmag and by up to 1e-9 in phase
+    nudge = draw(st.integers(-4, 4)) * math.ulp(a.logmag)
+    phase = wrap_phase(opposite_phase(a.phase) + draw(st.just(0.0) | st.floats(-1e-9, 1e-9)))
+    return a, LogComplex(a.logmag + nudge, phase)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(pair=_addends())
+def test_add_matches_mpmath_at_wide_magnitudes(pair):
+    # bound: lc_add rescales by the larger operand, so its rounding is a few U of that operand;
+    # relative to the sum that is 16 U / rho, rho = |a + b| / max(|a|, |b|), plus the ulps of the
+    # two logmag adds.  An exact zero is returned only when rho is within rounding of 0.
+    a, b = pair
+    s = lc_add(a, b)
+    with mpmath.workdps(_DIGITS):
+        za, zb = _mp_value(a), _mp_value(b)
+        ref = za + zb
+        rho = float(abs(ref) / max(abs(za), abs(zb)))
+        if s.is_zero:
+            assert rho <= 8 * U
+            return
+        top = max(abs(a.logmag), abs(b.logmag))
+        log_err = float(abs(mpmath.mpf(s.logmag) - mpmath.log(abs(ref))))
+        assert log_err <= 2 * math.ulp(top) + 2 * math.ulp(s.logmag) + 16 * U / rho
+        assert _phase_distance(s.phase, mpmath.arg(ref)) <= 16 * U / rho + 4 * U
+    assert -math.pi < s.phase <= math.pi
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(phi=st.floats(-1e6, 1e6) | st.sampled_from([math.pi, -math.pi, 2 * math.pi, 1e6 * math.pi]))
+def test_wrap_phase_matches_mpmath_at_wide_phases(phi):
+    # bound: the remainder is exact against the float 2*pi, so the error is TWO_PI_GAP per turn,
+    # n = |phi| / (2*pi) turns, plus one ulp of pi
+    w = wrap_phase(phi)
+    assert -math.pi < w <= math.pi
+    with mpmath.workdps(_DIGITS):
+        turns = abs(mpmath.nint(mpmath.mpf(phi) / (2 * mpmath.pi)))
+        assert _phase_distance(w, mpmath.mpf(phi)) <= float(turns + 1) * TWO_PI_GAP + 2 * U * math.pi
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(logmag=_WIDE_LOGMAGS, phase=_PHASES, k=st.integers(1, 10**6) | st.integers(1, 50))
+def test_pow_int_matches_mpmath_at_large_k(logmag, phase, k):
+    # bound: k * logmag is one correctly rounded product (half an ulp); the phase adds half an ulp
+    # of k * phase to wrap_phase's per-turn TWO_PI_GAP
+    a = LogComplex(logmag, phase)
+    r = lc_pow_int(a, k)
+    assert -math.pi < r.phase <= math.pi
+    with mpmath.workdps(_DIGITS):
+        assert float(abs(mpmath.mpf(r.logmag) - k * mpmath.mpf(logmag))) <= 0.5 * math.ulp(r.logmag)
+        turns = abs(k * phase) / (2 * math.pi)
+        bound = 0.5 * math.ulp(k * phase) + (turns + 1) * TWO_PI_GAP + 2 * U * math.pi
+        assert _phase_distance(r.phase, k * mpmath.mpf(phase)) <= bound

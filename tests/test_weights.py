@@ -163,8 +163,7 @@ def test_block_pattern_partial_sums_swing_both_ways():
 def test_block_pattern_running_max_unbounded_both_roles():
     for role in ("omega", "varpi"):
         w = BlockPatternWeights(role=role)
-        idx = np.arange(1, 1_000_000, dtype=np.int64)
-        partials = np.cumsum(w.log_weights(idx))
+        partials = np.cumsum(w.log_weights(range(1, 1_000_000)))
         running_max = np.maximum.accumulate(partials)
         # every K*ln2 level up to K=32 is attained within the first 1e6 terms
         for k in range(1, 33):
@@ -173,10 +172,10 @@ def test_block_pattern_running_max_unbounded_both_roles():
 
 def test_block_pattern_vector_matches_scalar():
     w = BlockPatternWeights(role="varpi")
-    idx = np.arange(1, 3000, dtype=np.int64)
+    idx = range(1, 3000)
     bulk = w.log_weights(idx)
     for i, v in zip(idx, bulk):
-        assert v == w.log_weight(int(i))
+        assert v == w.log_weight(i)
 
 
 def test_all_families_positive_finite():
@@ -255,34 +254,46 @@ _FAMILIES = st.one_of(
 
 def _assert_bulk_is_scalar(w, idx):
     bulk = w.log_weights(idx)
-    loop = np.array([w.log_weight(i) for i in idx.tolist()], dtype=np.float64)
+    loop = np.array([w.log_weight(i) for i in idx], dtype=np.float64)
     assert bulk.dtype == np.float64
     assert bulk.view(np.int64).tolist() == loop.view(np.int64).tolist()
 
 
 def test_bargmann_raw_bulk_keeps_the_scalar_bits():
     # np.log differs from math.log in the last bit at 111 of the first 2e6 indices, from 9,169
-    _assert_bulk_is_scalar(BargmannRawWeights(), np.arange(0, 200_000, dtype=np.int64))
+    _assert_bulk_is_scalar(BargmannRawWeights(), range(0, 200_000))
+
+
+# the last index of block-pattern run k, T(k) = k(k+1)/2, for every run ending below 2**52
+_RUN_ENDS = st.integers(1, 94_906_265).map(lambda k: k * (k + 1) // 2)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(w=_FAMILIES, data=st.data())
 def test_bulk_equals_scalar_for_every_family(w, data):
     top = min(w.end, w.first + 2**53) - 1
-    inside = st.integers(w.first, top) | st.integers(w.first, min(top, w.first + 1000))
-    _assert_bulk_is_scalar(w, np.array(data.draw(st.lists(inside, max_size=60)), dtype=np.int64))
-    # an index outside the domain fails both paths alike, at the first such index
+    anchor = st.integers(w.first, top) | st.integers(w.first, min(top, w.first + 1000)) | _RUN_ENDS
+    # a range inside the domain around an anchor, often across the end of a block-pattern run
+    lo = max(w.first, min(data.draw(anchor), top) - data.draw(st.integers(0, 60)))
+    _assert_bulk_is_scalar(w, range(lo, min(top + 1, lo + data.draw(st.integers(0, 120)))))
+    # a range that starts or ends outside the domain fails both paths alike, at the first such index
     outside = st.integers(-(2**62), w.first - 1) | st.integers(w.first - 5, w.first - 1)
     if w.end < math.inf:
         outside |= st.integers(w.end, w.end + 5)
-    idx = data.draw(st.lists(inside | outside, min_size=1, max_size=60))
-    idx.insert(data.draw(st.integers(0, len(idx))), data.draw(outside))
+    lo, hi = sorted((data.draw(outside), data.draw(anchor | outside)))
+    idx = range(lo, hi + 1)
     errors = []
-    for evaluate in (lambda: w.log_weights(np.array(idx, dtype=np.int64)),
-                     lambda: [w.log_weight(i) for i in idx]):
+    for evaluate in (lambda: w.log_weights(idx), lambda: [w.log_weight(i) for i in idx]):
         with pytest.raises(ValidationError) as caught:
             evaluate()
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     first_bad = next(i for i in idx if not w.first <= i < w.end)
     assert f"index {first_bad} outside" in errors[0][1]
+    # an empty range reads nothing, wherever it lies
+    assert w.log_weights(range(lo, lo)).size == 0
+
+
+def test_bulk_weights_take_consecutive_indices():
+    with pytest.raises(ValidationError, match="consecutive"):
+        BargmannRawWeights().log_weights(range(0, 10, 2))
