@@ -189,8 +189,10 @@ def theta_basis_eval(m: int, z: complex, params: ThetaParams) -> LogComplex:
         - (math.pi * math.pi / nu) * ma * ma
         - 2.0 * math.pi * ma * y
     )
-    phase = wrap_phase(nu * x * y + 2.0 * math.pi * ma * x)
-    return LogComplex(logmag, phase)
+    phase = nu * x * y + 2.0 * math.pi * ma * x
+    if not (math.isfinite(logmag) and math.isfinite(phase)):
+        raise OverflowNotRepresentable(f"theta basis function {m} at {z} is beyond float range")
+    return LogComplex(logmag, wrap_phase(phase))
 
 
 class BargmannBasis:

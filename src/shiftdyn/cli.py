@@ -133,9 +133,24 @@ def _flat(items, depth: int) -> str | None:
     return None
 
 
+class _Reprs(tuple):
+    """A float column as its reprs, for a JSON list and the CSV cells alike: each distinct value
+    formatted once (block-pattern partials repeat), each zero by itself (0.0 == -0.0)."""
+
+    def __new__(cls, values: list[float]):
+        table = {v: repr(v) for v in set(values)}
+        return super().__new__(cls, [table[v] if v else repr(v) for v in values])
+
+
 def _json_pieces(obj, depth: int, out: list) -> None:
     """Append the pieces of obj as `json.dumps(indent=2, sort_keys=True)` writes it at depth."""
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, _Reprs) and obj:
+        text = (",\n" + _IND * (depth + 1)).join(obj)
+        if "n" in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
+            _json_pieces(list(map(float, obj)), depth, out)
+        else:
+            out.append(f"[\n{_IND * (depth + 1)}{text}\n{_IND * depth}]")
+    elif isinstance(obj, dict) and obj:
         ind = "\n" + _IND * (depth + 1)
         sep = "{" + ind
         for key, value in sorted(obj.items()):
@@ -188,8 +203,8 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _manifest(args) -> dict:
-    config = {
-        k: (str(v) if isinstance(v, Path) else v)
+    config = {  # an option the command does not read may be NaN, which JSON cannot hold: "nan"
+        k: (str(v) if isinstance(v, Path) or (isinstance(v, float) and math.isnan(v)) else v)
         for k, v in sorted(vars(args).items())
         if k != "command" and not k.startswith("_") and not callable(v)
     }
@@ -214,6 +229,7 @@ def _emit(args, result: dict | str, series: tuple[list[str], Iterable] | None) -
         return
     out = Path(args.out)
     _write_text(out, text)
+    del text  # not held while the series CSV is formed, which lowers the peak memory
     if series is not None:
         header, rows = series
         _write_text(out.with_suffix(out.suffix + ".series.csv"), _csv_text(header, rows))
@@ -368,17 +384,18 @@ def _cmd_hypercyclic(args):
 def _cmd_counterexample(args):
     omega = BlockPatternWeights(role="omega")
     varpi = BlockPatternWeights(role="varpi")
-    r_omega = salas_scan(omega, args.n, args.threshold)
-    r_varpi = salas_scan(varpi, args.n, args.threshold)
-    r_prod = tensor_salas_scan(omega, varpi, args.n, args.threshold)
-    include = args.n <= 100_000  # keep huge-horizon artifacts bounded
-    result = {
-        "omega": r_omega.to_json_dict(include_series=include),
-        "varpi": r_varpi.to_json_dict(include_series=include),
-        "product": r_prod.to_json_dict(include_series=include),
+    reports = {
+        "omega": salas_scan(omega, args.n, args.threshold),
+        "varpi": salas_scan(varpi, args.n, args.threshold),
+        "product": tensor_salas_scan(omega, varpi, args.n, args.threshold),
     }
-    m = min(args.n, 100_000)
-    rows = zip(range(1, m + 1), *(r.partial_log_products[:m].tolist() for r in (r_omega, r_varpi, r_prod)))
+    m = min(args.n, 100_000)  # keep huge-horizon artifacts bounded
+    columns = {k: _Reprs(r.partial_log_products[:m].tolist()) for k, r in reports.items()}
+    result = {k: r.to_json_dict(include_series=False) for k, r in reports.items()}
+    if args.n <= m:
+        for k, column in columns.items():
+            result[k]["partial_log_products"] = column
+    rows = zip(range(1, m + 1), *columns.values())
     return result, (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
 
 

@@ -5,8 +5,8 @@ test: the supremum of the running weight products must be infinite.  Scans
 over a finite horizon cannot prove divergence, so verdicts are explicitly
 labelled evidence with the horizon and threshold recorded.  The tensor scan
 applies the same test to the pointwise product of two weight sequences.
-Each factor's weights are one bulk read over an index range
-(`WeightSequence.log_weights`), and the partial sums one `np.cumsum`.
+Each factor's weights are one bulk read (`WeightSequence.log_weights`), and
+the partial sums one `np.cumsum`, numpy being imported in the scan alone.
 
 `bcs_premise_check` verifies, on basis-vector probes, the computable
 premises of the hypercyclicity criterion for unbounded operators: exact
@@ -20,8 +20,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .basis import CoeffVector, coeff_norm_log
 from .errors import ValidationError
@@ -89,6 +87,7 @@ def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionRep
     check_index_count(n_horizon, "horizon")
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
+    import numpy as np
     logs = [w.log_weights(range(w.scan_start, w.scan_start + n_horizon)) for w in ws]
     partials = np.cumsum(functools.reduce(np.add, logs))
     sup = float(partials.max())

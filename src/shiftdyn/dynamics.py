@@ -187,7 +187,7 @@ class _AxisSeries:
             ratio_log = 2.0 * (self.log_scale - self.op.weights.log_weight(cut + 2))
         except TableRangeError:
             return math.inf
-        if not ratio_log < 0.0:
+        if not (ratio_log < 0.0 and math.exp(ratio_log) < 1.0):  # a ratio rounding to 1 bounds no tail
             return math.inf
         first_omitted_sq = 2.0 * first_omitted
         if ratio_log > -700.0:

@@ -21,9 +21,9 @@ Families, each with its domain of indices:
 Each family writes its formula once (`_log`); `WeightSequence` holds the
 domain rule (`_check`) and both entry points, `log_weight(i)` and
 `log_weights(indices)`, a range in and a float64 array out, with the same
-bits.  In bulk, the theta formulas run once on an int64 array (the only numpy
-arithmetic here), the block pattern fills one run at a time, the Bargmann and
-table ones run per index (numpy has no lgamma, and `np.log` differs from
+bits.  In bulk, the only place numpy is imported, the theta formulas run once
+on an int64 array, the block pattern fills one run at a time, the Bargmann
+and table ones run per index (numpy has no lgamma, and `np.log` differs from
 `math.log` in the last bit).  An index outside the domain raises
 `IndexBelowOffset` (`TableRangeError` for a table), naming the first one.
 
@@ -47,8 +47,6 @@ import numbers
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import IndexBelowOffset, TableRangeError, ValidationError
 from .numerics import int_parse
@@ -99,6 +97,7 @@ def _theta_log(params: ThetaParams, p: int, m):
 
 def _theta_logs(self, indices: range) -> np.ndarray:
     """A theta family's `_log` once, on the range as an int64 array."""
+    import numpy as np
     return self._log(np.arange(indices.start, indices.stop, dtype=np.int64))
 
 
@@ -178,6 +177,7 @@ class WeightSequence:
 
     def _logs(self, indices: range) -> np.ndarray:
         """The bulk formula; by default the scalar one on each index."""
+        import numpy as np
         return np.fromiter(map(self._log, indices), np.float64, len(indices))
 
     @property
@@ -292,6 +292,7 @@ class BlockPatternWeights(WeightSequence):
 
     def _logs(self, indices: range) -> np.ndarray:
         # one run at a time: every index of run k has the weight of its first one
+        import numpy as np
         lo = i = indices.start
         out = np.empty(len(indices))
         while i < indices.stop:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftdyn import default_tensor_shift, eigenvector_build, periodic_point_from_eigen, tensor_of
-from shiftdyn.cli import _csv_text, _dump_json, main
+from shiftdyn import (
+    BlockPatternWeights,
+    default_tensor_shift,
+    eigenvector_build,
+    periodic_point_from_eigen,
+    salas_scan,
+    tensor_of,
+    tensor_salas_scan,
+)
+from shiftdyn.cli import _csv_text, _dump_json, _Reprs, main
 
 
 def write_json(path, obj):
@@ -732,3 +741,152 @@ def test_bulk_command_argv_exits_0_or_2(bulk_files, capsys, case):
         text = Path(f"{out}{suffix}").read_text(encoding="utf-8")
         rows = json.loads(text)[key] if key else text.splitlines()[1:]
         assert len(rows) == expected, argv
+
+
+def _counterexample_as_first_written(n: int, threshold: float = 30.0):
+    """The result dict and series rows of `counterexample`, from the reports' arrays, each float
+    formatted where it is written: the reference for the columns formatted once."""
+    omega, varpi = BlockPatternWeights(role="omega"), BlockPatternWeights(role="varpi")
+    reports = {"omega": salas_scan(omega, n, threshold), "varpi": salas_scan(varpi, n, threshold),
+               "product": tensor_salas_scan(omega, varpi, n, threshold)}
+    result = {k: r.to_json_dict(include_series=n <= 100_000) for k, r in reports.items()}
+    m = min(n, 100_000)
+    return result, zip(range(1, m + 1), *(r.partial_log_products[:m].tolist() for r in reports.values()))
+
+
+def test_counterexample_artifacts_keep_their_bytes(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["counterexample", "-N", "2000", "--out", str(out)]) == 0
+    result, rows = _counterexample_as_first_written(2000)
+    assert out.read_text(encoding="utf-8") == json.dumps(result, indent=2, sort_keys=True) + "\n"
+    header = ["i", "omega_partial", "varpi_partial", "product_partial"]
+    assert (tmp_path / "c.json.series.csv").read_text(encoding="utf-8") == _csv_text(header, rows)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(obj=_ARTIFACT, xs=st.lists(_FLOAT, max_size=8))
+def test_formatted_columns_match_their_floats(obj, xs):
+    # a column of reprs is written as the list of its floats, infinities included, at any depth
+    for wrap in (lambda c: {"a": obj, "col": c}, lambda c: [obj, [c]]):
+        assert _dump_json(wrap(_Reprs(xs))) == _reference_json(wrap(xs))
+    assert _csv_text(["c"], zip(_Reprs(xs))) == _reference_csv(["c"], zip(xs))
+
+
+def test_formatted_columns_keep_the_non_finite_rule():
+    col = _Reprs([1.5, math.inf, -0.0, 0.0, 1.5, -math.inf])
+    assert json.loads(_dump_json({"col": col})) == {"col": [1.5, "inf", -0.0, 0.0, 1.5, "-inf"]}
+    assert _csv_text(["c"], zip(col)) == "c\n1.5\ninf\n-0.0\n0.0\n1.5\n-inf\n"
+    with pytest.raises(ValueError):
+        _dump_json({"col": _Reprs([1.0, math.nan])})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "eval", "--basis", "theta", "-m", "3", "-z", "1e300,1e300"],
+        ["basis", "eval", "--basis", "theta", "-m", "3", "-z", "1,1", "--alpha", "1e300"],
+        ["eigen", "--lambda=1,0", "--mu=1,0", "--nu=1e300"],
+        ["periodic", "--q", "4", "--nu=1e300"],
+        ["eigen", "--lambda=1,0", "--mu=1,0", "--nu=1e300", "--alpha=-1e300"],
+    ],
+)
+def test_values_beyond_float_range_are_numeric_failures(tmp_path, capsys, argv):
+    # a theta value whose log or phase overflows, and weights whose ratio to |lambda| rounds to 1
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# argv of the leaf commands that build no array.  Every option takes a value inside a bound that
+# keeps the case cheap, a non-finite or malformed token, or a bad integer within that bound.
+def _int_token(hi: int):
+    bad = [str(b) for b in _BAD_INTS if b <= hi]
+    return st.integers(0, hi).map(str) | st.sampled_from([*bad, *_NON_NUMBERS])
+
+
+def _real_token(lo: float | None = None, hi: float | None = None):
+    values = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return values.map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e400", *_NON_NUMBERS])
+
+
+def _complex_token(real):
+    return st.builds("{},{}".format, real, real) | st.sampled_from(["1", "1,2,3", ",", "1;2"])
+
+
+_LEAF_OPS = [
+    {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 1}},
+    {"direction": "adjoint_forward", "weights": {"family": "theta_composite", "nu": 3.0, "p": 1}},
+    {"direction": "right_inverse", "weights": {"family": "bargmann_composite", "p": 1}},
+    {"direction": "backward", "weights": {"family": "table", "table": [0.5, 2.0, 3.0] * 5, "start": 2}},
+]
+_LEAF_VECTORS = [
+    {"p": 1, "entries": [[3, 0.0, 0.0], [9, -2.0, 1.5]]},
+    {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 1, 1.0, -0.5]]},
+]
+_INDEX = _int_token(10_000)  # -k and -m
+_EIGEN_PART = _real_token(-7.0, 7.0)  # |lambda|, |mu| <= 10
+_LEAF_COMMANDS = ["basis eval", "op apply", "op power", "tensor apply", "tensor power", "tensor inner",
+                  "eigen", "periodic"]
+
+
+@st.composite
+def _leaf_argv(draw):
+    command = draw(st.sampled_from(_LEAF_COMMANDS))
+    op, op2 = (f"op{draw(st.integers(0, len(_LEAF_OPS) - 1))}.json" for _ in range(2))
+    vec, vec2 = (f"vec{draw(st.integers(0, len(_LEAF_VECTORS) - 1))}.json" for _ in range(2))
+    argv = command.split()
+    if command == "basis eval":
+        argv += ["--basis", draw(st.sampled_from(["theta", "bargmann"])), f"-m={draw(_INDEX)}",
+                 f"-z={draw(_complex_token(_real_token()))}"]
+    elif command.startswith("op"):
+        argv += ["--op", op, "--vec", vec]
+    elif command.startswith("tensor"):
+        argv += ["--left", op, "--right", op2, "--vec", vec]
+        if command == "tensor inner":
+            argv += ["--vec2", vec2]
+    elif command == "eigen":
+        argv += [f"--lambda={draw(_complex_token(_EIGEN_PART))}", f"--mu={draw(_complex_token(_EIGEN_PART))}"]
+    else:
+        argv += [f"--q={draw(_int_token(16))}"]
+    if command.endswith("power"):
+        argv += [f"-k={draw(_INDEX)}"]
+    if command in ("eigen", "periodic"):
+        argv += [f"--tail={draw(_real_token(-200.0, 10.0))}", f"--p={draw(_int_token(3))}"]
+    if command in ("basis eval", "eigen", "periodic"):
+        argv += [f"--nu={draw(_real_token(-1.0, 10.0))}", f"--alpha={draw(_real_token(-2.0, 2.0))}"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def leaf_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("leaf")
+    for i, op in enumerate(_LEAF_OPS):
+        write_json(files / f"op{i}.json", op)
+    for i, vec in enumerate(_LEAF_VECTORS):
+        write_json(files / f"vec{i}.json", vec)
+    return files
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_leaf_argv())
+def test_leaf_command_argv_exits_0_2_or_3(leaf_files, capsys, argv):
+    argv = [str(leaf_files / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    code = main([*argv, "--out", str(leaf_files / "out.json")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 10.0, argv
+
+
+def test_an_unread_nan_option_is_echoed_in_the_manifest(tmp_path):
+    # the Bargmann basis reads neither --nu nor --alpha; the manifest still records what was given
+    out = tmp_path / "b.json"
+    assert main(["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "1,0", "--alpha", "nan",
+                 "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "b.json.manifest.json").read_text())["config"]["alpha"] == "nan"
