@@ -29,9 +29,7 @@ from .weights import (
     weight_sequence_from_json,
 )
 from .basis import (
-    BargmannBasis,
     CoeffVector,
-    ThetaBasis,
     bargmann_basis_eval,
     coeff_add,
     coeff_inner,
@@ -52,8 +50,9 @@ from .shift_ops import (
     matrix_triplets,
     right_inverse,
     shift_operator_from_json,
+    tensor_operator,
 )
-from .tensor_ops import TensorOperator, TensorVector, tensor_of, tensor_operator_from_json
+from .tensor_ops import TensorVector, tensor_of
 from .criteria import (
     BcsReport,
     CriterionReport,
@@ -93,14 +92,14 @@ __version__ = "0.1.0"
 
 def theta_backward_shift(nu: float, alpha: float = 0.0, p: int = 0) -> ShiftOperator:
     """The order-p theta-family backward shift."""
-    return ShiftOperator(ThetaActionWeights(ThetaParams(nu=nu, alpha=alpha, p=p)))
+    return ShiftOperator((ThetaActionWeights(ThetaParams(nu=nu, alpha=alpha, p=p)),))
 
 
 def bargmann_backward_shift(p: int = 0) -> ShiftOperator:
     """The order-p shift z^p d^{p+1}/dz^{p+1} on the monomial basis."""
-    return ShiftOperator(BargmannActionWeights(p=p))
+    return ShiftOperator((BargmannActionWeights(p=p),))
 
 
-def default_tensor_shift(p: int = 0, nu: float = 3.141592653589793, alpha: float = 0.0) -> TensorOperator:
+def default_tensor_shift(p: int = 0, nu: float = 3.141592653589793, alpha: float = 0.0) -> ShiftOperator:
     """theta(nu, alpha, p) (x) bargmann(p), the reference chaotic pair."""
-    return TensorOperator(theta_backward_shift(nu, alpha, p), bargmann_backward_shift(p))
+    return tensor_operator(theta_backward_shift(nu, alpha, p), bargmann_backward_shift(p))

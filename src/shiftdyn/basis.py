@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from operator import lt
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import (
@@ -158,7 +158,7 @@ def _check_point(z: complex) -> None:
 
 def bargmann_basis_eval(n: int, z: complex) -> LogComplex:
     """z^n / sqrt(n!) in log form; z = 0 follows the empty-product rule."""
-    if n < 0:
+    if int_parse(n, "basis index") < 0:  # below 2**53, so n converts to a float exactly
         raise ValidationError(f"basis index must be >= 0, got {n}")
     _check_point(z)
     if n == 0:
@@ -177,7 +177,7 @@ def theta_basis_eval(m: int, z: complex, params: ThetaParams) -> LogComplex:
     prefactor, Gaussian-in-z, lattice exponential) without ever forming
     exp() of the large real exponents.
     """
-    if m < 0:
+    if int_parse(m, "basis index") < 0:  # below 2**53, so m converts to a float exactly
         raise ValidationError(f"basis index must be >= 0, got {m}")
     _check_point(z)
     nu = params.nu
@@ -195,27 +195,13 @@ def theta_basis_eval(m: int, z: complex, params: ThetaParams) -> LogComplex:
     return LogComplex(logmag, wrap_phase(phase))
 
 
-class BargmannBasis:
-    """Monomial basis z^n/sqrt(n!); evaluation is index-only."""
+def synth(v: CoeffVector, z: complex, basis: Callable[[int, complex], LogComplex]) -> LogComplex:
+    """Pointwise synthesis sum_m c_m * basis(m, z) over the finite support of a one-axis v.
 
-    name = "bargmann"
-
-    def eval(self, n: int, z: complex) -> LogComplex:
-        return bargmann_basis_eval(n, z)
-
-
-@dataclass(frozen=True, slots=True)
-class ThetaBasis:
-    params: ThetaParams
-    name: str = field(default="theta", init=False)
-
-    def eval(self, m: int, z: complex) -> LogComplex:
-        return theta_basis_eval(m, z, self.params)
-
-
-def synth(v: CoeffVector, z: complex, basis) -> LogComplex:
-    """Pointwise synthesis sum_m c_m * basis(m, z) over the finite support of a one-axis v."""
+    basis evaluates one basis function: `bargmann_basis_eval`, or
+    `lambda m, z: theta_basis_eval(m, z, params)`.
+    """
     acc = LC_ZERO
     for (m,) in v.support():
-        acc = lc_add(acc, lc_mul(v.entries[(m,)], basis.eval(m, z)))
+        acc = lc_add(acc, lc_mul(v.entries[(m,)], basis(m, z)))
     return acc

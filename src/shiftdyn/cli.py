@@ -59,8 +59,9 @@ from .shift_ops import (
     matrix_triplets,
     nilpotence_index,
     shift_operator_from_json,
+    tensor_operator,
 )
-from .tensor_ops import TensorOperator, tensor_of
+from .tensor_ops import tensor_of
 from .weights import (
     BargmannActionWeights,
     BlockPatternWeights,
@@ -259,16 +260,16 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _operator(path: str | None, default_weights=None) -> ShiftOperator:
-    """The operator JSON at path, or the backward shift of default_weights()."""
+    """The operator JSON at path, of one axis or two, or the backward shift of default_weights()."""
     if path:
         return _read(path, shift_operator_from_json)
-    return ShiftOperator(default_weights())
+    return ShiftOperator((default_weights(),))
 
 
-def _pair(args) -> TensorOperator:
+def _pair(args) -> ShiftOperator:
     """--left (x) --right; a side not given is the theta or Bargmann shift of order --p."""
     left = _operator(args.left, lambda: ThetaActionWeights(ThetaParams(args.nu, args.alpha, args.p)))
-    return TensorOperator(left, _operator(args.right, lambda: BargmannActionWeights(p=args.p)))
+    return tensor_operator(left, _operator(args.right, lambda: BargmannActionWeights(p=args.p)))
 
 
 def _targets(payload) -> list[CoeffVector]:
@@ -404,14 +405,13 @@ def _cmd_density_probe(args):
         raise ValidationError(f"--count must be >= 1 and at most 10000, got {args.count}")
     op = _operator(args.op, lambda: BargmannActionWeights(p=0))
     rng = random.Random(args.seed)
-    p = op.offset_p
     samples = []
     rows = []
     for s in range(args.count):
-        support = sorted(rng.sample(range(p, p + 8), rng.randint(1, 4)))
+        supports = [sorted(rng.sample(range(p, p + 8), rng.randint(1, 4))) for p in op.offsets]
         entries = {
-            (m,): LogComplex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
-            for m in support
+            key: LogComplex(rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi))
+            for key in itertools.product(*supports)
         }
         y = CoeffVector(op.offsets, entries)
         q0 = nilpotence_index(op, y)
@@ -448,6 +448,7 @@ def _join_dash_values(argv) -> list[str]:
 # options of the leaf commands, as (flags..., add_argument keywords)
 _REQUIRED = {"required": True}
 _OP = ("--op", _REQUIRED)
+_ANY_OP = ("--op", {"default": None, "help": "operator JSON, one axis or two (default: bargmann p=0)"})
 _VEC = ("--vec", _REQUIRED)
 _K = ("-k", {"type": int, "required": True})
 _N = ("-N", {"dest": "n", "type": int, "default": 10_000})
@@ -493,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
          _NU, _ALPHA,
          ("-m", {"type": int, "required": True}),
          ("-z", {"required": True, "help": "re,im"}))
-    ops = group("op", "action", "single-space operator actions")
+    ops = group("op", "action", "operator actions, one axis or two")
     leaf(ops, "apply", _cmd_power, "apply the operator once", _OP, _VEC)
     leaf(ops, "power", _cmd_power, "apply the operator k times", _OP, _VEC, _K)
     leaf(ops, "matrix", _cmd_op_matrix, "the truncated matrix as (row, col, logmag) triplets",
@@ -520,13 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(sub, "hypercyclic", _cmd_hypercyclic, "build a vector whose orbit visits targets",
          ("--targets", _REQUIRED),
          ("--eps", {"type": float, "default": 1e-6}),
-         ("--op", {"default": None, "help": "operator JSON (default: bargmann p=0)"}))
+         _ANY_OP)
     leaf(sub, "counterexample", _cmd_counterexample, "block-pattern tensor counterexample scans",
          _N,
          # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
          ("--threshold", {"type": float, "default": 30.0}))
     leaf(sub, "density-probe", _cmd_density_probe, "periodic approximation of random targets",
-         ("--op", {"default": None}),
+         _ANY_OP,
          ("--count", {"type": int, "default": 5}),
          ("--seed", {"type": int, "default": 0}),
          ("--tail", {"type": float, "default": -40.0}))

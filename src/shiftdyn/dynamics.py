@@ -42,6 +42,7 @@ from .errors import (
 from .numerics import (
     NEG_INF,
     LogComplex,
+    int_parse,
     lc_from_complex,
     lc_pow_int,
     log_add_exp,
@@ -49,7 +50,7 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply, apply_power, nilpotence_index, right_inverse
-from .tensor_ops import TensorOperator
+from .weights import WeightSequence
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
 _EIGEN_BAND_MARGIN = 1  # an eigenvector certifies the residual band of T^1
@@ -118,11 +119,11 @@ class EigenSpec:
 
 
 class _AxisSeries:
-    """One axis of the rank-one eigenvector: term logs and tail bounds."""
+    """One axis of the rank-one eigenvector, over that axis's weights: term logs and tail bounds."""
 
-    def __init__(self, op: ShiftOperator, scale: LogComplex):
-        self.op = op
-        self.p = op.offset_p
+    def __init__(self, weights: WeightSequence, scale: LogComplex):
+        self.weights = weights
+        self.p = weights.offset_p
         self.log_scale = scale.logmag
         self.phase_step = scale.phase if not scale.is_zero else 0.0
         self.term_logs = [0.0]
@@ -143,7 +144,7 @@ class _AxisSeries:
             return
         m_next = self.top_index() + 1
         try:
-            lw = self.op.weights.log_weight(m_next)
+            lw = self.weights.log_weight(m_next)
         except TableRangeError as exc:
             raise TailNotCertifiable(
                 f"weight table exhausted at index {m_next} before the tail could be certified"
@@ -181,10 +182,10 @@ class _AxisSeries:
             first_omitted = self.term_logs[i]
         else:  # cut is the top index: cuts sit at most band_margin below it
             first_omitted = (
-                self.term_logs[-1] + self.log_scale - self.op.weights.log_weight(cut + 1)
+                self.term_logs[-1] + self.log_scale - self.weights.log_weight(cut + 1)
             )
         try:
-            ratio_log = 2.0 * (self.log_scale - self.op.weights.log_weight(cut + 2))
+            ratio_log = 2.0 * (self.log_scale - self.weights.log_weight(cut + 2))
         except TableRangeError:
             return math.inf
         if not (ratio_log < 0.0 and math.exp(ratio_log) < 1.0):  # a ratio rounding to 1 bounds no tail
@@ -215,7 +216,7 @@ def _rect_tail(ax1: _AxisSeries, ax2: _AxisSeries, cut1: int, cut2: int) -> tupl
 
 
 def _build_eigenvector(
-    op: TensorOperator,
+    op: ShiftOperator,
     lam_lc: LogComplex,
     mu_lc: LogComplex,
     lam: complex,
@@ -228,15 +229,16 @@ def _build_eigenvector(
 
     Growing axes keep min_terms terms, so T^k g != 0 below min_terms.
     """
-    if op.direction is not Direction.BACKWARD:
+    if len(op.weights) != 2 or op.direction is not Direction.BACKWARD:
         raise ValidationError("eigenvectors are built for the backward tensor operator")
     _check_tail_tol(tail_tol_log)
-    ax1 = _AxisSeries(op.left, lam_lc)
-    ax2 = _AxisSeries(op.right, mu_lc)
+    ax1, ax2 = (_AxisSeries(w, scale) for w, scale in zip(op.weights, (lam_lc, mu_lc)))
 
     lm_abs = lam_lc.logmag + mu_lc.logmag  # -inf when either eigenvalue is 0
     target = tail_tol_log - max(0.0, lm_abs) if lm_abs != NEG_INF else tail_tol_log
     floor = max(band_margin + 3, min_terms)
+    # growing axes of floor terms each, past the budget already: fail before any weight is read
+    hopeless = math.prod(floor for ax in (ax1, ax2) if not ax.frozen) > _ENTRY_BUDGET
 
     def certified(margin: int) -> tuple[float, _AxisSeries]:
         cut1 = ax1.top_index() - (0 if ax1.frozen else margin)
@@ -249,7 +251,7 @@ def _build_eigenvector(
             bound, grow = certified(band_margin)
             if bound <= target:
                 break
-        if len(ax1) * len(ax2) >= _ENTRY_BUDGET:
+        if hopeless or len(ax1) * len(ax2) >= _ENTRY_BUDGET:
             raise TailNotCertifiable(f"tail not below {target:.3g} within {_ENTRY_BUDGET} entries")
         grow.extend()
 
@@ -258,7 +260,7 @@ def _build_eigenvector(
 
 
 def eigenvector_build(
-    op: TensorOperator,
+    op: ShiftOperator,
     lam: complex,
     mu: complex,
     tail_tol_log: float,
@@ -322,17 +324,18 @@ def rank_one_residual_log(
 
 
 def rank_one_log_norms(
-    op: TensorOperator, a: CoeffVector, b: CoeffVector, k_max: int
+    op: ShiftOperator, a: CoeffVector, b: CoeffVector, k_max: int
 ) -> list[float]:
     """log ||T^k g||, k = 0..k_max, as log ||T1^k a|| + log ||T2^k b|| for g = tensor_of(a, b)."""
+    t1, t2 = op.factors
     return [
-        coeff_norm_log(apply_power(op.left, a, k)) + coeff_norm_log(apply_power(op.right, b, k))
+        coeff_norm_log(apply_power(t1, a, k)) + coeff_norm_log(apply_power(t2, b, k))
         for k in range(k_max + 1)
     ]
 
 
 def eigen_residual_numeric_log(
-    op: TensorOperator, g: CoeffVector, lam: complex, mu: complex, q: int = 1
+    op: ShiftOperator, g: CoeffVector, lam: complex, mu: complex, q: int = 1
 ) -> float:
     """log ||T^q g - (lambda*mu)^q g|| by generic entrywise subtraction.
 
@@ -346,7 +349,7 @@ def eigen_residual_numeric_log(
 
 
 def periodic_residual_numeric_log(
-    op: TensorOperator, a: CoeffVector, b: CoeffVector, q: int
+    op: ShiftOperator, a: CoeffVector, b: CoeffVector, q: int
 ) -> float:
     """log ||T^q g - g||, the direct periodicity defect, per axis for g = tensor_of(a, b).
 
@@ -375,7 +378,7 @@ def periodic_residual_numeric_log(
 
 
 def periodic_point_from_eigen(
-    op: TensorOperator, q_order: int, tail_tol_log: float
+    op: ShiftOperator, q_order: int, tail_tol_log: float
 ) -> tuple[CoeffVector, CoeffVector, EigenSpec]:
     """(a, b, spec) for a truncated q-periodic point g = a (x) b.
 
@@ -384,6 +387,7 @@ def periodic_point_from_eigen(
     polar representation, and the truncation is certified with a width-q
     residual band.
     """
+    q_order = int_parse(q_order, "q_order")  # below 2**53, where pi / q_order divides by an exact float
     if q_order < 1:
         raise ValidationError(f"q_order must be >= 1, got {q_order}")
     phase = math.pi / q_order
@@ -397,9 +401,9 @@ def periodic_point_from_eigen(
 def periodic_from_target(
     op: ShiftOperator, y: CoeffVector, q: int, tail_tol_log: float
 ) -> CoeffVector:
-    """Periodic approximant x = sum_r S^{q r} y with T^q x = x up to the tail.
+    """Periodic approximant x = sum_r S^{q r} y with T^q x = x up to the tail, over one axis or two.
 
-    Requires T^q y = 0 exactly, i.e. q > max(support(y)) - p.  Terms are
+    Requires T^q y = 0 exactly, i.e. q >= nilpotence_index(op, y).  Terms are
     added (always at least the r = 1 correction) until the last retained
     term's norm is at or below tail_tol_log; by telescoping, T^q x - x is
     exactly minus that last term.
@@ -428,7 +432,7 @@ def hypercyclic_vector_build(
     eps: float,
     n_cap: int = 100_000,
 ) -> tuple[CoeffVector, list[int]]:
-    """A vector whose orbit visits every target within eps, with schedule.
+    """A vector whose orbit visits every target within eps, with schedule, over one axis or two.
 
     The vector is sum_j S^{n_j} y_j.  Gaps annihilate all earlier terms
     exactly under T^{n_j} (nilpotence), and each later term is pushed far

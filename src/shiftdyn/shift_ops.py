@@ -1,7 +1,7 @@
-"""Weighted shift operators on a single coefficient space.
+"""Weighted shift operators: one weight sequence per axis, and one direction.
 
-A `ShiftOperator` couples an action-weight sequence a(m) (defined for
-m >= p+1) with a direction:
+A `ShiftOperator` couples one action-weight sequence a(m) (defined for
+m >= p+1) per axis with a direction:
 
 * backward        -- e_m -> a(m) e_{m-1} for m > p, e_p -> exact zero
 * right inverse   -- e_m -> (1/a(m+1)) e_{m+1}; the backward shift composed
@@ -10,15 +10,16 @@ m >= p+1) with a direction:
 * adjoint forward -- e_m -> a(m+1) e_{m+1}, the adjoint of the backward
                      shift (weights are real positive)
 
-All applications act entrywise on finite-support vectors; weights never
-touch phases, so phases survive every direction bit-for-bit.
+With two axes it is the tensor product T1 (x) T2 (`tensor_operator`),
+acting diagonally: the pair (m, n) moves to (m-1, n-1) carrying the product
+of the factor weights, and dies exactly when either factor sits at its
+lowest index.  Its `factors` are one-axis operators over the same weights.
 
-Every action is one k-step rule (`apply` is k = 1), and it serves the
-tensor operators of `tensor_ops` too: an operator exposes its per-axis
-`factors` and `offsets` (a `ShiftOperator` is its own single factor), and
-each axis of a vector moves by its factor's rule.  Powers take each
-weight product as one log-sum over a span of source indices, read from the
-weight sequence's own table (`WeightSequence.log_weight_span`), which every
+All applications act entrywise on finite-support vectors; weights never
+touch phases, so phases survive every direction bit-for-bit.  Every action
+is one k-step rule per axis (`apply` is k = 1).  Powers take each weight
+product as one log-sum over a span of source indices, read from the weight
+sequence's own table (`WeightSequence.log_weight_span`), which every
 operator and direction over those weights shares; a single step reads its
 one weight directly.  For the backward direction `nilpotence_index` gives
 the least power that sends a vector to exact zero.
@@ -27,7 +28,7 @@ the least power that sends a vector to exact zero.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, ge, getitem, sub
 
@@ -45,46 +46,48 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ShiftOperator:
-    weights: WeightSequence
+    weights: tuple[WeightSequence, ...]  # one per axis: one axis, or the two of a tensor product
     direction: Direction = Direction.BACKWARD
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = self.weights
+        if not (isinstance(weights, tuple) and len(weights) in (1, 2)
+                and all(isinstance(w, WeightSequence) for w in weights)):
+            raise ValidationError(f"an operator takes a tuple of one or two weight sequences: {weights!r}")
+        # derived once: every action checks the vector's offsets against these
+        object.__setattr__(self, "offsets", tuple(w.offset_p for w in weights))
 
     @property
-    def offset_p(self) -> int:
-        return self.weights.offset_p
-
-    @property
-    def offsets(self) -> tuple[int]:
-        return (self.weights.offset_p,)
-
-    @property
-    def factors(self) -> tuple["ShiftOperator"]:
-        return (self,)
-
-    def _redirect(self, direction: Direction) -> "ShiftOperator":
-        return ShiftOperator(self.weights, direction)
+    def factors(self) -> tuple["ShiftOperator", ...]:
+        """One one-axis operator per axis, over the same weight sequences (and tables)."""
+        return tuple(ShiftOperator((w,), self.direction) for w in self.weights)
 
     def to_json_dict(self) -> dict:
-        return {"direction": self.direction.value, "weights": self.weights.to_json_dict()}
+        if len(self.weights) == 2:
+            left, right = self.factors
+            return {"left": left.to_json_dict(), "right": right.to_json_dict()}
+        return {"direction": self.direction.value, "weights": self.weights[0].to_json_dict()}
 
 
-def right_inverse(op):
-    """The right inverse of a backward operator; a tensor operator's, factor by factor."""
+def right_inverse(op: ShiftOperator) -> ShiftOperator:
+    """The right inverse of a backward operator, axis by axis."""
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("right inverse is defined for the backward direction")
-    return op._redirect(Direction.RIGHT_INVERSE)
+    return replace(op, direction=Direction.RIGHT_INVERSE)
 
 
-def adjoint(op):
-    """The adjoint (weights are real positive); a tensor operator's, factor by factor."""
+def adjoint(op: ShiftOperator) -> ShiftOperator:
+    """The adjoint (weights are real positive), axis by axis."""
     if op.direction is Direction.BACKWARD:
-        return op._redirect(Direction.ADJOINT_FORWARD)
+        return replace(op, direction=Direction.ADJOINT_FORWARD)
     if op.direction is Direction.ADJOINT_FORWARD:
-        return op._redirect(Direction.BACKWARD)
+        return replace(op, direction=Direction.BACKWARD)
     raise ValidationError("adjoint of the right inverse is not represented")
 
 
-def _action_rule(op: ShiftOperator, k: int):
-    """The k-step action of op, k >= 1, as (shift, lo, hi, sign, floor, span).
+def _action_rule(weights: WeightSequence, direction: Direction, k: int):
+    """The k-step action along an axis with these weights, k >= 1, as (shift, lo, hi, sign, floor, span).
 
     The entry at source index m survives when m >= floor, moves to m + shift
     and adds sign * span(m + lo, m + hi) to its log-magnitude.  `span` is
@@ -94,12 +97,11 @@ def _action_rule(op: ShiftOperator, k: int):
     and c + (-w) == c - w, so a step adds or subtracts the very float
     `log_weight` returns.
     """
-    weights = op.weights
     span = weights.log_weight_span if k > 1 else lambda lo, hi: weights.log_weight(lo)
-    if op.direction is Direction.BACKWARD:
-        return -k, 1 - k, 0, 1.0, op.offset_p + k, span
-    sign = -1.0 if op.direction is Direction.RIGHT_INVERSE else 1.0
-    return k, 1, k, sign, op.offset_p, span
+    if direction is Direction.BACKWARD:
+        return -k, 1 - k, 0, 1.0, weights.offset_p + k, span
+    sign = -1.0 if direction is Direction.RIGHT_INVERSE else 1.0
+    return k, 1, k, sign, weights.offset_p, span
 
 
 def nilpotence_index(op, v: CoeffVector) -> int:
@@ -118,7 +120,7 @@ def apply(op, v: CoeffVector) -> CoeffVector:
 def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
     """k-fold application, with each axis's weight product taken as one log-sum.
 
-    Each axis moves by its factor's k-step rule.  An entry is dropped on its
+    Each axis moves by its own k-step rule.  An entry is dropped on its
     indices alone, before any weight is read: for the backward direction the
     entry at key is exactly zero once k > min(key[i] - offsets[i]), and past
     the whole support the result is the exact zero vector.  Each axis reads
@@ -133,20 +135,19 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         raise OffsetMismatch(f"vector offsets {v.offsets} do not match operator offsets {op.offsets}")
     if k == 0:
         return CoeffVector(v.offsets, dict(v.entries))
-    factors = op.factors
-    if len(factors) == 1:
-        # one axis, the operator its own factor: every index is its own key, so a span needs
-        # no cache.  This is the hot path (a single_orbit benchmark pass at seed 1 makes 2,159
-        # small calls); through the general path below, that pass ran 1-18% slower.
-        shift, lo, hi, sign, floor, span = _action_rule(op, k)
+    if len(op.weights) == 1:
+        # one axis: every index is its own key, so a span needs no cache.  This is the hot path
+        # (a single_orbit benchmark pass at seed 1 makes 2,159 small calls); through the
+        # general path below, that pass ran 1-18% slower.
+        shift, lo, hi, sign, floor, span = _action_rule(op.weights[0], op.direction, k)
         out = {
             (m + shift,): LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)
             for (m,), c in v.entries.items()
             if m >= floor
         }
         return CoeffVector(v.offsets, out)
-    rules = [_action_rule(f, k) for f in factors]
-    shift, lo, hi, sign = rules[0][:4]  # the factors share a direction
+    rules = [_action_rule(w, op.direction, k) for w in op.weights]
+    shift, lo, hi, sign = rules[0][:4]  # one direction for every axis
     floors = [rule[4] for rule in rules]
     live = [(key, c) for key, c in v.entries.items() if all(map(ge, key, floors))]
     spans = [
@@ -174,21 +175,38 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
     Covers basis columns up to n_max; all row/col indices stay in
     [offset_p, n_max].
     """
-    if n_max <= op.offset_p:
-        raise ValidationError(f"truncation must exceed the offset {op.offset_p}, got {n_max}")
+    if len(op.weights) != 1:
+        raise ValidationError("the truncated matrix is defined for a one-axis operator")
+    (weights,) = op.weights
+    if n_max <= weights.offset_p:
+        raise ValidationError(f"truncation must exceed the offset {weights.offset_p}, got {n_max}")
     # column m is e_m under one step, reading the weight at m + lo; sign = +-1, so sign * w is exact
-    shift, lo, _, sign, floor, _ = _action_rule(op, 1)
+    shift, lo, _, sign, floor, _ = _action_rule(weights, op.direction, 1)
     cols = range(floor, n_max + 1 - max(shift, 0))
     check_index_count(cols.stop - cols.start, "matrix size")
-    weights = op.weights.log_weights(range(cols.start + lo, cols.stop + lo))
-    return [(m + shift, m, sign * w) for m, w in zip(cols, weights.tolist())]
+    logs = weights.log_weights(range(cols.start + lo, cols.stop + lo))
+    return [(m + shift, m, sign * w) for m, w in zip(cols, logs.tolist())]
+
+
+def tensor_operator(left: ShiftOperator, right: ShiftOperator) -> ShiftOperator:
+    """left (x) right, the two-axis operator of two one-axis operators with one direction."""
+    if len(left.weights) != 1 or len(right.weights) != 1:
+        raise ValidationError("tensor factors must be one-axis operators")
+    if left.direction is not right.direction:
+        raise ValidationError(
+            f"tensor factors must share a direction ({left.direction.value} vs {right.direction.value})"
+        )
+    return ShiftOperator(left.weights + right.weights, left.direction)
 
 
 def shift_operator_from_json(obj: dict) -> ShiftOperator:
+    """{"direction", "weights"} for one axis, {"left", "right"} (two such objects) for two."""
+    if "left" in obj:
+        return tensor_operator(shift_operator_from_json(obj["left"]), shift_operator_from_json(obj["right"]))
     # read first, so that a non-object raises TypeError here rather than AttributeError
     weights = weight_sequence_from_json(obj["weights"])
     try:
         direction = Direction(obj.get("direction", "backward"))
     except ValueError:
         raise ValidationError(f"unknown direction {obj.get('direction')!r}") from None
-    return ShiftOperator(weights, direction)
+    return ShiftOperator((weights,), direction)

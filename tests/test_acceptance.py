@@ -16,7 +16,6 @@ from shiftdyn import (
     BargmannRawWeights,
     BlockPatternWeights,
     CoeffVector,
-    TensorOperator,
     TensorVector,
     ThetaParams,
     Verdict,
@@ -38,6 +37,7 @@ from shiftdyn import (
     right_inverse,
     salas_scan,
     tensor_of,
+    tensor_operator,
     tensor_salas_scan,
     theta_backward_shift,
     theta_basis_eval,
@@ -81,7 +81,7 @@ def test_criterion_01_right_inverse_identity():
         for op in single_ops():
             s = right_inverse(op)
             for _ in range(100):
-                v = rand_coeff_vector(rng, op.offset_p, 20, 200)
+                v = rand_coeff_vector(rng, op.offsets[0], 20, 200)
                 back = apply(op, apply(s, v))
                 assert back.support() == v.support()
                 for m in v.support():
@@ -89,7 +89,7 @@ def test_criterion_01_right_inverse_identity():
                     assert abs(back.entries[m].logmag - v.entries[m].logmag) <= 1e-11
         for p1 in (0, 1, 2):
             for p2 in (0, 1, 2):
-                op = TensorOperator(
+                op = tensor_operator(
                     theta_backward_shift(math.pi, 0.0, p1), bargmann_backward_shift(p2)
                 )
                 s = right_inverse(op)
@@ -106,7 +106,7 @@ def test_criterion_01_right_inverse_identity():
 def test_criterion_02_nilpotence():
     with Budget(1.0) as budget:
         for op in single_ops():
-            p = op.offset_p
+            p = op.offsets[0]
             for m in range(p, 51):
                 f = CoeffVector.unit((m,), (p,))
                 assert apply_power(op, f, m - p + 1).is_zero
@@ -138,9 +138,9 @@ def test_criterion_03_right_inverse_decay():
             prev = cur
         assert crossed is not None and crossed <= 40
         # tensor log-norms are exactly the sum of the factor log-norms
-        pair = TensorOperator(op, bargmann_backward_shift(1))
+        pair = tensor_operator(op, bargmann_backward_shift(1))
         s2 = right_inverse(pair)
-        sf1, sf2 = right_inverse(pair.left), right_inverse(pair.right)
+        sf1, sf2 = map(right_inverse, pair.factors)
         for k in range(1, 21):
             tnorm = coeff_norm_log(apply_power(s2, TensorVector.unit((1, 1), (1, 1)), k))
             n1 = coeff_norm_log(apply_power(sf1, CoeffVector.unit((1,), (1,)), k))
@@ -247,7 +247,8 @@ def test_criterion_10_adjoint_pairing():
     rng = random.Random(1010)
     with Budget(1.0) as budget:
         op = default_tensor_shift()
-        max_w = op.left.weights.log_weight(41) + op.right.weights.log_weight(41)
+        left, right = op.weights
+        max_w = left.log_weight(41) + right.log_weight(41)
         for _ in range(100):
             w1 = rand_tensor_vector(rng, (0, 0), 10, 40)
             w2 = rand_tensor_vector(rng, (0, 0), 10, 40)

@@ -1,10 +1,14 @@
 """Command-line interface: artifacts, manifests, exit codes."""
 
+import collections
+import itertools
 import json
 import math
+import random
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from shiftdyn import (
     BlockPatternWeights,
+    WeightSequence,
     default_tensor_shift,
     eigenvector_build,
     periodic_point_from_eigen,
@@ -41,6 +46,13 @@ def bargmann_op_spec(tmp_path):
         tmp_path / "barg_op.json",
         {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 1}},
     )
+
+
+# the default pair theta(pi, 0, 0) (x) bargmann(0) as a tensor operator file
+_THETA_SPEC = {"family": "theta_composite", "nu": math.pi, "alpha": 0.0, "p": 0}
+_BARGMANN_SPEC = {"family": "bargmann_composite", "p": 0}
+_PAIR_SPEC = {"left": {"direction": "backward", "weights": _THETA_SPEC},
+              "right": {"direction": "backward", "weights": _BARGMANN_SPEC}}
 
 
 def read_csv(path):
@@ -238,6 +250,91 @@ def test_hypercyclic(tmp_path):
         assert err == "-inf" or err <= math.log(1e-6)
 
 
+def _log_weights_mp(spec, top):
+    """log a(0..top) of a theta or Bargmann composite spec, from its closed form in mpmath; 0 below p+1."""
+    p = spec["p"]
+    if spec["family"] == "bargmann_composite":
+        def log_a(i):
+            return mpmath.log(i) / 2 + mpmath.loggamma(i) - mpmath.loggamma(i - p)
+    else:
+        s = mpmath.pi / spec["nu"] + 2 * mpmath.mpf(spec["alpha"])
+        r = 2 * mpmath.pi / spec["nu"]
+
+        def log_a(i):
+            return s + r * (i - 1) + 2 * sum(s + r * (i - 1 - j) for j in range(1, p + 1))
+    return [log_a(i) if i > p else mpmath.mpf(0) for i in range(top + 1)]
+
+
+def test_tensor_hypercyclic_replays_within_eps_in_mpmath(tmp_path):
+    rng = random.Random(14)
+    grid = [(m, n) for m in range(4) for n in range(4)]
+    targets = [
+        {"p1": 0, "p2": 0,
+         "entries": [[m, n, rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0)] for m, n in rng.sample(grid, 2)]}
+        for _ in range(16)
+    ]
+    eps = 1e-6
+    pair = write_json(tmp_path / "pair.json", _PAIR_SPEC)
+    out = tmp_path / "hyper.json"
+    path = write_json(tmp_path / "targets.json", {"targets": targets})
+    rc = main(["hypercyclic", "--op", pair, "--targets", path, "--eps", repr(eps), "--out", str(out)])
+    assert rc == 0
+    result = json.loads(out.read_text())
+    schedule, psi = result["schedule"], result["psi"]
+    assert len(schedule) == 16
+    assert (psi["p1"], psi["p2"]) == (0, 0)
+    assert all(e == "-inf" or e <= math.log(eps) for _, e in result["replay_error_logs"])
+    # exact replay of the written psi: T^n moves (m1, m2) to (m1 - n, m2 - n),
+    # times a1(m1-n+1..m1) a2(m2-n+1..m2)
+    top = max(max(m1, m2) for m1, m2, *_ in psi["entries"])
+    with mpmath.workdps(50):
+        cums = [list(itertools.accumulate(_log_weights_mp(spec, top))) for spec in (_THETA_SPEC, _BARGMANN_SPEC)]
+        for n, y in zip(schedule, targets):
+            vals = collections.defaultdict(mpmath.mpc)
+            for m1, m2, logmag, phase in psi["entries"]:
+                if min(m1, m2) >= n:
+                    span = sum(cum[m] - cum[m - n] for cum, m in zip(cums, (m1, m2)))
+                    vals[(m1 - n, m2 - n)] += mpmath.exp(logmag + span) * mpmath.expj(phase)
+            for m1, m2, logmag, phase in y["entries"]:
+                vals[(m1, m2)] -= mpmath.exp(logmag) * mpmath.expj(phase)
+            err = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in vals.values()))
+            assert err <= eps, (n, err)
+
+
+def test_tensor_density_probe_errors_fall_as_q_doubles(tmp_path):
+    pair = write_json(tmp_path / "pair.json", _PAIR_SPEC)
+    out = tmp_path / "probe.json"
+    assert main(["density-probe", "--op", pair, "--count", "4", "--seed", "3", "--out", str(out)]) == 0
+    samples = json.loads(out.read_text())["samples"]
+    assert len(samples) == 4
+    for sample in samples:
+        target = sample["target"]
+        assert (target["p1"], target["p2"]) == (0, 0)
+        # one support per axis, of 1 to 4 indices in p..p+7, and the target on their product
+        keys = [(m, n) for m, n, *_ in target["entries"]]
+        rows, cols = sorted({m for m, _ in keys}), sorted({n for _, n in keys})
+        assert keys == [(m, n) for m in rows for n in cols]
+        assert all(1 <= len(support) <= 4 and set(support) <= set(range(8)) for support in (rows, cols))
+        q0 = min(rows[-1], cols[-1]) + 1  # the least q with T^q y = 0
+        assert [q for q, _ in sample["q_and_error_log"]] == [q0, 2 * q0, 4 * q0]
+        errs = [e for _, e in sample["q_and_error_log"]]
+        assert errs[0] > errs[1] > errs[2]
+
+
+def test_op_commands_take_a_tensor_operator_file(tmp_path, theta_op_spec, bargmann_op_spec):
+    # one reader for every --op: the tensor file acts as --left (x) --right does
+    left, right = (json.loads(Path(path).read_text()) for path in (theta_op_spec, bargmann_op_spec))
+    pair = write_json(tmp_path / "pair.json", {"left": left, "right": right})
+    vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 4, 1.0, -0.5]]})
+    for action, *k in (["apply"], ["power", "-k", "2"]):
+        by_op, by_pair = tmp_path / f"op_{action}.json", tmp_path / f"tensor_{action}.json"
+        assert main(["op", action, "--op", pair, "--vec", vec, *k, "--out", str(by_op)]) == 0
+        assert main(["tensor", action, "--left", theta_op_spec, "--right", bargmann_op_spec, "--vec", vec, *k,
+                     "--out", str(by_pair)]) == 0
+        assert json.loads(by_op.read_text())["entries"]
+        assert by_op.read_bytes() == by_pair.read_bytes()
+
+
 def test_counterexample_defaults(tmp_path):
     # spec'd flow: defaults (N=1e4) must already show diverging factors
     out = tmp_path / "counter.json"
@@ -400,6 +497,25 @@ def test_eigen_beyond_the_entry_budget_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_hopeless_periodic_build_exits_3_before_reading_a_weight(tmp_path, capsys, monkeypatch):
+    reads = []
+    log_weight = WeightSequence.log_weight
+
+    def counting(self, i):
+        reads.append(i)
+        return log_weight(self, i)
+
+    monkeypatch.setattr(WeightSequence, "log_weight", counting)
+    out = tmp_path / "periodic.json"
+    # each axis needs 2q + 1 terms, so the least rectangle is far past the budget of 400,000 entries
+    assert main(["periodic", "--q", str(2**40), "--out", str(out)]) == 3
+    assert "within 400000 entries" in capsys.readouterr().err
+    assert reads == []
+    assert not out.exists()
+    assert main(["periodic", "--q", "2", "--out", str(out)]) == 0
+    assert reads  # the count sees the reads of a build that runs
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -463,6 +579,15 @@ def _vec(*entries, p=1):
         pytest.param(["weights", "--spec", "{v}", "--range", "18446744073709551616:18446744073709551618"],
                      {"{v}": {"family": "bargmann_composite", "p": 2}}, id="range-beyond-2**53"),
         pytest.param(["op", "matrix", "--op", "{op}", "-N", str(2**53)], {}, id="matrix-size-beyond-2**53"),
+        # integers the library would turn into floats
+        pytest.param(["basis", "eval", "--basis", "bargmann", "-m", str(10**400), "-z", "2,1"], {},
+                     id="basis-index-beyond-float"),
+        pytest.param(["periodic", "--q", str(10**400)], {}, id="periodic-q-beyond-float"),
+        # every --op reads both operator shapes; a command defined for one axis refuses two
+        pytest.param(["op", "matrix", "--op", "{v}", "-N", "5"], {"{v}": _PAIR_SPEC},
+                     id="tensor-operator-to-op-matrix"),
+        pytest.param(["eigen", "--left", "{v}", "--lambda=0.5,0", "--mu=0.3,0"], {"{v}": _PAIR_SPEC},
+                     id="tensor-operator-as-eigen-left"),
         # widths below 2**53 but above the index limit: refused before an 8 TiB array is asked for
         pytest.param(["weights", "--spec", "{v}", "--range", f"0:{2**40}"],
                      {"{v}": {"family": "bargmann_raw"}}, id="range-above-the-index-limit"),
@@ -879,6 +1004,87 @@ def test_leaf_command_argv_exits_0_2_or_3(leaf_files, capsys, argv):
     argv = [str(leaf_files / a) if a.endswith(".json") else a for a in argv]
     start = time.perf_counter()
     code = main([*argv, "--out", str(leaf_files / "out.json")])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 10.0, argv
+
+
+# argv of hypercyclic and density-probe, at a bounded cost: at most 8 targets of at most 3 entries,
+# --count at most 4 and eps in [1e-9, 1e-1], or a token that must be refused.  --op is drawn from
+# operator files of one axis and of two, of two whose factors' directions differ, and malformed
+# ones; each file is given with the offsets of its operator (None where it must be refused).
+_ORBIT_OPS = [
+    (_LEAF_OPS[0], (1,)),
+    (_LEAF_OPS[2], (1,)),  # a right inverse
+    (_LEAF_OPS[3], (0,)),  # a finite table
+    (_PAIR_SPEC, (0, 0)),
+    ({"left": _LEAF_OPS[0], "right": {"direction": "backward", "weights": {**_THETA_SPEC, "p": 1}}}, (1, 1)),
+    ({"left": _LEAF_OPS[0], "right": _LEAF_OPS[2]}, None),
+    ({"left": _LEAF_OPS[2], "right": _LEAF_OPS[0]}, None),
+    ({"left": _PAIR_SPEC, "right": _LEAF_OPS[0]}, None),
+    ({"left": _LEAF_OPS[0]}, None),
+    ({"direction": "sideways", "weights": _BARGMANN_SPEC}, None),
+    ({"weights": {"family": "nope"}}, None),
+    ([_LEAF_OPS[0]], None),
+    ("backward", None),
+]
+
+
+def _mostly(good, bad):
+    """good three times in four, else bad: most cases then reach the build."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+_EPS = _mostly(st.floats(1e-9, 1e-1).map(repr),
+               st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1e-6", "abc"]))
+_COUNT = _mostly(st.integers(1, 4).map(str), st.sampled_from(["0", "-1", "nan", "1e3", ""]))
+_SEED = _mostly(st.integers(-(2**70), 2**70).map(str), st.sampled_from(["nan", "1.5"]))
+_TAIL = _mostly(st.floats(-80.0, -1.0).map(repr), st.sampled_from(["inf", "-inf", "nan", "0", "5", "abc"]))
+
+
+@st.composite
+def _orbit_targets(draw, offsets):
+    """Targets of the operator's offsets, or of any offsets."""
+    offsets = draw(_mostly(st.just(offsets), st.sampled_from([(0,), (1,), (0, 0), (1, 1)])))
+    keys = st.tuples(*(st.integers(p, p + 5) for p in offsets))
+    entry = st.builds(lambda key, logmag, phase: [*key, logmag, phase], keys, st.floats(-3, 3), st.floats(-3, 3))
+    entries = st.lists(entry, max_size=3, unique_by=lambda e: tuple(e[:-2]))
+    names = ("p",) if len(offsets) == 1 else ("p1", "p2")
+    vectors = st.lists(entries.map(lambda es: {**dict(zip(names, offsets)), "entries": es}), max_size=8)
+    return {"targets": draw(_mostly(vectors.filter(bool), vectors))}
+
+
+@st.composite
+def _orbit_argv(draw):
+    i = draw(_mostly(st.sampled_from([0, 2, 3, 4]), st.integers(0, len(_ORBIT_OPS) - 1)))
+    argv = ["--op", f"orbit_op{i}.json"]
+    if draw(st.booleans()):
+        targets = draw(_orbit_targets(_ORBIT_OPS[i][1] or (0,)))
+        return ["hypercyclic", *argv, "--targets", "targets.json", f"--eps={draw(_EPS)}"], targets
+    argv += [f"--count={draw(_COUNT)}", f"--seed={draw(_SEED)}", f"--tail={draw(_TAIL)}"]
+    return ["density-probe", *argv], None
+
+
+@pytest.fixture(scope="module")
+def orbit_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("orbit")
+    for i, (op, _) in enumerate(_ORBIT_OPS):
+        write_json(files / f"orbit_op{i}.json", op)
+    return files
+
+
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_orbit_argv())
+def test_orbit_command_argv_exits_0_2_or_3(orbit_files, capsys, case):
+    argv, targets = case
+    if targets is not None:
+        write_json(orbit_files / "targets.json", targets)
+    argv = [str(orbit_files / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    code = main([*argv, "--out", str(orbit_files / "out.json")])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, err)

@@ -10,7 +10,6 @@ from shiftdyn import (
     BargmannRawWeights,
     BlockPatternWeights,
     TableWeights,
-    TensorOperator,
     ThetaActionWeights,
     ThetaParams,
     ValidationError,
@@ -18,6 +17,7 @@ from shiftdyn import (
     bargmann_backward_shift,
     bcs_premise_check,
     salas_scan,
+    tensor_operator,
     tensor_salas_scan,
     theta_backward_shift,
 )
@@ -152,7 +152,7 @@ def test_bcs_premises_theta_p1():
 
 
 def test_bcs_premises_tensor_pair():
-    op = TensorOperator(theta_backward_shift(math.pi, 0.0, 1), bargmann_backward_shift(1))
+    op = tensor_operator(theta_backward_shift(math.pi, 0.0, 1), bargmann_backward_shift(1))
     probes = [(m, n) for m in range(1, 5) for n in range(1, 5)]
     report = bcs_premise_check(op, probes, k_max=40, tol_log=-100.0)
     assert report.all_passed
@@ -162,7 +162,7 @@ def test_bcs_flags_flat_weights():
     from shiftdyn import ShiftOperator
 
     flat = bcs_premise_check(
-        ShiftOperator(TableWeights.from_weights([1.0] * 60)),
+        ShiftOperator((TableWeights.from_weights([1.0] * 60),)),
         [(2,), (3,)],
         k_max=30,
         tol_log=-50.0,

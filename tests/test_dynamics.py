@@ -15,7 +15,6 @@ from shiftdyn import (
     ShiftOperator,
     TableWeights,
     TailNotCertifiable,
-    TensorOperator,
     ThetaParams,
     ValidationError,
     apply_power,
@@ -39,6 +38,7 @@ from shiftdyn import (
     tensor_salas_scan,
     theta_backward_shift,
     tensor_of,
+    tensor_operator,
     theta_basis_eval,
 )
 
@@ -129,9 +129,9 @@ def test_eigenvector_coefficients_against_extended_precision():
         for n in range(0, 5):
             denom = mpmath.mpf(1)
             for j in range(1, m + 1):
-                denom *= mpmath.exp(op.left.weights.log_weight(j))
+                denom *= mpmath.exp(op.weights[0].log_weight(j))
             for j in range(1, n + 1):
-                denom *= mpmath.exp(op.right.weights.log_weight(j))
+                denom *= mpmath.exp(op.weights[1].log_weight(j))
             want = lam_m**m * mu_m**n / denom
             got = g.entries[(m, n)]
             assert abs(got.logmag - float(mpmath.log(abs(want)))) <= 1e-11 * max(
@@ -256,8 +256,8 @@ def test_eigenvector_rejects_non_backward():
 
 
 def test_eigenvector_flat_weights_not_certifiable():
-    flat = ShiftOperator(TableWeights.from_weights([1.0] * 200))
-    op = TensorOperator(flat, ShiftOperator(TableWeights.from_weights([1.0] * 200)))
+    flat = ShiftOperator((TableWeights.from_weights([1.0] * 200),))
+    op = tensor_operator(flat, ShiftOperator((TableWeights.from_weights([1.0] * 200),)))
     with pytest.raises(TailNotCertifiable):
         eigenvector_build(op, 0.9, 0.9, -40.0)
 
@@ -402,7 +402,7 @@ def test_hypercyclic_search_probes_the_nearest_checkpoint_first(monkeypatch):
 
 
 def test_hypercyclic_schedule_overflow_on_flat_weights():
-    flat = ShiftOperator(TableWeights.from_weights([1.0] * 300))
+    flat = ShiftOperator((TableWeights.from_weights([1.0] * 300),))
     targets = [CoeffVector.unit((0,), (0,)), CoeffVector.unit((1,), (0,))]
     with pytest.raises(ScheduleOverflow):
         hypercyclic_vector_build(flat, targets, 1e-6, n_cap=100)
@@ -471,3 +471,19 @@ _NAN, _INF = math.nan, math.inf
 def test_non_finite_parameters_rejected_where_taken_in(name, call):
     with pytest.raises(ValidationError, match=name):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: bargmann_basis_eval(n, 2.0 + 1.0j),
+        lambda n: theta_basis_eval(n, 0.5 + 0.0j, ThetaParams(nu=math.pi)),
+        lambda n: periodic_point_from_eigen(default_tensor_shift(), n, -40.0),
+    ],
+    ids=["bargmann basis", "theta basis", "periodic point"],
+)
+def test_integers_beyond_float_range_rejected_where_taken_in(call):
+    # each turns its integer into a float, which holds every integer only below 2**53
+    for n in (2**53, 10**400):
+        with pytest.raises(ValidationError, match=r"below 2\*\*53"):
+            call(n)

@@ -12,7 +12,6 @@ from shiftdyn import (
     Direction,
     LogComplex,
     OffsetMismatch,
-    TensorOperator,
     ValidationError,
     adjoint,
     adjoint_pairing_gap_log,
@@ -23,6 +22,7 @@ from shiftdyn import (
     matrix_triplets,
     right_inverse,
     shift_operator_from_json,
+    tensor_operator,
     theta_backward_shift,
 )
 from shiftdyn.shift_ops import nilpotence_index
@@ -42,7 +42,7 @@ def all_test_operators():
 
 def test_backward_annihilates_lowest_index():
     for op in all_test_operators():
-        p = op.offset_p
+        p = op.offsets[0]
         out = apply(op, CoeffVector.unit((p,), (p,)))
         assert out.is_zero
 
@@ -60,7 +60,7 @@ def test_right_inverse_then_backward_is_identity():
     for op in all_test_operators():
         s = right_inverse(op)
         for _ in range(30):
-            v = rand_coeff_vector(rng, op.offset_p, 12, 150)
+            v = rand_coeff_vector(rng, op.offsets[0], 12, 150)
             back = apply(op, apply(s, v))
             assert back.support() == v.support()
             for m in v.support():
@@ -71,8 +71,8 @@ def test_right_inverse_then_backward_is_identity():
 def test_right_inverse_identity_exact_on_units():
     for op in all_test_operators():
         s = right_inverse(op)
-        for m in range(op.offset_p, op.offset_p + 40):
-            back = apply(op, apply(s, CoeffVector.unit((m,), (op.offset_p,))))
+        for m in range(op.offsets[0], op.offsets[0] + 40):
+            back = apply(op, apply(s, CoeffVector.unit((m,), (op.offsets[0],))))
             assert back.entries == {(m,): LogComplex(0.0, 0.0)}
 
 
@@ -89,7 +89,7 @@ def test_backward_then_right_inverse_projects_out_bottom():
 
 def test_power_nilpotence_iff():
     for op in all_test_operators():
-        p = op.offset_p
+        p = op.offsets[0]
         for m in range(p, p + 12):
             f = CoeffVector.unit((m,), (p,))
             assert apply_power(op, f, m - p + 1).is_zero
@@ -102,7 +102,7 @@ def test_power_nilpotence_iff():
 @given(data=st.data(), offsets=st.lists(st.integers(0, 3), min_size=1, max_size=2))
 def test_power_is_zero_exactly_from_the_nilpotence_index(data, offsets):
     factors = [bargmann_backward_shift(p) for p in offsets]
-    op = factors[0] if len(factors) == 1 else TensorOperator(*factors)
+    op = factors[0] if len(factors) == 1 else tensor_operator(*factors)
     keys = st.tuples(*(st.integers(p, p + 12) for p in offsets))
     v = CoeffVector(tuple(offsets), {key: LogComplex(0.5, 1.0) for key in data.draw(st.sets(keys, max_size=5))})
     nil = nilpotence_index(op, v)
@@ -115,7 +115,7 @@ def test_power_matches_iterated_apply():
     for op in all_test_operators():
         s = right_inverse(op)
         for target in (op, s, adjoint(op)):
-            v = rand_coeff_vector(rng, op.offset_p, 6, 40)
+            v = rand_coeff_vector(rng, op.offsets[0], 6, 40)
             k = rng.randint(1, 5)
             direct = apply_power(target, v, k)
             iterated = v
@@ -152,7 +152,7 @@ def test_inverse_orbit_reaches_minus_100_within_40():
 def test_inverse_orbit_decreasing_all_growing_families():
     for op in all_test_operators():
         s = right_inverse(op)
-        f = CoeffVector.unit((op.offset_p + 1,), (op.offset_p,))
+        f = CoeffVector.unit((op.offsets[0] + 1,), (op.offsets[0],))
         prev = coeff_norm_log(f)
         for k in range(1, 16):
             cur = coeff_norm_log(apply_power(s, f, k))
@@ -171,7 +171,7 @@ def test_adjoint_pairing_single_elements():
 def test_adjoint_pairing_random_vectors():
     rng = random.Random(107)
     op = theta_backward_shift(math.pi, 0.0, 1)
-    max_w = op.weights.log_weight(45)
+    max_w = op.weights[0].log_weight(45)
     for _ in range(50):
         u = rand_coeff_vector(rng, 1, 10, 40)
         v = rand_coeff_vector(rng, 1, 10, 40)
@@ -233,5 +233,5 @@ def test_operator_json_round_trip():
     for op in all_test_operators():
         op2 = shift_operator_from_json(op.to_json_dict())
         assert op2.direction is op.direction
-        m = op.offset_p + 3
-        assert abs(op2.weights.log_weight(m) - op.weights.log_weight(m)) <= 1e-15
+        m = op.offsets[0] + 3
+        assert abs(op2.weights[0].log_weight(m) - op.weights[0].log_weight(m)) <= 1e-15

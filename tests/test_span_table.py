@@ -24,7 +24,6 @@ from shiftdyn import (
     ShiftOperator,
     TableRangeError,
     TableWeights,
-    TensorOperator,
     TensorVector,
     WeightSequence,
     adjoint,
@@ -32,6 +31,7 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     right_inverse,
+    tensor_operator,
     theta_backward_shift,
 )
 
@@ -49,7 +49,7 @@ def ref_span(weights: WeightSequence, lo: int, hi: int) -> float:
 
 
 def ref_power(op: ShiftOperator, v: CoeffVector, k: int) -> dict:
-    p, w, name = op.offset_p, op.weights, op.direction.value
+    p, w, name = op.offsets[0], op.weights[0], op.direction.value
     out = {}
     for (m,), c in v.entries.items():
         if name == "backward":
@@ -89,8 +89,8 @@ def family_operators():
         "theta p=3": theta_backward_shift(3.3, 0.2, 3),
         "bargmann p=0": bargmann_backward_shift(0),
         "bargmann p=2": bargmann_backward_shift(2),
-        "block pattern": ShiftOperator(BlockPatternWeights("omega")),
-        "table": ShiftOperator(table),
+        "block pattern": ShiftOperator((BlockPatternWeights("omega"),)),
+        "table": ShiftOperator((table,)),
     }
 
 
@@ -101,7 +101,7 @@ def test_power_matches_termwise_loop_bitwise(family, direction):
     op = {"backward": base, "right_inverse": right_inverse(base), "adjoint_forward": adjoint(base)}[
         direction
     ]
-    p = op.offset_p
+    p = op.offsets[0]
     v = CoeffVector(
         (p,),
         {
@@ -119,15 +119,15 @@ def test_power_matches_termwise_loop_bitwise(family, direction):
 
 
 def test_tensor_power_matches_termwise_loop_bitwise():
-    op = TensorOperator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2))
+    op = tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2))
     w = TensorVector((1, 2), {(40, 9): LogComplex(0.5, 0.3), (7, 60): LogComplex(-2.0, -1.0)})
     for k in (1, 2, 5, 6, 30, 6, 1):
         got = apply_power(op, w, k)
         want = {}
         for (m, n), c in w.entries.items():
             if k <= m - 1 and k <= n - 2:
-                s1 = ref_span(op.left.weights, m - k + 1, m)
-                s2 = ref_span(op.right.weights, n - k + 1, n)
+                s1 = ref_span(op.weights[0], m - k + 1, m)
+                s2 = ref_span(op.weights[1], n - k + 1, n)
                 want[(m - k, n - k)] = (c.logmag + (s1 + s2), c.phase)
         assert entry_bits(got) == as_bits(want)
 
@@ -135,9 +135,9 @@ def test_tensor_power_matches_termwise_loop_bitwise():
 @pytest.mark.parametrize(
     "op",
     [
-        ShiftOperator(TableWeights.from_weights([0.5 + 0.25 * i for i in range(20)], start=5)),
-        ShiftOperator(TableWeights.from_weights([2.0, 0.5, 3.0, 1.0, 7.0], start=1)),
-        ShiftOperator(TableWeights.from_weights([1.5, 2.5, 0.75], start=0)),
+        ShiftOperator((TableWeights.from_weights([0.5 + 0.25 * i for i in range(20)], start=5),)),
+        ShiftOperator((TableWeights.from_weights([2.0, 0.5, 3.0, 1.0, 7.0], start=1),)),
+        ShiftOperator((TableWeights.from_weights([1.5, 2.5, 0.75], start=0),)),
         theta_backward_shift(3.0, -0.4, 3),
     ],
     ids=["table start=5", "table start=1", "table start=0", "theta p=3"],
@@ -147,12 +147,12 @@ def test_rejected_indices_raise_where_the_loop_did(op):
     # out-of-range attempts first, then every span again on the used table
     spans.sort(key=lambda s: -s[1])
     for lo, hi in spans + spans[::-1]:
-        want = outcome(ref_span, op.weights, lo, hi)
-        assert outcome(op.weights.log_weight_span, lo, hi) == want, (lo, hi)
+        want = outcome(ref_span, op.weights[0], lo, hi)
+        assert outcome(op.weights[0].log_weight_span, lo, hi) == want, (lo, hi)
 
 
 def test_table_power_raises_past_the_end_and_below_start():
-    op = ShiftOperator(TableWeights.from_weights([1.0 + i for i in range(10)], start=4))
+    op = ShiftOperator((TableWeights.from_weights([1.0 + i for i in range(10)], start=4),))
     s = right_inverse(op)
     with pytest.raises(TableRangeError, match="index 14 outside"):
         apply_power(s, CoeffVector.unit((12,), (0,)), 3)  # needs 13, 14, 15
@@ -162,11 +162,11 @@ def test_table_power_raises_past_the_end_and_below_start():
         apply_power(op, CoeffVector.unit((3,), (0,)), 1)
     # in-range spans still succeed after the failed attempts
     got = apply_power(op, CoeffVector.unit((13,), (0,)), 9)
-    assert bits(got.entries[(4,)].logmag) == bits(ref_span(op.weights, 5, 13))
+    assert bits(got.entries[(4,)].logmag) == bits(ref_span(op.weights[0], 5, 13))
     got = apply_power(s, CoeffVector.unit((3,), (0,)), 10)
-    assert bits(got.entries[(13,)].logmag) == bits(-ref_span(op.weights, 4, 13))
+    assert bits(got.entries[(13,)].logmag) == bits(-ref_span(op.weights[0], 4, 13))
     with pytest.raises(IndexBelowOffset):
-        theta_backward_shift(3.0, 0.0, 2).weights.log_weight_span(2, 5)
+        theta_backward_shift(3.0, 0.0, 2).weights[0].log_weight_span(2, 5)
 
 
 class CountingWeights(WeightSequence):
@@ -184,13 +184,13 @@ class CountingWeights(WeightSequence):
 
 def test_each_weight_is_evaluated_once_and_never_beyond_the_span():
     weights = CountingWeights(2)
-    op = ShiftOperator(weights)
-    assert op.weights.log_weight_span(10, 9) == 0.0
+    op = ShiftOperator((weights,))
+    assert op.weights[0].log_weight_span(10, 9) == 0.0
     assert not weights.calls  # an empty span asks for nothing
-    op.weights.log_weight_span(5, 40)
+    op.weights[0].log_weight_span(5, 40)
     assert sorted(weights.calls) == list(range(3, 41))
     for lo, hi in ((3, 40), (17, 25), (39, 40), (30, 60), (3, 3)):
-        assert bits(op.weights.log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
+        assert bits(op.weights[0].log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
     assert sorted(weights.calls) == list(range(3, 61))
     assert set(weights.calls.values()) == {1}
 
@@ -198,7 +198,7 @@ def test_each_weight_is_evaluated_once_and_never_beyond_the_span():
 def test_tensor_step_reads_each_factor_weight_once():
     for direction in ("backward", "right_inverse"):
         left, right = CountingWeights(1), CountingWeights(2)
-        op = TensorOperator(ShiftOperator(left), ShiftOperator(right))
+        op = tensor_operator(ShiftOperator((left,)), ShiftOperator((right,)))
         if direction == "right_inverse":
             op = right_inverse(op)
         entries = {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30) for n in range(2, 25)}
@@ -211,7 +211,7 @@ def test_tensor_step_reads_each_factor_weight_once():
 
 def test_every_direction_over_one_weight_sequence_shares_its_table():
     weights = CountingWeights(2)
-    op = ShiftOperator(weights)
+    op = ShiftOperator((weights,))
     v = CoeffVector((2,), {(m,): LogComplex(0.1 * m, 0.3) for m in range(2, 40, 3)})
     for k in (2, 7, 30):
         for target in (op, right_inverse(op), adjoint(op)):
@@ -222,7 +222,7 @@ def test_every_direction_over_one_weight_sequence_shares_its_table():
 
 def test_tensor_right_inverse_shares_its_factors_tables():
     left, right = CountingWeights(1), CountingWeights(2)
-    op = TensorOperator(ShiftOperator(left), ShiftOperator(right))
+    op = tensor_operator(ShiftOperator((left,)), ShiftOperator((right,)))
     w = TensorVector((1, 2), {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30, 4) for n in range(2, 25, 5)})
     for k in (2, 9):
         apply_power(op, w, k)
@@ -242,7 +242,7 @@ def test_copies_of_weights_start_with_an_empty_table(weights):
 
 def test_shared_operator_across_four_threads():
     weights = CountingWeights(2)
-    op = ShiftOperator(weights)
+    op = ShiftOperator((weights,))
     n_top = 3000
     spans = [(max(3, hi - (hi * 7919) % 400), hi) for hi in range(3, n_top)]
     want = {s: bits(ref_span(weights.inner, *s)) for s in spans}
@@ -252,7 +252,7 @@ def test_shared_operator_across_four_threads():
     def worker(t: int) -> None:
         barrier.wait()
         for lo, hi in spans[t::4]:  # interleaved, growing spans
-            if bits(op.weights.log_weight_span(lo, hi)) != want[(lo, hi)]:
+            if bits(op.weights[0].log_weight_span(lo, hi)) != want[(lo, hi)]:
                 wrong.append((lo, hi))
 
     old = sys.getswitchinterval()
@@ -273,19 +273,19 @@ def test_shared_operator_across_four_threads():
 
 def test_table_is_outside_equality_hash_repr_and_copies():
     op = bargmann_backward_shift(2)
-    op.weights.log_weight_span(3, 50)
+    op.weights[0].log_weight_span(3, 50)
     twin = bargmann_backward_shift(2)
     assert op == twin and hash(op) == hash(twin) and repr(op) == repr(twin)
     assert op.to_json_dict() == twin.to_json_dict()
     for copied in (copy.deepcopy(op), pickle.loads(pickle.dumps(op))):
         assert copied == op
-        assert bits(copied.weights.log_weight_span(3, 50)) == bits(op.weights.log_weight_span(3, 50))
+        assert bits(copied.weights[0].log_weight_span(3, 50)) == bits(op.weights[0].log_weight_span(3, 50))
 
 
 def test_right_inverse_identity_bitwise_with_warm_tables():
     for op in (theta_backward_shift(3.1, 0.0, 1), bargmann_backward_shift(1)):
         s = right_inverse(op)
-        p = op.offset_p
+        p = op.offsets[0]
         apply_power(s, CoeffVector.unit((p + 50,), (p,)), 2000)  # warm both tables
         apply_power(op, CoeffVector.unit((p + 2000,), (p,)), 1990)
         for m in range(p, p + 60):

@@ -13,7 +13,6 @@ from shiftdyn import (
     ShiftOperator,
     TableRangeError,
     TableWeights,
-    TensorOperator,
     TensorVector,
     ValidationError,
     adjoint,
@@ -29,8 +28,9 @@ from shiftdyn import (
     lc_from_complex,
     lc_mul,
     right_inverse,
+    shift_operator_from_json,
     tensor_of,
-    tensor_operator_from_json,
+    tensor_operator,
     theta_backward_shift,
 )
 
@@ -38,7 +38,7 @@ from conftest import rand_coeff_vector, rand_tensor_vector, rel_gap_log
 
 
 def pair(p1=0, p2=0):
-    return TensorOperator(theta_backward_shift(math.pi, 0.0, p1), bargmann_backward_shift(p2))
+    return tensor_operator(theta_backward_shift(math.pi, 0.0, p1), bargmann_backward_shift(p2))
 
 
 def test_tensor_of_units_and_distributivity():
@@ -82,11 +82,11 @@ def test_tensor_apply_kills_bottom_rows():
 
 
 def test_annihilated_entry_reads_no_weight_of_the_other_factor():
-    short = ShiftOperator(TableWeights.from_weights([2.0, 3.0]))  # weights at 1 and 2 only
+    short = ShiftOperator((TableWeights.from_weights([2.0, 3.0]),))  # weights at 1 and 2 only
     bargmann = bargmann_backward_shift(0)
     for op, at in (
-        (TensorOperator(short, bargmann), lambda i, j: (i, j)),
-        (TensorOperator(bargmann, short), lambda i, j: (j, i)),
+        (tensor_operator(short, bargmann), lambda i, j: (i, j)),
+        (tensor_operator(bargmann, short), lambda i, j: (j, i)),
     ):
         with pytest.raises(TableRangeError):  # a surviving entry does read the table
             apply(op, TensorVector.unit(at(40, 1), (0, 0)))
@@ -118,11 +118,12 @@ def test_tensor_apply_single_pair_example():
 def test_tensor_apply_rank_one_coherence():
     rng = random.Random(53)
     op = pair(0, 0)
+    left, right = op.factors
     # exact on unit tensors
     w = tensor_of(CoeffVector.unit((3,), (0,)), CoeffVector.unit((2,), (0,)))
     lhs = apply(op, w)
     rhs = tensor_of(
-        apply(op.left, CoeffVector.unit((3,), (0,))), apply(op.right, CoeffVector.unit((2,), (0,)))
+        apply(left, CoeffVector.unit((3,), (0,))), apply(right, CoeffVector.unit((2,), (0,)))
     )
     assert lhs.entries == rhs.entries
     # within float tolerance on random rank-one tensors
@@ -130,7 +131,7 @@ def test_tensor_apply_rank_one_coherence():
         u = rand_coeff_vector(rng, 0, 5, 12)
         v = rand_coeff_vector(rng, 0, 5, 12)
         lhs = apply(op, tensor_of(u, v))
-        rhs = tensor_of(apply(op.left, u), apply(op.right, v))
+        rhs = tensor_of(apply(left, u), apply(right, v))
         assert lhs.support() == rhs.support()
         for key in lhs.support():
             assert rel_gap_log(lhs.entries[key], rhs.entries[key]) <= math.log(1e-12)
@@ -192,8 +193,7 @@ def test_tensor_power_matches_iteration():
 def test_tensor_inverse_norm_additivity_exact():
     op = pair(1, 1)
     s = right_inverse(op)
-    s_left = right_inverse(op).left
-    s_right = right_inverse(op).right
+    s_left, s_right = right_inverse(op).factors
     f = TensorVector.unit((1, 1), (1, 1))
     for k in range(1, 12):
         tensor_norm = coeff_norm_log(apply_power(s, f, k))
@@ -238,7 +238,8 @@ def test_tensor_inner_positive_definite():
 def test_tensor_adjoint_pairing():
     rng = random.Random(73)
     op = pair(1, 1)
-    max_w = op.left.weights.log_weight(25) + op.right.weights.log_weight(25)
+    left, right = op.weights
+    max_w = left.log_weight(25) + right.log_weight(25)
     for _ in range(50):
         w1 = rand_tensor_vector(rng, (1, 1), 10, 20)
         w2 = rand_tensor_vector(rng, (1, 1), 10, 20)
@@ -261,14 +262,40 @@ def test_tensor_vector_validation_and_json():
 
 def test_tensor_operator_validation_and_json():
     with pytest.raises(ValidationError):
-        TensorOperator(
+        tensor_operator(
             theta_backward_shift(math.pi, 0.0, 0),
-            right_inverse(pair(0, 0)).right,
+            right_inverse(pair(0, 0)).factors[1],
         )
+    left, right = pair(0, 0).factors[0], right_inverse(pair(0, 0)).factors[1]
+    mixed = {"left": left.to_json_dict(), "right": right.to_json_dict()}
+    with pytest.raises(ValidationError, match="share a direction"):
+        shift_operator_from_json(mixed)
     op = pair(1, 2)
-    op2 = tensor_operator_from_json(op.to_json_dict())
+    op2 = shift_operator_from_json(op.to_json_dict())
     assert op2.offsets == op.offsets
     assert op2.direction is op.direction
+
+
+def test_one_reader_round_trips_both_operator_shapes():
+    for op in (theta_backward_shift(math.pi, 0.0, 1), pair(1, 2), right_inverse(pair(0, 1)), adjoint(pair(2, 0))):
+        text = op.to_json_dict()
+        assert set(text) == ({"direction", "weights"} if len(op.offsets) == 1 else {"left", "right"})
+        assert shift_operator_from_json(text) == op
+        assert shift_operator_from_json(text).to_json_dict() == text
+
+
+def test_an_operator_has_one_or_two_weight_sequences():
+    one, two = bargmann_backward_shift(0), pair(0, 0)
+    assert two.weights == pair(0, 0).factors[0].weights + one.weights
+    assert [f.weights for f in two.factors] == [(w,) for w in two.weights]  # the factors share the sequences
+    for weights in (one.weights[0], (), two.weights + one.weights, list(two.weights), (one,), None):
+        with pytest.raises(ValidationError, match="one or two weight sequences"):
+            ShiftOperator(weights)
+    for left, right in ((two, one), (one, two)):
+        with pytest.raises(ValidationError, match="one-axis"):
+            tensor_operator(left, right)
+    with pytest.raises(ValidationError, match="one-axis"):
+        shift_operator_from_json({"left": two.to_json_dict(), "right": one.to_json_dict()})
 
 
 def test_tensor_offset_mismatch():
