@@ -52,7 +52,7 @@ from .shift_ops import (
     shift_operator_from_json,
     tensor_operator,
 )
-from .tensor_ops import TensorVector, tensor_of
+from .tensor_ops import tensor_of
 from .criteria import (
     BcsReport,
     CriterionReport,

@@ -10,6 +10,10 @@ Each leaf command has one handler, which returns its result (a dict for
 JSON, a str for CSV) and an optional series table.  Every input file is
 read by `_read`, so a missing or malformed file is a validation error.
 
+Every operator is named by `--op` (one axis or two) and read by `_operator`.
+`op` requires it; `eigen`/`periodic` default to theta(--nu, --alpha, --p) (x)
+bargmann(--p), and `hypercyclic`/`density-probe` to bargmann(0).
+
 Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 """
 
@@ -31,7 +35,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import __version__
+from . import __version__, bargmann_backward_shift, default_tensor_shift
 from .basis import (
     CoeffVector,
     bargmann_basis_eval,
@@ -59,13 +63,10 @@ from .shift_ops import (
     matrix_triplets,
     nilpotence_index,
     shift_operator_from_json,
-    tensor_operator,
 )
 from .tensor_ops import tensor_of
 from .weights import (
-    BargmannActionWeights,
     BlockPatternWeights,
-    ThetaActionWeights,
     ThetaParams,
     check_index_count,
     weight_sequence_from_json,
@@ -259,17 +260,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _operator(path: str | None, default_weights=None) -> ShiftOperator:
-    """The operator JSON at path, of one axis or two, or the backward shift of default_weights()."""
+def _operator(path: str | None, default=None) -> ShiftOperator:
+    """The operator JSON at path, of one axis or two, or default() when no path is given."""
     if path:
         return _read(path, shift_operator_from_json)
-    return ShiftOperator((default_weights(),))
-
-
-def _pair(args) -> ShiftOperator:
-    """--left (x) --right; a side not given is the theta or Bargmann shift of order --p."""
-    left = _operator(args.left, lambda: ThetaActionWeights(ThetaParams(args.nu, args.alpha, args.p)))
-    return tensor_operator(left, _operator(args.right, lambda: BargmannActionWeights(p=args.p)))
+    return default()
 
 
 def _targets(payload) -> list[CoeffVector]:
@@ -302,8 +297,8 @@ def _cmd_basis_eval(args):
 
 
 def _cmd_power(args):
-    """`op` and `tensor` apply (k = 1) and power; only the operator loader differs."""
-    op = _pair(args) if args.command == "tensor" else _operator(args.op)
+    """`op apply` (k = 1) and `op power`."""
+    op = _operator(args.op)
     v = _read(args.vec, CoeffVector.from_json_dict)
     return apply_power(op, v, getattr(args, "k", 1)).to_json_dict(), None
 
@@ -315,12 +310,10 @@ def _cmd_op_matrix(args):
     return {"triplets": triplets}, None
 
 
-def _cmd_tensor_inner(args):
-    _pair(args)  # checks the operator files, which the inner product does not use
-    w, w2 = (_read(path, CoeffVector.from_json_dict) for path in (args.vec, args.vec2))
-    if len(w.offsets) != 2:
-        raise ValidationError(f"{args.vec}: a tensor vector has two axes, got {len(w.offsets)}")
-    return lc_to_json(coeff_inner(w, w2)), None
+def _cmd_inner(args):
+    """<vec, vec2>, for vectors of one axis or two; their offsets must match."""
+    u, v = (_read(path, CoeffVector.from_json_dict) for path in (args.vec, args.vec2))
+    return lc_to_json(coeff_inner(u, v)), None
 
 
 def _cmd_criterion(args):
@@ -334,7 +327,7 @@ def _cmd_criterion(args):
 
 
 def _cmd_eigen(args):
-    op = _pair(args)
+    op = _operator(args.op, lambda: default_tensor_shift(args.p, args.nu, args.alpha))
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     a, b, spec = eigenvector_build(op, lam, mu, args.tail)
@@ -350,7 +343,7 @@ def _cmd_eigen(args):
 
 
 def _cmd_periodic(args):
-    op = _pair(args)
+    op = _operator(args.op, lambda: default_tensor_shift(args.p, args.nu, args.alpha))
     a, b, spec = periodic_point_from_eigen(op, args.q, args.tail)
     log_norms = rank_one_log_norms(op, a, b, 2 * args.q)
     gnorm = log_norms[0]
@@ -366,7 +359,7 @@ def _cmd_periodic(args):
 
 
 def _cmd_hypercyclic(args):
-    op = _operator(args.op, lambda: BargmannActionWeights(p=0))
+    op = _operator(args.op, bargmann_backward_shift)
     targets = _read(args.targets, _targets)
     psi, schedule = hypercyclic_vector_build(op, targets, args.eps)
     replay = []
@@ -403,7 +396,7 @@ def _cmd_counterexample(args):
 def _cmd_density_probe(args):
     if not 1 <= args.count <= 10_000:  # time and artifact size grow with the count
         raise ValidationError(f"--count must be >= 1 and at most 10000, got {args.count}")
-    op = _operator(args.op, lambda: BargmannActionWeights(p=0))
+    op = _operator(args.op, bargmann_backward_shift)
     rng = random.Random(args.seed)
     samples = []
     rows = []
@@ -447,8 +440,8 @@ def _join_dash_values(argv) -> list[str]:
 
 # options of the leaf commands, as (flags..., add_argument keywords)
 _REQUIRED = {"required": True}
-_OP = ("--op", _REQUIRED)
-_ANY_OP = ("--op", {"default": None, "help": "operator JSON, one axis or two (default: bargmann p=0)"})
+_OP = ("--op", {"required": True, "help": "operator JSON, one axis or two"})
+_BARGMANN_OP = ("--op", {"default": None, "help": "operator JSON, one axis or two (default: bargmann p=0)"})
 _VEC = ("--vec", _REQUIRED)
 _K = ("-k", {"type": int, "required": True})
 _N = ("-N", {"dest": "n", "type": int, "default": 10_000})
@@ -456,7 +449,6 @@ _FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
 _NU = ("--nu", {"type": float, "default": math.pi})
 _ALPHA = ("--alpha", {"type": float, "default": 0.0})
 _TAIL = ("--tail", {"type": float, "default": -60.0})
-_TENSOR = (("--left", _REQUIRED), ("--right", _REQUIRED), _VEC)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (stdout if omitted)")
     pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--left", default=None, help="left operator JSON (default: theta)")
-    pair.add_argument("--right", default=None, help="right operator JSON (default: bargmann)")
+    pair.add_argument("--op", default=None,
+                      help="backward tensor operator JSON (default: theta(--nu, --alpha, --p) (x) bargmann(--p))")
     for flag, kwargs in (_NU, _ALPHA, ("--p", {"type": int, "default": 0})):
         pair.add_argument(flag, **kwargs)
 
@@ -501,11 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
          _OP,
          ("-N", {"dest": "n", "type": int, "required": True}),
          _FORMAT)
-    tensors = group("tensor", "action", "tensor operator actions")
-    leaf(tensors, "apply", _cmd_power, "apply left (x) right once", *_TENSOR)
-    leaf(tensors, "power", _cmd_power, "apply left (x) right k times", *_TENSOR, _K)
-    leaf(tensors, "inner", _cmd_tensor_inner, "inner product of --vec and --vec2",
-         *_TENSOR, ("--vec2", _REQUIRED))
+    leaf(sub, "inner", _cmd_inner, "inner product of --vec and --vec2, one axis or two",
+         _VEC, ("--vec2", _REQUIRED))
     leaf(sub, "criterion", _cmd_criterion, "Salas partial-product scan",
          ("--weights", _REQUIRED),
          ("--weights2", {"default": None}),
@@ -521,13 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(sub, "hypercyclic", _cmd_hypercyclic, "build a vector whose orbit visits targets",
          ("--targets", _REQUIRED),
          ("--eps", {"type": float, "default": 1e-6}),
-         _ANY_OP)
+         _BARGMANN_OP)
     leaf(sub, "counterexample", _cmd_counterexample, "block-pattern tensor counterexample scans",
          _N,
          # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
          ("--threshold", {"type": float, "default": 30.0}))
     leaf(sub, "density-probe", _cmd_density_probe, "periodic approximation of random targets",
-         _ANY_OP,
+         _BARGMANN_OP,
          ("--count", {"type": int, "default": 5}),
          ("--seed", {"type": int, "default": 0}),
          ("--tail", {"type": float, "default": -40.0}))

@@ -8,7 +8,6 @@ import random
 from shiftdyn import (
     CoeffVector,
     LogComplex,
-    TensorVector,
     lc_sub,
     lc_to_complex,
 )
@@ -29,13 +28,13 @@ def rand_coeff_vector(
 
 def rand_tensor_vector(
     rng: random.Random, offsets=(0, 0), n_entries: int = 10, max_index: int = 40
-) -> TensorVector:
+) -> CoeffVector:
     p1, p2 = offsets
     entries = {}
     while len(entries) < n_entries:
         key = (rng.randint(p1, max_index), rng.randint(p2, max_index))
         entries[key] = rand_lc(rng)
-    return TensorVector(offsets, entries)
+    return CoeffVector(offsets, entries)
 
 
 def rel_gap_log(a: LogComplex, b: LogComplex) -> float:

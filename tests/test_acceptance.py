@@ -16,7 +16,6 @@ from shiftdyn import (
     BargmannRawWeights,
     BlockPatternWeights,
     CoeffVector,
-    TensorVector,
     ThetaParams,
     Verdict,
     adjoint_pairing_gap_log,
@@ -115,7 +114,7 @@ def test_criterion_02_nilpotence():
         op = default_tensor_shift()
         for m in range(0, 51):
             for n in range(0, 51):
-                f = TensorVector.unit((m, n), (0, 0))
+                f = CoeffVector.unit((m, n), (0, 0))
                 bound = min(m, n)
                 assert apply_power(op, f, bound + 1).is_zero
                 if bound >= 1:
@@ -142,7 +141,7 @@ def test_criterion_03_right_inverse_decay():
         s2 = right_inverse(pair)
         sf1, sf2 = map(right_inverse, pair.factors)
         for k in range(1, 21):
-            tnorm = coeff_norm_log(apply_power(s2, TensorVector.unit((1, 1), (1, 1)), k))
+            tnorm = coeff_norm_log(apply_power(s2, CoeffVector.unit((1, 1), (1, 1)), k))
             n1 = coeff_norm_log(apply_power(sf1, CoeffVector.unit((1,), (1,)), k))
             n2 = coeff_norm_log(apply_power(sf2, CoeffVector.unit((1,), (1,)), k))
             assert tnorm == n1 + n2
@@ -268,11 +267,10 @@ def test_criterion_11_reproducibility(tmp_path):
         p.write_text(json.dumps(obj), encoding="utf-8")
         return str(p)
 
-    barg = wjson("barg.json", {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 0}})
-    theta = wjson(
-        "theta.json",
-        {"direction": "backward", "weights": {"family": "theta_composite", "nu": math.pi, "alpha": 0.0, "p": 0}},
-    )
+    barg_op = {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 0}}
+    theta_op = {"direction": "backward", "weights": {"family": "theta_composite", "nu": math.pi, "alpha": 0.0, "p": 0}}
+    barg = wjson("barg.json", barg_op)
+    pair = wjson("pair.json", {"left": theta_op, "right": barg_op})
     wspec = wjson("w.json", {"family": "bargmann_raw"})
     vec = wjson("v.json", {"p": 0, "entries": [[3, 0.0, 0.0], [5, -0.25, 1.0]]})
     tvec = wjson("tv.json", {"p1": 0, "p2": 0, "entries": [[2, 3, 0.0, 0.5]]})
@@ -291,12 +289,10 @@ def test_criterion_11_reproducibility(tmp_path):
         "op-apply": ["op", "apply", "--op", barg, "--vec", vec, "--out", str(out / "op_apply.json")],
         "op-power": ["op", "power", "--op", barg, "--vec", vec, "-k", "2", "--out", str(out / "op_power.json")],
         "op-matrix": ["op", "matrix", "--op", barg, "-N", "8", "--out", str(out / "op_matrix.csv")],
-        "tensor-apply": ["tensor", "apply", "--left", theta, "--right", barg, "--vec", tvec,
-                         "--out", str(out / "tensor_apply.json")],
-        "tensor-power": ["tensor", "power", "--left", theta, "--right", barg, "--vec", tvec,
-                         "-k", "2", "--out", str(out / "tensor_power.json")],
-        "tensor-inner": ["tensor", "inner", "--left", theta, "--right", barg, "--vec", tvec,
-                         "--vec2", tvec, "--out", str(out / "tensor_inner.json")],
+        "tensor-apply": ["op", "apply", "--op", pair, "--vec", tvec, "--out", str(out / "tensor_apply.json")],
+        "tensor-power": ["op", "power", "--op", pair, "--vec", tvec, "-k", "2",
+                         "--out", str(out / "tensor_power.json")],
+        "tensor-inner": ["inner", "--vec", tvec, "--vec2", tvec, "--out", str(out / "tensor_inner.json")],
         "criterion": ["criterion", "--weights", wspec, "-N", "2000", "--threshold", "100",
                       "--out", str(out / "criterion.json")],
         "eigen": ["eigen", "--lambda", "0.5,0.1", "--mu", "0.4,-0.3", "--tail", "-60",

@@ -29,13 +29,12 @@ print(json.dumps({{"codes": codes, "report": tracer.report()}}))
 
 def test_tracer_reports_every_per_layer_metric(tmp_path):
     op = {"weights": {"family": "bargmann_composite", "p": 0}}
-    (tmp_path / "op.json").write_text(json.dumps(op), encoding="utf-8")
+    (tmp_path / "pair.json").write_text(json.dumps({"left": op, "right": op}), encoding="utf-8")
     vec = {"p1": 0, "p2": 0, "entries": [[3, 4, 0.5, 0.25], [5, 2, -1.0, 1.0]]}
     (tmp_path / "vec.json").write_text(json.dumps(vec), encoding="utf-8")
     commands = [
         ["eigen", "--lambda", "0.5,0", "--mu", "0.3,0", "--out", "out/eigen.json"],
-        ["tensor", "power", "--left", "op.json", "--right", "op.json", "--vec", "vec.json",
-         "-k", "2", "--out", "out/power.json"],
+        ["op", "power", "--op", "pair.json", "--vec", "vec.json", "-k", "2", "--out", "out/power.json"],
     ]
     script = _SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"), commands=commands)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,

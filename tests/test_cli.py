@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -16,15 +18,21 @@ from hypothesis import strategies as st
 
 from shiftdyn import (
     BlockPatternWeights,
+    CoeffVector,
     WeightSequence,
+    apply_power,
+    coeff_inner,
     default_tensor_shift,
     eigenvector_build,
     periodic_point_from_eigen,
     salas_scan,
+    shift_operator_from_json,
     tensor_of,
+    tensor_operator,
     tensor_salas_scan,
 )
-from shiftdyn.cli import _csv_text, _dump_json, _Reprs, main
+from shiftdyn.cli import _csv_text, _dump_json, _join_dash_values, _Reprs, build_parser, main
+from shiftdyn.numerics import lc_to_json
 
 
 def write_json(path, obj):
@@ -134,22 +142,23 @@ def test_op_apply_power_matrix(tmp_path, theta_op_spec):
     assert cols == sorted(cols)
 
 
+def _pair_file(tmp_path, left_path, right_path):
+    """The tensor operator file of two one-axis operator files."""
+    left, right = (json.loads(Path(path).read_text()) for path in (left_path, right_path))
+    return write_json(tmp_path / "pair.json", {"left": left, "right": right})
+
+
 def test_tensor_apply_and_inner(tmp_path, theta_op_spec, bargmann_op_spec):
+    pair = _pair_file(tmp_path, theta_op_spec, bargmann_op_spec)
     vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
     out = tmp_path / "tensor_applied.json"
-    rc = main(
-        ["tensor", "apply", "--left", theta_op_spec, "--right", bargmann_op_spec,
-         "--vec", vec, "--out", str(out)]
-    )
+    rc = main(["op", "apply", "--op", pair, "--vec", vec, "--out", str(out)])
     assert rc == 0
     applied = json.loads(out.read_text())
     assert applied["entries"][0][:2] == [1, 2]
 
     vec2 = write_json(tmp_path / "w2.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
-    rc = main(
-        ["tensor", "inner", "--left", theta_op_spec, "--right", bargmann_op_spec,
-         "--vec", vec, "--vec2", vec2, "--out", str(tmp_path / "ip.json")]
-    )
+    rc = main(["inner", "--vec", vec, "--vec2", vec2, "--out", str(tmp_path / "ip.json")])
     assert rc == 0
     ip = json.loads((tmp_path / "ip.json").read_text())
     assert ip["logmag"] == 0.0
@@ -208,13 +217,11 @@ def test_eigen_generic(tmp_path):
 
 
 def test_eigen_uncertifiable_exits_3(tmp_path, capsys):
-    flat = write_json(
-        tmp_path / "flat.json",
-        {"direction": "backward", "weights": {"family": "table", "table": [1.0] * 50}},
-    )
+    flat = {"direction": "backward", "weights": {"family": "table", "table": [1.0] * 50}}
+    pair = write_json(tmp_path / "flat_pair.json", {"left": flat, "right": flat})
     rc = main(
         ["eigen", "--lambda", "0.9,0", "--mu", "0.9,0", "--tail", "-40",
-         "--left", flat, "--right", flat, "--out", str(tmp_path / "x.json")]
+         "--op", pair, "--out", str(tmp_path / "x.json")]
     )
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
@@ -322,17 +329,53 @@ def test_tensor_density_probe_errors_fall_as_q_doubles(tmp_path):
 
 
 def test_op_commands_take_a_tensor_operator_file(tmp_path, theta_op_spec, bargmann_op_spec):
-    # one reader for every --op: the tensor file acts as --left (x) --right does
-    left, right = (json.loads(Path(path).read_text()) for path in (theta_op_spec, bargmann_op_spec))
-    pair = write_json(tmp_path / "pair.json", {"left": left, "right": right})
-    vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 4, 1.0, -0.5]]})
-    for action, *k in (["apply"], ["power", "-k", "2"]):
-        by_op, by_pair = tmp_path / f"op_{action}.json", tmp_path / f"tensor_{action}.json"
-        assert main(["op", action, "--op", pair, "--vec", vec, *k, "--out", str(by_op)]) == 0
-        assert main(["tensor", action, "--left", theta_op_spec, "--right", bargmann_op_spec, "--vec", vec, *k,
-                     "--out", str(by_pair)]) == 0
+    # one reader for every --op: the tensor file acts as the library's left (x) right does
+    pair = _pair_file(tmp_path, theta_op_spec, bargmann_op_spec)
+    left, right = (shift_operator_from_json(json.loads(Path(path).read_text()))
+                   for path in (theta_op_spec, bargmann_op_spec))
+    v = {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 4, 1.0, -0.5]]}
+    vec = write_json(tmp_path / "w.json", v)
+    for action, k_args, k in (("apply", [], 1), ("power", ["-k", "2"], 2)):
+        by_op = tmp_path / f"op_{action}.json"
+        assert main(["op", action, "--op", pair, "--vec", vec, *k_args, "--out", str(by_op)]) == 0
         assert json.loads(by_op.read_text())["entries"]
-        assert by_op.read_bytes() == by_pair.read_bytes()
+        by_library = apply_power(tensor_operator(left, right), CoeffVector.from_json_dict(v), k)
+        assert by_op.read_bytes() == _dump_json(by_library.to_json_dict()).encode()
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("argv", [["eigen", "--lambda=0.5,0.1", "--mu=0.3,-0.2"], ["periodic", "--q", "3"]],
+                         ids=["eigen", "periodic"])
+def test_eigen_and_periodic_op_file_matches_the_default_pair(tmp_path, argv, p):
+    # --nu/--alpha/--p parametrise only the default pair; its file builds the same artifacts
+    pair = write_json(tmp_path / "pair.json", default_tensor_shift(p).to_json_dict())
+    by_op, by_default = tmp_path / "op" / "out.json", tmp_path / "default" / "out.json"
+    assert main([*argv, "--tail=-40", "--op", pair, "--out", str(by_op)]) == 0
+    assert main([*argv, "--tail=-40", "--p", str(p), "--out", str(by_default)]) == 0
+    for suffix in ("", ".series.csv"):
+        name = "out.json" + suffix
+        assert (by_op.parent / name).read_bytes() == (by_default.parent / name).read_bytes()
+
+
+def test_inner_of_one_axis_vectors(tmp_path, capsys):
+    u = {"p": 1, "entries": [[2, 0.5, 0.25], [4, -1.0, 1.0]]}
+    v = {"p": 1, "entries": [[2, -0.5, 1.5], [4, 0.0, -0.5], [7, 1.0, 0.0]]}
+    assert main(["inner", "--vec", write_json(tmp_path / "u.json", u),
+                 "--vec2", write_json(tmp_path / "v.json", v)]) == 0
+    expected = coeff_inner(CoeffVector.from_json_dict(u), CoeffVector.from_json_dict(v))
+    assert capsys.readouterr().out == _dump_json(lc_to_json(expected))
+
+
+@pytest.mark.parametrize("v2", [{"p": 2, "entries": [[2, 0.0, 0.0]]},
+                                {"p1": 1, "p2": 1, "entries": [[2, 2, 0.0, 0.0]]}],
+                         ids=["other-offset", "other-axis-count"])
+def test_inner_of_vectors_in_different_spaces_exits_2(tmp_path, capsys, v2):
+    u = write_json(tmp_path / "u.json", {"p": 1, "entries": [[2, 0.0, 0.0]]})
+    out = tmp_path / "ip.json"
+    assert main(["inner", "--vec", u, "--vec2", write_json(tmp_path / "v.json", v2), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "offsets differ" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_counterexample_defaults(tmp_path):
@@ -570,7 +613,7 @@ def _vec(*entries, p=1):
                      {"{v}": {"family": "bargmann_composite", "p": 1.9}}, id="non-integral-weight-p"),
         pytest.param(["weights", "--spec", "{v}", "--range", "1:2"],
                      {"{v}": {"family": "table", "table": [1.0], "start": 1.5}}, id="non-integral-start"),
-        pytest.param(["tensor", "apply", "--left", "{op}", "--right", "{op}", "--vec", "{v}"],
+        pytest.param(["op", "apply", "--op", "{pair}", "--vec", "{v}"],
                      {"{v}": {"p1": 1.5, "p2": 1, "entries": []}}, id="non-integral-p1"),
         pytest.param(_OP_APPLY, _vec([2.5, 0.0, 0.0]), id="non-integral-index"),
         pytest.param(_OP_APPLY, _vec([10**400, 0.0, 0.0]), id="huge-index-bargmann"),
@@ -586,8 +629,8 @@ def _vec(*entries, p=1):
         # every --op reads both operator shapes; a command defined for one axis refuses two
         pytest.param(["op", "matrix", "--op", "{v}", "-N", "5"], {"{v}": _PAIR_SPEC},
                      id="tensor-operator-to-op-matrix"),
-        pytest.param(["eigen", "--left", "{v}", "--lambda=0.5,0", "--mu=0.3,0"], {"{v}": _PAIR_SPEC},
-                     id="tensor-operator-as-eigen-left"),
+        pytest.param(["eigen", "--op", "{op}", "--lambda=0.5,0", "--mu=0.3,0"], {},
+                     id="one-axis-operator-to-eigen"),
         # widths below 2**53 but above the index limit: refused before an 8 TiB array is asked for
         pytest.param(["weights", "--spec", "{v}", "--range", f"0:{2**40}"],
                      {"{v}": {"family": "bargmann_raw"}}, id="range-above-the-index-limit"),
@@ -613,10 +656,8 @@ def _vec(*entries, p=1):
         # one reader takes both vector shapes; the axis count must still match the command
         pytest.param(_OP_APPLY, {"{v}": {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]}},
                      id="two-axis-vector-to-op-apply"),
-        pytest.param(["tensor", "apply", "--left", "{op}", "--right", "{op}", "--vec", "{v}"],
+        pytest.param(["op", "apply", "--op", "{pair}", "--vec", "{v}"],
                      _vec([2, 0.0, 0.0]), id="one-axis-vector-to-tensor-apply"),
-        pytest.param(["tensor", "inner", "--left", "{op}", "--right", "{op}", "--vec", "{v}",
-                      "--vec2", "{v}"], _vec([2, 0.0, 0.0]), id="one-axis-vector-to-tensor-inner"),
         pytest.param(_OP_APPLY, _vec([2, 3, 0.0, 0.0]), id="one-axis-entry-with-four-fields"),
         pytest.param(["hypercyclic", "--targets", "{v}"],
                      {"{v}": {"targets": [{"p1": 0, "p2": 0, "entries": [[1, 1, 0.0, 0.0]]}]}},
@@ -625,7 +666,8 @@ def _vec(*entries, p=1):
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_op_spec, argv, files):
     paths = {"{op}": bargmann_op_spec, "{theta}": theta_op_spec, "{dir}": str(tmp_path),
-             "{missing}": str(tmp_path / "missing.json")}
+             "{missing}": str(tmp_path / "missing.json"),
+             "{pair}": _pair_file(tmp_path, bargmann_op_spec, bargmann_op_spec)}
     for i, (name, obj) in enumerate(files.items()):
         path = tmp_path / f"input{i}.json"
         if isinstance(obj, str):
@@ -695,21 +737,34 @@ def test_negative_values_after_a_space_reach_the_library(tmp_path, capsys, argv,
     assert "must be" in spaced
 
 
-def test_tensor_inner_beyond_float_range_is_a_numeric_failure(tmp_path, capsys, bargmann_op_spec):
+def test_tensor_inner_beyond_float_range_is_a_numeric_failure(tmp_path, capsys):
     entries = [[1, 1, 1e308, 0.0], [2, 2, 1e308, 0.0]]  # each product's logmag overflows
     vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": entries})
     out = tmp_path / "ip.json"
-    assert main(["tensor", "inner", "--left", bargmann_op_spec, "--right", bargmann_op_spec,
-                 "--vec", vec, "--vec2", vec, "--out", str(out)]) == 3
+    assert main(["inner", "--vec", vec, "--vec2", vec, "--out", str(out)]) == 3
     assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_tensor_inner_requires_vec2(tmp_path, capsys, theta_op_spec, bargmann_op_spec):
+def test_tensor_inner_requires_vec2(tmp_path, capsys):
     vec = write_json(tmp_path / "w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
-    argv = ["tensor", "inner", "--left", theta_op_spec, "--right", bargmann_op_spec, "--vec", vec]
+    argv = ["inner", "--vec", vec]
     assert main(argv) == 2
     assert "--vec2" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse(capsys):
+    # every `shiftdyn ...` line of README's bash blocks, its optional [...] parts dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("shiftdyn ")]
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(_join_dash_values(shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]))
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}\n{capsys.readouterr().err}")
 
 
 def _reference_jsonable(obj):
@@ -949,20 +1004,24 @@ _LEAF_OPS = [
     {"direction": "right_inverse", "weights": {"family": "bargmann_composite", "p": 1}},
     {"direction": "backward", "weights": {"family": "table", "table": [0.5, 2.0, 3.0] * 5, "start": 2}},
 ]
+# a tensor operator file, of offsets (1, 1)
+_LEAF_OPS.append({"left": _LEAF_OPS[0], "right": {"direction": "backward", "weights": {**_THETA_SPEC, "p": 1}}})
+# eigen and periodic --op: the default pair, one axis, factors whose directions differ, a right-inverse pair
+_EIGEN_OPS = [_PAIR_SPEC, _LEAF_OPS[0], {"left": _LEAF_OPS[0], "right": _LEAF_OPS[2]},
+              {"left": _LEAF_OPS[2], "right": _LEAF_OPS[2]}]
 _LEAF_VECTORS = [
     {"p": 1, "entries": [[3, 0.0, 0.0], [9, -2.0, 1.5]]},
     {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 1, 1.0, -0.5]]},
 ]
 _INDEX = _int_token(10_000)  # -k and -m
 _EIGEN_PART = _real_token(-7.0, 7.0)  # |lambda|, |mu| <= 10
-_LEAF_COMMANDS = ["basis eval", "op apply", "op power", "tensor apply", "tensor power", "tensor inner",
-                  "eigen", "periodic"]
+_LEAF_COMMANDS = ["basis eval", "op apply", "op power", "inner", "eigen", "periodic"]
 
 
 @st.composite
 def _leaf_argv(draw):
     command = draw(st.sampled_from(_LEAF_COMMANDS))
-    op, op2 = (f"op{draw(st.integers(0, len(_LEAF_OPS) - 1))}.json" for _ in range(2))
+    op = f"op{draw(st.integers(0, len(_LEAF_OPS) - 1))}.json"
     vec, vec2 = (f"vec{draw(st.integers(0, len(_LEAF_VECTORS) - 1))}.json" for _ in range(2))
     argv = command.split()
     if command == "basis eval":
@@ -970,10 +1029,8 @@ def _leaf_argv(draw):
                  f"-z={draw(_complex_token(_real_token()))}"]
     elif command.startswith("op"):
         argv += ["--op", op, "--vec", vec]
-    elif command.startswith("tensor"):
-        argv += ["--left", op, "--right", op2, "--vec", vec]
-        if command == "tensor inner":
-            argv += ["--vec2", vec2]
+    elif command == "inner":
+        argv += ["--vec", vec, "--vec2", vec2]
     elif command == "eigen":
         argv += [f"--lambda={draw(_complex_token(_EIGEN_PART))}", f"--mu={draw(_complex_token(_EIGEN_PART))}"]
     else:
@@ -982,6 +1039,9 @@ def _leaf_argv(draw):
         argv += [f"-k={draw(_INDEX)}"]
     if command in ("eigen", "periodic"):
         argv += [f"--tail={draw(_real_token(-200.0, 10.0))}", f"--p={draw(_int_token(3))}"]
+        eigen_op = draw(st.none() | st.integers(0, len(_EIGEN_OPS) - 1))
+        if eigen_op is not None:
+            argv += ["--op", f"eigen_op{eigen_op}.json"]
     if command in ("basis eval", "eigen", "periodic"):
         argv += [f"--nu={draw(_real_token(-1.0, 10.0))}", f"--alpha={draw(_real_token(-2.0, 2.0))}"]
     return argv
@@ -992,6 +1052,8 @@ def leaf_files(tmp_path_factory):
     files = tmp_path_factory.mktemp("leaf")
     for i, op in enumerate(_LEAF_OPS):
         write_json(files / f"op{i}.json", op)
+    for i, op in enumerate(_EIGEN_OPS):
+        write_json(files / f"eigen_op{i}.json", op)
     for i, vec in enumerate(_LEAF_VECTORS):
         write_json(files / f"vec{i}.json", vec)
     return files
@@ -1020,7 +1082,7 @@ _ORBIT_OPS = [
     (_LEAF_OPS[2], (1,)),  # a right inverse
     (_LEAF_OPS[3], (0,)),  # a finite table
     (_PAIR_SPEC, (0, 0)),
-    ({"left": _LEAF_OPS[0], "right": {"direction": "backward", "weights": {**_THETA_SPEC, "p": 1}}}, (1, 1)),
+    (_LEAF_OPS[4], (1, 1)),
     ({"left": _LEAF_OPS[0], "right": _LEAF_OPS[2]}, None),
     ({"left": _LEAF_OPS[2], "right": _LEAF_OPS[0]}, None),
     ({"left": _PAIR_SPEC, "right": _LEAF_OPS[0]}, None),

@@ -54,19 +54,23 @@ def write(name, obj):
     (d / name).write_text(json.dumps(obj), encoding="utf-8")
     return str(d / name)
 
-op = write("op.json", {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 1}})
+barg = {"direction": "backward", "weights": {"family": "bargmann_composite", "p": 1}}
+op = write("op.json", barg)
 vec = write("v.json", {"p": 1, "entries": [[3, 0.0, 0.0], [5, -1.0, 0.5]]})
-pair = write("w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
+pair = write("pair.json", {"left": barg, "right": barg})
+tvec = write("w.json", {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0]]})
 targets = write("t.json", {"targets": [{"p": 0, "entries": [[0, 0.0, 0.0]]}]})
 spec = write("s.json", {"family": "theta_raw", "nu": 3.0})
 commands = [
     ["eigen", "--lambda=0.5,0.1", "--mu=0.3,0", "--tail=-20"],
+    ["eigen", "--op", pair, "--lambda=0.5,0.1", "--mu=0.3,0", "--tail=-20"],
     ["periodic", "--q", "2", "--tail=-20"],
     ["hypercyclic", "--targets", targets, "--eps", "1e-3"],
     ["density-probe", "--count", "1", "--tail=-20"],
     ["op", "apply", "--op", op, "--vec", vec],
     ["op", "power", "--op", op, "--vec", vec, "-k", "2"],
-    ["tensor", "apply", "--left", op, "--right", op, "--vec", pair],
+    ["op", "apply", "--op", pair, "--vec", tvec],
+    ["inner", "--vec", tvec, "--vec2", tvec],
     ["basis", "eval", "--basis", "theta", "-m", "3", "-z", "0.5,0.5"],
 ]
 for i, argv in enumerate(commands):

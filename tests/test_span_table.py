@@ -24,7 +24,6 @@ from shiftdyn import (
     ShiftOperator,
     TableRangeError,
     TableWeights,
-    TensorVector,
     WeightSequence,
     adjoint,
     apply,
@@ -120,7 +119,7 @@ def test_power_matches_termwise_loop_bitwise(family, direction):
 
 def test_tensor_power_matches_termwise_loop_bitwise():
     op = tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2))
-    w = TensorVector((1, 2), {(40, 9): LogComplex(0.5, 0.3), (7, 60): LogComplex(-2.0, -1.0)})
+    w = CoeffVector((1, 2), {(40, 9): LogComplex(0.5, 0.3), (7, 60): LogComplex(-2.0, -1.0)})
     for k in (1, 2, 5, 6, 30, 6, 1):
         got = apply_power(op, w, k)
         want = {}
@@ -202,7 +201,7 @@ def test_tensor_step_reads_each_factor_weight_once():
         if direction == "right_inverse":
             op = right_inverse(op)
         entries = {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30) for n in range(2, 25)}
-        apply(op, TensorVector((1, 2), entries))
+        apply(op, CoeffVector((1, 2), entries))
         step = 0 if direction == "backward" else 1  # source index of the weight read
         assert sorted(left.calls) == list(range(2, 30 + step)), direction
         assert sorted(right.calls) == list(range(3, 25 + step)), direction
@@ -223,7 +222,7 @@ def test_every_direction_over_one_weight_sequence_shares_its_table():
 def test_tensor_right_inverse_shares_its_factors_tables():
     left, right = CountingWeights(1), CountingWeights(2)
     op = tensor_operator(ShiftOperator((left,)), ShiftOperator((right,)))
-    w = TensorVector((1, 2), {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30, 4) for n in range(2, 25, 5)})
+    w = CoeffVector((1, 2), {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30, 4) for n in range(2, 25, 5)})
     for k in (2, 9):
         apply_power(op, w, k)
         apply_power(right_inverse(op), w, k)

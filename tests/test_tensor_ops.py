@@ -13,7 +13,6 @@ from shiftdyn import (
     ShiftOperator,
     TableRangeError,
     TableWeights,
-    TensorVector,
     ValidationError,
     adjoint,
     adjoint_pairing_gap_log,
@@ -75,9 +74,9 @@ def test_tensor_of_scalar_moves_freely():
 def test_tensor_apply_kills_bottom_rows():
     op = pair(0, 0)
     for n in range(0, 5):
-        w = TensorVector.unit((0, n), (0, 0))
+        w = CoeffVector.unit((0, n), (0, 0))
         assert apply(op, w).is_zero
-        w2 = TensorVector.unit((n, 0), (0, 0))
+        w2 = CoeffVector.unit((n, 0), (0, 0))
         assert apply(op, w2).is_zero
 
 
@@ -89,10 +88,10 @@ def test_annihilated_entry_reads_no_weight_of_the_other_factor():
         (tensor_operator(bargmann, short), lambda i, j: (j, i)),
     ):
         with pytest.raises(TableRangeError):  # a surviving entry does read the table
-            apply(op, TensorVector.unit(at(40, 1), (0, 0)))
-        assert apply(op, TensorVector.unit(at(40, 0), (0, 0))).is_zero
-        assert apply_power(op, TensorVector.unit(at(40, 0), (0, 0)), 1).is_zero
-        assert apply_power(op, TensorVector.unit(at(40, 3), (0, 0)), 4).is_zero
+            apply(op, CoeffVector.unit(at(40, 1), (0, 0)))
+        assert apply(op, CoeffVector.unit(at(40, 0), (0, 0))).is_zero
+        assert apply_power(op, CoeffVector.unit(at(40, 0), (0, 0)), 1).is_zero
+        assert apply_power(op, CoeffVector.unit(at(40, 3), (0, 0)), 4).is_zero
 
 
 def test_single_step_is_power_one_bitwise():
@@ -110,7 +109,7 @@ def test_single_step_is_power_one_bitwise():
 
 def test_tensor_apply_single_pair_example():
     op = pair(0, 0)
-    out = apply(op, TensorVector.unit((1, 1), (0, 0)))
+    out = apply(op, CoeffVector.unit((1, 1), (0, 0)))
     # theta weight at 1 is exp(1) for nu=pi, alpha=0; bargmann weight is 1
     assert out.entries == {(0, 0): LogComplex(1.0, 0.0)}
 
@@ -156,7 +155,7 @@ def test_tensor_right_inverse_identity_exact_on_units():
     s = right_inverse(op)
     for m in range(1, 6):
         for n in range(1, 6):
-            w = TensorVector.unit((m, n), (1, 1))
+            w = CoeffVector.unit((m, n), (1, 1))
             back = apply(op, apply(s, w))
             assert back.entries == {(m, n): LogComplex(0.0, 0.0)}
 
@@ -165,7 +164,7 @@ def test_tensor_power_nilpotence_bound():
     op = pair(0, 0)
     for m in range(0, 6):
         for n in range(0, 6):
-            w = TensorVector.unit((m, n), (0, 0))
+            w = CoeffVector.unit((m, n), (0, 0))
             bound = min(m, n)
             assert apply_power(op, w, bound + 1).is_zero
             if bound >= 1:
@@ -194,7 +193,7 @@ def test_tensor_inverse_norm_additivity_exact():
     op = pair(1, 1)
     s = right_inverse(op)
     s_left, s_right = right_inverse(op).factors
-    f = TensorVector.unit((1, 1), (1, 1))
+    f = CoeffVector.unit((1, 1), (1, 1))
     for k in range(1, 12):
         tensor_norm = coeff_norm_log(apply_power(s, f, k))
         left_norm = coeff_norm_log(apply_power(s_left, CoeffVector.unit((1,), (1,)), k))
@@ -204,15 +203,15 @@ def test_tensor_inverse_norm_additivity_exact():
 
 def test_tensor_right_inverse_power_support():
     s = right_inverse(pair(0, 0))
-    out = apply_power(s, TensorVector.unit((1, 1), (0, 0)), 2)
+    out = apply_power(s, CoeffVector.unit((1, 1), (0, 0)), 2)
     assert out.support() == [(3, 3)]
 
 
 def test_tensor_inner_orthonormal_and_factorization():
     rng = random.Random(67)
-    w = TensorVector.unit((2, 3), (0, 0))
+    w = CoeffVector.unit((2, 3), (0, 0))
     assert coeff_inner(w, w) == LogComplex(0.0, 0.0)
-    assert coeff_inner(w, TensorVector.unit((2, 4), (0, 0))) == LC_ZERO
+    assert coeff_inner(w, CoeffVector.unit((2, 4), (0, 0))) == LC_ZERO
     for _ in range(30):
         u = rand_coeff_vector(rng, 0, 4, 10)
         v = rand_coeff_vector(rng, 0, 4, 10)
@@ -232,7 +231,7 @@ def test_tensor_inner_positive_definite():
         q = coeff_inner(w, w)
         assert q.phase == 0.0
         assert math.isfinite(q.logmag)
-    assert coeff_inner(TensorVector((0, 0), {}), TensorVector((0, 0), {})) == LC_ZERO
+    assert coeff_inner(CoeffVector((0, 0), {}), CoeffVector((0, 0), {})) == LC_ZERO
 
 
 def test_tensor_adjoint_pairing():
@@ -250,12 +249,12 @@ def test_tensor_adjoint_pairing():
 
 def test_tensor_vector_validation_and_json():
     with pytest.raises(ValidationError):
-        TensorVector((1, 0), {(0, 2): LogComplex(0.0, 0.0)})
+        CoeffVector((1, 0), {(0, 2): LogComplex(0.0, 0.0)})
     with pytest.raises(ValidationError):
-        TensorVector((0, 0), {(1, 1): LC_ZERO})
+        CoeffVector((0, 0), {(1, 1): LC_ZERO})
     rng = random.Random(79)
     w = rand_tensor_vector(rng, (1, 2), 6, 15)
-    w2 = TensorVector.from_json_dict(w.to_json_dict())
+    w2 = CoeffVector.from_json_dict(w.to_json_dict())
     assert w2.offsets == w.offsets
     assert w2.entries == w.entries
 
@@ -301,10 +300,10 @@ def test_an_operator_has_one_or_two_weight_sequences():
 def test_tensor_offset_mismatch():
     op = pair(1, 1)
     with pytest.raises(OffsetMismatch):
-        apply(op, TensorVector.unit((2, 2), (0, 0)))
+        apply(op, CoeffVector.unit((2, 2), (0, 0)))
     with pytest.raises(OffsetMismatch):
-        coeff_inner(TensorVector.unit((1, 1), (1, 1)), TensorVector.unit((1, 1), (0, 0)))
-    u, w = CoeffVector.unit((0,), (0,)), TensorVector.unit((0, 0), (0, 0))
+        coeff_inner(CoeffVector.unit((1, 1), (1, 1)), CoeffVector.unit((1, 1), (0, 0)))
+    u, w = CoeffVector.unit((0,), (0,)), CoeffVector.unit((0, 0), (0, 0))
     for fn in (coeff_add, coeff_sub, coeff_inner):
         for a, b in ((u, w), (w, u)):
             with pytest.raises(OffsetMismatch):
