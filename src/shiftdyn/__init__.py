@@ -2,7 +2,6 @@
 computable side of their chaotic dynamics, on log-domain arithmetic."""
 
 from .numerics import (
-    LC_ONE,
     LC_ZERO,
     LogComplex,
     lc_add,
@@ -11,10 +10,6 @@ from .numerics import (
     lc_from_complex,
     lc_mul,
     lc_neg,
-    lc_pow_int,
-    lc_sub,
-    lc_to_cartesian,
-    lc_to_complex,
     wrap_phase,
 )
 from .weights import (
@@ -35,17 +30,12 @@ from .basis import (
     coeff_inner,
     coeff_neg,
     coeff_norm_log,
-    coeff_scale,
     coeff_sub,
-    synth,
     theta_basis_eval,
 )
 from .shift_ops import (
     Direction,
     ShiftOperator,
-    adjoint,
-    adjoint_pairing_gap_log,
-    apply,
     apply_power,
     matrix_triplets,
     right_inverse,
@@ -54,21 +44,15 @@ from .shift_ops import (
 )
 from .tensor_ops import tensor_of
 from .criteria import (
-    BcsReport,
     CriterionReport,
     Verdict,
-    bcs_premise_check,
     salas_scan,
     tensor_salas_scan,
 )
 from .dynamics import (
     EigenSpec,
-    OrbitTrace,
-    eigen_residual_log,
-    eigen_residual_numeric_log,
     eigenvector_build,
     hypercyclic_vector_build,
-    orbit,
     periodic_from_target,
     periodic_point_from_eigen,
     periodic_residual_numeric_log,

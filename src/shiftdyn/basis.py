@@ -5,12 +5,12 @@ tuples, one index per axis, with axis i holding indices >= offsets[i]; exact
 zeros are never stored.  A single-space vector has one axis and is keyed
 (m,), so its sorted keys order as its indices do; a tensor vector has one
 axis per factor space (`tensor_of` concatenates keys and offsets).  The
-`coeff_*` algebra treats every vector alike, and each result is rebuilt
-with its input's own offsets.  Inner products are taken in coefficient
-(Parseval) space.  Pointwise basis evaluation is
-provided for the monomial basis z^n/sqrt(n!) and for the theta-lattice
-basis, both computed termwise in the log domain so no intermediate is
-exponentiated at full size.
+`coeff_*` algebra (sum, difference, inner product, norm) treats every
+vector alike, and each result is rebuilt with its input's own offsets.
+Inner products are taken in coefficient (Parseval) space.  Pointwise
+evaluation of one basis function is provided for the monomial basis
+z^n/sqrt(n!) and for the theta-lattice basis, both computed termwise in the
+log domain so no intermediate is exponentiated at full size.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 from operator import lt
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import (
@@ -109,12 +109,6 @@ def coeff_add(u, v):
     return replace(u, entries=out)
 
 
-def coeff_scale(u, a: LogComplex):
-    if a.is_zero:
-        return replace(u, entries={})
-    return replace(u, entries={key: lc_mul(c, a) for key, c in u.entries.items()})
-
-
 def coeff_neg(u):
     return replace(u, entries={key: lc_neg(c) for key, c in u.entries.items()})
 
@@ -194,14 +188,3 @@ def theta_basis_eval(m: int, z: complex, params: ThetaParams) -> LogComplex:
         raise OverflowNotRepresentable(f"theta basis function {m} at {z} is beyond float range")
     return LogComplex(logmag, wrap_phase(phase))
 
-
-def synth(v: CoeffVector, z: complex, basis: Callable[[int, complex], LogComplex]) -> LogComplex:
-    """Pointwise synthesis sum_m c_m * basis(m, z) over the finite support of a one-axis v.
-
-    basis evaluates one basis function: `bargmann_basis_eval`, or
-    `lambda m, z: theta_basis_eval(m, z, params)`.
-    """
-    acc = LC_ZERO
-    for (m,) in v.support():
-        acc = lc_add(acc, lc_mul(v.entries[(m,)], basis(m, z)))
-    return acc

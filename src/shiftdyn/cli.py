@@ -58,6 +58,7 @@ from .dynamics import (
 from .errors import ShiftDynError, ValidationError
 from .numerics import LogComplex, int_parse, lc_to_json
 from .shift_ops import (
+    Direction,
     ShiftOperator,
     apply_power,
     matrix_triplets,
@@ -267,6 +268,17 @@ def _operator(path: str | None, default=None) -> ShiftOperator:
     return default()
 
 
+def _pair_operator(args) -> ShiftOperator:
+    """The backward tensor operator of `eigen` and `periodic`: --op, or the default pair."""
+    op = _operator(args.op, lambda: default_tensor_shift(args.p, args.nu, args.alpha))
+    if len(op.weights) != 2 or op.direction is not Direction.BACKWARD:
+        raise ValidationError(
+            f"--op {args.op}: needs two axes and the backward direction;"
+            f" it has {len(op.weights)} and {op.direction.value}"
+        )
+    return op
+
+
 def _targets(payload) -> list[CoeffVector]:
     """Hypercyclic targets: {"targets": [vector, ...]} or the bare list."""
     vectors = payload["targets"] if isinstance(payload, dict) else payload
@@ -327,7 +339,7 @@ def _cmd_criterion(args):
 
 
 def _cmd_eigen(args):
-    op = _operator(args.op, lambda: default_tensor_shift(args.p, args.nu, args.alpha))
+    op = _pair_operator(args)
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     a, b, spec = eigenvector_build(op, lam, mu, args.tail)
@@ -343,7 +355,7 @@ def _cmd_eigen(args):
 
 
 def _cmd_periodic(args):
-    op = _operator(args.op, lambda: default_tensor_shift(args.p, args.nu, args.alpha))
+    op = _pair_operator(args)
     a, b, spec = periodic_point_from_eigen(op, args.q, args.tail)
     log_norms = rank_one_log_norms(op, a, b, 2 * args.q)
     gnorm = log_norms[0]

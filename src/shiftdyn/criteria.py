@@ -7,11 +7,6 @@ labelled evidence with the horizon and threshold recorded.  The tensor scan
 applies the same test to the pointwise product of two weight sequences.
 Each factor's weights are one bulk read (`WeightSequence.log_weights`), and
 the partial sums one `np.cumsum`, numpy being imported in the scan alone.
-
-`bcs_premise_check` verifies, on basis-vector probes, the computable
-premises of the hypercyclicity criterion for unbounded operators: exact
-right-inverse identity, exact annihilation past the nilpotence bound, and
-strictly decaying right-inverse orbits.
 """
 
 from __future__ import annotations
@@ -19,11 +14,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .basis import CoeffVector, coeff_norm_log
 from .errors import ValidationError
-from .shift_ops import Direction, apply, apply_power, nilpotence_index, right_inverse
 from .weights import WeightSequence, check_index_count
 
 
@@ -120,99 +113,3 @@ def tensor_salas_scan(
     """
     return _scan(n_horizon, threshold, w1, w2)
 
-
-@dataclass(slots=True)
-class BcsProbeResult:
-    probe: object
-    right_inverse_identity: bool
-    nilpotent_exactly: bool
-    inverse_orbit_decreasing: bool
-    inverse_orbit_below_tol_at: int | None
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = (
-            self.right_inverse_identity
-            and self.nilpotent_exactly
-            and self.inverse_orbit_decreasing
-            and self.inverse_orbit_below_tol_at is not None
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "probe": list(self.probe),
-            "right_inverse_identity": self.right_inverse_identity,
-            "nilpotent_exactly": self.nilpotent_exactly,
-            "inverse_orbit_decreasing": self.inverse_orbit_decreasing,
-            "inverse_orbit_below_tol_at": self.inverse_orbit_below_tol_at,
-            "passed": self.passed,
-        }
-
-
-@dataclass(slots=True)
-class BcsReport:
-    probes: list[BcsProbeResult]
-    k_max: int
-    tol_log: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(p.passed for p in self.probes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "tol_log": self.tol_log,
-            "all_passed": self.all_passed,
-            "probes": [p.to_json_dict() for p in self.probes],
-        }
-
-
-def _is_exact_unit(v, key) -> bool:
-    if set(v.entries) != {key}:
-        return False
-    c = v.entries[key]
-    return c.logmag == 0.0 and c.phase == 0.0
-
-
-def bcs_premise_check(op, probe_indices, k_max: int, tol_log: float) -> BcsReport:
-    """Probe the hypercyclicity-criterion premises on basis vectors.
-
-    Each probe is an index tuple, one index per axis of the operator: (m,)
-    for a single-space operator, (m, n) for a tensor operator.  For each
-    probe f: (a) T(S f) = f must hold exactly (it does by
-    construction on unit vectors: the same log-weight is subtracted and
-    added back starting from log-magnitude 0); (b) T^k f must be exactly
-    zero at its nilpotence index k and nonzero at k - 1; (c) log||S^k f||
-    must decrease strictly and fall below tol_log within k_max.
-    """
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    if op.direction is not Direction.BACKWARD:
-        raise ValidationError("premises are checked on the backward operator")
-    s_op = right_inverse(op)
-    results = []
-    for key in probe_indices:
-        f = CoeffVector.unit(key, op.offsets)
-        k_nil = nilpotence_index(op, f)
-        ident = _is_exact_unit(apply(op, apply(s_op, f)), key)
-        nil = apply_power(op, f, k_nil).is_zero and not apply_power(op, f, k_nil - 1).is_zero
-        decreasing, below_at = _inverse_orbit_scan(
-            lambda k: coeff_norm_log(apply_power(s_op, f, k)), k_max, tol_log
-        )
-        results.append(BcsProbeResult(key, ident, nil, decreasing, below_at))
-    return BcsReport(results, k_max, tol_log)
-
-
-def _inverse_orbit_scan(norm_at, k_max: int, tol_log: float) -> tuple[bool, int | None]:
-    prev = 0.0
-    below_at = None
-    for k in range(1, k_max + 1):
-        cur = norm_at(k)
-        if not cur < prev:
-            return False, None
-        if below_at is None and cur <= tol_log:
-            below_at = k
-            break
-        prev = cur
-    return True, below_at

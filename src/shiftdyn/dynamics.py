@@ -1,4 +1,4 @@
-"""Orbits, eigenvector series, periodic points and hypercyclic vectors.
+"""Eigenvector series, periodic points and hypercyclic vectors.
 
 The eigenvector of the tensor backward shift for the eigenvalue pair
 (lambda, mu) is the rank-one series whose (m, n) coefficient is
@@ -19,10 +19,7 @@ identically on the interior and equals -(lambda*mu)^q times the outermost
 width-q band of the truncation rectangle.  `rank_one_residual_log` takes
 that band per axis, as B1 H2 + h1 B2 (B: an axis's squared mass in its top
 q indices, h: below them, H = h + B), with no subtraction: the band sits
-e^-120 and more below H1 H2, so H1 H2 - h1 h2 keeps no digit.  The dense
-band sum `eigen_residual_log` and the entrywise subtraction
-`eigen_residual_numeric_log` (floored by float rounding, ~1e-13 relative)
-are kept as independent cross-checks.
+e^-120 and more below H1 H2, so H1 H2 - h1 h2 keeps no digit.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .basis import CoeffVector, coeff_add, coeff_inner, coeff_norm_log, coeff_scale, coeff_sub
+from .basis import CoeffVector, coeff_add, coeff_inner, coeff_norm_log
 from .errors import (
     QTooSmall,
     ScheduleOverflow,
@@ -44,60 +41,17 @@ from .numerics import (
     LogComplex,
     int_parse,
     lc_from_complex,
-    lc_pow_int,
     log_add_exp,
     log_sum_exp,
     wrap_phase,
 )
-from .shift_ops import Direction, ShiftOperator, apply, apply_power, nilpotence_index, right_inverse
+from .shift_ops import Direction, ShiftOperator, apply_power, nilpotence_index, right_inverse
 from .weights import WeightSequence
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
 _EIGEN_BAND_MARGIN = 1  # an eigenvector certifies the residual band of T^1
 _SERIES_TERMS_CAP = 10_000  # terms of a periodic approximant
 EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
-
-
-@dataclass(slots=True)
-class OrbitStep:
-    k: int
-    log_norm: float
-    vector: CoeffVector
-
-
-@dataclass(slots=True)
-class OrbitTrace:
-    steps: list[OrbitStep]
-    annihilation_k: int | None
-
-    def log_norms(self) -> list[float]:
-        return [s.log_norm for s in self.steps]
-
-
-def orbit(op, seed, k_max: int) -> OrbitTrace:
-    """Iterate the operator on a finite-support seed, recording norms.
-
-    Works for single-space and tensor operators; exact annihilation (the
-    empty vector) is detected and recorded, after which the trace stays at
-    log-norm -inf without further applications.
-    """
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
-    steps = []
-    annihilation_k = None
-    cur = seed
-    for k in range(k_max + 1):
-        if k > 0:
-            cur = apply(op, cur)
-        if cur.is_zero and annihilation_k is None:
-            annihilation_k = k
-        steps.append(OrbitStep(k, coeff_norm_log(cur), cur))
-        if cur.is_zero:
-            # the zero state is absorbing; fill the remaining slots
-            for kk in range(k + 1, k_max + 1):
-                steps.append(OrbitStep(kk, NEG_INF, cur))
-            break
-    return OrbitTrace(steps, annihilation_k)
 
 
 @dataclass(slots=True)
@@ -280,29 +234,6 @@ def eigenvector_build(
     )
 
 
-def eigen_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
-    """log ||T^q g - (lambda*mu)^q g|| for a truncated eigenvector g.
-
-    The interior of the truncation telescopes identically (the applied
-    weight products are the coefficients' own denominators), leaving
-    -(lambda*mu)^q times the outermost width-q band, whose norm is
-    evaluated here.
-    """
-    if q < 1:
-        raise ValidationError(f"power must be >= 1, got {q}")
-    lm = lc_from_complex(lam * mu)
-    if lm.is_zero or g.is_zero:
-        return NEG_INF
-    trunc_m = max(m for m, _ in g.entries)
-    trunc_n = max(n for _, n in g.entries)
-    band_sq = log_sum_exp(
-        2.0 * c.logmag
-        for (m, n), c in g.entries.items()
-        if m > trunc_m - q or n > trunc_n - q
-    )
-    return q * lm.logmag + band_sq / 2.0
-
-
 def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
     """log squared mass of the one-axis v below its top q indices, and within them."""
     cut = max(v.entries)[0] - q
@@ -313,7 +244,10 @@ def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
 def rank_one_residual_log(
     a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, q: int = 1
 ) -> float:
-    """`eigen_residual_log` per axis, for g = tensor_of(a, b): see the module notes."""
+    """log ||T^q g - (lambda*mu)^q g|| for g = tensor_of(a, b), from the width-q band per axis.
+
+    See the module notes: the band holds B1 H2 + h1 B2 of the squared mass.
+    """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
     lm = lc_from_complex(lam * mu)
@@ -332,20 +266,6 @@ def rank_one_log_norms(
         coeff_norm_log(apply_power(t1, a, k)) + coeff_norm_log(apply_power(t2, b, k))
         for k in range(k_max + 1)
     ]
-
-
-def eigen_residual_numeric_log(
-    op: ShiftOperator, g: CoeffVector, lam: complex, mu: complex, q: int = 1
-) -> float:
-    """log ||T^q g - (lambda*mu)^q g|| by generic entrywise subtraction.
-
-    Floored by float rounding at roughly 1e-13 of ||g||; use the band
-    evaluator for tolerances below that.
-    """
-    if q < 1:
-        raise ValidationError(f"power must be >= 1, got {q}")
-    scaled = coeff_scale(g, lc_pow_int(lc_from_complex(lam * mu), q))
-    return coeff_norm_log(coeff_sub(apply_power(op, g, q), scaled))
 
 
 def periodic_residual_numeric_log(

@@ -20,13 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OverflowNotRepresentable, ValidationError
+from .errors import ValidationError
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
-
-# exp() overflows to inf just above this; see math.log(sys.float_info.max)
-_MAX_EXP_LOG = 709.782712893384
 
 NEG_INF = float("-inf")
 
@@ -57,7 +54,6 @@ class LogComplex:
 
 
 LC_ZERO = LogComplex(NEG_INF, 0.0)
-LC_ONE = LogComplex(0.0, 0.0)
 
 
 def lc_mul(a: LogComplex, b: LogComplex) -> LogComplex:
@@ -102,25 +98,10 @@ def lc_neg(a: LogComplex) -> LogComplex:
     return LogComplex(a.logmag, opposite_phase(a.phase))
 
 
-def lc_sub(a: LogComplex, b: LogComplex) -> LogComplex:
-    return lc_add(a, lc_neg(b))
-
-
 def lc_conj(a: LogComplex) -> LogComplex:
     if a.is_zero:
         return LC_ZERO
     return LogComplex(a.logmag, wrap_phase(-a.phase))
-
-
-def lc_pow_int(a: LogComplex, k: int) -> LogComplex:
-    """Integer power; k >= 0.  0^0 = 1 by the empty-product convention."""
-    if k < 0:
-        raise ValueError("negative powers are not supported")
-    if k == 0:
-        return LC_ONE
-    if a.is_zero:
-        return LC_ZERO
-    return LogComplex(k * a.logmag, wrap_phase(k * a.phase))
 
 
 def lc_from_cartesian(re: float, im: float) -> LogComplex:
@@ -133,29 +114,8 @@ def lc_from_complex(z: complex) -> LogComplex:
     return lc_from_cartesian(z.real, z.imag)
 
 
-def lc_to_cartesian(a: LogComplex) -> tuple[float, float]:
-    """Back to native floats; raises once the magnitude exceeds float range."""
-    if a.is_zero:
-        return (0.0, 0.0)
-    if a.logmag > _MAX_EXP_LOG:
-        raise OverflowNotRepresentable(
-            f"logmag {a.logmag:.6g} exceeds the native double range (~709.78)"
-        )
-    r = math.exp(a.logmag)
-    return (r * math.cos(a.phase), r * math.sin(a.phase))
-
-
-def lc_to_complex(a: LogComplex) -> complex:
-    re, im = lc_to_cartesian(a)
-    return complex(re, im)
-
-
 def lc_to_json(a: LogComplex) -> dict:
     return {"logmag": "-inf" if a.is_zero else a.logmag, "phase": a.phase}
-
-
-def lc_from_json(obj: dict) -> LogComplex:
-    return lc_parse(obj["logmag"], obj["phase"])
 
 
 def lc_parse(logmag, phase) -> LogComplex:

@@ -8,7 +8,8 @@ m >= p+1) per axis with a direction:
                      after it is the identity, with the log-weight added
                      back being the very float that was subtracted
 * adjoint forward -- e_m -> a(m+1) e_{m+1}, the adjoint of the backward
-                     shift (weights are real positive)
+                     shift (weights are real positive); an operator file
+                     names it as its direction
 
 With two axes it is the tensor product T1 (x) T2 (`tensor_operator`),
 acting diagonally: the pair (m, n) moves to (m-1, n-1) carrying the product
@@ -17,12 +18,12 @@ lowest index.  Its `factors` are one-axis operators over the same weights.
 
 All applications act entrywise on finite-support vectors; weights never
 touch phases, so phases survive every direction bit-for-bit.  Every action
-is one k-step rule per axis (`apply` is k = 1).  Powers take each weight
-product as one log-sum over a span of source indices, read from the weight
-sequence's own table (`WeightSequence.log_weight_span`), which every
-operator and direction over those weights shares; a single step reads its
-one weight directly.  For the backward direction `nilpotence_index` gives
-the least power that sends a vector to exact zero.
+is one k-step rule per axis, `apply_power`; a single step is k = 1.  Powers
+take each weight product as one log-sum over a span of source indices, read
+from the weight sequence's own table (`WeightSequence.log_weight_span`),
+which every operator and direction over those weights shares; a single step
+reads its one weight directly.  For the backward direction
+`nilpotence_index` gives the least power that sends a vector to exact zero.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, ge, getitem, sub
 
-from .basis import CoeffVector, coeff_inner
+from .basis import CoeffVector
 from .errors import OffsetMismatch, ValidationError
-from .numerics import LogComplex, lc_sub
+from .numerics import LogComplex
 from .weights import WeightSequence, check_index_count, weight_sequence_from_json
 
 
@@ -77,15 +78,6 @@ def right_inverse(op: ShiftOperator) -> ShiftOperator:
     return replace(op, direction=Direction.RIGHT_INVERSE)
 
 
-def adjoint(op: ShiftOperator) -> ShiftOperator:
-    """The adjoint (weights are real positive), axis by axis."""
-    if op.direction is Direction.BACKWARD:
-        return replace(op, direction=Direction.ADJOINT_FORWARD)
-    if op.direction is Direction.ADJOINT_FORWARD:
-        return replace(op, direction=Direction.BACKWARD)
-    raise ValidationError("adjoint of the right inverse is not represented")
-
-
 def _action_rule(weights: WeightSequence, direction: Direction, k: int):
     """The k-step action along an axis with these weights, k >= 1, as (shift, lo, hi, sign, floor, span).
 
@@ -110,11 +102,6 @@ def nilpotence_index(op, v: CoeffVector) -> int:
     The entry at key dies once k > min(key[i] - offsets[i]).
     """
     return max((min(map(sub, key, op.offsets)) + 1 for key in v.entries), default=0)
-
-
-def apply(op, v: CoeffVector) -> CoeffVector:
-    """One application of the operator, extended linearly over the support."""
-    return apply_power(op, v, 1)
 
 
 def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
@@ -160,13 +147,6 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         for key, c in live
     }
     return CoeffVector(v.offsets, out)
-
-
-def adjoint_pairing_gap_log(op, u: CoeffVector, v: CoeffVector) -> float:
-    """log |<T u, v> - <u, T* v>|; -inf when the pairing matches exactly."""
-    lhs = coeff_inner(apply(op, u), v)
-    rhs = coeff_inner(u, apply(adjoint(op), v))
-    return lc_sub(lhs, rhs).logmag
 
 
 def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float]]:

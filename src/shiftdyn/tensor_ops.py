@@ -3,9 +3,10 @@
 A tensor vector is a two-axis `CoeffVector`: a sparse map over index pairs
 (m, n) with m >= p1, n >= p2 -- eigenvector truncations fill dense
 rectangles while orbit vectors live on sparse diagonals, and one map serves
-both.  `tensor_of` forms the outer product of two one-axis vectors.  The
-tensor operator T1 (x) T2 is the two-axis `shift_ops.ShiftOperator` that
-`shift_ops.tensor_operator` builds, and the vector algebra (sum, scaling,
+both.  `tensor_of` forms the outer product of two one-axis vectors; the
+`eigen` and `periodic` commands write g = tensor_of(a, b).  The tensor
+operator T1 (x) T2 is the two-axis `shift_ops.ShiftOperator` that
+`shift_ops.tensor_operator` builds, and the vector algebra (sum, difference,
 inner product, norm) is the `coeff_*` family of `basis`.
 """
 

@@ -1,16 +1,31 @@
-"""Shared helpers for the test suite: random builders and log-domain asserts."""
+"""Shared helpers for the test suite: random builders, log-domain asserts, and references.
+
+The references are independent of the code under test where they can be:
+stepping an orbit one `apply_power(op, v, 1)` at a time, the dense residual
+band and the entrywise residual of an eigenvector, and the adjoint pairing.
+"""
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+from dataclasses import replace
 
 from shiftdyn import (
     CoeffVector,
+    Direction,
     LogComplex,
-    lc_sub,
-    lc_to_complex,
+    apply_power,
+    coeff_inner,
+    coeff_norm_log,
+    coeff_sub,
+    lc_add,
+    lc_from_complex,
+    lc_mul,
+    lc_neg,
 )
+from shiftdyn.numerics import log_sum_exp, wrap_phase
 
 NEG_INF = float("-inf")
 
@@ -39,7 +54,7 @@ def rand_tensor_vector(
 
 def rel_gap_log(a: LogComplex, b: LogComplex) -> float:
     """log(|a - b| / max(|a|, |b|)); -inf when both are the same value."""
-    diff = lc_sub(a, b)
+    diff = lc_add(a, lc_neg(b))
     if diff.is_zero:
         return NEG_INF
     scale = max(a.logmag, b.logmag)
@@ -59,3 +74,48 @@ def assert_lc_equals_complex(a: LogComplex, z: complex, tol_rel: float) -> None:
         assert abs(za) <= tol_rel
     else:
         assert abs(za - z) <= tol_rel * abs(z), f"{za} != {z}"
+
+
+def lc_to_complex(a: LogComplex) -> complex:
+    return 0j if a.is_zero else cmath.rect(math.exp(a.logmag), a.phase)
+
+
+def orbit(op, seed: CoeffVector, k_max: int) -> list[CoeffVector]:
+    """[T^0 v, T^1 v, ..., T^k_max v], one single step at a time."""
+    steps = [seed]
+    for _ in range(k_max):
+        steps.append(apply_power(op, steps[-1], 1))
+    return steps
+
+
+def band_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
+    """log ||T^q g - (lambda*mu)^q g|| of a dense truncated eigenvector, from its width-q band.
+
+    The interior telescopes, leaving -(lambda*mu)^q times the outermost band.
+    """
+    lm = lc_from_complex(lam * mu)
+    if lm.is_zero or g.is_zero:
+        return NEG_INF
+    trunc_m, trunc_n = (max(key[i] for key in g.entries) for i in (0, 1))
+    band = (2.0 * c.logmag for (m, n), c in g.entries.items() if m > trunc_m - q or n > trunc_n - q)
+    return q * lm.logmag + log_sum_exp(band) / 2.0
+
+
+def numeric_residual_log(op, g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
+    """log ||T^q g - (lambda*mu)^q g|| by entrywise subtraction; floored near 1e-13 of ||g||."""
+    lm = lc_from_complex(lam * mu)
+    power = LogComplex(q * lm.logmag, wrap_phase(q * lm.phase)) if not lm.is_zero else lm
+    scaled = CoeffVector.from_entries(g.offsets, {key: lc_mul(c, power) for key, c in g.entries.items()})
+    return coeff_norm_log(coeff_sub(apply_power(op, g, q), scaled))
+
+
+def adjoint_forward(op):
+    """The adjoint of a backward operator: the same weights, forward."""
+    return replace(op, direction=Direction.ADJOINT_FORWARD)
+
+
+def adjoint_pairing_gap_log(op, u: CoeffVector, v: CoeffVector) -> float:
+    """log |<T u, v> - <u, T* v>| for a backward op; -inf when the pairing matches exactly."""
+    lhs = coeff_inner(apply_power(op, u, 1), v)
+    rhs = coeff_inner(u, apply_power(adjoint_forward(op), v, 1))
+    return lc_add(lhs, lc_neg(rhs)).logmag

@@ -1,4 +1,4 @@
-"""Basis evaluation, synthesis and coefficient-space inner products."""
+"""Basis evaluation and coefficient-space inner products."""
 
 import math
 import random
@@ -16,21 +16,17 @@ from shiftdyn import (
     ThetaParams,
     ValidationError,
     bargmann_basis_eval,
-    coeff_add,
     coeff_inner,
     coeff_norm_log,
-    coeff_scale,
     lc_add,
     lc_conj,
     lc_from_complex,
     lc_mul,
-    lc_to_complex,
-    synth,
     theta_basis_eval,
     wrap_phase,
 )
 
-from conftest import assert_lc_equals_complex, rand_coeff_vector, rel_gap_log
+from conftest import assert_lc_equals_complex, lc_to_complex, rand_coeff_vector, rel_gap_log
 
 
 def test_bargmann_basis_low_orders():
@@ -125,34 +121,10 @@ def test_theta_basis_consecutive_ratio():
         assert rel_gap_log(lhs, rhs) <= math.log(1e-10)
 
 
-def test_synth_unit_and_empty():
-    basis = bargmann_basis_eval
-    v = CoeffVector.unit((3,), (0,))
-    z = 1.2 - 0.4j
-    assert synth(v, z, basis) == bargmann_basis_eval(3, z)
-    assert synth(CoeffVector((0,), {}), z, basis) == LC_ZERO
-
-
 def test_synth_one_plus_z_at_two():
-    v = CoeffVector((0,), {(0,): LogComplex(0.0, 0.0), (1,): LogComplex(0.0, 0.0)})
-    out = synth(v, 2.0 + 0j, bargmann_basis_eval)
+    # 1 + z = e_0 + e_1 in the monomial basis z^n / sqrt(n!), at z = 2
+    out = lc_add(bargmann_basis_eval(0, 2.0 + 0j), bargmann_basis_eval(1, 2.0 + 0j))
     assert_lc_equals_complex(out, 3.0 + 0j, 1e-13)
-
-
-def test_synth_linear():
-    rng = random.Random(33)
-    params = ThetaParams(nu=math.pi, alpha=0.1)
-    basis = lambda m, z: theta_basis_eval(m, z, params)  # noqa: E731
-    for _ in range(20):
-        u = rand_coeff_vector(rng, 0, 5, 8)
-        v = rand_coeff_vector(rng, 0, 5, 8)
-        a, b = lc_from_complex(0.7 - 0.2j), lc_from_complex(-1.1 + 0.5j)
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        lhs = synth(coeff_add(coeff_scale(u, a), coeff_scale(v, b)), z, basis)
-        rhs = lc_add(lc_mul(a, synth(u, z, basis)), lc_mul(b, synth(v, z, basis)))
-        if lhs.is_zero and rhs.is_zero:
-            continue
-        assert rel_gap_log(lhs, rhs) <= math.log(1e-11)
 
 
 def test_inner_orthonormal_coordinates():

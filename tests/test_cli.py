@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from shiftdyn import (
@@ -225,6 +225,23 @@ def test_eigen_uncertifiable_exits_3(tmp_path, capsys):
     )
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+_RIGHT_INVERSE_PAIR = {"left": {"direction": "right_inverse", "weights": _THETA_SPEC},
+                       "right": {"direction": "right_inverse", "weights": _BARGMANN_SPEC}}
+
+
+@pytest.mark.parametrize("op", [{"direction": "backward", "weights": _BARGMANN_SPEC}, _RIGHT_INVERSE_PAIR],
+                         ids=["one-axis", "right-inverse-pair"])
+@pytest.mark.parametrize("argv", [["eigen", "--lambda=0.5,0", "--mu=0.3,0"], ["periodic", "--q", "3"]],
+                         ids=["eigen", "periodic"])
+def test_eigen_and_periodic_name_a_wrong_shaped_op_file(tmp_path, capsys, argv, op):
+    path = write_json(tmp_path / "op.json", op)
+    out = tmp_path / "x.json"
+    assert main([*argv, "--op", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--op" in err and path in err, err
+    assert not out.exists()
 
 
 def test_periodic(tmp_path):
@@ -983,7 +1000,8 @@ def test_values_beyond_float_range_are_numeric_failures(tmp_path, capsys, argv):
 
 
 # argv of the leaf commands that build no array.  Every option takes a value inside a bound that
-# keeps the case cheap, a non-finite or malformed token, or a bad integer within that bound.
+# keeps the case cheap, a non-finite or malformed token, or a bad integer within that bound; the
+# eigen and periodic options are all valid but for at most one such token, so most cases build.
 def _int_token(hi: int):
     bad = [str(b) for b in _BAD_INTS if b <= hi]
     return st.integers(0, hi).map(str) | st.sampled_from([*bad, *_NON_NUMBERS])
@@ -1014,8 +1032,22 @@ _LEAF_VECTORS = [
     {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 1, 1.0, -0.5]]},
 ]
 _INDEX = _int_token(10_000)  # -k and -m
-_EIGEN_PART = _real_token(-7.0, 7.0)  # |lambda|, |mu| <= 10
 _LEAF_COMMANDS = ["basis eval", "op apply", "op power", "inner", "eigen", "periodic"]
+_EIGEN_REAL = st.floats(-7.0, 7.0).map(repr)
+_BAD_REALS = ["inf", "-inf", "nan", "1e400", "abc", "", "0x10", "2**40"]
+_BAD_COMPLEX = st.sampled_from(["1", "1,2,3", ",", "1;2"]) | st.builds(
+    "{},{}".format, st.sampled_from(_BAD_REALS), _EIGEN_REAL)
+# eigen and periodic options, as (a valid value, a malformed one); --op draws an index into _EIGEN_OPS
+_PAIR_OPTIONS = {
+    "--lambda": (st.builds("{},{}".format, _EIGEN_REAL, _EIGEN_REAL), _BAD_COMPLEX),  # |lambda| <= 10
+    "--mu": (st.builds("{},{}".format, _EIGEN_REAL, _EIGEN_REAL), _BAD_COMPLEX),
+    "--q": (st.integers(1, 16).map(str), st.sampled_from(["0", "-1", "-7", *_NON_NUMBERS])),
+    "--tail": (st.floats(-200.0, -0.5).map(repr), st.sampled_from(["0", "10", *_BAD_REALS])),
+    "--p": (st.integers(0, 3).map(str), st.sampled_from(["-1", "1.5", str(2**40)])),
+    "--nu": (st.floats(0.1, 10.0).map(repr), st.sampled_from(["0", "-1.0", *_BAD_REALS])),
+    "--alpha": (st.floats(-2.0, 2.0).map(repr), st.sampled_from(_BAD_REALS)),
+    "--op": (st.sampled_from([None, 0]), st.integers(1, len(_EIGEN_OPS) - 1)),
+}
 
 
 @st.composite
@@ -1031,20 +1063,26 @@ def _leaf_argv(draw):
         argv += ["--op", op, "--vec", vec]
     elif command == "inner":
         argv += ["--vec", vec, "--vec2", vec2]
-    elif command == "eigen":
-        argv += [f"--lambda={draw(_complex_token(_EIGEN_PART))}", f"--mu={draw(_complex_token(_EIGEN_PART))}"]
-    else:
-        argv += [f"--q={draw(_int_token(16))}"]
+    elif command in ("eigen", "periodic"):
+        argv += _pair_options(draw, command)
     if command.endswith("power"):
         argv += [f"-k={draw(_INDEX)}"]
-    if command in ("eigen", "periodic"):
-        argv += [f"--tail={draw(_real_token(-200.0, 10.0))}", f"--p={draw(_int_token(3))}"]
-        eigen_op = draw(st.none() | st.integers(0, len(_EIGEN_OPS) - 1))
-        if eigen_op is not None:
-            argv += ["--op", f"eigen_op{eigen_op}.json"]
-    if command in ("basis eval", "eigen", "periodic"):
+    if command == "basis eval":
         argv += [f"--nu={draw(_real_token(-1.0, 10.0))}", f"--alpha={draw(_real_token(-2.0, 2.0))}"]
     return argv
+
+
+def _pair_options(draw, command: str) -> list[str]:
+    """eigen/periodic options, all valid but at most one malformed token, so most cases build."""
+    names = [n for n in _PAIR_OPTIONS if n not in (("--q",) if command == "eigen" else ("--lambda", "--mu"))]
+    broken = draw(st.none() | st.sampled_from(names))
+    values = {}
+    for name in names:
+        good, bad = _PAIR_OPTIONS[name]
+        values[name] = draw(bad if name == broken else good)
+    eigen_op = values.pop("--op")
+    argv = [f"{name}={value}" for name, value in values.items()]
+    return argv if eigen_op is None else [*argv, "--op", f"eigen_op{eigen_op}.json"]
 
 
 @pytest.fixture(scope="module")
@@ -1071,6 +1109,21 @@ def test_leaf_command_argv_exits_0_2_or_3(leaf_files, capsys, argv):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     assert elapsed < 10.0, argv
+
+
+@pytest.mark.parametrize("command", ["eigen", "periodic"])
+def test_leaf_argv_reach_eigen_and_periodic_builds(leaf_files, capsys, command):
+    # the fuzz above checks builds, not only parsing: it draws eigen/periodic argv that exit 0
+    def builds(argv):
+        if argv[0] != command:
+            return False
+        code = main([*(str(leaf_files / a) if a.endswith(".json") else a for a in argv),
+                     "--out", str(leaf_files / "built.json")])
+        capsys.readouterr()
+        return code == 0
+
+    find(_leaf_argv(), builds, settings=settings(max_examples=300, deadline=None, database=None,
+                                                 phases=[Phase.generate]))  # the first such argv, unshrunk
 
 
 # argv of hypercyclic and density-probe, at a bounded cost: at most 8 targets of at most 3 entries,

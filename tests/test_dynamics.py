@@ -23,11 +23,8 @@ from shiftdyn import (
     coeff_norm_log,
     coeff_sub,
     default_tensor_shift,
-    eigen_residual_log,
-    eigen_residual_numeric_log,
     eigenvector_build,
     hypercyclic_vector_build,
-    orbit,
     periodic_from_target,
     periodic_point_from_eigen,
     periodic_residual_numeric_log,
@@ -45,38 +42,29 @@ from shiftdyn import (
 import shiftdyn.dynamics as dynamics
 from shiftdyn.dynamics import EIGEN_SERIES_STEPS
 
-from conftest import NEG_INF, rand_coeff_vector
+from conftest import NEG_INF, band_residual_log, numeric_residual_log, orbit, rand_coeff_vector
 
 U = 2.0**-53
 
 
 def test_orbit_unit_seed_annihilation():
     op = bargmann_backward_shift(0)
-    trace = orbit(op, CoeffVector.unit((5,), (0,)), 8)
-    assert trace.annihilation_k == 6
-    norms = trace.log_norms()
+    steps = orbit(op, CoeffVector.unit((5,), (0,)), 8)
+    norms = [coeff_norm_log(v) for v in steps]
     assert all(math.isfinite(v) for v in norms[:6])
+    assert all(v.is_zero for v in steps[6:])  # annihilated exactly at step 6, and absorbed
     assert norms[6] == NEG_INF and norms[8] == NEG_INF
-    assert len(trace.steps) == 9
 
 
 def test_orbit_retraces_right_inverse_seed():
     op = theta_backward_shift(math.pi, 0.0, 0)
     s = right_inverse(op)
     seed = apply_power(s, CoeffVector.unit((0,), (0,)), 10)
-    trace = orbit(op, seed, 12)
-    assert trace.annihilation_k == 11
-    norms = trace.log_norms()
+    steps = orbit(op, seed, 12)
+    assert not steps[10].is_zero and steps[11].is_zero
+    norms = [coeff_norm_log(v) for v in steps]
     assert all(norms[k + 1] > norms[k] for k in range(10))  # climbing back up
     assert norms[10] == 0.0  # back to the unit vector exactly
-
-
-def test_orbit_zero_steps():
-    op = bargmann_backward_shift(0)
-    trace = orbit(op, CoeffVector.unit((2,), (0,)), 0)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].k == 0
-    assert trace.annihilation_k is None
 
 
 def test_eigenvector_zero_eigenvalues_is_corner():
@@ -85,7 +73,7 @@ def test_eigenvector_zero_eigenvalues_is_corner():
     g = tensor_of(a, b)
     assert g.entries == {(0, 0): LogComplex(0.0, 0.0)}
     assert spec.tail_log_bound == NEG_INF
-    assert eigen_residual_log(g, 0.0, 0.0) == NEG_INF
+    assert band_residual_log(g, 0.0, 0.0) == NEG_INF
 
 
 def test_eigenvector_first_coefficient():
@@ -110,10 +98,10 @@ def test_eigenvector_certified_tail_and_residual():
         a, b, spec = eigenvector_build(op, lam, mu, -60.0)
         g = tensor_of(a, b)
         assert spec.tail_log_bound <= -60.0
-        rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
+        rel = band_residual_log(g, lam, mu) - coeff_norm_log(g)
         assert rel <= -58.0  # certified band is below the tail tolerance
         # independent cross-check: generic subtraction, float-noise floor
-        assert eigen_residual_numeric_log(op, g, lam, mu) - coeff_norm_log(g) <= -20.0
+        assert numeric_residual_log(op, g, lam, mu) - coeff_norm_log(g) <= -20.0
 
 
 def test_eigenvector_coefficients_against_extended_precision():
@@ -148,8 +136,8 @@ def test_certified_band_residual_matches_numeric_at_coarse_tail():
     for lam, mu in ((0.6 + 0.2j, 0.5 - 0.3j), (1.1 + 0.0j, 0.4 + 0.9j)):
         a, b, _ = eigenvector_build(op, lam, mu, -18.0)
         g = tensor_of(a, b)
-        certified = eigen_residual_log(g, lam, mu)
-        numeric = eigen_residual_numeric_log(op, g, lam, mu)
+        certified = band_residual_log(g, lam, mu)
+        numeric = numeric_residual_log(op, g, lam, mu)
         assert abs(certified - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
 
@@ -164,7 +152,7 @@ def test_eigenvector_nonzero_offsets():
         assert g.entries[(p, p)] == LogComplex(0.0, 0.0)
         assert min(m for m, _ in g.entries) == p
         assert min(n for _, n in g.entries) == p
-        rel = eigen_residual_log(g, lam, mu) - coeff_norm_log(g)
+        rel = band_residual_log(g, lam, mu) - coeff_norm_log(g)
         assert rel <= -48.0
         assert spec.tail_log_bound <= -50.0
 
@@ -175,7 +163,7 @@ def test_eigenvector_single_zero_axis():
     g = tensor_of(a, b)
     assert all(m == 0 for (m, _n) in g.entries)
     assert spec.trunc_m == 0
-    assert eigen_residual_log(g, 0.0, 0.5 + 0.1j) == NEG_INF
+    assert band_residual_log(g, 0.0, 0.5 + 0.1j) == NEG_INF
 
 
 def _allowance(w, value: float, steps: int = 0) -> float:
@@ -207,11 +195,11 @@ def test_factored_norm_band_and_orbit_match_the_dense_vector():
         dense = coeff_norm_log(g)
         assert _agree(dense, coeff_norm_log(a) + coeff_norm_log(b), _allowance(g, dense))
         for q in range(1, 5):
-            dense = eigen_residual_log(g, lam, mu, q)
+            dense = band_residual_log(g, lam, mu, q)
             assert _agree(dense, rank_one_residual_log(a, b, lam, mu, q), _allowance(g, dense))
-        trace = orbit(op, g, 8)
-        for step, factored in zip(trace.steps, rank_one_log_norms(op, a, b, 8)):
-            assert _agree(step.log_norm, factored, _allowance(step.vector, step.log_norm, step.k))
+        for k, (w, factored) in enumerate(zip(orbit(op, g, 8), rank_one_log_norms(op, a, b, 8))):
+            dense = coeff_norm_log(w)
+            assert _agree(dense, factored, _allowance(w, dense, k))
 
 
 def test_only_the_dominant_axis_grows():
@@ -268,7 +256,7 @@ def test_periodic_point_q4():
     g = tensor_of(a, b)
     lam = cmath.exp(1j * math.pi / 4)
     gnorm = coeff_norm_log(g)
-    assert eigen_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
+    assert band_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
     # genuinely period 4: proper divisors leave a large defect
     assert periodic_residual_numeric_log(op, a, b, 1) - gnorm >= -5.0
     assert periodic_residual_numeric_log(op, a, b, 2) - gnorm >= -5.0
@@ -281,7 +269,7 @@ def test_periodic_defect_per_axis_matches_the_dense_subtraction():
             a, b, _ = periodic_point_from_eigen(op, q, -40.0)
             g = tensor_of(a, b)
             for k in sorted({1, q - 1}):
-                dense = eigen_residual_numeric_log(op, g, 1, 1, k)
+                dense = numeric_residual_log(op, g, 1, 1, k)
                 assert abs(periodic_residual_numeric_log(op, a, b, k) - dense) <= 1e-12
 
 
@@ -299,7 +287,7 @@ def test_periodic_point_q1_fixed_point():
     a, b, _ = periodic_point_from_eigen(op, 1, -50.0)
     g = tensor_of(a, b)
     gnorm = coeff_norm_log(g)
-    assert eigen_residual_log(g, 1.0 + 0j, 1.0 + 0j, q=1) - gnorm <= -45.0
+    assert band_residual_log(g, 1.0 + 0j, 1.0 + 0j, q=1) - gnorm <= -45.0
 
 
 def test_periodic_point_rejects_bad_order():
@@ -378,9 +366,9 @@ def test_hypercyclic_orbit_replay_via_trace():
     rng = random.Random(307)
     targets = [rand_coeff_vector(rng, 0, 3, 4) for _ in range(3)]
     psi, schedule = hypercyclic_vector_build(op, targets, 1e-6)
-    trace = orbit(op, psi, max(schedule))
+    steps = orbit(op, psi, max(schedule))
     for n, y in zip(schedule, targets):
-        err = coeff_norm_log(coeff_sub(trace.steps[n].vector, y))
+        err = coeff_norm_log(coeff_sub(steps[n], y))
         assert err <= math.log(1e-6)
 
 

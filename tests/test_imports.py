@@ -1,9 +1,14 @@
-"""Where the package imports numpy: only in the two modules that do bulk arithmetic, and only
-inside the functions that do it, so a command that builds no array never loads numpy."""
+"""What the package imports and exports.
+
+numpy is imported only in the two modules that do bulk arithmetic, and only inside the functions
+that do it, so a command that builds no array never loads numpy.  Every exported name is read by
+the package or the benchmark, and README's library tour runs as written.
+"""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +95,34 @@ def test_commands_that_build_no_array_never_load_numpy(tmp_path):
     before, after = json.loads(proc.stdout)
     assert not before
     assert after  # the control: a Salas scan loads numpy
+
+
+def _reads(tree: ast.AST, skip: str = ""):
+    """The names a module reads (loaded names and attributes), outside the definition of `skip`."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        yield from _reads(node, skip)
+
+
+def test_every_exported_name_is_read_by_the_package_or_the_benchmark():
+    # a name that only the tests use belongs with the tests; methods are out of scope
+    trees = _trees()
+    exported = [a.asname or a.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    bench = sorted((SRC.parents[1] / "bench").glob("*.py"))
+    assert bench
+    readers = [*trees.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in bench)]
+    unread = [name for name in exported if not any(name in _reads(tree, name) for tree in readers)]
+    assert unread == []
+
+
+def test_readme_library_tour_runs_as_written():
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    exec(compile(block, "README.md: Library tour", "exec"), {"__name__": "readme_tour"})

@@ -4,30 +4,25 @@ import math
 import random
 
 import mpmath
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftdyn import (
-    LC_ONE,
     LC_ZERO,
     LogComplex,
-    OverflowNotRepresentable,
     lc_add,
     lc_conj,
     lc_from_cartesian,
     lc_from_complex,
     lc_mul,
     lc_neg,
-    lc_pow_int,
-    lc_sub,
-    lc_to_cartesian,
-    lc_to_complex,
     wrap_phase,
 )
-from shiftdyn.numerics import lc_from_json, lc_to_json, opposite_phase
+from shiftdyn.numerics import lc_parse, lc_to_json, opposite_phase
 
-from conftest import assert_lc_equals_complex, rand_lc
+from conftest import assert_lc_equals_complex, lc_to_complex, rand_lc
+
+LC_ONE = LogComplex(0.0, 0.0)
 
 
 def test_mul_one_times_one():
@@ -69,7 +64,6 @@ def test_add_exact_cancellation():
     for _ in range(200):
         x = rand_lc(rng)
         assert lc_add(x, lc_neg(x)) == LC_ZERO
-        assert lc_sub(x, x) == LC_ZERO
 
 
 def test_add_huge_scale_gap():
@@ -140,20 +134,16 @@ def test_cartesian_round_trip():
         x, y = rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6)
         if x == 0 and y == 0:
             continue
-        rx, ry = lc_to_cartesian(lc_from_cartesian(x, y))
+        z = lc_to_complex(lc_from_cartesian(x, y))
+        rx, ry = z.real, z.imag
         scale = math.hypot(x, y)
         assert abs(rx - x) <= 1e-14 * scale
         assert abs(ry - y) <= 1e-14 * scale
 
 
-def test_to_cartesian_overflow():
-    with pytest.raises(OverflowNotRepresentable):
-        lc_to_cartesian(LogComplex(1000.0, 0.0))
-
-
 def test_zero_round_trips():
     assert lc_from_cartesian(0.0, 0.0) == LC_ZERO
-    assert lc_to_cartesian(LC_ZERO) == (0.0, 0.0)
+    assert lc_from_complex(0j) == LC_ZERO
 
 
 def test_conj_involution_and_product_rule():
@@ -168,20 +158,13 @@ def test_conj_involution_and_product_rule():
         assert abs(lhs.phase - rhs.phase) <= 1e-15 or abs(abs(lhs.phase) - math.pi) <= 1e-15
 
 
-def test_pow_int():
-    a = lc_from_complex(0.5 + 0.5j)
-    assert lc_pow_int(a, 0) == LC_ONE
-    assert_lc_equals_complex(lc_pow_int(a, 5), (0.5 + 0.5j) ** 5, 1e-12)
-    assert lc_pow_int(LC_ZERO, 3) == LC_ZERO
-
-
 def test_json_round_trip():
     rng = random.Random(31)
     for _ in range(50):
         a = rand_lc(rng)
-        assert lc_from_json(lc_to_json(a)) == a
+        assert lc_parse(**lc_to_json(a)) == a
     assert lc_to_json(LC_ZERO) == {"logmag": "-inf", "phase": 0.0}
-    assert lc_from_json({"logmag": "-inf", "phase": 0.0}) == LC_ZERO
+    assert lc_parse("-inf", 0.0) == LC_ZERO
 
 
 def test_to_complex_small():
@@ -259,17 +242,3 @@ def test_wrap_phase_matches_mpmath_at_wide_phases(phi):
         turns = abs(mpmath.nint(mpmath.mpf(phi) / (2 * mpmath.pi)))
         assert _phase_distance(w, mpmath.mpf(phi)) <= float(turns + 1) * TWO_PI_GAP + 2 * U * math.pi
 
-
-@settings(max_examples=400, deadline=None, database=None)
-@given(logmag=_WIDE_LOGMAGS, phase=_PHASES, k=st.integers(1, 10**6) | st.integers(1, 50))
-def test_pow_int_matches_mpmath_at_large_k(logmag, phase, k):
-    # bound: k * logmag is one correctly rounded product (half an ulp); the phase adds half an ulp
-    # of k * phase to wrap_phase's per-turn TWO_PI_GAP
-    a = LogComplex(logmag, phase)
-    r = lc_pow_int(a, k)
-    assert -math.pi < r.phase <= math.pi
-    with mpmath.workdps(_DIGITS):
-        assert float(abs(mpmath.mpf(r.logmag) - k * mpmath.mpf(logmag))) <= 0.5 * math.ulp(r.logmag)
-        turns = abs(k * phase) / (2 * math.pi)
-        bound = 0.5 * math.ulp(k * phase) + (turns + 1) * TWO_PI_GAP + 2 * U * math.pi
-        assert _phase_distance(r.phase, k * mpmath.mpf(phase)) <= bound

@@ -1,4 +1,4 @@
-"""Single-space shift operators: apply, powers, inverses, adjoints, export."""
+"""Single-space shift operators: single steps, powers, inverses, adjoints, export."""
 
 import math
 import random
@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 
 from shiftdyn import (
     CoeffVector,
-    Direction,
     LogComplex,
     OffsetMismatch,
     ValidationError,
-    adjoint,
-    adjoint_pairing_gap_log,
-    apply,
     apply_power,
     bargmann_backward_shift,
     coeff_norm_log,
@@ -28,7 +24,7 @@ from shiftdyn import (
 from shiftdyn.shift_ops import nilpotence_index
 from shiftdyn.weights import MAX_INDICES
 
-from conftest import NEG_INF, rand_coeff_vector, rel_gap_log
+from conftest import NEG_INF, adjoint_forward, adjoint_pairing_gap_log, rand_coeff_vector, rel_gap_log
 
 
 def all_test_operators():
@@ -43,13 +39,13 @@ def all_test_operators():
 def test_backward_annihilates_lowest_index():
     for op in all_test_operators():
         p = op.offsets[0]
-        out = apply(op, CoeffVector.unit((p,), (p,)))
+        out = apply_power(op, CoeffVector.unit((p,), (p,)), 1)
         assert out.is_zero
 
 
 def test_backward_bargmann_example():
     op = bargmann_backward_shift(0)
-    out = apply(op, CoeffVector.unit((4,), (0,)))
+    out = apply_power(op, CoeffVector.unit((4,), (0,)), 1)
     assert out.support() == [(3,)]
     assert abs(out.entries[(3,)].logmag - math.log(2.0)) <= 1e-12
     assert out.entries[(3,)].phase == 0.0
@@ -61,7 +57,7 @@ def test_right_inverse_then_backward_is_identity():
         s = right_inverse(op)
         for _ in range(30):
             v = rand_coeff_vector(rng, op.offsets[0], 12, 150)
-            back = apply(op, apply(s, v))
+            back = apply_power(op, apply_power(s, v, 1), 1)
             assert back.support() == v.support()
             for m in v.support():
                 assert back.entries[m].phase == v.entries[m].phase
@@ -72,15 +68,17 @@ def test_right_inverse_identity_exact_on_units():
     for op in all_test_operators():
         s = right_inverse(op)
         for m in range(op.offsets[0], op.offsets[0] + 40):
-            back = apply(op, apply(s, CoeffVector.unit((m,), (op.offsets[0],))))
+            back = apply_power(op, apply_power(s, CoeffVector.unit((m,), (op.offsets[0],)), 1), 1)
             assert back.entries == {(m,): LogComplex(0.0, 0.0)}
+        with pytest.raises(ValidationError):  # only a backward operator has a right inverse
+            right_inverse(s)
 
 
 def test_backward_then_right_inverse_projects_out_bottom():
     op = theta_backward_shift(math.pi, 0.0, 1)
     s = right_inverse(op)
     v = CoeffVector((1,), {(1,): LogComplex(0.2, 0.1), (3,): LogComplex(-0.4, -1.0)})
-    out = apply(s, apply(op, v))
+    out = apply_power(s, apply_power(op, v, 1), 1)
     # the bottom-index component is killed, the rest returns
     assert out.support() == [(3,)]
     assert out.entries[(3,)].phase == v.entries[(3,)].phase
@@ -114,13 +112,13 @@ def test_power_matches_iterated_apply():
     rng = random.Random(103)
     for op in all_test_operators():
         s = right_inverse(op)
-        for target in (op, s, adjoint(op)):
+        for target in (op, s, adjoint_forward(op)):
             v = rand_coeff_vector(rng, op.offsets[0], 6, 40)
             k = rng.randint(1, 5)
             direct = apply_power(target, v, k)
             iterated = v
             for _ in range(k):
-                iterated = apply(target, iterated)
+                iterated = apply_power(target, iterated, 1)
             assert direct.support() == iterated.support()
             for m in direct.support():
                 assert rel_gap_log(direct.entries[m], iterated.entries[m]) <= math.log(1e-12)
@@ -180,17 +178,6 @@ def test_adjoint_pairing_random_vectors():
         assert gap <= bound
 
 
-def test_adjoint_direction_round_trip():
-    op = bargmann_backward_shift(1)
-    fwd = adjoint(op)
-    assert fwd.direction is Direction.ADJOINT_FORWARD
-    assert adjoint(fwd).direction is Direction.BACKWARD
-    with pytest.raises(ValidationError):
-        adjoint(right_inverse(op))
-    with pytest.raises(ValidationError):
-        right_inverse(right_inverse(op))
-
-
 def test_matrix_triplets_backward():
     op = bargmann_backward_shift(0)
     triplets = matrix_triplets(op, 3)
@@ -205,7 +192,7 @@ def test_matrix_triplets_minimal_and_bounds():
     assert len(matrix_triplets(op, 3)) == 1
     with pytest.raises(ValidationError):
         matrix_triplets(op, 2)
-    for direction_builder in (right_inverse, adjoint):
+    for direction_builder in (right_inverse, adjoint_forward):
         trip = matrix_triplets(direction_builder(op), 6)
         for r, c, _ in trip:
             assert 2 <= r <= 6 and 2 <= c <= 6
@@ -224,7 +211,7 @@ def test_matrix_triplets_reject_a_size_above_the_index_limit():
 def test_offset_mismatch_raises():
     op = theta_backward_shift(math.pi, 0.0, 1)
     with pytest.raises(OffsetMismatch):
-        apply(op, CoeffVector.unit((3,), (0,)))
+        apply_power(op, CoeffVector.unit((3,), (0,)), 1)
     with pytest.raises(OffsetMismatch):
         apply_power(op, CoeffVector.unit((3,), (2,)), 1)
 

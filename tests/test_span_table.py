@@ -25,14 +25,14 @@ from shiftdyn import (
     TableRangeError,
     TableWeights,
     WeightSequence,
-    adjoint,
-    apply,
     apply_power,
     bargmann_backward_shift,
     right_inverse,
     tensor_operator,
     theta_backward_shift,
 )
+
+from conftest import adjoint_forward
 
 
 def bits(x: float) -> bytes:
@@ -97,7 +97,7 @@ def family_operators():
 @pytest.mark.parametrize("direction", ["backward", "right_inverse", "adjoint_forward"])
 def test_power_matches_termwise_loop_bitwise(family, direction):
     base = family_operators()[family]
-    op = {"backward": base, "right_inverse": right_inverse(base), "adjoint_forward": adjoint(base)}[
+    op = {"backward": base, "right_inverse": right_inverse(base), "adjoint_forward": adjoint_forward(base)}[
         direction
     ]
     p = op.offsets[0]
@@ -201,7 +201,7 @@ def test_tensor_step_reads_each_factor_weight_once():
         if direction == "right_inverse":
             op = right_inverse(op)
         entries = {(m, n): LogComplex(0.1 * m, 0.2) for m in range(1, 30) for n in range(2, 25)}
-        apply(op, CoeffVector((1, 2), entries))
+        apply_power(op, CoeffVector((1, 2), entries), 1)
         step = 0 if direction == "backward" else 1  # source index of the weight read
         assert sorted(left.calls) == list(range(2, 30 + step)), direction
         assert sorted(right.calls) == list(range(3, 25 + step)), direction
@@ -213,7 +213,7 @@ def test_every_direction_over_one_weight_sequence_shares_its_table():
     op = ShiftOperator((weights,))
     v = CoeffVector((2,), {(m,): LogComplex(0.1 * m, 0.3) for m in range(2, 40, 3)})
     for k in (2, 7, 30):
-        for target in (op, right_inverse(op), adjoint(op)):
+        for target in (op, right_inverse(op), adjoint_forward(op)):
             apply_power(target, v, k)
     assert sorted(weights.calls) == list(range(3, 38 + 30 + 1))
     assert set(weights.calls.values()) == {1}
@@ -289,7 +289,7 @@ def test_right_inverse_identity_bitwise_with_warm_tables():
         apply_power(op, CoeffVector.unit((p + 2000,), (p,)), 1990)
         for m in range(p, p + 60):
             e = CoeffVector.unit((m,), (p,))
-            assert apply(op, apply(s, e)).entries == {(m,): LogComplex(0.0, 0.0)}
+            assert apply_power(op, apply_power(s, e, 1), 1).entries == {(m,): LogComplex(0.0, 0.0)}
             for k in (1, 2, 17, 300):
                 assert apply_power(op, apply_power(s, e, k), k).entries == {(m,): LogComplex(0.0, 0.0)}
         rng = random.Random(5)
@@ -297,7 +297,7 @@ def test_right_inverse_identity_bitwise_with_warm_tables():
         for k in (1, 4, 25, 900):
             for target, fresh in ((op, ShiftOperator(op.weights)), (s, right_inverse(ShiftOperator(op.weights)))):
                 assert entry_bits(apply_power(target, v, k)) == entry_bits(apply_power(fresh, v, k))
-        back = apply(op, apply(s, v))
+        back = apply_power(op, apply_power(s, v, 1), 1)
         assert {m: bits(c.phase) for m, c in back.entries.items()} == {
             m: bits(c.phase) for m, c in v.entries.items()
         }

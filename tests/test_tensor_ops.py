@@ -14,15 +14,11 @@ from shiftdyn import (
     TableRangeError,
     TableWeights,
     ValidationError,
-    adjoint,
-    adjoint_pairing_gap_log,
-    apply,
     apply_power,
     bargmann_backward_shift,
     coeff_add,
     coeff_inner,
     coeff_norm_log,
-    coeff_scale,
     coeff_sub,
     lc_from_complex,
     lc_mul,
@@ -33,7 +29,7 @@ from shiftdyn import (
     theta_backward_shift,
 )
 
-from conftest import rand_coeff_vector, rand_tensor_vector, rel_gap_log
+from conftest import adjoint_forward, adjoint_pairing_gap_log, rand_coeff_vector, rand_tensor_vector, rel_gap_log
 
 
 def pair(p1=0, p2=0):
@@ -61,11 +57,15 @@ def test_tensor_of_zero_factor_collapses():
 def test_tensor_of_scalar_moves_freely():
     rng = random.Random(51)
     lam = lc_from_complex(0.7 - 1.2j)
+
+    def scaled(u):
+        return CoeffVector(u.offsets, {key: lc_mul(c, lam) for key, c in u.entries.items()})
+
     for _ in range(20):
         u = rand_coeff_vector(rng, 0, 4, 10)
         v = rand_coeff_vector(rng, 0, 4, 10)
-        left = tensor_of(coeff_scale(u, lam), v)
-        right = tensor_of(u, coeff_scale(v, lam))
+        left = tensor_of(scaled(u), v)
+        right = tensor_of(u, scaled(v))
         assert left.support() == right.support()
         for key in left.support():
             assert rel_gap_log(left.entries[key], right.entries[key]) <= math.log(1e-13)
@@ -75,9 +75,9 @@ def test_tensor_apply_kills_bottom_rows():
     op = pair(0, 0)
     for n in range(0, 5):
         w = CoeffVector.unit((0, n), (0, 0))
-        assert apply(op, w).is_zero
+        assert apply_power(op, w, 1).is_zero
         w2 = CoeffVector.unit((n, 0), (0, 0))
-        assert apply(op, w2).is_zero
+        assert apply_power(op, w2, 1).is_zero
 
 
 def test_annihilated_entry_reads_no_weight_of_the_other_factor():
@@ -88,28 +88,14 @@ def test_annihilated_entry_reads_no_weight_of_the_other_factor():
         (tensor_operator(bargmann, short), lambda i, j: (j, i)),
     ):
         with pytest.raises(TableRangeError):  # a surviving entry does read the table
-            apply(op, CoeffVector.unit(at(40, 1), (0, 0)))
-        assert apply(op, CoeffVector.unit(at(40, 0), (0, 0))).is_zero
+            apply_power(op, CoeffVector.unit(at(40, 1), (0, 0)), 1)
         assert apply_power(op, CoeffVector.unit(at(40, 0), (0, 0)), 1).is_zero
         assert apply_power(op, CoeffVector.unit(at(40, 3), (0, 0)), 4).is_zero
 
 
-def test_single_step_is_power_one_bitwise():
-    rng = random.Random(59)
-
-    def bits(w):
-        return {key: (c.logmag.hex(), c.phase.hex()) for key, c in w.entries.items()}
-
-    for op in (pair(0, 0), pair(1, 2)):
-        for target in (op, right_inverse(op), adjoint(op)):
-            for _ in range(40):
-                w = rand_tensor_vector(rng, op.offsets, 20, 60)
-                assert bits(apply(target, w)) == bits(apply_power(target, w, 1))
-
-
 def test_tensor_apply_single_pair_example():
     op = pair(0, 0)
-    out = apply(op, CoeffVector.unit((1, 1), (0, 0)))
+    out = apply_power(op, CoeffVector.unit((1, 1), (0, 0)), 1)
     # theta weight at 1 is exp(1) for nu=pi, alpha=0; bargmann weight is 1
     assert out.entries == {(0, 0): LogComplex(1.0, 0.0)}
 
@@ -120,17 +106,18 @@ def test_tensor_apply_rank_one_coherence():
     left, right = op.factors
     # exact on unit tensors
     w = tensor_of(CoeffVector.unit((3,), (0,)), CoeffVector.unit((2,), (0,)))
-    lhs = apply(op, w)
+    lhs = apply_power(op, w, 1)
     rhs = tensor_of(
-        apply(left, CoeffVector.unit((3,), (0,))), apply(right, CoeffVector.unit((2,), (0,)))
+        apply_power(left, CoeffVector.unit((3,), (0,)), 1),
+        apply_power(right, CoeffVector.unit((2,), (0,)), 1),
     )
     assert lhs.entries == rhs.entries
     # within float tolerance on random rank-one tensors
     for _ in range(20):
         u = rand_coeff_vector(rng, 0, 5, 12)
         v = rand_coeff_vector(rng, 0, 5, 12)
-        lhs = apply(op, tensor_of(u, v))
-        rhs = tensor_of(apply(left, u), apply(right, v))
+        lhs = apply_power(op, tensor_of(u, v), 1)
+        rhs = tensor_of(apply_power(left, u, 1), apply_power(right, v, 1))
         assert lhs.support() == rhs.support()
         for key in lhs.support():
             assert rel_gap_log(lhs.entries[key], rhs.entries[key]) <= math.log(1e-12)
@@ -143,7 +130,7 @@ def test_tensor_right_inverse_then_apply_identity():
         s = right_inverse(op)
         for _ in range(20):
             w = rand_tensor_vector(rng, offsets, 8, 30)
-            back = apply(op, apply(s, w))
+            back = apply_power(op, apply_power(s, w, 1), 1)
             assert back.support() == w.support()
             for key in w.support():
                 assert back.entries[key].phase == w.entries[key].phase
@@ -156,7 +143,7 @@ def test_tensor_right_inverse_identity_exact_on_units():
     for m in range(1, 6):
         for n in range(1, 6):
             w = CoeffVector.unit((m, n), (1, 1))
-            back = apply(op, apply(s, w))
+            back = apply_power(op, apply_power(s, w, 1), 1)
             assert back.entries == {(m, n): LogComplex(0.0, 0.0)}
 
 
@@ -183,7 +170,7 @@ def test_tensor_power_matches_iteration():
             direct = apply_power(target, w, k)
             iterated = w
             for _ in range(k):
-                iterated = apply(target, iterated)
+                iterated = apply_power(target, iterated, 1)
             assert direct.support() == iterated.support()
             for key in direct.support():
                 assert rel_gap_log(direct.entries[key], iterated.entries[key]) <= math.log(1e-12)
@@ -276,7 +263,8 @@ def test_tensor_operator_validation_and_json():
 
 
 def test_one_reader_round_trips_both_operator_shapes():
-    for op in (theta_backward_shift(math.pi, 0.0, 1), pair(1, 2), right_inverse(pair(0, 1)), adjoint(pair(2, 0))):
+    ops = (theta_backward_shift(math.pi, 0.0, 1), pair(1, 2), right_inverse(pair(0, 1)), adjoint_forward(pair(2, 0)))
+    for op in ops:
         text = op.to_json_dict()
         assert set(text) == ({"direction", "weights"} if len(op.offsets) == 1 else {"left", "right"})
         assert shift_operator_from_json(text) == op
@@ -300,7 +288,7 @@ def test_an_operator_has_one_or_two_weight_sequences():
 def test_tensor_offset_mismatch():
     op = pair(1, 1)
     with pytest.raises(OffsetMismatch):
-        apply(op, CoeffVector.unit((2, 2), (0, 0)))
+        apply_power(op, CoeffVector.unit((2, 2), (0, 0)), 1)
     with pytest.raises(OffsetMismatch):
         coeff_inner(CoeffVector.unit((1, 1), (1, 1)), CoeffVector.unit((1, 1), (0, 0)))
     u, w = CoeffVector.unit((0,), (0,)), CoeffVector.unit((0, 0), (0, 0))
@@ -308,8 +296,3 @@ def test_tensor_offset_mismatch():
         for a, b in ((u, w), (w, u)):
             with pytest.raises(OffsetMismatch):
                 fn(a, b)
-
-
-def test_tensor_scale_zero_gives_zero():
-    w = rand_tensor_vector(random.Random(83), (0, 0), 5, 10)
-    assert coeff_scale(w, LC_ZERO).is_zero
