@@ -55,7 +55,7 @@ from .dynamics import (
     hypercyclic_vector_build,
     periodic_from_target,
     periodic_point_from_eigen,
-    periodic_residual_numeric_log,
+    rank_one_defect_log,
     rank_one_log_norms,
     rank_one_residual_log,
 )

@@ -51,7 +51,7 @@ from .dynamics import (
     hypercyclic_vector_build,
     periodic_from_target,
     periodic_point_from_eigen,
-    periodic_residual_numeric_log,
+    rank_one_defect_log,
     rank_one_log_norms,
     rank_one_residual_log,
 )
@@ -343,7 +343,7 @@ def _cmd_eigen(args):
     lam = _parse_complex(args.lam)
     mu = _parse_complex(args.mu)
     a, b, spec = eigenvector_build(op, lam, mu, args.tail)
-    log_norms = rank_one_log_norms(op, a, b, EIGEN_SERIES_STEPS)
+    log_norms = rank_one_log_norms(a, b, lam, mu, EIGEN_SERIES_STEPS)
     residual = rank_one_residual_log(a, b, lam, mu, q=1)
     result = {
         "eigen_spec": spec.to_json_dict(),
@@ -357,10 +357,10 @@ def _cmd_eigen(args):
 def _cmd_periodic(args):
     op = _pair_operator(args)
     a, b, spec = periodic_point_from_eigen(op, args.q, args.tail)
-    log_norms = rank_one_log_norms(op, a, b, 2 * args.q)
+    log_norms = rank_one_log_norms(a, b, spec.lam, spec.mu, 2 * args.q)
     gnorm = log_norms[0]
     res_q = rank_one_residual_log(a, b, spec.lam, spec.mu, q=args.q)
-    res_1 = periodic_residual_numeric_log(op, a, b, 1) if args.q > 1 else res_q
+    res_1 = rank_one_defect_log(a, b, spec.lam, spec.mu, 1) if args.q > 1 else res_q
     result = {
         "q": args.q,
         "gnorm_log": gnorm,

@@ -1,34 +1,36 @@
 """Eigenvector series, periodic points and hypercyclic vectors.
 
 The eigenvector of the tensor backward shift for the eigenvalue pair
-(lambda, mu) is the rank-one series whose (m, n) coefficient is
-lambda^{m-p1} mu^{n-p2} divided by the running products of the factor
-action weights up to m and n.  Because the weights grow super-exponentially
-the series converges for every (lambda, mu); truncation is chosen
-adaptively and certified by geometric domination: once the per-term log
-ratio log|lambda| - log a(m+1) is negative (the weights are monotone), the
-omitted tail is below a closed-form geometric bound.
+(lambda, mu) is the rank-one series g = a (x) b whose (m, n) coefficient is
+lambda^{m-p1} mu^{n-p2} divided by the running products of the factor action
+weights up to m and n.  The weights grow super-exponentially, so the series
+converges for every (lambda, mu); the truncation rectangle grows one axis at
+a time, the one whose omitted mass dominates, until geometric domination
+certifies the tail (once log|lambda| - log a(m+1) < 0, the weights being
+monotone, the omitted tail is below a closed-form geometric bound).
 
-The rectangle grows one axis at a time, the one whose omitted mass dominates
-the bound, and stays factored: the builders return the factors a and b of
-g = a (x) b, and norms, orbits and residuals are taken per axis.
-
-Residual evaluation exploits the same telescoping the convergence argument
-rests on: for the truncated series, T^q g - (lambda*mu)^q g cancels
-identically on the interior and equals -(lambda*mu)^q times the outermost
-width-q band of the truncation rectangle.  `rank_one_residual_log` takes
-that band per axis, as B1 H2 + h1 B2 (B: an axis's squared mass in its top
-q indices, h: below them, H = h + B), with no subtraction: the band sits
-e^-120 and more below H1 H2, so H1 H2 - h1 h2 keeps no digit.
+The builders return the factors a and b, and every number `eigen` and
+`periodic` report is a closed form in their squared masses, with no operator
+action: on the truncation, T1^k a is lambda^k times a without its top k
+indices.  With h(k) an axis's squared mass below its top k indices, B(k)
+that within them and H = h + B:
+    ||T^k g||^2 = |lambda mu|^2k h1(k) h2(k)
+    ||T^q g - (lambda mu)^q g||^2 = |lambda mu|^2q (B1 H2 + h1 B2)
+    ||T^q g - g||^2 = |(lambda mu)^q - 1|^2 h1 h2 + (B1 H2 + h1 B2)
+Each is a sum of non-negative terms on disjoint supports, so nothing cancels
+(the band sits e^-120 and more below H1 H2, where H1 H2 - h1 h2 keeps no
+digit), and log|lambda mu| is summed per axis, so it stays finite where the
+product underflows.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
-from .basis import CoeffVector, coeff_add, coeff_inner, coeff_norm_log
+from .basis import CoeffVector, coeff_add, coeff_norm_log
 from .errors import (
     QTooSmall,
     ScheduleOverflow,
@@ -122,6 +124,15 @@ class _AxisSeries:
         entries = {(self.p + i,): LogComplex(t, ph) for i, (t, ph) in enumerate(terms)}
         return CoeffVector((self.p,), entries)
 
+    def ratio_log(self, m: int) -> float:
+        """2*(log_scale - log a(m)), the log ratio of consecutive squared terms at index m; inf
+        where that ratio does not round below 1 or m is past the table: no tail is bounded there."""
+        try:
+            ratio_log = 2.0 * (self.log_scale - self.weights.log_weight(m))
+        except TableRangeError:
+            return math.inf
+        return ratio_log if ratio_log < 0.0 and math.exp(ratio_log) < 1.0 else math.inf
+
     def tail_sq_log(self, cut: int) -> float:
         """Certified log bound on the squared-magnitude sum beyond `cut`.
 
@@ -138,11 +149,8 @@ class _AxisSeries:
             first_omitted = (
                 self.term_logs[-1] + self.log_scale - self.weights.log_weight(cut + 1)
             )
-        try:
-            ratio_log = 2.0 * (self.log_scale - self.weights.log_weight(cut + 2))
-        except TableRangeError:
-            return math.inf
-        if not (ratio_log < 0.0 and math.exp(ratio_log) < 1.0):  # a ratio rounding to 1 bounds no tail
+        ratio_log = self.ratio_log(cut + 2)
+        if ratio_log == math.inf:
             return math.inf
         first_omitted_sq = 2.0 * first_omitted
         if ratio_log > -700.0:
@@ -199,12 +207,20 @@ def _build_eigenvector(
         cut2 = ax2.top_index() - (0 if ax2.frozen else margin)
         return _rect_tail(ax1, ax2, cut1, cut2)
 
+    probed = set()
     while True:
         grow = next((ax for ax in (ax1, ax2) if not ax.frozen and len(ax) < floor), None)
         if grow is None:
             bound, grow = certified(band_margin)
             if bound <= target:
                 break
+            if bound == math.inf and grow not in probed:
+                # the weights are monotone, so the ratio only falls: if it does not round below 1
+                # past the farthest index the budget lets this axis read, no tail ever certifies
+                probed.add(grow)
+                other = ax2 if grow is ax1 else ax1
+                far = min(grow.p + 1 - (-_ENTRY_BUDGET // len(other)), grow.weights.end - 1)
+                hopeless = grow.ratio_log(far) == math.inf
         if hopeless or len(ax1) * len(ax2) >= _ENTRY_BUDGET:
             raise TailNotCertifiable(f"tail not below {target:.3g} within {_ENTRY_BUDGET} entries")
         grow.extend()
@@ -234,67 +250,58 @@ def eigenvector_build(
     )
 
 
-def _band_split_sq_log(v: CoeffVector, q: int) -> tuple[float, float]:
-    """log squared mass of the one-axis v below its top q indices, and within them."""
-    cut = max(v.entries)[0] - q
-    sq = [(m, 2.0 * v.entries[(m,)].logmag) for (m,) in sorted(v.entries)]
-    return log_sum_exp(t for m, t in sq if m <= cut), log_sum_exp(t for m, t in sq if m > cut)
+def _sq_masses(v: CoeffVector) -> tuple[list[float], list[float]]:
+    """2 log|v_m| for each term of a builder's factor, lowest index first, and below[k], the log
+    squared mass under its top k indices (k = 0..len), summed upward as `coeff_norm_log` sums."""
+    sq = [2.0 * v.entries[key].logmag for key in sorted(v.entries)]
+    return sq, list(itertools.accumulate(sq, log_add_exp, initial=NEG_INF))[::-1]
 
 
-def rank_one_residual_log(
-    a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, q: int = 1
-) -> float:
-    """log ||T^q g - (lambda*mu)^q g|| for g = tensor_of(a, b), from the width-q band per axis.
+def _band_sq_log(a: CoeffVector, b: CoeffVector, q: int) -> tuple[float, float]:
+    """log h1 h2, the squared mass of g = a (x) b that T^q keeps, and log (B1 H2 + h1 B2), that of
+    its outermost width-q band."""
+    (s1, below1), (s2, below2) = _sq_masses(a), _sq_masses(b)
+    h1, h2 = below1[min(q, len(s1))], below2[min(q, len(s2))]
+    b1, b2 = log_sum_exp(s1[-q:]), log_sum_exp(s2[-q:])
+    return h1 + h2, log_add_exp(b1 + log_add_exp(h2, b2), h1 + b2)
 
-    See the module notes: the band holds B1 H2 + h1 B2 of the squared mass.
-    """
+
+def rank_one_residual_log(a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
+    """log ||T^q g - (lambda*mu)^q g|| = q log|lambda mu| + log(B1 H2 + h1 B2) / 2 for g = a (x) b,
+    the factors a builder returned for (lambda, mu); -inf when an eigenvalue is 0 (module notes)."""
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    lm = lc_from_complex(lam * mu)
-    if lm.is_zero or a.is_zero or b.is_zero:
-        return NEG_INF
-    (h1, b1), (h2, b2) = (_band_split_sq_log(v, q) for v in (a, b))
-    return q * lm.logmag + log_add_exp(b1 + log_add_exp(h2, b2), h1 + b2) / 2.0
+    lm = lc_from_complex(lam).logmag + lc_from_complex(mu).logmag
+    return q * lm + _band_sq_log(a, b, q)[1] / 2.0
 
 
-def rank_one_log_norms(
-    op: ShiftOperator, a: CoeffVector, b: CoeffVector, k_max: int
-) -> list[float]:
-    """log ||T^k g||, k = 0..k_max, as log ||T1^k a|| + log ||T2^k b|| for g = tensor_of(a, b)."""
-    t1, t2 = op.factors
+def rank_one_log_norms(a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, k_max: int) -> list[float]:
+    """log ||T^k g|| = k log|lambda mu| + (h1(k) + h2(k)) / 2, k = 0..k_max, for g = a (x) b, the
+    factors a builder returned for (lambda, mu).  Row 0 has the bits of coeff_norm_log(a) + coeff_norm_log(b).
+    """
+    lm = lc_from_complex(lam).logmag + lc_from_complex(mu).logmag
+    (s1, below1), (s2, below2) = _sq_masses(a), _sq_masses(b)
     return [
-        coeff_norm_log(apply_power(t1, a, k)) + coeff_norm_log(apply_power(t2, b, k))
+        (k * lm if k else 0.0) + (below1[min(k, len(s1))] + below2[min(k, len(s2))]) / 2.0
         for k in range(k_max + 1)
     ]
 
 
-def periodic_residual_numeric_log(
-    op: ShiftOperator, a: CoeffVector, b: CoeffVector, q: int
-) -> float:
-    """log ||T^q g - g||, the direct periodicity defect, per axis for g = tensor_of(a, b).
+def rank_one_defect_log(a: CoeffVector, b: CoeffVector, lam: complex, mu: complex, q: int) -> float:
+    """log ||T^q g - g|| = log(|(lambda mu)^q - 1|^2 h1 h2 + (B1 H2 + h1 B2)) / 2 for g = a (x) b,
+    the factors a builder returned for (lambda, mu).
 
-    ||T^q g - g||^2 = ||T^q g||^2 + ||g||^2 - 2 Re<T^q g, g>, with
-    ||T^q g|| = ||T1^q a|| ||T2^q b|| and <T^q g, g> = <T1^q a, a> <T2^q b, b>,
-    scaled by the largest of the three terms before exponentiating.  Used to
-    confirm that a point of order q is NOT periodic for proper divisors of q;
-    where the subtraction keeps no digit it returns its rounding floor, so for
-    the passing direction (tiny defects) use `rank_one_residual_log`.
+    With (lambda mu)^q = e^(x + iy), |e^(x + iy) - 1|^2 = (e^x - 1)^2 + 4 e^x sin^2(y/2).
     """
     if q < 1:
         raise ValidationError(f"power must be >= 1, got {q}")
-    if a.is_zero or b.is_zero:
-        return NEG_INF
-    moved = [apply_power(f, v, q) for f, v in zip(op.factors, (a, b))]
-    ip1, ip2 = (coeff_inner(w, v) for w, v in zip(moved, (a, b)))
-    logs = [2.0 * sum(map(coeff_norm_log, vs)) for vs in (moved, (a, b))]
-    logs.append(math.log(2.0) + ip1.logmag + ip2.logmag)
-    top = max(logs)
-    moved_sq, g_sq, cross = (math.exp(t - top) for t in logs)
-    cross *= math.cos(ip1.phase + ip2.phase)
-    # each log carries a rounding error of about eps * |top|; below that share
-    # of its terms the sum keeps no digit
-    floor = 4.0 * math.ulp(1.0) * (1.0 + abs(top)) * (moved_sq + g_sq + abs(cross))
-    return (top + math.log(max(moved_sq + g_sq - cross, floor))) / 2.0
+    lam_lc, mu_lc = lc_from_complex(lam), lc_from_complex(mu)
+    x, y = q * (lam_lc.logmag + mu_lc.logmag), q * (lam_lc.phase + mu_lc.phase)
+    expm1_log = max(x, 0.0) + math.log(-math.expm1(-abs(x))) if x else NEG_INF  # log |e^x - 1|
+    sin_half = abs(math.sin(y / 2.0))
+    turn_log = 2.0 * math.log(2.0 * sin_half) + x if sin_half else NEG_INF
+    kept, band = _band_sq_log(a, b, q)
+    return log_add_exp(log_add_exp(2.0 * expm1_log, turn_log) + kept, band) / 2.0
 
 
 def periodic_point_from_eigen(

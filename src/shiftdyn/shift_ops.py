@@ -14,7 +14,7 @@ m >= p+1) per axis with a direction:
 With two axes it is the tensor product T1 (x) T2 (`tensor_operator`),
 acting diagonally: the pair (m, n) moves to (m-1, n-1) carrying the product
 of the factor weights, and dies exactly when either factor sits at its
-lowest index.  Its `factors` are one-axis operators over the same weights.
+lowest index.
 
 All applications act entrywise on finite-support vectors; weights never
 touch phases, so phases survive every direction bit-for-bit.  Every action
@@ -58,17 +58,6 @@ class ShiftOperator:
             raise ValidationError(f"an operator takes a tuple of one or two weight sequences: {weights!r}")
         # derived once: every action checks the vector's offsets against these
         object.__setattr__(self, "offsets", tuple(w.offset_p for w in weights))
-
-    @property
-    def factors(self) -> tuple["ShiftOperator", ...]:
-        """One one-axis operator per axis, over the same weight sequences (and tables)."""
-        return tuple(ShiftOperator((w,), self.direction) for w in self.weights)
-
-    def to_json_dict(self) -> dict:
-        if len(self.weights) == 2:
-            left, right = self.factors
-            return {"left": left.to_json_dict(), "right": right.to_json_dict()}
-        return {"direction": self.direction.value, "weights": self.weights[0].to_json_dict()}
 
 
 def right_inverse(op: ShiftOperator) -> ShiftOperator:

@@ -184,9 +184,6 @@ class WeightSequence:
     def scan_start(self) -> int:
         return max(1, self.offset_p + 1)
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, slots=True)
 class ThetaRawWeights(WeightSequence):
@@ -199,9 +196,6 @@ class ThetaRawWeights(WeightSequence):
         return _theta_log(self.params, 0, m + 1)  # s + r*((m+1) - 1): the bits of s + r*m
 
     _logs = _theta_logs
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "nu": self.params.nu, "alpha": self.params.alpha}
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,14 +212,6 @@ class ThetaActionWeights(WeightSequence):
 
     _logs = _theta_logs
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "nu": self.params.nu,
-            "alpha": self.params.alpha,
-            "p": self.params.p,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class BargmannRawWeights(WeightSequence):
@@ -235,9 +221,6 @@ class BargmannRawWeights(WeightSequence):
 
     def _log(self, n: int) -> float:
         return 0.5 * math.log(n + 1.0)
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family}
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,9 +239,6 @@ class BargmannActionWeights(WeightSequence):
     def _log(self, n: int) -> float:
         """log sqrt(n) * (n-1)!/(n-1-p)!"""
         return 0.5 * math.log(n) + math.lgamma(n) - math.lgamma(n - self.p)
-
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "p": self.p}
 
 
 def _block_run(i: int) -> int:
@@ -302,9 +282,6 @@ class BlockPatternWeights(WeightSequence):
             i = end
         return out
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "role": self.role}
-
 
 @dataclass(frozen=True, slots=True)
 class TableWeights(WeightSequence):
@@ -343,13 +320,6 @@ class TableWeights(WeightSequence):
 
     def _log(self, i: int) -> float:
         return self.log_values[i - self.start]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "table": [math.exp(v) for v in self.log_values],
-            "start": self.start,
-        }
 
 
 def weight_sequence_from_json(obj: dict) -> WeightSequence:

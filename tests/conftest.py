@@ -3,6 +3,7 @@
 The references are independent of the code under test where they can be:
 stepping an orbit one `apply_power(op, v, 1)` at a time, the dense residual
 band and the entrywise residual of an eigenvector, and the adjoint pairing.
+`factors(op)` splits an operator into its one-axis operators.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from shiftdyn import (
     CoeffVector,
     Direction,
     LogComplex,
+    ShiftOperator,
     apply_power,
     coeff_inner,
     coeff_norm_log,
@@ -93,12 +95,12 @@ def band_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> 
 
     The interior telescopes, leaving -(lambda*mu)^q times the outermost band.
     """
-    lm = lc_from_complex(lam * mu)
-    if lm.is_zero or g.is_zero:
+    lm = lc_from_complex(lam).logmag + lc_from_complex(mu).logmag  # per axis: lam * mu may underflow
+    if lm == NEG_INF or g.is_zero:
         return NEG_INF
     trunc_m, trunc_n = (max(key[i] for key in g.entries) for i in (0, 1))
     band = (2.0 * c.logmag for (m, n), c in g.entries.items() if m > trunc_m - q or n > trunc_n - q)
-    return q * lm.logmag + log_sum_exp(band) / 2.0
+    return q * lm + log_sum_exp(band) / 2.0
 
 
 def numeric_residual_log(op, g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
@@ -107,6 +109,11 @@ def numeric_residual_log(op, g: CoeffVector, lam: complex, mu: complex, q: int =
     power = LogComplex(q * lm.logmag, wrap_phase(q * lm.phase)) if not lm.is_zero else lm
     scaled = CoeffVector.from_entries(g.offsets, {key: lc_mul(c, power) for key, c in g.entries.items()})
     return coeff_norm_log(coeff_sub(apply_power(op, g, q), scaled))
+
+
+def factors(op) -> tuple:
+    """The one-axis operators of op's axes, over the same weight sequences (and tables)."""
+    return tuple(ShiftOperator((w,), op.direction) for w in op.weights)
 
 
 def adjoint_forward(op):

@@ -30,7 +30,7 @@ from shiftdyn import (
     lc_mul,
     lc_neg,
     periodic_point_from_eigen,
-    periodic_residual_numeric_log,
+    rank_one_defect_log,
     right_inverse,
     salas_scan,
     tensor_of,
@@ -42,7 +42,9 @@ from shiftdyn import (
 from shiftdyn.cli import main
 from shiftdyn.numerics import LogComplex
 
-from conftest import adjoint_pairing_gap_log, band_residual_log, orbit, rand_coeff_vector, rand_tensor_vector
+from conftest import (
+    adjoint_pairing_gap_log, band_residual_log, factors, orbit, rand_coeff_vector, rand_tensor_vector,
+)
 
 LN2 = math.log(2.0)
 
@@ -137,7 +139,7 @@ def test_criterion_03_right_inverse_decay():
         # tensor log-norms are exactly the sum of the factor log-norms
         pair = tensor_operator(op, bargmann_backward_shift(1))
         s2 = right_inverse(pair)
-        sf1, sf2 = map(right_inverse, pair.factors)
+        sf1, sf2 = map(right_inverse, factors(pair))
         for k in range(1, 21):
             tnorm = coeff_norm_log(apply_power(s2, CoeffVector.unit((1, 1), (1, 1)), k))
             n1 = coeff_norm_log(apply_power(sf1, CoeffVector.unit((1,), (1,)), k))
@@ -165,12 +167,12 @@ def test_criterion_04_eigen_relation():
 def test_criterion_05_periodicity_order_four():
     with Budget(5.0) as budget:
         op = default_tensor_shift()
-        a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+        a, b, spec = periodic_point_from_eigen(op, 4, -60.0)
         g = tensor_of(a, b)
         gnorm = coeff_norm_log(g)
         lam = cmath.exp(1j * math.pi / 4)
         assert band_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
-        assert periodic_residual_numeric_log(op, a, b, 1) - gnorm >= -5.0
+        assert rank_one_defect_log(a, b, spec.lam, spec.mu, 1) - gnorm >= -5.0
     report(5, "T^4 g = g below e^-55 while T g != g (period exactly 4)", budget)
 
 

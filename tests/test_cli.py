@@ -31,6 +31,8 @@ from shiftdyn import (
     tensor_operator,
     tensor_salas_scan,
 )
+import shiftdyn.cli as cli
+import shiftdyn.dynamics as dynamics
 from shiftdyn.cli import _csv_text, _dump_json, _join_dash_values, _Reprs, build_parser, main
 from shiftdyn.numerics import lc_to_json
 
@@ -365,7 +367,8 @@ def test_op_commands_take_a_tensor_operator_file(tmp_path, theta_op_spec, bargma
                          ids=["eigen", "periodic"])
 def test_eigen_and_periodic_op_file_matches_the_default_pair(tmp_path, argv, p):
     # --nu/--alpha/--p parametrise only the default pair; its file builds the same artifacts
-    pair = write_json(tmp_path / "pair.json", default_tensor_shift(p).to_json_dict())
+    pair = write_json(tmp_path / "pair.json", {side: {**op, "weights": {**op["weights"], "p": p}}
+                                                for side, op in _PAIR_SPEC.items()})
     by_op, by_default = tmp_path / "op" / "out.json", tmp_path / "default" / "out.json"
     assert main([*argv, "--tail=-40", "--op", pair, "--out", str(by_op)]) == 0
     assert main([*argv, "--tail=-40", "--p", str(p), "--out", str(by_default)]) == 0
@@ -557,7 +560,9 @@ def test_eigen_beyond_the_entry_budget_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_hopeless_periodic_build_exits_3_before_reading_a_weight(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def weight_reads(monkeypatch):
+    """The index of every `log_weight` call, in call order."""
     reads = []
     log_weight = WeightSequence.log_weight
 
@@ -566,14 +571,51 @@ def test_hopeless_periodic_build_exits_3_before_reading_a_weight(tmp_path, capsy
         return log_weight(self, i)
 
     monkeypatch.setattr(WeightSequence, "log_weight", counting)
+    return reads
+
+
+def test_hopeless_periodic_build_exits_3_before_reading_a_weight(tmp_path, capsys, weight_reads):
     out = tmp_path / "periodic.json"
     # each axis needs 2q + 1 terms, so the least rectangle is far past the budget of 400,000 entries
     assert main(["periodic", "--q", str(2**40), "--out", str(out)]) == 3
     assert "within 400000 entries" in capsys.readouterr().err
-    assert reads == []
+    assert weight_reads == []
     assert not out.exists()
     assert main(["periodic", "--q", "2", "--out", str(out)]) == 0
-    assert reads  # the count sees the reads of a build that runs
+    assert weight_reads  # the count sees the reads of a build that runs
+
+
+@pytest.mark.parametrize("argv", [["eigen", "--lambda=1,0", "--mu=1,0"], ["periodic", "--q", "2"]],
+                         ids=["eigen", "periodic"])
+def test_a_ratio_that_rounds_to_1_ends_the_build_at_once(tmp_path, capsys, weight_reads, argv):
+    out = tmp_path / "x.json"
+    # every theta weight at nu = 1e300 rounds to 1, so no term ratio of |lambda| = 1 rounds below 1
+    assert main([*argv, "--nu=1e300", "--out", str(out)]) == 3
+    assert "within 400000 entries" in capsys.readouterr().err
+    assert 0 < len(weight_reads) < 100
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["eigen", "--lambda=0.5,0.1", "--mu=0.3,-0.2"], ["periodic", "--q", "5"]],
+                         ids=["eigen", "periodic"])
+def test_eigen_and_periodic_read_every_number_off_the_factors(tmp_path, monkeypatch, argv):
+    # after the build, no operator action, inner product or norm runs on the factors
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator action or inner product after the build")
+
+    for module in (dynamics, cli):
+        for name in ("apply_power", "coeff_inner", "coeff_norm_log"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("scale", ["1e-170", "1e-200"])
+def test_eigen_residual_stays_finite_where_the_eigenvalue_product_underflows(tmp_path, scale):
+    out = tmp_path / "eigen.json"
+    assert main(["eigen", f"--lambda={scale},0", f"--mu={scale},0", "--tail=-60", "--out", str(out)]) == 0
+    residual = json.loads(out.read_text())["residual_log"]
+    assert isinstance(residual, float) and math.isfinite(residual)  # "-inf" would claim an exact eigenvector
+    assert residual <= -60.0
 
 
 @pytest.mark.parametrize(
@@ -1001,19 +1043,9 @@ def test_values_beyond_float_range_are_numeric_failures(tmp_path, capsys, argv):
 
 # argv of the leaf commands that build no array.  Every option takes a value inside a bound that
 # keeps the case cheap, a non-finite or malformed token, or a bad integer within that bound; the
-# eigen and periodic options are all valid but for at most one such token, so most cases build.
-def _int_token(hi: int):
-    bad = [str(b) for b in _BAD_INTS if b <= hi]
-    return st.integers(0, hi).map(str) | st.sampled_from([*bad, *_NON_NUMBERS])
-
-
-def _real_token(lo: float | None = None, hi: float | None = None):
-    values = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-    return values.map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e400", *_NON_NUMBERS])
-
-
-def _complex_token(real):
-    return st.builds("{},{}".format, real, real) | st.sampled_from(["1", "1,2,3", ",", "1;2"])
+# basis eval, eigen and periodic options are all valid but for at most one such token, so most
+# cases evaluate or build.
+_BAD_INDICES = [*(str(b) for b in _BAD_INTS if b <= 10_000), *_NON_NUMBERS]
 
 
 _LEAF_OPS = [
@@ -1031,7 +1063,7 @@ _LEAF_VECTORS = [
     {"p": 1, "entries": [[3, 0.0, 0.0], [9, -2.0, 1.5]]},
     {"p1": 1, "p2": 1, "entries": [[2, 3, 0.0, 0.0], [6, 1, 1.0, -0.5]]},
 ]
-_INDEX = _int_token(10_000)  # -k and -m
+_INDEX = st.integers(0, 10_000).map(str) | st.sampled_from(_BAD_INDICES)  # -k
 _LEAF_COMMANDS = ["basis eval", "op apply", "op power", "inner", "eigen", "periodic"]
 _EIGEN_REAL = st.floats(-7.0, 7.0).map(repr)
 _BAD_REALS = ["inf", "-inf", "nan", "1e400", "abc", "", "0x10", "2**40"]
@@ -1048,6 +1080,14 @@ _PAIR_OPTIONS = {
     "--alpha": (st.floats(-2.0, 2.0).map(repr), st.sampled_from(_BAD_REALS)),
     "--op": (st.sampled_from([None, 0]), st.integers(1, len(_EIGEN_OPS) - 1)),
 }
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+# basis eval options, likewise
+_BASIS_OPTIONS = {
+    "-m": (st.integers(0, 10_000).map(str), st.sampled_from(_BAD_INDICES)),
+    "-z": (st.builds("{},{}".format, _FINITE, _FINITE), _BAD_COMPLEX),
+    "--nu": _PAIR_OPTIONS["--nu"],
+    "--alpha": _PAIR_OPTIONS["--alpha"],
+}
 
 
 @st.composite
@@ -1057,8 +1097,8 @@ def _leaf_argv(draw):
     vec, vec2 = (f"vec{draw(st.integers(0, len(_LEAF_VECTORS) - 1))}.json" for _ in range(2))
     argv = command.split()
     if command == "basis eval":
-        argv += ["--basis", draw(st.sampled_from(["theta", "bargmann"])), f"-m={draw(_INDEX)}",
-                 f"-z={draw(_complex_token(_real_token()))}"]
+        argv += ["--basis", draw(st.sampled_from(["theta", "bargmann"]))]
+        argv += [f"{name}={value}" for name, value in _options(draw, _BASIS_OPTIONS, list(_BASIS_OPTIONS)).items()]
     elif command.startswith("op"):
         argv += ["--op", op, "--vec", vec]
     elif command == "inner":
@@ -1067,19 +1107,23 @@ def _leaf_argv(draw):
         argv += _pair_options(draw, command)
     if command.endswith("power"):
         argv += [f"-k={draw(_INDEX)}"]
-    if command == "basis eval":
-        argv += [f"--nu={draw(_real_token(-1.0, 10.0))}", f"--alpha={draw(_real_token(-2.0, 2.0))}"]
     return argv
+
+
+def _options(draw, table: dict, names: list[str]) -> dict:
+    """A value for each named option of table, all valid but at most one malformed token."""
+    broken = draw(st.none() | st.sampled_from(names))
+    values = {}
+    for name in names:
+        good, bad = table[name]
+        values[name] = draw(bad if name == broken else good)
+    return values
 
 
 def _pair_options(draw, command: str) -> list[str]:
     """eigen/periodic options, all valid but at most one malformed token, so most cases build."""
     names = [n for n in _PAIR_OPTIONS if n not in (("--q",) if command == "eigen" else ("--lambda", "--mu"))]
-    broken = draw(st.none() | st.sampled_from(names))
-    values = {}
-    for name in names:
-        good, bad = _PAIR_OPTIONS[name]
-        values[name] = draw(bad if name == broken else good)
+    values = _options(draw, _PAIR_OPTIONS, names)
     eigen_op = values.pop("--op")
     argv = [f"{name}={value}" for name, value in values.items()]
     return argv if eigen_op is None else [*argv, "--op", f"eigen_op{eigen_op}.json"]
@@ -1111,19 +1155,19 @@ def test_leaf_command_argv_exits_0_2_or_3(leaf_files, capsys, argv):
     assert elapsed < 10.0, argv
 
 
-@pytest.mark.parametrize("command", ["eigen", "periodic"])
+@pytest.mark.parametrize("command", ["eigen", "periodic", "basis eval"])
 def test_leaf_argv_reach_eigen_and_periodic_builds(leaf_files, capsys, command):
-    # the fuzz above checks builds, not only parsing: it draws eigen/periodic argv that exit 0
-    def builds(argv):
-        if argv[0] != command:
+    # the fuzz above checks builds and evaluations, not only parsing: it draws argv that exit 0
+    def exits_0(argv):
+        if argv[: len(command.split())] != command.split():
             return False
         code = main([*(str(leaf_files / a) if a.endswith(".json") else a for a in argv),
                      "--out", str(leaf_files / "built.json")])
         capsys.readouterr()
         return code == 0
 
-    find(_leaf_argv(), builds, settings=settings(max_examples=300, deadline=None, database=None,
-                                                 phases=[Phase.generate]))  # the first such argv, unshrunk
+    find(_leaf_argv(), exits_0, settings=settings(max_examples=300, deadline=None, database=None,
+                                                  phases=[Phase.generate]))  # the first such argv, unshrunk
 
 
 # argv of hypercyclic and density-probe, at a bounded cost: at most 8 targets of at most 3 entries,

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from shiftdyn import (
@@ -27,7 +28,7 @@ from shiftdyn import (
     hypercyclic_vector_build,
     periodic_from_target,
     periodic_point_from_eigen,
-    periodic_residual_numeric_log,
+    rank_one_defect_log,
     rank_one_log_norms,
     rank_one_residual_log,
     right_inverse,
@@ -197,7 +198,7 @@ def test_factored_norm_band_and_orbit_match_the_dense_vector():
         for q in range(1, 5):
             dense = band_residual_log(g, lam, mu, q)
             assert _agree(dense, rank_one_residual_log(a, b, lam, mu, q), _allowance(g, dense))
-        for k, (w, factored) in enumerate(zip(orbit(op, g, 8), rank_one_log_norms(op, a, b, 8))):
+        for k, (w, factored) in enumerate(zip(orbit(op, g, 8), rank_one_log_norms(a, b, lam, mu, 8))):
             dense = coeff_norm_log(w)
             assert _agree(dense, factored, _allowance(w, dense, k))
 
@@ -231,10 +232,10 @@ def test_no_series_row_is_zero_for_nonzero_eigenvalues():
             lam = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
             mu = cmath.rect(rng.uniform(0.01, 5.0), rng.uniform(-math.pi, math.pi))
             a, b, _ = eigenvector_build(op, lam, mu, -60.0)
-            assert NEG_INF not in rank_one_log_norms(op, a, b, EIGEN_SERIES_STEPS)
+            assert NEG_INF not in rank_one_log_norms(a, b, lam, mu, EIGEN_SERIES_STEPS)
         for q in range(2, 17):
-            a, b, _ = periodic_point_from_eigen(op, q, -40.0)
-            assert NEG_INF not in rank_one_log_norms(op, a, b, 2 * q)
+            a, b, spec = periodic_point_from_eigen(op, q, -40.0)
+            assert NEG_INF not in rank_one_log_norms(a, b, spec.lam, spec.mu, 2 * q)
 
 
 def test_eigenvector_rejects_non_backward():
@@ -252,34 +253,59 @@ def test_eigenvector_flat_weights_not_certifiable():
 
 def test_periodic_point_q4():
     op = default_tensor_shift()
-    a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+    a, b, spec = periodic_point_from_eigen(op, 4, -60.0)
     g = tensor_of(a, b)
     lam = cmath.exp(1j * math.pi / 4)
     gnorm = coeff_norm_log(g)
     assert band_residual_log(g, lam, lam, q=4) - gnorm <= -55.0
     # genuinely period 4: proper divisors leave a large defect
-    assert periodic_residual_numeric_log(op, a, b, 1) - gnorm >= -5.0
-    assert periodic_residual_numeric_log(op, a, b, 2) - gnorm >= -5.0
+    assert rank_one_defect_log(a, b, spec.lam, spec.mu, 1) - gnorm >= -5.0
+    assert rank_one_defect_log(a, b, spec.lam, spec.mu, 2) - gnorm >= -5.0
 
 
 def test_periodic_defect_per_axis_matches_the_dense_subtraction():
     for p in (0, 1, 2):
         op = default_tensor_shift(p=p)
         for q in (2, 3, 5, 8, 12, 16):
-            a, b, _ = periodic_point_from_eigen(op, q, -40.0)
+            a, b, spec = periodic_point_from_eigen(op, q, -40.0)
             g = tensor_of(a, b)
             for k in sorted({1, q - 1}):
                 dense = numeric_residual_log(op, g, 1, 1, k)
-                assert abs(periodic_residual_numeric_log(op, a, b, k) - dense) <= 1e-12
+                assert abs(rank_one_defect_log(a, b, spec.lam, spec.mu, k) - dense) <= 1e-12
 
 
 def test_periodic_defect_bottoms_out_at_its_rounding_floor():
     op = default_tensor_shift()
-    a, b, _ = periodic_point_from_eigen(op, 4, -60.0)
+    a, b, spec = periodic_point_from_eigen(op, 4, -60.0)
     gnorm = coeff_norm_log(tensor_of(a, b))
-    floor = periodic_residual_numeric_log(op, a, b, 4) - gnorm  # the true defect is below e^-55
-    assert -40.0 < floor < -10.0
-    assert periodic_residual_numeric_log(op, CoeffVector((0,)), CoeffVector((0,)), 4) == NEG_INF
+    # nothing cancels: at k = q only the band (below e^-55) and the rounding of arg(lambda mu),
+    # q * (a few ulps) in |(lambda mu)^q - 1|, remain; a difference of squares stopped near e^-16
+    floor = rank_one_defect_log(a, b, spec.lam, spec.mu, 4) - gnorm
+    assert -40.0 < floor < -30.0
+    zero = CoeffVector((0,))
+    assert rank_one_defect_log(zero, zero, spec.lam, spec.mu, 4) == NEG_INF
+
+
+@pytest.mark.parametrize("q", [16, 50, 100, 300])
+def test_periodic_defect_matches_mpmath_at_one_step(q):
+    # T g - g = (e^(2 pi i/q) - 1) g up to the band, so the relative defect is log(2 sin(pi/q))
+    a, b, spec = periodic_point_from_eigen(default_tensor_shift(), q, -60.0)
+    gnorm = rank_one_log_norms(a, b, spec.lam, spec.mu, 0)[0]
+    want = float(mpmath.log(2 * mpmath.sin(mpmath.pi / q)))
+    assert abs(rank_one_defect_log(a, b, spec.lam, spec.mu, 1) - gnorm - want) <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-200])
+def test_residual_keeps_its_log_where_the_eigenvalue_product_underflows(scale):
+    lam = mu = complex(scale, 0.0)
+    assert lam * mu == 0  # the product of the two eigenvalues is below float range
+    a, b, _ = eigenvector_build(default_tensor_shift(), lam, mu, -60.0)
+    residual = rank_one_residual_log(a, b, lam, mu)
+    assert math.isfinite(residual) and residual < -3000.0
+    dense = band_residual_log(tensor_of(a, b), lam, mu)
+    assert abs(residual - dense) <= 1e-12 * abs(dense)
+    assert rank_one_log_norms(a, b, lam, mu, 1)[1] > NEG_INF
+    assert rank_one_residual_log(a, b, 0.0, mu) == NEG_INF  # exact only for an eigenvalue 0
 
 
 def test_periodic_point_q1_fixed_point():

@@ -217,8 +217,14 @@ def test_offset_mismatch_raises():
 
 
 def test_operator_json_round_trip():
-    for op in all_test_operators():
-        op2 = shift_operator_from_json(op.to_json_dict())
+    # the operator files of all_test_operators(), in its order
+    thetas = [{"family": "theta_composite", "nu": math.pi, "alpha": 0.0, "p": p} for p in (0, 1, 2)]
+    bargmanns = [{"family": "bargmann_composite", "p": p} for p in (0, 1, 2)]
+    weights = [*(w for pair in zip(thetas, bargmanns) for w in pair),
+               {"family": "theta_composite", "nu": 2.0, "alpha": -0.3, "p": 1}]
+    for w, op in zip(weights, all_test_operators(), strict=True):
+        op2 = shift_operator_from_json({"direction": "backward", "weights": w})
+        assert op2 == op
         assert op2.direction is op.direction
         m = op.offsets[0] + 3
         assert abs(op2.weights[0].log_weight(m) - op.weights[0].log_weight(m)) <= 1e-15

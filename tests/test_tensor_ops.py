@@ -29,11 +29,25 @@ from shiftdyn import (
     theta_backward_shift,
 )
 
-from conftest import adjoint_forward, adjoint_pairing_gap_log, rand_coeff_vector, rand_tensor_vector, rel_gap_log
+from conftest import (
+    adjoint_forward, adjoint_pairing_gap_log, factors, rand_coeff_vector, rand_tensor_vector, rel_gap_log,
+)
+
+_THETA = {"family": "theta_composite", "nu": math.pi, "alpha": 0.0}
+_BARGMANN = {"family": "bargmann_composite"}
 
 
 def pair(p1=0, p2=0):
     return tensor_operator(theta_backward_shift(math.pi, 0.0, p1), bargmann_backward_shift(p2))
+
+
+def axis_spec(weights: dict, p: int, direction: str = "backward") -> dict:
+    return {"direction": direction, "weights": {**weights, "p": p}}
+
+
+def pair_spec(p1=0, p2=0, direction="backward") -> dict:
+    """The operator file of pair(p1, p2) in this direction."""
+    return {"left": axis_spec(_THETA, p1, direction), "right": axis_spec(_BARGMANN, p2, direction)}
 
 
 def test_tensor_of_units_and_distributivity():
@@ -103,7 +117,7 @@ def test_tensor_apply_single_pair_example():
 def test_tensor_apply_rank_one_coherence():
     rng = random.Random(53)
     op = pair(0, 0)
-    left, right = op.factors
+    left, right = factors(op)
     # exact on unit tensors
     w = tensor_of(CoeffVector.unit((3,), (0,)), CoeffVector.unit((2,), (0,)))
     lhs = apply_power(op, w, 1)
@@ -179,7 +193,7 @@ def test_tensor_power_matches_iteration():
 def test_tensor_inverse_norm_additivity_exact():
     op = pair(1, 1)
     s = right_inverse(op)
-    s_left, s_right = right_inverse(op).factors
+    s_left, s_right = factors(right_inverse(op))
     f = CoeffVector.unit((1, 1), (1, 1))
     for k in range(1, 12):
         tensor_norm = coeff_norm_log(apply_power(s, f, k))
@@ -250,31 +264,33 @@ def test_tensor_operator_validation_and_json():
     with pytest.raises(ValidationError):
         tensor_operator(
             theta_backward_shift(math.pi, 0.0, 0),
-            right_inverse(pair(0, 0)).factors[1],
+            factors(right_inverse(pair(0, 0)))[1],
         )
-    left, right = pair(0, 0).factors[0], right_inverse(pair(0, 0)).factors[1]
-    mixed = {"left": left.to_json_dict(), "right": right.to_json_dict()}
+    mixed = {"left": axis_spec(_THETA, 0), "right": axis_spec(_BARGMANN, 0, "right_inverse")}
     with pytest.raises(ValidationError, match="share a direction"):
         shift_operator_from_json(mixed)
     op = pair(1, 2)
-    op2 = shift_operator_from_json(op.to_json_dict())
+    op2 = shift_operator_from_json(pair_spec(1, 2))
+    assert op2 == op
     assert op2.offsets == op.offsets
     assert op2.direction is op.direction
 
 
 def test_one_reader_round_trips_both_operator_shapes():
-    ops = (theta_backward_shift(math.pi, 0.0, 1), pair(1, 2), right_inverse(pair(0, 1)), adjoint_forward(pair(2, 0)))
-    for op in ops:
-        text = op.to_json_dict()
-        assert set(text) == ({"direction", "weights"} if len(op.offsets) == 1 else {"left", "right"})
-        assert shift_operator_from_json(text) == op
-        assert shift_operator_from_json(text).to_json_dict() == text
+    cases = (
+        (axis_spec(_THETA, 1), theta_backward_shift(math.pi, 0.0, 1)),
+        (pair_spec(1, 2), pair(1, 2)),
+        (pair_spec(0, 1, "right_inverse"), right_inverse(pair(0, 1))),
+        (pair_spec(2, 0, "adjoint_forward"), adjoint_forward(pair(2, 0))),
+    )
+    for spec, op in cases:
+        assert shift_operator_from_json(spec) == op
 
 
 def test_an_operator_has_one_or_two_weight_sequences():
     one, two = bargmann_backward_shift(0), pair(0, 0)
-    assert two.weights == pair(0, 0).factors[0].weights + one.weights
-    assert [f.weights for f in two.factors] == [(w,) for w in two.weights]  # the factors share the sequences
+    assert two.weights == factors(pair(0, 0))[0].weights + one.weights
+    assert [f.weights for f in factors(two)] == [(w,) for w in two.weights]  # the factors share the sequences
     for weights in (one.weights[0], (), two.weights + one.weights, list(two.weights), (one,), None):
         with pytest.raises(ValidationError, match="one or two weight sequences"):
             ShiftOperator(weights)
@@ -282,7 +298,7 @@ def test_an_operator_has_one_or_two_weight_sequences():
         with pytest.raises(ValidationError, match="one-axis"):
             tensor_operator(left, right)
     with pytest.raises(ValidationError, match="one-axis"):
-        shift_operator_from_json({"left": two.to_json_dict(), "right": one.to_json_dict()})
+        shift_operator_from_json({"left": pair_spec(), "right": axis_spec(_BARGMANN, 0)})
 
 
 def test_tensor_offset_mismatch():

@@ -215,16 +215,18 @@ def test_scan_start_per_family():
 
 
 def test_json_round_trip_all_families():
-    seqs = [
-        ThetaRawWeights(ThetaParams(nu=1.3, alpha=-0.7)),
-        ThetaActionWeights(ThetaParams(nu=2.2, alpha=0.1, p=2)),
-        BargmannRawWeights(),
-        BargmannActionWeights(p=1),
-        BlockPatternWeights(role="varpi"),
-        TableWeights.from_weights([1.0, 2.0], start=3),
+    cases = [
+        ({"family": "theta_raw", "nu": 1.3, "alpha": -0.7}, ThetaRawWeights(ThetaParams(nu=1.3, alpha=-0.7))),
+        ({"family": "theta_composite", "nu": 2.2, "alpha": 0.1, "p": 2},
+         ThetaActionWeights(ThetaParams(nu=2.2, alpha=0.1, p=2))),
+        ({"family": "bargmann_raw"}, BargmannRawWeights()),
+        ({"family": "bargmann_composite", "p": 1}, BargmannActionWeights(p=1)),
+        ({"family": "block_pattern", "role": "varpi"}, BlockPatternWeights(role="varpi")),
+        ({"family": "table", "table": [1.0, 2.0], "start": 3}, TableWeights.from_weights([1.0, 2.0], start=3)),
     ]
-    for w in seqs:
-        w2 = weight_sequence_from_json(w.to_json_dict())
+    for spec, w in cases:
+        w2 = weight_sequence_from_json(spec)
+        assert w2 == w
         assert w2.family == w.family
         for i in range(w.scan_start, w.scan_start + 2):
             assert abs(w2.log_weight(i) - w.log_weight(i)) <= 1e-15
