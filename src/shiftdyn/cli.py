@@ -198,9 +198,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """Comma-separated lines; cells are Python scalars, and str(float) is repr(float)."""
+    """Comma-separated lines, each row as wide as the header; cells are Python scalars, and
+    format(cell, "") is str(cell), which is repr for a float."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines.extend(itertools.starmap(",".join(["{}"] * len(header)).format, rows))
     lines.append("")
     return "\n".join(lines)
 
@@ -452,6 +453,7 @@ def _join_dash_values(argv) -> list[str]:
 
 # options of the leaf commands, as (flags..., add_argument keywords)
 _REQUIRED = {"required": True}
+_OUT = ("--out", {"default": None, "help": "output path (stdout if omitted)"})
 _OP = ("--op", {"required": True, "help": "operator JSON, one axis or two"})
 _BARGMANN_OP = ("--op", {"default": None, "help": "operator JSON, one axis or two (default: bargmann p=0)"})
 _VEC = ("--vec", _REQUIRED)
@@ -461,77 +463,74 @@ _FORMAT = ("--format", {"choices": ("csv", "json"), "default": "csv"})
 _NU = ("--nu", {"type": float, "default": math.pi})
 _ALPHA = ("--alpha", {"type": float, "default": 0.0})
 _TAIL = ("--tail", {"type": float, "default": -60.0})
+_PAIR = (("--op", {"default": None,  # the operator of eigen and periodic
+                   "help": "backward tensor operator JSON (default: theta(--nu, --alpha, --p) (x) bargmann(--p))"}),
+         _NU, _ALPHA, ("--p", {"type": int, "default": 0}))
+_GROUPS = {"basis": ("basis_action", "basis function evaluation"),  # the command groups, as name: (dest, help)
+           "op": ("action", "operator actions, one axis or two")}
+
+# the leaf commands, as (group or None, name, handler, help, options), in the order of the help
+_LEAVES = (
+    (None, "weights", _cmd_weights, "evaluate a weight sequence over an index range",
+     (_OUT, ("--spec", _REQUIRED), ("--range", {"required": True, "help": "lo:hi (hi exclusive)"}), _FORMAT)),
+    ("basis", "eval", _cmd_basis_eval, "evaluate one basis function at z",
+     (_OUT, ("--basis", {"choices": ("theta", "bargmann"), "required": True}), _NU, _ALPHA,
+      ("-m", {"type": int, "required": True}), ("-z", {"required": True, "help": "re,im"}))),
+    ("op", "apply", _cmd_power, "apply the operator once", (_OUT, _OP, _VEC)),
+    ("op", "power", _cmd_power, "apply the operator k times", (_OUT, _OP, _VEC, _K)),
+    ("op", "matrix", _cmd_op_matrix, "the truncated matrix as (row, col, logmag) triplets",
+     (_OUT, _OP, ("-N", {"dest": "n", "type": int, "required": True}), _FORMAT)),
+    (None, "inner", _cmd_inner, "inner product of --vec and --vec2, one axis or two",
+     (_OUT, _VEC, ("--vec2", _REQUIRED))),
+    (None, "criterion", _cmd_criterion, "Salas partial-product scan",
+     (_OUT, ("--weights", _REQUIRED), ("--weights2", {"default": None}), _N,
+      ("--threshold", {"type": float, "default": 100.0}))),
+    (None, "eigen", _cmd_eigen, "build a truncated tensor eigenvector",
+     (*_PAIR, _OUT, ("--lambda", {"dest": "lam", "required": True, "help": "re,im"}),
+      ("--mu", {"required": True, "help": "re,im"}), _TAIL)),
+    (None, "periodic", _cmd_periodic, "build a truncated q-periodic point",
+     (*_PAIR, _OUT, ("--q", {"type": int, "required": True}), _TAIL)),
+    (None, "hypercyclic", _cmd_hypercyclic, "build a vector whose orbit visits targets",
+     (_OUT, ("--targets", _REQUIRED), ("--eps", {"type": float, "default": 1e-6}), _BARGMANN_OP)),
+    # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
+    (None, "counterexample", _cmd_counterexample, "block-pattern tensor counterexample scans",
+     (_OUT, _N, ("--threshold", {"type": float, "default": 30.0}))),
+    (None, "density-probe", _cmd_density_probe, "periodic approximation of random targets",
+     (_OUT, _BARGMANN_OP, ("--count", {"type": int, "default": 5}), ("--seed", {"type": int, "default": 0}),
+      ("--tail", {"type": float, "default": -40.0}))),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _subcommands(parser, dest: str, names: Iterable[str], every: bool):
+    """parser's required subcommand slot, whose usage lists every name even where not every one gets a parser."""
+    metavar = None if every else "{" + ",".join(dict.fromkeys(names)) + "}"
+    return parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv, built only along the path its words (`eigen`, `op power`) name.
+
+    The words are the tokens before the first that starts with "-", at most two.  Where they name
+    no leaf, every leaf below the deepest group they name is built: the `op` group for `op bogus`,
+    the whole tree for `bogus`, `--help` or no argv.  Help, usage and errors read as the whole tree's.
+    """
+    words = tuple(itertools.takewhile(lambda tok: not tok.startswith("-"), argv))
+    named = [leaf for leaf in _LEAVES if leaf[:2] == words[:2] or (leaf[0] is None and leaf[1:2] == words[:1])]
+    leaves = named or [leaf for leaf in _LEAVES if (leaf[0],) == words[:1]] or _LEAVES
     parser = argparse.ArgumentParser(
-        prog="shiftdyn",
-        description="Weighted backward shifts, tensor products, and chaos diagnostics.",
-    )
+        prog="shiftdyn", description="Weighted backward shifts, tensor products, and chaos diagnostics.")
     parser.add_argument("--version", action="version", version=f"shiftdyn {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # options several commands share, declared once as parent parsers
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--op", default=None,
-                      help="backward tensor operator JSON (default: theta(--nu, --alpha, --p) (x) bargmann(--p))")
-    for flag, kwargs in (_NU, _ALPHA, ("--p", {"type": int, "default": 0})):
-        pair.add_argument(flag, **kwargs)
-
-    def leaf(group, name, func, help, *options, parents=()):
-        p = group.add_parser(name, parents=[*parents, out], help=help)
+    top = _subcommands(parser, "command", [group or name for group, name, *_ in _LEAVES], leaves is _LEAVES)
+    subs = {None: top}
+    for group, name, func, help, options in leaves:
+        if group not in subs:
+            dest, group_help = _GROUPS[group]
+            names = [n for g, n, *_ in _LEAVES if g == group]
+            subs[group] = _subcommands(top.add_parser(group, help=group_help), dest, names, not named)
+        p = subs[group].add_parser(name, help=help)
         for *flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
-
-    def group(name, dest, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
-
-    leaf(sub, "weights", _cmd_weights, "evaluate a weight sequence over an index range",
-         ("--spec", _REQUIRED),
-         ("--range", {"required": True, "help": "lo:hi (hi exclusive)"}),
-         _FORMAT)
-    leaf(group("basis", "basis_action", "basis function evaluation"), "eval", _cmd_basis_eval,
-         "evaluate one basis function at z",
-         ("--basis", {"choices": ("theta", "bargmann"), "required": True}),
-         _NU, _ALPHA,
-         ("-m", {"type": int, "required": True}),
-         ("-z", {"required": True, "help": "re,im"}))
-    ops = group("op", "action", "operator actions, one axis or two")
-    leaf(ops, "apply", _cmd_power, "apply the operator once", _OP, _VEC)
-    leaf(ops, "power", _cmd_power, "apply the operator k times", _OP, _VEC, _K)
-    leaf(ops, "matrix", _cmd_op_matrix, "the truncated matrix as (row, col, logmag) triplets",
-         _OP,
-         ("-N", {"dest": "n", "type": int, "required": True}),
-         _FORMAT)
-    leaf(sub, "inner", _cmd_inner, "inner product of --vec and --vec2, one axis or two",
-         _VEC, ("--vec2", _REQUIRED))
-    leaf(sub, "criterion", _cmd_criterion, "Salas partial-product scan",
-         ("--weights", _REQUIRED),
-         ("--weights2", {"default": None}),
-         _N,
-         ("--threshold", {"type": float, "default": 100.0}))
-    leaf(sub, "eigen", _cmd_eigen, "build a truncated tensor eigenvector",
-         ("--lambda", {"dest": "lam", "required": True, "help": "re,im"}),
-         ("--mu", {"required": True, "help": "re,im"}),
-         _TAIL, parents=[pair])
-    leaf(sub, "periodic", _cmd_periodic, "build a truncated q-periodic point",
-         ("--q", {"type": int, "required": True}),
-         _TAIL, parents=[pair])
-    leaf(sub, "hypercyclic", _cmd_hypercyclic, "build a vector whose orbit visits targets",
-         ("--targets", _REQUIRED),
-         ("--eps", {"type": float, "default": 1e-6}),
-         _BARGMANN_OP)
-    leaf(sub, "counterexample", _cmd_counterexample, "block-pattern tensor counterexample scans",
-         _N,
-         # block-pattern swings reach ~sqrt(N/2)*ln2; 30 nats is crossed by N=1e4
-         ("--threshold", {"type": float, "default": 30.0}))
-    leaf(sub, "density-probe", _cmd_density_probe, "periodic approximation of random targets",
-         _BARGMANN_OP,
-         ("--count", {"type": int, "default": 5}),
-         ("--seed", {"type": int, "default": 0}),
-         ("--tail", {"type": float, "default": -40.0}))
     return parser
 
 
@@ -539,7 +538,8 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         try:
-            args = build_parser().parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+            argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
+            args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:  # --help, --version, or a usage error already printed
             return exc.code if isinstance(exc.code, int) else _EXIT_VALIDATION
         args._t0 = time.monotonic()

@@ -23,9 +23,11 @@ domain rule (`_check`) and both entry points, `log_weight(i)` and
 `log_weights(indices)`, a range in and a float64 array out, with the same
 bits.  In bulk, the only place numpy is imported, the theta formulas run once
 on an int64 array, the block pattern fills one run at a time, the Bargmann
-and table ones run per index (numpy has no lgamma, and `np.log` differs from
-`math.log` in the last bit).  An index outside the domain raises
-`IndexBelowOffset` (`TableRangeError` for a table), naming the first one.
+composite reads one `math.lgamma` column for both of its lgamma terms and
+adds in numpy, and the Bargmann raw and table ones run per index (numpy has
+no lgamma, and `np.log` differs from `math.log` in the last bit).  An index
+outside the domain raises `IndexBelowOffset` (`TableRangeError` for a table),
+naming the first one.
 
 `log_weight_span(lo, hi)` sums consecutive log weights, the products behind
 every power of a shift.  Each sequence object keeps one table of its
@@ -42,6 +44,7 @@ natural logs.  Factorial ratios go through lgamma, never integer factorials
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
@@ -239,6 +242,19 @@ class BargmannActionWeights(WeightSequence):
     def _log(self, n: int) -> float:
         """log sqrt(n) * (n-1)!/(n-1-p)!"""
         return 0.5 * math.log(n) + math.lgamma(n) - math.lgamma(n - self.p)
+
+    def _logs(self, indices: range) -> np.ndarray:
+        # one lgamma column serves both lgamma terms: the h = min(p, len) indices from start - p, then
+        # the range, so lgamma(n) is its tail and lgamma(n - p) its head.  The ops and their order are _log's.
+        import numpy as np
+        n, h = len(indices), min(self.p, len(indices))
+        below = range(indices.start - self.p, indices.start - self.p + h)
+        lg = np.fromiter(map(math.lgamma, itertools.chain(below, indices)), np.float64, n + h)
+        out = np.fromiter(map(math.log, indices), np.float64, n)
+        out *= 0.5
+        out += lg[h:]
+        out -= lg[:n]
+        return out
 
 
 def _block_run(i: int) -> int:

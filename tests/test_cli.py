@@ -1,6 +1,9 @@
 """Command-line interface: artifacts, manifests, exit codes."""
 
+import argparse
 import collections
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -812,18 +815,77 @@ def test_tensor_inner_requires_vec2(tmp_path, capsys):
     assert "--vec2" in capsys.readouterr().err
 
 
-def test_readme_cli_examples_parse(capsys):
-    # every `shiftdyn ...` line of README's bash blocks, its optional [...] parts dropped
+def _readme_argvs() -> list[list[str]]:
+    """The argv of every `shiftdyn ...` line of README's bash blocks, its optional [...] parts dropped."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = [line for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
              for line in block.splitlines() if line.startswith("shiftdyn ")]
-    assert len(lines) >= 12
+    return [_join_dash_values(shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]) for line in lines]
+
+
+def test_readme_cli_examples_parse(capsys):
+    argvs = _readme_argvs()
+    assert len(argvs) >= 12
     parser = build_parser()
-    for line in lines:
+    for argv in argvs:
         try:
-            parser.parse_args(_join_dash_values(shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]))
+            parser.parse_args(argv)
         except SystemExit:
-            pytest.fail(f"README example does not parse: {line}\n{capsys.readouterr().err}")
+            pytest.fail(f"README example does not parse: {argv}\n{capsys.readouterr().err}")
+
+
+# the words of every leaf command
+_LEAF_PATHS = [["weights"], ["basis", "eval"], ["op", "apply"], ["op", "power"], ["op", "matrix"], ["inner"],
+               ["criterion"], ["eigen"], ["periodic"], ["hypercyclic"], ["counterexample"], ["density-probe"]]
+
+
+def _parse_outcome(parser, argv):
+    """(stdout, stderr, exit code, parsed options) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = options = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            options = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code, options
+
+
+def test_a_parser_built_for_argv_reads_it_as_the_whole_tree_does():
+    argvs = [[], ["--help"], ["--version"], ["bogus"], ["basis"], ["op"], ["op", "bogus"], ["op", "-h"]]
+    for path in _LEAF_PATHS:
+        argvs += [path + ["-h"], path, path + ["-N", "x"]]  # most leaves miss a required option
+    for argv in _readme_argvs():  # parsed; then an unknown option and an extra word, which print the top usage
+        argvs += [argv, argv + ["--bogus"], argv + ["extra"]]
+    whole = build_parser()
+    for argv in argvs:
+        outcome = _parse_outcome(build_parser(argv), argv)
+        assert outcome == _parse_outcome(whole, argv), argv
+        assert outcome[2] in (None, 0, 2)
+    assert _parse_outcome(whole, ["eigen"])[1].endswith("required: --lambda, --mu\n")
+    assert "{weights,basis,op,inner," in _parse_outcome(whole, ["inner", "--vec", "v", "--vec2", "w", "x"])[1]
+
+
+def test_a_leaf_argv_builds_only_the_parsers_on_its_path(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for path in _LEAF_PATHS:
+        built.clear()
+        build_parser(path + ["--out", "x.json"])
+        assert built == ["shiftdyn"] + ["shiftdyn " + " ".join(path[: i + 1]) for i in range(len(path))]
+    built.clear()
+    build_parser(["op", "bogus"])
+    assert built == ["shiftdyn", "shiftdyn op", "shiftdyn op apply", "shiftdyn op power", "shiftdyn op matrix"]
+    for argv in ([], ["--help"], ["bogus"]):
+        built.clear()
+        build_parser(argv)
+        assert len(built) == 1 + 2 + len(_LEAF_PATHS)  # the top level, the two groups and every leaf
 
 
 def _reference_jsonable(obj):
@@ -887,10 +949,17 @@ def test_nan_fails_json_artifacts_as_before(obj, data):
             dump(bad)
 
 
+# a header and rows as wide as it
+_TABLES = st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(st.text(max_size=4), min_size=width, max_size=width),
+    st.lists(st.lists(_FLOAT | st.integers() | st.booleans() | _TEXT, min_size=width, max_size=width), max_size=8),
+))
+
+
 @settings(max_examples=200, deadline=None, database=None)
-@given(header=st.lists(st.text(max_size=4), min_size=1, max_size=4),
-       rows=st.lists(st.lists(_FLOAT | st.integers() | st.booleans() | _TEXT, max_size=4), max_size=8))
-def test_csv_artifacts_match_the_row_formatter(header, rows):
+@given(table=_TABLES)
+def test_csv_artifacts_match_the_row_formatter(table):
+    header, rows = table
     expected = _reference_csv(header, rows)
     assert _csv_text(header, rows) == expected
     assert _csv_text(header, iter(rows)) == expected  # rows may come from a generator or zip
@@ -1009,6 +1078,15 @@ def test_formatted_columns_match_their_floats(obj, xs):
     for wrap in (lambda c: {"a": obj, "col": c}, lambda c: [obj, [c]]):
         assert _dump_json(wrap(_Reprs(xs))) == _reference_json(wrap(xs))
     assert _csv_text(["c"], zip(_Reprs(xs))) == _reference_csv(["c"], zip(xs))
+
+
+def test_csv_rows_keep_the_bytes_of_joining_their_strs():
+    col = _Reprs([1.5, -0.0, 0.0, 1.5, 1e-300])
+    rows = [(2**63, math.inf, col[0]), (-(2**70), -math.inf, col[1]), (0, math.nan, col[2]),
+            (True, -0.0, col[3]), (10**30, 5e-324, col[4]), (-1, 1.7976931348623157e308, "a,b")]
+    expected = "\n".join(["i,x,c", *(",".join(map(str, row)) for row in rows), ""])
+    assert _csv_text(["i", "x", "c"], rows) == expected
+    assert _csv_text(["i", "x", "c"], zip(*zip(*rows))) == expected
 
 
 def test_formatted_columns_keep_the_non_finite_rule():

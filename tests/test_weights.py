@@ -266,6 +266,18 @@ def test_bargmann_raw_bulk_keeps_the_scalar_bits():
     _assert_bulk_is_scalar(BargmannRawWeights(), range(0, 200_000))
 
 
+@pytest.mark.parametrize("p", [0, 2, 5, 150_000])
+def test_bargmann_composite_bulk_keeps_the_scalar_bits(p):
+    # one lgamma column serves both lgamma terms, in _log's order of operations; at p = 150,000 the
+    # two terms' indices do not overlap within a range of 100,000
+    w = BargmannActionWeights(p=p)
+    for lo in (w.first, w.first + 1, 3_000_017):
+        _assert_bulk_is_scalar(w, range(lo, lo + 100_000))
+    with pytest.raises(IndexBelowOffset, match=f"index {w.first - 1} outside"):
+        w.log_weights(range(w.first - 1, w.first + 10))
+    assert w.log_weights(range(w.first - 1, w.first - 1)).size == 0
+
+
 # the last index of block-pattern run k, T(k) = k(k+1)/2, for every run ending below 2**52
 _RUN_ENDS = st.integers(1, 94_906_265).map(lambda k: k * (k + 1) // 2)
 
