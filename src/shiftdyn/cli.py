@@ -115,45 +115,62 @@ def _encoder(level: int):
     return json.JSONEncoder(separators=(",\n" + _IND * level, ": "), allow_nan=False).encode
 
 
-def _flat(items, depth: int) -> str | None:
-    """A list of scalars, or of non-empty rows of numbers, in one encoder call.
-
-    Rows are encoded at the cells' indent; one `replace` then breaks the row
-    boundaries `],<indent>[`, which no number contains.  None where an item is
-    another container, or a float is not finite, so the caller goes per item.
-    """
-    kinds = set(map(type, items))
-    i0, i1, i2 = (_IND * (depth + k) for k in range(3))
-    try:
-        if kinds <= _SCALARS:
-            text = _encoder(depth + 1)(items)
-            return f"[\n{i1}{text[1:-1]}\n{i0}]"
-        if kinds <= _ROWS and all(items) and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS:
-            text = _encoder(depth + 2)(items).replace(f"],\n{i2}[", f"\n{i1}],\n{i1}[\n{i2}")
-            return f"[\n{i1}[\n{i2}{text[2:-2]}\n{i1}]\n{i0}]"
-    except ValueError:  # a non-finite float
-        pass
-    return None
+_CHUNK = 8192  # list items per encoder call or join, CSV rows per join
+_SAMPLE = 1024  # a longer float list with at most _SAMPLE // 2 distinct values here is written as _Reprs
+_SLICE = 1 << 20  # characters per file write
 
 
 class _Reprs(tuple):
     """A float column as its reprs, for a JSON list and the CSV cells alike: each distinct value
-    formatted once (block-pattern partials repeat), each zero by itself (0.0 == -0.0)."""
+    formatted once (block-pattern partials repeat), each zero one of two shared strings (0.0 == -0.0)."""
 
     def __new__(cls, values: list[float]):
         table = {v: repr(v) for v in set(values)}
-        return super().__new__(cls, [table[v] if v else repr(v) for v in values])
+        return super().__new__(cls, [table[v] if v else ("0.0", "-0.0")[math.copysign(1.0, v) < 0] for v in values])
+
+
+def _flat(items, depth: int, out: list) -> bool:
+    """Append a list of scalars, of non-empty rows of numbers, or a _Reprs, _CHUNK items per piece.
+
+    Scalars and rows go to the C encoder, rows at the cells' indent; one
+    `replace` then breaks the row boundaries `],<indent>[`, which no number
+    contains.  A repetitive float list becomes a _Reprs.  False, with nothing
+    appended, where an item is another container or a float is not finite,
+    so the caller goes per item.
+    """
+    i0, i1, i2 = (_IND * (depth + k) for k in range(3))
+    sep, head, tail = ",\n" + i1, "[\n" + i1, "\n" + i0 + "]"
+    reprs = isinstance(items, _Reprs)
+    kinds = {str} if reprs else set(map(type, items))
+    if kinds == {float} and len(items) > _SAMPLE and len(set(items[:_SAMPLE])) <= _SAMPLE // 2:
+        items, reprs = _Reprs(items), True
+    if rows := not kinds <= _SCALARS:
+        if not (kinds <= _ROWS and all(items) and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS):
+            return False
+        sep, head, tail = f"\n{i1}],\n{i1}[\n{i2}", f"[\n{i1}[\n{i2}", f"\n{i1}]\n{i0}]"
+    start = len(out)
+    try:
+        for k in range(0, len(items), _CHUNK):
+            chunk = items[k:k + _CHUNK]
+            if reprs:
+                text = sep.join(chunk)
+                if "n" in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
+                    raise ValueError
+            elif rows:
+                text = _encoder(depth + 2)(chunk).replace(f"],\n{i2}[", sep)[2:-2]
+            else:
+                text = _encoder(depth + 1)(chunk)[1:-1]
+            out += (sep if k else head, text)
+    except ValueError:  # a non-finite float
+        del out[start:]
+        return False
+    out.append(tail)
+    return True
 
 
 def _json_pieces(obj, depth: int, out: list) -> None:
     """Append the pieces of obj as `json.dumps(indent=2, sort_keys=True)` writes it at depth."""
-    if isinstance(obj, _Reprs) and obj:
-        text = (",\n" + _IND * (depth + 1)).join(obj)
-        if "n" in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
-            _json_pieces(list(map(float, obj)), depth, out)
-        else:
-            out.append(f"[\n{_IND * (depth + 1)}{text}\n{_IND * depth}]")
-    elif isinstance(obj, dict) and obj:
+    if isinstance(obj, dict) and obj:
         ind = "\n" + _IND * (depth + 1)
         sep = "{" + ind
         for key, value in sorted(obj.items()):
@@ -162,13 +179,11 @@ def _json_pieces(obj, depth: int, out: list) -> None:
             sep = "," + ind
         out.append("\n" + _IND * depth + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        text = _flat(obj, depth)
-        if text is not None:
-            out.append(text)
+        if _flat(obj, depth, out):
             return
         ind = "\n" + _IND * (depth + 1)
         sep = "[" + ind
-        for item in obj:
+        for item in map(float, obj) if isinstance(obj, _Reprs) else obj:
             out.append(sep)
             _json_pieces(item, depth + 1, out)
             sep = "," + ind
@@ -184,7 +199,7 @@ def _dump_json(obj) -> str:
 
     Dict keys are str.  An infinite float is written as the string "inf" or
     "-inf"; NaN raises ValueError.  Lists of scalars and of numeric rows go
-    through the C encoder in one call each (`_flat`), byte for byte the same.
+    through the C encoder in chunks (`_flat`), byte for byte the same.
     """
     out: list[str] = []
     _json_pieces(obj, 0, out)
@@ -193,17 +208,23 @@ def _dump_json(obj) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """text to path in UTF-8, in slices of _SLICE characters, so no bytes copy of the whole is made."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for k in range(0, len(text), _SLICE):
+            fh.write(text[k:k + _SLICE])
 
 
 def _csv_text(header: list[str], rows) -> str:
-    """Comma-separated lines, each row as wide as the header; cells are Python scalars, and
-    format(cell, "") is str(cell), which is repr for a float."""
-    lines = [",".join(header)]
-    lines.extend(itertools.starmap(",".join(["{}"] * len(header)).format, rows))
-    lines.append("")
-    return "\n".join(lines)
+    """Comma-separated lines, each row as wide as the header, joined _CHUNK rows at a time; cells are
+    Python scalars, and format(cell, "") is str(cell), which is repr for a float."""
+    line = ",".join(["{}"] * len(header)).format
+    rows = iter(rows)
+    pieces = [",".join(header)]
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        pieces.append("\n".join(itertools.starmap(line, chunk)))
+    pieces.append("")
+    return "\n".join(pieces)
 
 
 def _manifest(args) -> dict:

@@ -7,6 +7,7 @@ labelled evidence with the horizon and threshold recorded.  The tensor scan
 applies the same test to the pointwise product of two weight sequences.
 Each factor's weights are one bulk read (`WeightSequence.log_weights`), and
 the partial sums one `np.cumsum`, numpy being imported in the scan alone.
+Partials that leave the float range raise `OverflowNotRepresentable`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import OverflowNotRepresentable, ValidationError
 from .weights import WeightSequence, check_index_count
 
 
@@ -81,8 +82,13 @@ def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionRep
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     import numpy as np
-    logs = [w.log_weights(range(w.scan_start, w.scan_start + n_horizon)) for w in ws]
-    partials = np.cumsum(functools.reduce(np.add, logs))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        logs = [w.log_weights(range(w.scan_start, w.scan_start + n_horizon)) for w in ws]
+        partials = np.cumsum(functools.reduce(np.add, logs))
+    finite = np.isfinite(partials)
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise OverflowNotRepresentable(f"partial log-product {k} of {n_horizon} overflows the float range")
     sup = float(partials.max())
     verdict, bound = _verdict(partials, sup, threshold)
     return CriterionReport(

@@ -82,6 +82,11 @@ class ThetaParams:
             raise ValidationError(f"invariant violated: nu must be finite and > 0, got {self.nu}")
         if not math.isfinite(self.alpha):
             raise ValidationError(f"alpha must be finite, got {self.alpha}")
+        if not math.isfinite(2.0 * math.pi / self.nu):  # the ratio of _theta_log
+            raise ValidationError(f"nu must be such that 2*pi/nu is finite, got {self.nu}")
+        if not math.isfinite(math.pi / self.nu + 2.0 * self.alpha):  # the prefactor of _theta_log
+            raise ValidationError(
+                f"alpha must be such that pi/nu + 2*alpha is finite, got {self.alpha} with nu = {self.nu}")
         if not 0 <= self.p <= MAX_THETA_ORDER:
             raise ValidationError(f"invariant violated: p must be in [0, {MAX_THETA_ORDER}], got {self.p}")
 

@@ -10,7 +10,10 @@ import math
 import random
 import re
 import shlex
+import sys
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -633,10 +636,16 @@ def test_eigen_residual_stays_finite_where_the_eigenvalue_product_underflows(tmp
         (["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "nan,0"], "z"),
         (["basis", "eval", "--basis", "theta", "-m", "0", "-z", "0,inf"], "z"),
         (["hypercyclic", "--targets", "{targets}", "--eps", "inf"], "eps"),
+        # finite parameters whose theta prefactor pi/nu + 2*alpha or ratio 2*pi/nu is not
+        (["criterion", "--weights", "{theta_alpha}"], "alpha"),
+        (["weights", "--spec", "{theta_nu}", "--range", "1:3"], "nu"),
+        (["eigen", "--lambda=0.5,0", "--mu=0.5,0", "--alpha", "1e308"], "alpha"),
     ],
 )
 def test_non_finite_parameters_exit_2(tmp_path, capsys, argv, name):
     specs = {
+        "{theta_alpha}": write_json(tmp_path / "ta.json", {**_THETA_SPEC, "nu": 1.0, "alpha": 1e308, "p": 1}),
+        "{theta_nu}": write_json(tmp_path / "tn.json", {**_THETA_SPEC, "nu": 1e-310}),
         "{table}": write_json(tmp_path / "t.json", {"family": "table", "table": ["a"]}),
         "{bargmann}": write_json(tmp_path / "b.json", {"family": "bargmann_raw"}),
         "{targets}": write_json(tmp_path / "y.json", {"targets": [{"p": 0, "entries": [[0, 0.0, 0.0]]}]}),
@@ -914,6 +923,14 @@ def _reference_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _assert_same(got: str, want: str) -> None:
+    """got == want, reporting where they first differ: pytest's own diff of two long texts takes minutes."""
+    if got != want:
+        pos = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(pos - 40, 0), pos + 40)
+        pytest.fail(f"texts differ at line {want.count(chr(10), 0, pos) + 1}: {got[near]!r} against {want[near]!r}")
+
+
 _EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308])
 _FLOAT = st.floats(allow_nan=False) | _EDGE_FLOATS
 _NUMBER = _FLOAT | _FLOAT.map(np.float64) | st.integers() | st.booleans()
@@ -1063,12 +1080,26 @@ def _counterexample_as_first_written(n: int, threshold: float = 30.0):
 
 
 def test_counterexample_artifacts_keep_their_bytes(tmp_path):
-    out = tmp_path / "c.json"
-    assert main(["counterexample", "-N", "2000", "--out", str(out)]) == 0
-    result, rows = _counterexample_as_first_written(2000)
-    assert out.read_text(encoding="utf-8") == json.dumps(result, indent=2, sort_keys=True) + "\n"
     header = ["i", "omega_partial", "varpi_partial", "product_partial"]
-    assert (tmp_path / "c.json.series.csv").read_text(encoding="utf-8") == _csv_text(header, rows)
+    for n in (2000, 20_000):  # 20,000 rows cross the writers' chunks
+        out = tmp_path / f"c{n}.json"
+        assert main(["counterexample", "-N", str(n), "--out", str(out)]) == 0
+        result, rows = _counterexample_as_first_written(n)
+        _assert_same(out.read_text(encoding="utf-8"), json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _assert_same((tmp_path / f"c{n}.json.series.csv").read_text(encoding="utf-8"), _reference_csv(header, rows))
+
+
+@pytest.mark.parametrize("weights, n", [(["omega"], 100_000), (["varpi"], 60_000), (["omega", "varpi"], 100_000)])
+def test_block_pattern_criterion_artifacts_keep_their_bytes(tmp_path, weights, n):
+    # repetitive partials (omega's 100,000 hold 1,365 distinct values; the pair's are all 0.0)
+    # are formatted once per distinct value, and written as json.dumps writes them
+    specs = [write_json(tmp_path / f"{role}.json", {"family": "block_pattern", "role": role}) for role in weights]
+    out = tmp_path / "c.json"
+    options = ["--weights", specs[0], *(["--weights2", specs[1]] if len(specs) > 1 else [])]
+    assert main(["criterion", *options, "-N", str(n), "--out", str(out)]) == 0
+    ws = [BlockPatternWeights(role=role) for role in weights]
+    report = salas_scan(*ws, n) if len(ws) == 1 else tensor_salas_scan(*ws, n)
+    _assert_same(out.read_text(encoding="utf-8"), _reference_json(report.to_json_dict()))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -1099,6 +1130,111 @@ def test_formatted_columns_keep_the_non_finite_rule():
         _dump_json({"col": _Reprs([1.0, math.nan])})
 
 
+def _long_lists(n: int) -> list[list]:
+    """Lists of n numbers: distinct floats, repeated floats (some at the 1,024-value sample's
+    threshold of 512 distinct ones), zeros of both signs, and ints mixed with floats."""
+    rng = random.Random(n)
+    return [
+        [rng.uniform(-1e3, 1e3) for _ in range(n)],
+        [rng.choice([0.5, -1.25, 1e-300, 3.0, 0.0]) for _ in range(n)],
+        [float(i % 512) for i in range(n)],
+        [float(i % 513) / 3 for i in range(n)],
+        [(-0.0, 0.0)[i % 3 == 0] for i in range(n)],
+        [i if i % 2 else i / 7 for i in range(n)],
+    ]
+
+
+_LENGTHS = [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 1023, 1024, 1025, 20_000]
+
+
+@pytest.mark.parametrize("n", _LENGTHS)
+def test_long_lists_keep_their_bytes(n):
+    # at and around a chunk's length and the repetition sample's, in every way a list is written
+    for k, xs in enumerate(_long_lists(n)):
+        for obj in (xs, {"a": {"b": xs}}):
+            _assert_same(_dump_json(obj), _reference_json(obj))
+        if k < 2:  # an encoded list and a repetitive one, sent per item by an inf in a later chunk
+            ys = [*xs[:-1], math.inf]
+            _assert_same(_dump_json([[ys, 1]]), _reference_json([[ys, 1]]))
+        with pytest.raises(ValueError):
+            _dump_json({"a": [*xs[1:], math.nan]})
+        if all(type(x) is float for x in xs):
+            _assert_same(_dump_json({"col": _Reprs(xs)}), _reference_json({"col": xs}))
+        if k == 1:
+            _assert_same(_dump_json([_Reprs([*xs, -math.inf])]), _reference_json([[*xs, -math.inf]]))
+        rows = list(zip(range(n), xs, reversed(xs)))
+        _assert_same(_dump_json({"rows": rows}), _reference_json({"rows": rows}))
+        _assert_same(_csv_text(["i", "x", "y"], rows), _reference_csv(["i", "x", "y"], rows))
+        _assert_same(_csv_text(["i", "x", "y"], iter(rows)), _reference_csv(["i", "x", "y"], rows))
+        if k == 0:
+            rows[-1] = (n, math.inf, -0.0)
+            _assert_same(_dump_json(rows), _reference_json(rows))
+
+
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """The lengths of the lists that the writer hands to the C encoder."""
+    calls = []
+    encoder = cli._encoder
+    monkeypatch.setattr(cli, "_encoder", lambda level: lambda obj: calls.append(len(obj)) or encoder(level)(obj))
+    return calls
+
+
+def test_repetitive_float_lists_are_formatted_per_distinct_value(encoder_calls):
+    # more than 1,024 floats, at most 512 distinct among the first 1,024: a _Reprs column
+    for n, distinct, expected in [(1025, 512, []), (1025, 513, [1025]), (1024, 512, [1024]), (20_000, 1, [])]:
+        encoder_calls.clear()
+        _dump_json([float(i % distinct) for i in range(n)])
+        assert encoder_calls == expected, (n, distinct)
+
+
+def test_short_texts_take_one_encoder_call_and_one_write(tmp_path, monkeypatch, encoder_calls):
+    for n, expected in [(cli._CHUNK, [cli._CHUNK]), (cli._CHUNK + 1, [cli._CHUNK, 1])]:
+        encoder_calls.clear()
+        _dump_json([i / 7 for i in range(n)])  # distinct floats: the encoder writes them
+        assert encoder_calls == expected
+    writes = []
+
+    def spy_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(len(text)) or write(text)
+        return fh
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    for n, expected in [(cli._SLICE, [cli._SLICE]), (cli._SLICE + 1, [cli._SLICE, 1]), (0, [])]:
+        writes.clear()
+        cli._write_text(tmp_path / "t.txt", "x" * n)
+        assert writes == expected
+        assert (tmp_path / "t.txt").stat().st_size == n
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, above what was live before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_artifact_text_is_built_once(tmp_path):
+    # a chunk's transient copies are bounded; the pieces and their join hold the text twice
+    rng = random.Random(0)
+    floats = [rng.uniform(-1e3, 1e3) for _ in range(200_000)]
+    rows = [(i, rng.uniform(-1e3, 1e3)) for i in range(100_000)]
+    for f, args in [(_dump_json, (floats,)), (_dump_json, (rows,)), (_csv_text, (["i", "x"], rows))]:
+        text, peak = _traced_peak(f, *args)
+        assert peak <= 2.2 * sys.getsizeof(text), f.__name__
+    # a file is written in slices, not encoded whole
+    text = "0123456789" * 3_000_000
+    _, peak = _traced_peak(cli._write_text, tmp_path / "big.txt", text)
+    assert peak <= 4 * 2**20
+    _assert_same((tmp_path / "big.txt").read_text(encoding="utf-8"), text)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1116,6 +1252,17 @@ def test_values_beyond_float_range_are_numeric_failures(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "numeric failure" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_scan_whose_partials_overflow_is_a_numeric_failure(tmp_path, capsys):
+    spec = write_json(tmp_path / "raw.json", {"family": "theta_raw", "nu": 1e-300})
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end main with a traceback
+        assert main(["criterion", "--weights", spec, "-N", "10000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "shiftdyn: numeric failure: partial log-product 7564 of 10000 overflows the float range\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Partial-product scans, and the hypercyclicity-criterion premises on basis vectors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from shiftdyn import (
     BargmannRawWeights,
     BlockPatternWeights,
     CoeffVector,
+    OverflowNotRepresentable,
     ShiftOperator,
     TableWeights,
     ThetaActionWeights,
     ThetaParams,
+    ThetaRawWeights,
     ValidationError,
     Verdict,
     apply_power,
@@ -97,6 +100,23 @@ def test_scans_reject_a_horizon_above_the_index_limit():
             scan(2**40)
         with pytest.raises(ValidationError, match=f"limit of {MAX_INDICES}"):
             scan(MAX_INDICES + 1)
+
+
+@pytest.mark.parametrize(
+    "scan, first",
+    [
+        # log w(m) = pi/nu + (2 pi/nu) m: the partial sums pass the largest float at term 7,564
+        (lambda: salas_scan(ThetaRawWeights(ThetaParams(nu=1e-300)), 10_000), 7564),
+        # each factor's weights are finite, their sum is not, on either side
+        (lambda: tensor_salas_scan(*[ThetaRawWeights(ThetaParams(nu=math.pi, alpha=5e307))] * 2, 10), 1),
+        (lambda: tensor_salas_scan(*[ThetaRawWeights(ThetaParams(nu=math.pi, alpha=-5e307))] * 2, 10), 1),
+    ],
+)
+def test_scans_whose_partials_overflow_name_the_first_term(scan, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings are silenced, not printed
+        with pytest.raises(OverflowNotRepresentable, match=f"partial log-product {first} of"):
+            scan()
 
 
 def test_tensor_scan_block_counterexample_exact_zero():
