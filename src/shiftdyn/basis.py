@@ -129,13 +129,20 @@ def coeff_inner(u, v) -> LogComplex:
 
 
 def coeff_norm_log(u) -> float:
-    """log ||u||; -inf for the zero vector, with the bits of coeff_inner(u, u).
+    """log ||u||; -inf for the zero vector, with the bits of coeff_inner(u, u)."""
+    entries = u.entries
+    return norm_log(entries[key].logmag for key in sorted(entries))
 
-    Every term of <u, u> has phase 0.0, so this runs `lc_add`'s equal-phase path on floats.
+
+def norm_log(logmags) -> float:
+    """log sqrt(sum of e^(2 l)) over the log-magnitudes l, added in the order given; -inf for none.
+
+    Every term of an inner product <u, u> has phase 0.0, so this runs `lc_add`'s
+    equal-phase path on floats.
     """
     acc = NEG_INF
-    for key in sorted(u.entries):
-        t = 2.0 * u.entries[key].logmag
+    for logmag in logmags:
+        t = 2.0 * logmag
         if t > acc:
             acc, t = t, acc
         if t != NEG_INF:

@@ -29,11 +29,15 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, getitem
 
-from .basis import CoeffVector, coeff_add, coeff_norm_log
+from .basis import CoeffVector, coeff_add, coeff_norm_log, norm_log
 from .errors import (
+    OverflowNotRepresentable,
     QTooSmall,
     ScheduleOverflow,
+    ShiftDynError,
     TableRangeError,
     TailNotCertifiable,
     ValidationError,
@@ -353,6 +357,43 @@ def periodic_from_target(
     raise TailNotCertifiable(f"series did not reach tail_tol_log within {_SERIES_TERMS_CAP} terms")
 
 
+class _Pullback:
+    """log ||S^g y|| for one target y and a growing gap g, S the right inverse: `coeff_norm_log` of
+    `apply_power(S, y, g)`, with the same bits and errors.
+
+    Each axis index m keeps its span of the weights at m + 1 .. m + g running,
+    so a larger g adds only the new weights, one at a time in ascending order.
+    The pullback of the next nearer checkpoint, at a gap no larger than g,
+    holds the first terms of those spans: one that is behind it starts from
+    its sums.
+    """
+
+    def __init__(self, s_op: ShiftOperator, y: CoeffVector, nearer: "_Pullback | None"):
+        self.s_op, self.y, self.g, self.nearer = s_op, y, 0, nearer
+        self.sums = [dict.fromkeys(sorted({key[i] for key in y.entries}), 0.0) for i in range(len(y.offsets))]
+        self.rows = [(key, c.logmag) for key, c in sorted(y.entries.items())]
+
+    def norm_log(self, g: int) -> float:
+        nearer = self.nearer
+        if nearer is not None and nearer.g > self.g:
+            self.g, self.sums = nearer.g, [dict(sums) for sums in nearer.sums]
+        if g > self.g:
+            try:
+                for weights, sums in zip(self.s_op.weights, self.sums):
+                    for m, acc in sums.items():
+                        for w in weights.span_terms(m + self.g + 1, m + g):
+                            acc += w
+                        if not -math.inf < acc < math.inf:
+                            raise OverflowNotRepresentable(f"the span above {m} overflows")
+                        sums[m] = acc
+            except ShiftDynError:
+                apply_power(self.s_op, self.y, g)  # the error of the first span that fails
+                raise
+            self.g = g
+        sums = self.sums
+        return norm_log(c - reduce(add, map(getitem, sums, key)) for key, c in self.rows)  # apply_power's c + (-s1 + -s2)
+
+
 def hypercyclic_vector_build(
     op: ShiftOperator,
     targets: list[CoeffVector],
@@ -364,7 +405,10 @@ def hypercyclic_vector_build(
     The vector is sum_j S^{n_j} y_j.  Gaps annihilate all earlier terms
     exactly under T^{n_j} (nilpotence), and each later term is pushed far
     enough up that its pullback norms fit a geometric budget: the i-th term
-    contributes at most eps * 2^{-j'} * 2^{-(i-j')} at checkpoint j'.
+    contributes at most eps * 2^{-j'} * 2^{-(i-j')} at checkpoint j'.  Each
+    (target, checkpoint) pair keeps its pullback's spans running
+    (`_Pullback`), so a later candidate time reads one more weight per entry,
+    and a farther checkpoint continues the spans of the nearer one.
     """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("hypercyclic vectors are built over the backward operator")
@@ -382,16 +426,17 @@ def hypercyclic_vector_build(
     n = 1
     for j, y in enumerate(targets, start=1):
         budget = math.log(eps) - j * math.log(2.0)
+        # nearest checkpoint first: its gap is the smallest, so it is the likeliest to fail
+        pullbacks, nearer = [], None
+        for t in reversed(schedule):
+            nearer = _Pullback(s_op, y, nearer)
+            pullbacks.append((t, nearer))
         while True:
             if n > n_cap:
                 raise ScheduleOverflow(
                     f"schedule time exceeded {n_cap}; weights grow too slowly for eps={eps}"
                 )
-            # nearest checkpoint first: its gap is the smallest, so it is the likeliest to fail
-            if y.is_zero or not any(
-                coeff_norm_log(apply_power(s_op, y, n - schedule[jp - 1])) > budget
-                for jp in range(j - 1, 0, -1)
-            ):
+            if y.is_zero or not any(pullback.norm_log(n - t) > budget for t, pullback in pullbacks):
                 break
             n += 1
         schedule.append(n)

@@ -19,10 +19,10 @@ lowest index.
 All applications act entrywise on finite-support vectors; weights never
 touch phases, so phases survive every direction bit-for-bit.  Every action
 is one k-step rule per axis, `apply_power`; a single step is k = 1.  Powers
-take each weight product as one log-sum over a span of source indices, read
-from the weight sequence's own table (`WeightSequence.log_weight_span`),
-which every operator and direction over those weights shares; a single step
-reads its one weight directly.  For the backward direction
+take each weight product as one log-sum over a span of source indices,
+`WeightSequence.log_weight_span`, which evaluates each weight once for
+every operator and direction over those weights, and only the weights its
+spans read.  For the backward direction
 `nilpotence_index` gives the least power that sends a vector to exact zero.
 """
 
@@ -71,14 +71,12 @@ def _action_rule(weights: WeightSequence, direction: Direction, k: int):
     """The k-step action along an axis with these weights, k >= 1, as (shift, lo, hi, sign, floor, span).
 
     The entry at source index m survives when m >= floor, moves to m + shift
-    and adds sign * span(m + lo, m + hi) to its log-magnitude.  `span` is
-    the weights' `log_weight_span`, except at k = 1: a single step reads its
-    one weight directly, so a step at a far index does not tabulate every
-    weight below it.  That weight is the span's float too (0.0 + w == w),
-    and c + (-w) == c - w, so a step adds or subtracts the very float
-    `log_weight` returns.
+    and adds sign * span(m + lo, m + hi) to its log-magnitude, `span` being
+    the weights' `log_weight_span` at every k.  A single step's span is its
+    one weight (0.0 + w == w), and c + (-w) == c - w, so a step adds or
+    subtracts the very float `log_weight` returns.
     """
-    span = weights.log_weight_span if k > 1 else lambda lo, hi: weights.log_weight(lo)
+    span = weights.log_weight_span
     if direction is Direction.BACKWARD:
         return -k, 1 - k, 0, 1.0, weights.offset_p + k, span
     sign = -1.0 if direction is Direction.RIGHT_INVERSE else 1.0
@@ -113,8 +111,8 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         return CoeffVector(v.offsets, dict(v.entries))
     if len(op.weights) == 1:
         # one axis: every index is its own key, so a span needs no cache.  This is the hot path
-        # (a single_orbit benchmark pass at seed 1 makes 2,159 small calls); through the
-        # general path below, that pass ran 1-18% slower.
+        # (a single_orbit benchmark pass at seed 1 makes 287 calls); through the general path
+        # below, that pass ran 1-18% slower when its schedule probes made 2,159.
         shift, lo, hi, sign, floor, span = _action_rule(op.weights[0], op.direction, k)
         out = {
             (m + shift,): LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)

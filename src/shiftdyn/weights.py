@@ -19,23 +19,28 @@ Families, each with its domain of indices:
                         start .. start + len - 1
 
 Each family writes its formula once (`_log`); `WeightSequence` holds the
-domain rule (`_check`) and both entry points, `log_weight(i)` and
-`log_weights(indices)`, a range in and a float64 array out, with the same
-bits.  In bulk, the only place numpy is imported, the theta formulas run once
-on an int64 array, the block pattern fills one run at a time, the Bargmann
-composite reads one `math.lgamma` column for both of its lgamma terms and
-adds in numpy, and the Bargmann raw and table ones run per index (numpy has
-no lgamma, and `np.log` differs from `math.log` in the last bit).  An index
-outside the domain raises `IndexBelowOffset` (`TableRangeError` for a table),
-naming the first one.
+domain rule (`_check`) and both entry points, `log_weight(i)`, the only
+per-index evaluation, and `log_weights(indices)`, a range in and a float64
+array out, with the same bits.  In bulk, the only place numpy is imported,
+the theta formulas run once on an int64 array, the block pattern fills one
+run at a time, the Bargmann composite reads one `math.lgamma` column for both
+of its lgamma terms and adds in numpy, and the Bargmann raw and table ones
+run per index (numpy has no lgamma, and `np.log` differs from `math.log` in
+the last bit).  An index outside the domain raises `IndexBelowOffset`
+(`TableRangeError` for a table), and a log weight beyond the float range
+`OverflowNotRepresentable`, each naming the first such index.
 
 `log_weight_span(lo, hi)` sums consecutive log weights, the products behind
-every power of a shift.  Each sequence object keeps one table of its
-`log_weight` floats, from `first` up to the highest index a span has asked
-for, so every operator and direction built over the same weights shares it
-and evaluates each weight once.  The table only appends, under a lock, is
-capped at `MAX_INDICES` entries, and lives outside the fields: equality,
-hash and repr do not see it, and copies and pickles start empty.
+every power of a shift, from `span_terms(lo, hi)`.  Each sequence object
+keeps one table of its `log_weight` floats, contiguous from `first`, and a
+memo of the weights of spans whose gap above the table is longer than
+themselves, which are read termwise and evaluate nothing below them; when
+the table grows over memo indices it takes their floats from the memo.  So
+every operator and direction built over the same weights evaluates each
+weight once, and only where a span reads it.  Table and memo only grow,
+under a lock, are each capped at `MAX_INDICES` entries, and live outside the
+fields: equality, hash and repr do not see them, and copies and pickles
+start empty.
 
 All weights are strictly positive and handled exclusively through their
 natural logs.  Factorial ratios go through lgamma, never integer factorials
@@ -51,13 +56,14 @@ import threading
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import IndexBelowOffset, TableRangeError, ValidationError
+from .errors import IndexBelowOffset, OverflowNotRepresentable, TableRangeError, ValidationError
 from .numerics import int_parse
 
 _LN2 = math.log(2.0)
+_INF = math.inf
 
-# the most indices one request may evaluate: a scan horizon, a matrix size, a weight range or
-# the span table
+# the most indices one request may evaluate: a scan horizon, a matrix size, a weight range, or
+# the span table or memo
 MAX_INDICES = 10_000_000
 # the highest theta order: one theta action weight adds p + 1 raw weights
 MAX_THETA_ORDER = 1000
@@ -104,9 +110,14 @@ def _theta_log(params: ThetaParams, p: int, m):
 
 
 def _theta_logs(self, indices: range) -> np.ndarray:
-    """A theta family's `_log` once, on the range as an int64 array."""
+    """A theta family's `_log` once, on the range as an int64 array; an infinite one raises at its index."""
     import numpy as np
-    return self._log(np.arange(indices.start, indices.stop, dtype=np.int64))
+    with np.errstate(over="ignore"):  # checked below
+        out = self._log(np.arange(indices.start, indices.stop, dtype=np.int64))
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise self._overflow(indices.start + int(np.argmin(finite)))
+    return out
 
 
 class WeightSequence:
@@ -115,9 +126,9 @@ class WeightSequence:
     A family defines its formula `_log(i)`.  `log_weight(i)` is the scalar
     evaluation; `log_weights(indices)` the bulk one (a range in, a float64
     array out); `log_weight_span(lo, hi)` a sum of consecutive scalar ones,
-    read from the object's table.  `scan_start` is the first index a Salas
-    partial-product scan should include.  Instances are immutable, apart from
-    that append-only table, and safe for concurrent use.
+    read from the object's table or memo (`span_terms`).  `scan_start` is the
+    first index a Salas partial-product scan should include.  Instances are
+    immutable, apart from that table and memo, and safe for concurrent use.
     """
 
     family: str = "abstract"
@@ -141,33 +152,63 @@ class WeightSequence:
             raise self._outside(self.end)
 
     def log_weight(self, i: int) -> float:
-        self._check(i, i)
-        return self._log(i)
+        if not self.first <= i < self.end:
+            raise self._outside(i)
+        w = self._log(i)
+        if -_INF < w < _INF:
+            return w
+        raise self._overflow(i)
+
+    def _overflow(self, i: int) -> OverflowNotRepresentable:
+        return OverflowNotRepresentable(f"{self.family} log weight {i} overflows the float range")
+
+    def span_terms(self, lo: int, hi: int) -> list[float]:
+        """The log weights at lo..hi in order, from the table or the memo; [] when hi < lo.
+
+        A span outside the domain raises where a loop over `log_weight(j)`
+        would: at lo, or else at `end`.
+        """
+        if hi < lo:
+            return []
+        try:
+            values, first, lock, far = self.__dict__["_span_table"]
+        except KeyError:
+            values, first, lock, far = self.__dict__.setdefault(
+                "_span_table", ([], self.first, threading.Lock(), {}))
+        if lo < first or hi - first >= len(values):
+            self._check(lo, hi)
+            with lock:
+                top = first + len(values)
+                if lo - top > hi - lo + 1:  # longer gap than span: read termwise, nothing below it
+                    check_index_count(len(far) + hi - lo + 1, "the log-weight memo")
+                    log_weight = self.log_weight
+                    return [far[j] if j in far else far.setdefault(j, log_weight(j)) for j in range(lo, hi + 1)]
+                check_index_count(hi - first + 1, "the log-weight table")
+                log_weight, take = self.log_weight, far.pop
+                for i in range(top, hi + 1):
+                    w = take(i, None) if far else None
+                    values.append(log_weight(i) if w is None else w)
+        return values[lo - first : hi - first + 1]
 
     def log_weight_span(self, lo: int, hi: int) -> float:
         """Sum of the log weights at lo..hi, added in ascending order to 0.0; 0.0 when hi < lo.
 
-        Bit-identical to adding `log_weight(j)` for j = lo..hi one by one, and
-        a span outside the domain raises where that loop would: at lo, or else
-        at `end`.
+        Bit-identical to adding `log_weight(j)` for j = lo..hi one by one, with
+        that loop's domain errors (`span_terms`); a sum that leaves the float
+        range raises `OverflowNotRepresentable`, naming the first index it passes.
         """
-        if hi < lo:
-            return 0.0
-        try:
-            values, first, lock = self.__dict__["_span_table"]
-        except KeyError:
-            values, first, lock = self.__dict__.setdefault("_span_table", ([], self.first, threading.Lock()))
-        if lo < first or hi - first >= len(values):
-            self._check(lo, hi)
-            check_index_count(hi - first + 1, "the log-weight table")
-            with lock:
-                log_weight = self.log_weight
-                for i in range(first + len(values), hi + 1):
-                    values.append(log_weight(i))
+        ws = self.span_terms(lo, hi)
         acc = 0.0
-        for w in values[lo - first : hi - first + 1]:
+        for w in ws:
             acc += w
-        return acc
+        if -_INF < acc < _INF:
+            return acc
+        acc = 0.0
+        for j, w in enumerate(ws, lo):
+            acc += w
+            if not -_INF < acc < _INF:
+                raise OverflowNotRepresentable(
+                    f"{self.family} log-weight span {lo}..{hi} overflows the float range at index {j}")
 
     def __getstate__(self):
         # the families' dataclass state holds their fields only; any other subclass drops the

@@ -2,7 +2,8 @@
 
 The references are independent of the code under test where they can be:
 stepping an orbit one `apply_power(op, v, 1)` at a time, the dense residual
-band and the entrywise residual of an eigenvector, and the adjoint pairing.
+band and the entrywise residual of an eigenvector, the adjoint pairing, and
+the hypercyclic schedule search with every probe built by `apply_power`.
 `factors(op)` splits an operator into its one-axis operators.
 """
 
@@ -17,8 +18,10 @@ from shiftdyn import (
     CoeffVector,
     Direction,
     LogComplex,
+    ScheduleOverflow,
     ShiftOperator,
     apply_power,
+    coeff_add,
     coeff_inner,
     coeff_norm_log,
     coeff_sub,
@@ -26,8 +29,10 @@ from shiftdyn import (
     lc_from_complex,
     lc_mul,
     lc_neg,
+    right_inverse,
 )
 from shiftdyn.numerics import log_sum_exp, wrap_phase
+from shiftdyn.shift_ops import nilpotence_index
 
 NEG_INF = float("-inf")
 
@@ -126,3 +131,35 @@ def adjoint_pairing_gap_log(op, u: CoeffVector, v: CoeffVector) -> float:
     lhs = coeff_inner(apply_power(op, u, 1), v)
     rhs = coeff_inner(u, apply_power(adjoint_forward(op), v, 1))
     return lc_add(lhs, lc_neg(rhs)).logmag
+
+
+def hypercyclic_reference(op, targets, eps: float, n_cap: int = 100_000, probes: list | None = None):
+    """The schedule search of `hypercyclic_vector_build`, each probe built from scratch.
+
+    A candidate time n probes the checkpoints nearest first, each with the
+    norm of `apply_power(S, y, n - n_j')`; `probes`, when given, collects the
+    gap of every probe.  Returns (psi, schedule).
+    """
+    s_op = right_inverse(op)
+    schedule: list[int] = []
+    n = 1
+    for j, y in enumerate(targets, start=1):
+        budget = math.log(eps) - j * math.log(2.0)
+
+        def fails(gap: int) -> bool:
+            if probes is not None:
+                probes.append(gap)
+            return coeff_norm_log(apply_power(s_op, y, gap)) > budget
+
+        while True:
+            if n > n_cap:
+                raise ScheduleOverflow(f"schedule time exceeded {n_cap}; weights grow too slowly for eps={eps}")
+            if y.is_zero or not any(fails(n - t) for t in reversed(schedule)):
+                break
+            n += 1
+        schedule.append(n)
+        n += max(1, nilpotence_index(op, y))
+    psi = CoeffVector(op.offsets)
+    for n, y in zip(schedule, targets):
+        psi = coeff_add(psi, apply_power(s_op, y, n))
+    return psi, schedule

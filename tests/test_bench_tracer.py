@@ -66,14 +66,14 @@ import shiftdyn.cli as cli
 from shiftdyn.weights import BargmannActionWeights, WeightSequence
 from tracer import Tracer
 
-# evaluations of the weight formula per index, split by whether a span's table asked for them
+# evaluations of the weight formula per index, split by whether a span asked for them
 tabulated, direct, depth = collections.Counter(), collections.Counter(), []
-span, formula = WeightSequence.log_weight_span, BargmannActionWeights._log
+terms, formula = WeightSequence.span_terms, BargmannActionWeights._log
 
-def log_weight_span(self, lo, hi):
+def span_terms(self, lo, hi):
     depth.append(lo)
     try:
-        return span(self, lo, hi)
+        return terms(self, lo, hi)
     finally:
         depth.pop()
 
@@ -81,7 +81,7 @@ def _log(self, n):
     (tabulated if depth else direct)[n] += 1
     return formula(self, n)
 
-WeightSequence.log_weight_span = log_weight_span
+WeightSequence.span_terms = span_terms
 BargmannActionWeights._log = _log
 tracer = Tracer()
 tracer.install()
@@ -92,7 +92,7 @@ print(json.dumps({{"code": code, "report": tracer.report(),
 
 
 def test_traced_hypercyclic_counts_each_weight_once(tmp_path):
-    # the build reads S^n spans and the replay T^n spans, over one weight sequence
+    # the build's probes and psi read S^n spans and the replay T^n spans, over one weight sequence
     targets = [{"p": 0, "entries": [[m, 0.1 * m, 0.2]]} for m in (3, 1, 4, 0, 2, 5)]
     (tmp_path / "targets.json").write_text(json.dumps({"targets": targets}), encoding="utf-8")
     script = _HYPERCYCLIC_SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"))

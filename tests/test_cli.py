@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from shiftdyn import (
+    BargmannActionWeights,
     BlockPatternWeights,
     CoeffVector,
     WeightSequence,
@@ -710,9 +711,10 @@ def _vec(*entries, p=1):
         pytest.param(["criterion", "--weights", "{v}", "-N", str(2**40)],
                      {"{v}": {"family": "bargmann_raw"}}, id="horizon-above-the-index-limit"),
         pytest.param(["counterexample", "-N", str(2**40)], {}, id="counterexample-above-the-index-limit"),
-        # a power reads its spans from a weight table, which is capped at the same index limit
-        pytest.param(["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "2"], _vec([2**52, 0.0, 0.0]),
-                     id="power-at-a-far-index"),
+        # a power reads its spans from a weight table or, far above it, termwise; both are capped
+        # at the same index limit
+        pytest.param(["op", "power", "--op", "{op}", "--vec", "{v}", "-k", str(2**40)], _vec([2**52, 0.0, 0.0]),
+                     id="backward-power-above-the-index-limit"),
         pytest.param(["op", "power", "--op", "{ri}", "--vec", "{v}", "-k", str(2**40)],
                      {"{ri}": {"direction": "right_inverse", "weights": {"family": "bargmann_composite", "p": 1}},
                       **_vec([2, 0.0, 0.0])}, id="right-inverse-power-above-the-index-limit"),
@@ -751,6 +753,55 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_
     err = capsys.readouterr().err
     assert err.startswith("shiftdyn:")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_power_at_a_far_index_reads_only_its_span(tmp_path, capsys, bargmann_op_spec, weight_reads):
+    top = 2**52
+    vec = write_json(tmp_path / "v.json", {"p": 1, "entries": [[top, 0.5, 0.25]]})
+    out = tmp_path / "out.json"
+    power = ["op", "power", "--op", bargmann_op_spec, "--vec", vec, "--out", str(out)]
+    # a span of 2**40 weights is refused before any is read
+    assert main([*power, "-k", str(2**40)]) == 2
+    assert "above the limit of" in capsys.readouterr().err
+    assert weight_reads == [] and not out.exists()
+    # the gap below a span of 2 is longer than the span, so its two weights are read termwise
+    code, peak = _traced_peak(main, [*power, "-k", "2"])
+    assert code == 0
+    assert weight_reads == [top - 1, top]
+    assert peak < 30 * 2**20
+    acc = 0.0
+    for j in (top - 1, top):
+        acc += BargmannActionWeights(1).log_weight(j)
+    assert json.loads(out.read_text())["entries"] == [[top - 2, 0.5 + acc, 0.25]]
+
+
+_OVERFLOW_OP = {"weights": {"family": "theta_composite", "nu": 1e-300}}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        # log w(m) = pi/nu + (2 pi/nu) m is finite at m = 0 only
+        (["weights", "--spec", "{w}", "--range", "0:3"], {"{w}": {"family": "theta_raw", "nu": 4e-308}},
+         "theta_raw log weight 1 overflows the float range"),
+        # every weight is finite; their sum passes the largest float at the 7,565th
+        (["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "50000"],
+         {"{op}": _OVERFLOW_OP, "{v}": {"p": 0, "entries": [[50000, 0.0, 0.0]]}},
+         "theta_composite log-weight span 1..50000 overflows the float range at index 7565"),
+        (["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "50000"],
+         {"{op}": {**_OVERFLOW_OP, "direction": "right_inverse"}, "{v}": {"p": 0, "entries": [[0, 0.0, 0.0]]}},
+         "theta_composite log-weight span 1..50000 overflows the float range at index 7565"),
+    ],
+    ids=["weight", "backward-span", "right-inverse-span"],
+)
+def test_weights_and_spans_that_overflow_are_numeric_failures(tmp_path, capsys, argv, files, message):
+    paths = {name: write_json(tmp_path / f"input{i}.json", obj) for i, (name, obj) in enumerate(files.items())}
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end main with a traceback
+        assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"shiftdyn: numeric failure: {message}\n"
     assert not out.exists()
 
 

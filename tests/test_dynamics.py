@@ -1,6 +1,7 @@
 """Orbits, eigenvector series, periodic points, hypercyclic vectors."""
 
 import cmath
+import copy
 import math
 import random
 
@@ -11,9 +12,11 @@ from shiftdyn import (
     BargmannRawWeights,
     CoeffVector,
     LogComplex,
+    OverflowNotRepresentable,
     QTooSmall,
     ScheduleOverflow,
     ShiftOperator,
+    TableRangeError,
     TableWeights,
     TailNotCertifiable,
     ThetaParams,
@@ -43,7 +46,15 @@ from shiftdyn import (
 import shiftdyn.dynamics as dynamics
 from shiftdyn.dynamics import EIGEN_SERIES_STEPS
 
-from conftest import NEG_INF, band_residual_log, numeric_residual_log, orbit, rand_coeff_vector
+from conftest import (
+    NEG_INF,
+    band_residual_log,
+    hypercyclic_reference,
+    numeric_residual_log,
+    orbit,
+    rand_coeff_vector,
+    rand_tensor_vector,
+)
 
 U = 2.0**-53
 
@@ -400,19 +411,126 @@ def test_hypercyclic_orbit_replay_via_trace():
 
 def test_hypercyclic_search_probes_the_nearest_checkpoint_first(monkeypatch):
     # a candidate time nearly always fails at the nearest checkpoint, whose gap is the
-    # smallest; probing from the farthest checkpoint made 385 calls for this build
-    calls = []
+    # smallest; probing from the farthest checkpoint made 385 probes for this build
+    gaps, powers = [], []
+    norm_log = dynamics._Pullback.norm_log
 
-    def counting(op, v, k):
-        calls.append(k)
+    def probe(self, g):
+        gaps.append(g)
+        return norm_log(self, g)
+
+    def power(op, v, k):
+        powers.append(k)
         return apply_power(op, v, k)
 
-    monkeypatch.setattr(dynamics, "apply_power", counting)
+    monkeypatch.setattr(dynamics._Pullback, "norm_log", probe)
+    monkeypatch.setattr(dynamics, "apply_power", power)
     rng = random.Random(409)
     targets = [rand_coeff_vector(rng, 0, 3, 4) for _ in range(8)]
-    psi, schedule = hypercyclic_vector_build(bargmann_backward_shift(0), targets, 1e-6)
+    op = bargmann_backward_shift(0)
+    psi, schedule = hypercyclic_vector_build(op, targets, 1e-6)
     assert schedule == [1, 17, 31, 47, 63, 81, 98, 114]
-    assert len(calls) == 112 + len(targets)  # the probes, then one term of psi per target
+    want = []
+    hypercyclic_reference(op, targets, 1e-6, probes=want)
+    assert len(gaps) == 112
+    assert gaps == want  # the same probes, in the same order
+    assert powers == schedule  # one term of psi per target, and no power for a probe
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        bargmann_backward_shift(0),
+        theta_backward_shift(math.pi, 0.3, 1),
+        ShiftOperator((TableWeights.from_weights([random.Random(3).uniform(0.2, 9.0) for _ in range(400)]),)),
+        tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2)),
+    ],
+    ids=["bargmann p=0", "theta p=1", "table", "two axes"],
+)
+def test_a_pullback_has_the_bits_of_the_power_it_stands_for(op):
+    rng = random.Random(17)
+    s_op = right_inverse(op)
+    if len(op.offsets) == 1:
+        y = rand_coeff_vector(rng, op.offsets[0], 8, 30)
+    else:
+        y = rand_tensor_vector(rng, op.offsets, 8, 12)
+    nearer = dynamics._Pullback(s_op, y, None)
+    farther = dynamics._Pullback(s_op, y, nearer)  # a checkpoint 9 steps farther back
+    g = 0
+    # single steps, and jumps: a checkpoint that the search skipped catches up termwise, from its
+    # own spans or from the nearer checkpoint's, whichever are longer
+    for step, both in ((1, True), (1, False), (3, True), (1, False), (7, False), (2, True), (40, True),
+                       (0, True), (1, False), (13, True), (5, False), (90, True)):
+        g += step
+        for pullback, gap in ((nearer, g), (farther, g + 9))[: 1 + both]:
+            assert pullback.norm_log(gap).hex() == coeff_norm_log(apply_power(s_op, y, gap)).hex(), gap
+
+
+def _entry_bits(v: CoeffVector) -> dict:
+    return {key: (c.logmag.hex(), c.phase.hex()) for key, c in v.entries.items()}
+
+
+def _search_cases():
+    rng = random.Random(61)
+    pair = tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2))
+    return {
+        "bargmann p=0": (bargmann_backward_shift(0), [rand_coeff_vector(rng, 0, 5, 12) for _ in range(10)], 1e-9),
+        "theta p=1": (theta_backward_shift(math.pi, 0.0, 1), [rand_coeff_vector(rng, 1, 4, 9) for _ in range(8)],
+                      1e-6),
+        # few indices per axis, so entries share the running span of an axis index
+        "two axes": (pair, [rand_tensor_vector(rng, (1, 2), 5, 7) for _ in range(6)], 1e-6),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_search_cases()))
+def test_hypercyclic_build_matches_the_reference_search(case):
+    op, targets, eps = _search_cases()[case]
+    want_psi, want_schedule = hypercyclic_reference(op, targets, eps)
+    fresh = ShiftOperator(tuple(map(copy.copy, op.weights)), op.direction)  # copies start with empty tables
+    for target_op in (op, fresh):  # warm tables, then cold ones
+        psi, schedule = hypercyclic_vector_build(target_op, targets, eps)
+        assert schedule == want_schedule
+        assert _entry_bits(psi) == _entry_bits(want_psi)
+
+
+def test_a_table_that_runs_out_mid_search_raises_the_reference_error():
+    def table(n):
+        return ShiftOperator((TableWeights.from_weights([1.5] * n),))  # indices 1..n
+
+    # a pullback of e_0 shrinks by log 1.5 per step, so the second target needs a gap of 38
+    targets = [CoeffVector.unit((0,), (0,))] * 2
+    probes = []
+    with pytest.raises(TableRangeError, match="index 31 outside") as want:
+        hypercyclic_reference(table(30), targets, 1e-6, probes=probes)
+    assert probes == list(range(1, 32))  # the search ran until the table ran out, at gap 31
+    with pytest.raises(TableRangeError) as got:
+        hypercyclic_vector_build(table(30), targets, 1e-6)
+    assert str(got.value) == str(want.value)
+    # the first target puts the second's first probe at gap 16: the entry at 30 needs index 41,
+    # past the table, and the one at 45 index 46; the error is that of the entry read first
+    messages = set()
+    for keys in ((45, 30), (30, 45)):
+        second = CoeffVector((0,), {(m,): LogComplex(0.0, 0.0) for m in keys})
+        targets = [CoeffVector.unit((15,), (0,)), second]
+        with pytest.raises(TableRangeError) as want:
+            hypercyclic_reference(table(40), targets, 1e-6)
+        with pytest.raises(TableRangeError) as got:
+            hypercyclic_vector_build(table(40), targets, 1e-6)
+        assert str(got.value) == str(want.value)
+        messages.add(str(want.value))
+    assert len(messages) == 2
+
+
+def test_a_span_that_overflows_mid_search_raises_the_reference_error():
+    # log w(m) = (1 - 1.2e308) + 2 (m - 1): S y for y = e^(-1e308) e_0 has log norm about 2e307,
+    # above the budget, so the search goes on to gap 2, whose span passes the lowest float
+    op = theta_backward_shift(math.pi, -6e307, 0)
+    targets = [CoeffVector.unit((0,), (0,)), CoeffVector((0,), {(0,): LogComplex(-1e308, 0.0)})]
+    with pytest.raises(OverflowNotRepresentable, match=r"span 1\.\.2 overflows the float range at index 2") as want:
+        hypercyclic_reference(op, targets, 1e-6)
+    with pytest.raises(OverflowNotRepresentable) as got:
+        hypercyclic_vector_build(op, targets, 1e-6)
+    assert str(got.value) == str(want.value)
 
 
 def test_hypercyclic_schedule_overflow_on_flat_weights():

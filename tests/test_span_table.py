@@ -1,8 +1,9 @@
-"""Log-weight spans read from each operator's lazily grown weight table.
+"""Log-weight spans read from each weight sequence's lazily grown table, or termwise far above it.
 
 Every span must be the very float that adding the weights one by one, in
 ascending order from 0.0, gives; errors must come from the same index as in
-that termwise loop; and one operator must be safe to share across threads.
+that termwise loop; each weight is evaluated at most once per sequence; and
+one operator must be safe to share across threads.
 """
 
 import copy
@@ -12,8 +13,12 @@ import struct
 import sys
 import threading
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftdyn import (
     BargmannActionWeights,
@@ -169,12 +174,21 @@ def test_table_power_raises_past_the_end_and_below_start():
 
 
 class CountingWeights(WeightSequence):
-    """Bargmann weights that count how often each index is evaluated."""
+    """A weight sequence that counts how often each index is evaluated: Bargmann weights of order
+    p, or the weights of any other sequence, with that sequence's domain."""
 
-    def __init__(self, p: int):
-        self.inner = BargmannActionWeights(p)
-        self.offset_p = p
+    def __init__(self, inner: int | WeightSequence):
+        self.inner = BargmannActionWeights(inner) if isinstance(inner, int) else inner
+        self.offset_p, self.family, self._error = self.inner.offset_p, self.inner.family, self.inner._error
         self.calls: Counter = Counter()
+
+    @property
+    def first(self) -> int:
+        return self.inner.first
+
+    @property
+    def end(self):
+        return self.inner.end
 
     def log_weight(self, i: int) -> float:
         self.calls[i] += 1
@@ -192,6 +206,82 @@ def test_each_weight_is_evaluated_once_and_never_beyond_the_span():
         assert bits(op.weights[0].log_weight_span(lo, hi)) == bits(ref_span(weights.inner, lo, hi))
     assert sorted(weights.calls) == list(range(3, 61))
     assert set(weights.calls.values()) == {1}
+
+
+def test_a_far_span_evaluates_only_its_own_weights():
+    weights = CountingWeights(2)
+    assert bits(weights.log_weight_span(1000, 1003)) == bits(ref_span(weights.inner, 1000, 1003))
+    assert sorted(weights.calls) == [1000, 1001, 1002, 1003]
+    # a span as long as its gap extends the table, taking the far span's weights from the memo
+    weights.log_weight_span(3, 3)
+    assert bits(weights.log_weight_span(500, 1500)) == bits(ref_span(weights.inner, 500, 1500))
+    assert sorted(weights.calls) == list(range(3, 1501))
+    assert set(weights.calls.values()) == {1}
+    assert not vars(weights)["_span_table"][3]  # the memo holds nothing the table holds
+    # one step far up reads its one weight, through the same span
+    v = CoeffVector((2,), {(10**6,): LogComplex(0.5, 0.25)})
+    for op in (ShiftOperator((weights,)), right_inverse(ShiftOperator((weights,)))):
+        assert entry_bits(apply_power(op, v, 1)) == as_bits(ref_power(ShiftOperator((weights.inner,), op.direction), v, 1))
+    assert sorted(weights.calls)[-2:] == [10**6, 10**6 + 1]
+    assert set(weights.calls.values()) == {1}
+
+
+_INNER = {name: op.weights[0] for name, op in family_operators().items()}
+
+
+def ref_apply(op: ShiftOperator, v: CoeffVector, k: int) -> dict:
+    """apply_power(op, v, k) by the termwise loop on the counted weights' own sequences, one axis or two."""
+    name = op.direction.value
+    sign = -1.0 if name == "right_inverse" else 1.0
+    out = {}
+    for key, c in v.entries.items():
+        if name == "backward":
+            if any(m - p < k for m, p in zip(key, op.offsets)):
+                continue
+            spans = [ref_span(w.inner, m - k + 1, m) for w, m in zip(op.weights, key)]
+        else:
+            spans = [ref_span(w.inner, m + 1, m + k) for w, m in zip(op.weights, key)]
+        shift = -k if name == "backward" else k
+        out[tuple(m + shift for m in key)] = (c.logmag + reduce(add, [sign * s for s in spans]), c.phase)
+    return out
+
+
+@st.composite
+def power_cases(draw):
+    """Families for one axis or two, a direction, a vector of near and far entries, and k's in any order."""
+    names = draw(st.lists(st.sampled_from(sorted(_INNER)), min_size=1, max_size=2))
+    direction = draw(st.sampled_from(["backward", "right_inverse", "adjoint_forward"]))
+    offsets = tuple(_INNER[name].offset_p for name in names)
+    index = [st.integers(p, p + 30) | st.integers(p + 400, p + 4000) for p in offsets]
+    keys = draw(st.lists(st.tuples(*index), min_size=1, max_size=6, unique=True))
+    phases = st.floats(-3.0, 3.0)
+    entries = {key: LogComplex(draw(phases), draw(phases)) for key in keys}
+    ks = draw(st.lists(st.integers(1, 300), min_size=1, max_size=5))
+    return names, direction, CoeffVector(offsets, entries), ks
+
+
+def counted_operator(names, direction) -> tuple[ShiftOperator, list]:
+    """An operator over fresh counted weights, one sequence per family name even on both axes."""
+    counted = {name: CountingWeights(_INNER[name]) for name in names}
+    op = ShiftOperator(tuple(counted[name] for name in names))
+    op = {"backward": op, "right_inverse": right_inverse(op), "adjoint_forward": adjoint_forward(op)}[direction]
+    return op, list(counted.values())
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(power_cases())
+def test_powers_match_the_termwise_loop_on_fresh_and_warm_tables(case):
+    names, direction, v, ks = case
+    warm, warm_weights = counted_operator(names, direction)
+    for k in ks:
+        want = as_bits(ref_apply(warm, v, k))
+        fresh, fresh_weights = counted_operator(names, direction)
+        assert entry_bits(apply_power(fresh, v, k)) == want, k
+        assert entry_bits(apply_power(warm, v, k)) == want, k
+        for w in fresh_weights:
+            assert set(w.calls.values()) <= {1}
+    for w in warm_weights:
+        assert set(w.calls.values()) <= {1}  # each (sequence, index) is evaluated at most once
 
 
 def test_tensor_step_reads_each_factor_weight_once():
@@ -243,7 +333,12 @@ def test_shared_operator_across_four_threads():
     weights = CountingWeights(2)
     op = ShiftOperator((weights,))
     n_top = 3000
-    spans = [(max(3, hi - (hi * 7919) % 400), hi) for hi in range(3, n_top)]
+    # growing spans near the table, each followed by a short one far above it
+    spans = []
+    for hi in range(3, n_top):
+        far = 20_000 + (hi * 7919) % 30_000
+        spans += [(max(3, hi - (hi * 7919) % 400), hi), (far, far + hi % 7)]
+    read = {j for lo, hi in spans for j in range(lo, hi + 1)}
     want = {s: bits(ref_span(weights.inner, *s)) for s in spans}
     barrier = threading.Barrier(4, timeout=60)
     wrong = []
@@ -266,7 +361,7 @@ def test_shared_operator_across_four_threads():
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
     assert wrong == []
-    assert sorted(weights.calls) == list(range(3, n_top))
+    assert set(weights.calls) == read
     assert set(weights.calls.values()) == {1}
 
 
