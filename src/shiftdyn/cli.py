@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import logging
@@ -103,106 +102,68 @@ def _read(path: str, parse):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-_IND = "  "  # the indent=2 step
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_NUMBERS = _SCALARS - {str}  # no bracket in their text
-_ROWS = frozenset({list, tuple})
-
-
-@functools.cache
-def _encoder(level: int):
-    """The C encoder with `indent=2`'s item separator at indent level `level`, as a function."""
-    return json.JSONEncoder(separators=(",\n" + _IND * level, ": "), allow_nan=False).encode
-
-
-_CHUNK = 8192  # list items per encoder call or join, CSV rows per join
+_ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
+_CHUNK = 8192  # CSV rows per join
 _SAMPLE = 1024  # a longer float list with at most _SAMPLE // 2 distinct values here is written as _Reprs
 _SLICE = 1 << 20  # characters per file write
 
 
-class _Reprs(tuple):
+class _Reprs:
     """A float column as its reprs, for a JSON list and the CSV cells alike: each distinct value
-    formatted once (block-pattern partials repeat), each zero one of two shared strings (0.0 == -0.0)."""
+    formatted once (block-pattern partials repeat), each zero one of two shared strings (0.0 == -0.0).
+    It is no list, so the C encoder refuses it rather than write its reprs as strings."""
 
-    def __new__(cls, values: list[float]):
+    def __init__(self, values: list[float]):
         table = {v: repr(v) for v in set(values)}
-        return super().__new__(cls, [table[v] if v else ("0.0", "-0.0")[math.copysign(1.0, v) < 0] for v in values])
+        self.reprs = [table[v] if v else ("0.0", "-0.0")[math.copysign(1.0, v) < 0] for v in values]
+
+    def __iter__(self):
+        return iter(self.reprs)
 
 
-def _flat(items, depth: int, out: list) -> bool:
-    """Append a list of scalars, of non-empty rows of numbers, or a _Reprs, _CHUNK items per piece.
-
-    Scalars and rows go to the C encoder, rows at the cells' indent; one
-    `replace` then breaks the row boundaries `],<indent>[`, which no number
-    contains.  A repetitive float list becomes a _Reprs.  False, with nothing
-    appended, where an item is another container or a float is not finite,
-    so the caller goes per item.
-    """
-    i0, i1, i2 = (_IND * (depth + k) for k in range(3))
-    sep, head, tail = ",\n" + i1, "[\n" + i1, "\n" + i0 + "]"
-    reprs = isinstance(items, _Reprs)
-    kinds = {str} if reprs else set(map(type, items))
-    if kinds == {float} and len(items) > _SAMPLE and len(set(items[:_SAMPLE])) <= _SAMPLE // 2:
-        items, reprs = _Reprs(items), True
-    if rows := not kinds <= _SCALARS:
-        if not (kinds <= _ROWS and all(items) and set(map(type, itertools.chain.from_iterable(items))) <= _NUMBERS):
-            return False
-        sep, head, tail = f"\n{i1}],\n{i1}[\n{i2}", f"[\n{i1}[\n{i2}", f"\n{i1}]\n{i0}]"
-    start = len(out)
-    try:
-        for k in range(0, len(items), _CHUNK):
-            chunk = items[k:k + _CHUNK]
-            if reprs:
-                text = sep.join(chunk)
-                if "n" in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
-                    raise ValueError
-            elif rows:
-                text = _encoder(depth + 2)(chunk).replace(f"],\n{i2}[", sep)[2:-2]
-            else:
-                text = _encoder(depth + 1)(chunk)[1:-1]
-            out += (sep if k else head, text)
-    except ValueError:  # a non-finite float
-        del out[start:]
-        return False
-    out.append(tail)
-    return True
-
-
-def _json_pieces(obj, depth: int, out: list) -> None:
-    """Append the pieces of obj as `json.dumps(indent=2, sort_keys=True)` writes it at depth."""
+def _json_pieces(obj, out: list) -> None:
+    """Append the pieces of `_dump_json(obj)`: dicts are walked here, every other value goes to the
+    C encoder whole, and a list holding a _Reprs or a non-finite float, which it refuses, goes per item.
+    A float list of more than _SAMPLE items, at most _SAMPLE // 2 distinct among its first _SAMPLE,
+    is written as a _Reprs."""
     if isinstance(obj, dict) and obj:
-        ind = "\n" + _IND * (depth + 1)
-        sep = "{" + ind
+        sep = "{"
         for key, value in sorted(obj.items()):
-            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-            _json_pieces(value, depth + 1, out)
-            sep = "," + ind
-        out.append("\n" + _IND * depth + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if _flat(obj, depth, out):
+            out.append(f"{sep}{encode_basestring_ascii(key)}:")
+            _json_pieces(value, out)
+            sep = ","
+        out.append("}")
+        return
+    if (isinstance(obj, (list, tuple)) and len(obj) > _SAMPLE and set(map(type, obj)) == {float}
+            and len(set(obj[:_SAMPLE])) <= _SAMPLE // 2):
+        obj = _Reprs(obj)
+    if isinstance(obj, _Reprs):
+        text = ",".join(obj.reprs)
+        if "n" not in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
+            out += ("[", text, "]")
             return
-        ind = "\n" + _IND * (depth + 1)
-        sep = "[" + ind
-        for item in map(float, obj) if isinstance(obj, _Reprs) else obj:
-            out.append(sep)
-            _json_pieces(item, depth + 1, out)
-            sep = "," + ind
-        out.append("\n" + _IND * depth + "]")
-    elif isinstance(obj, float) and math.isinf(obj):
-        out.append('"inf"' if obj > 0 else '"-inf"')
-    else:  # a scalar or an empty container
-        out.append(_encoder(0)(obj))
+        obj = list(map(float, obj.reprs))
+    try:
+        out.append(_ENCODE(obj))
+    except (TypeError, ValueError):  # a _Reprs or a non-finite float
+        if isinstance(obj, float) and math.isinf(obj):
+            out.append('"inf"' if obj > 0 else '"-inf"')
+        elif isinstance(obj, (list, tuple)):
+            sep = "["
+            for item in obj:
+                out.append(sep)
+                _json_pieces(item, out)
+                sep = ","
+            out.append("]")
+        else:  # NaN, or a value JSON cannot hold
+            raise
 
 
 def _dump_json(obj) -> str:
-    """obj as `json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` writes it, plus a newline.
-
-    Dict keys are str.  An infinite float is written as the string "inf" or
-    "-inf"; NaN raises ValueError.  Lists of scalars and of numeric rows go
-    through the C encoder in chunks (`_flat`), byte for byte the same.
-    """
+    """obj as `json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))` writes it,
+    plus a newline, with each infinite float as the string "inf" or "-inf"; NaN raises ValueError."""
     out: list[str] = []
-    _json_pieces(obj, 0, out)
+    _json_pieces(obj, out)
     out.append("\n")
     return "".join(out)
 
@@ -396,16 +357,8 @@ def _cmd_hypercyclic(args):
     op = _operator(args.op, bargmann_backward_shift)
     targets = _read(args.targets, _targets)
     psi, schedule = hypercyclic_vector_build(op, targets, args.eps)
-    replay = []
-    for n, y in zip(schedule, targets):
-        err = coeff_norm_log(coeff_sub(apply_power(op, psi, n), y))
-        replay.append((n, err))
-    result = {
-        "eps": args.eps,
-        "schedule": schedule,
-        "replay_error_logs": [[n, e] for n, e in replay],
-        "psi": psi.to_json_dict(),
-    }
+    replay = [(n, coeff_norm_log(coeff_sub(apply_power(op, psi, n), y))) for n, y in zip(schedule, targets)]
+    result = {"eps": args.eps, "schedule": schedule, "replay_error_logs": replay, "psi": psi.to_json_dict()}
     return result, (["k", "replay_error_log"], replay)
 
 

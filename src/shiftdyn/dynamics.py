@@ -98,13 +98,17 @@ class _AxisSeries:
     def top_index(self) -> int:
         return self.p + len(self.term_logs) - 1
 
+    def _log_weight(self, m: int) -> float:
+        """`log_weight(m)`, read through the sequence's span table, so no index is evaluated twice."""
+        return self.weights.span_terms(m, m)[0]
+
     def extend(self) -> None:
         """Append the next term; weight monotonicity is checked as we go."""
         if self.frozen:
             return
         m_next = self.top_index() + 1
         try:
-            lw = self.weights.log_weight(m_next)
+            lw = self._log_weight(m_next)
         except TableRangeError as exc:
             raise TailNotCertifiable(
                 f"weight table exhausted at index {m_next} before the tail could be certified"
@@ -132,7 +136,7 @@ class _AxisSeries:
         """2*(log_scale - log a(m)), the log ratio of consecutive squared terms at index m; inf
         where that ratio does not round below 1 or m is past the table: no tail is bounded there."""
         try:
-            ratio_log = 2.0 * (self.log_scale - self.weights.log_weight(m))
+            ratio_log = 2.0 * (self.log_scale - self._log_weight(m))
         except TableRangeError:
             return math.inf
         return ratio_log if ratio_log < 0.0 and math.exp(ratio_log) < 1.0 else math.inf
@@ -151,7 +155,7 @@ class _AxisSeries:
             first_omitted = self.term_logs[i]
         else:  # cut is the top index: cuts sit at most band_margin below it
             first_omitted = (
-                self.term_logs[-1] + self.log_scale - self.weights.log_weight(cut + 1)
+                self.term_logs[-1] + self.log_scale - self._log_weight(cut + 1)
             )
         ratio_log = self.ratio_log(cut + 2)
         if ratio_log == math.inf:

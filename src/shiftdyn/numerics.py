@@ -11,13 +11,15 @@ wrap used everywhere, which makes x + (-x) cancel to the exact zero state:
 `lc_add` recognizes operands with equal log-magnitude and canonically
 opposite phases before any trigonometry can smear the cancellation.
 
-`lc_parse` and `int_parse` check the scalars and integers read from
-files; `LogComplex` itself checks nothing, as it sits on every hot path.
+`lc_parse`, `real_parse` and `int_parse` check the scalars, reals and
+integers read from files; `LogComplex` itself checks nothing, as it sits
+on every hot path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -119,13 +121,21 @@ def lc_to_json(a: LogComplex) -> dict:
 
 
 def lc_parse(logmag, phase) -> LogComplex:
-    """A scalar read from a file: logmag below +inf ("-inf" is zero), phase finite."""
-    logmag, phase = float(logmag), float(phase)
+    """A scalar read from a file: logmag a number below +inf or the string "-inf" (zero), phase finite."""
+    logmag = NEG_INF if logmag == "-inf" else real_parse(logmag, "logmag")
+    phase = real_parse(phase, "phase")
     if not logmag < math.inf:
         raise ValidationError(f"logmag must be a number below +inf, got {logmag}")
     if not math.isfinite(phase):
         raise ValidationError(f"phase must be finite, got {phase}")
     return LC_ZERO if logmag == NEG_INF else LogComplex(logmag, wrap_phase(phase))
+
+
+def real_parse(value, name: str) -> float:
+    """A real number read from a file: a JSON int or float (the rule of table weights), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def int_parse(value, name: str) -> int:

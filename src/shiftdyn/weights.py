@@ -57,7 +57,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import IndexBelowOffset, OverflowNotRepresentable, TableRangeError, ValidationError
-from .numerics import int_parse
+from .numerics import int_parse, real_parse
 
 _LN2 = math.log(2.0)
 _INF = math.inf
@@ -390,16 +390,11 @@ def weight_sequence_from_json(obj: dict) -> WeightSequence:
         family = obj["family"]
     except (KeyError, TypeError):
         raise ValidationError("weight spec must be an object with a 'family' key") from None
-    if family == "theta_raw":
-        return ThetaRawWeights(ThetaParams(nu=float(obj["nu"]), alpha=float(obj.get("alpha", 0.0))))
-    if family == "theta_composite":
-        return ThetaActionWeights(
-            ThetaParams(
-                nu=float(obj["nu"]),
-                alpha=float(obj.get("alpha", 0.0)),
-                p=int_parse(obj.get("p", 0), "p"),
-            )
-        )
+    if family in ("theta_raw", "theta_composite"):
+        nu, alpha = real_parse(obj["nu"], "nu"), real_parse(obj.get("alpha", 0.0), "alpha")
+        if family == "theta_raw":
+            return ThetaRawWeights(ThetaParams(nu=nu, alpha=alpha))
+        return ThetaActionWeights(ThetaParams(nu=nu, alpha=alpha, p=int_parse(obj.get("p", 0), "p")))
     if family == "bargmann_raw":
         return BargmannRawWeights()
     if family == "bargmann_composite":

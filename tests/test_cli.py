@@ -616,6 +616,25 @@ def test_eigen_and_periodic_read_every_number_off_the_factors(tmp_path, monkeypa
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
 
 
+@pytest.mark.parametrize("argv", [["eigen", "--lambda=0.5,0.1", "--mu=0.3,-0.2"],
+                                  ["eigen", "--lambda=2,0", "--mu=1,0", "--p", "2"], ["periodic", "--q", "5"]],
+                         ids=["eigen", "eigen-p2", "periodic"])
+def test_eigen_and_periodic_evaluate_each_weight_once(tmp_path, monkeypatch, argv):
+    # term logs, tail bounds and ratios read one table per sequence, so no (sequence, index) repeats
+    evaluations, sequences = collections.Counter(), []  # the sequences are held, so no id is reused
+    log_weight = WeightSequence.log_weight
+
+    def counting(self, i):
+        sequences.append(self)
+        evaluations[id(self), i] += 1
+        return log_weight(self, i)
+
+    monkeypatch.setattr(WeightSequence, "log_weight", counting)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert len({key[0] for key in evaluations}) == 2  # both axes
+    assert set(evaluations.values()) == {1}
+
+
 @pytest.mark.parametrize("scale", ["1e-170", "1e-200"])
 def test_eigen_residual_stays_finite_where_the_eigenvalue_product_underflows(tmp_path, scale):
     out = tmp_path / "eigen.json"
@@ -666,9 +685,27 @@ def _vec(*entries, p=1):
     return {"{v}": {"p": p, "entries": list(entries)}}
 
 
+# every number read from a file is a JSON int or float, never a bool, and never a string but
+# a logmag's "-inf"; each such input exits 2 with an error that names the file
+_WEIGHTS_0_3 = ["weights", "--spec", "{v}", "--range", "0:3"]
+_NOT_NUMBERS = [
+    pytest.param(_WEIGHTS_0_3, {"{v}": {"family": "theta_raw", "nu": True}}, id="bool-nu"),
+    pytest.param(_WEIGHTS_0_3, {"{v}": {"family": "theta_composite", "nu": "3.0"}}, id="string-nu"),
+    pytest.param(_WEIGHTS_0_3, {"{v}": {"family": "theta_raw", "nu": 3.0, "alpha": False}}, id="bool-alpha"),
+    pytest.param(_WEIGHTS_0_3, {"{v}": {"family": "theta_composite", "nu": 3.0, "alpha": "0"}}, id="string-alpha"),
+    pytest.param(_OP_APPLY, _vec([1, True, "0.1"]), id="bool-logmag-string-phase"),
+    pytest.param(_OP_APPLY, _vec([1, 0.5, "0.1"]), id="string-phase"),
+    pytest.param(_OP_APPLY, _vec([1, 0.5, False]), id="bool-phase"),
+    pytest.param(_OP_APPLY, _vec([1, "0.5", 0.0]), id="string-logmag"),
+    pytest.param(_OP_APPLY, _vec([1, "-Infinity", 0.0]), id="string-logmag-other-than-minus-inf"),
+]
+_NOT_NUMBER_IDS = {param.id for param in _NOT_NUMBERS}
+
+
 @pytest.mark.parametrize(
     "argv, files",
     [
+        *_NOT_NUMBERS,
         pytest.param(_OP_APPLY, _vec(p=None), id="vector-p-null"),
         pytest.param(_OP_APPLY, {"{v}": [[1, 0.0, 0.0]]}, id="vector-is-a-list"),
         pytest.param(["hypercyclic", "--targets", "{v}"], {"{v}": {"targets": 5}},
@@ -737,7 +774,7 @@ def _vec(*entries, p=1):
                      id="two-axis-hypercyclic-target"),
     ],
 )
-def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_op_spec, argv, files):
+def test_malformed_input_file_exits_2(tmp_path, capsys, request, theta_op_spec, bargmann_op_spec, argv, files):
     paths = {"{op}": bargmann_op_spec, "{theta}": theta_op_spec, "{dir}": str(tmp_path),
              "{missing}": str(tmp_path / "missing.json"),
              "{pair}": _pair_file(tmp_path, bargmann_op_spec, bargmann_op_spec)}
@@ -754,6 +791,8 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, theta_op_spec, bargmann_
     assert err.startswith("shiftdyn:")
     assert "Traceback" not in err
     assert not out.exists()
+    if request.node.callspec.id in _NOT_NUMBER_IDS:
+        assert f"{paths['{v}']}: " in err
 
 
 def test_a_power_at_a_far_index_reads_only_its_span(tmp_path, capsys, bargmann_op_spec, weight_reads):
@@ -949,7 +988,9 @@ def test_a_leaf_argv_builds_only_the_parsers_on_its_path(monkeypatch):
 
 
 def _reference_jsonable(obj):
-    """Infinite floats as strings, tuples as lists: the mapping the artifacts were first written with."""
+    """Infinite floats as strings, tuples and float columns as lists: the values JSON can hold."""
+    if isinstance(obj, _Reprs):
+        return [_reference_jsonable(float(r)) for r in obj]
     if isinstance(obj, float):
         if obj == float("-inf"):
             return "-inf"
@@ -963,8 +1004,12 @@ def _reference_jsonable(obj):
     return obj
 
 
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
+
+
 def _reference_json(obj) -> str:
-    return json.dumps(_reference_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _compact(_reference_jsonable(obj))
 
 
 def _reference_csv(header, rows) -> str:
@@ -988,7 +1033,7 @@ _NUMBER = _FLOAT | _FLOAT.map(np.float64) | st.integers() | st.booleans()
 _TEXT = st.text(st.sampled_from('[]{}",:\\\n aé∑😀'), max_size=6) | st.text(max_size=6)
 _ROWS = st.lists(st.lists(_FLOAT | st.integers(), min_size=1, max_size=4), min_size=1, max_size=6)
 _ARTIFACT = st.recursive(
-    _NUMBER | _TEXT | st.none() | _ROWS | st.lists(_FLOAT, max_size=8),
+    _NUMBER | _TEXT | st.none() | _ROWS | st.lists(_FLOAT, max_size=8) | st.lists(_FLOAT, max_size=8).map(_Reprs),
     lambda children: (
         st.lists(children, max_size=5)
         | st.tuples(children, children)
@@ -1000,9 +1045,10 @@ _ARTIFACT = st.recursive(
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(obj=_ARTIFACT)
-def test_json_artifacts_match_indent_2_byte_for_byte(obj):
-    # numeric lists and row tables take one encoder call; ragged, empty, mixed and
-    # non-finite ones go per item; every path writes the bytes of json.dumps(indent=2)
+def test_json_artifacts_match_the_compact_dump_byte_for_byte(obj):
+    # a value goes to the C encoder whole; one that holds a float column or a non-finite float
+    # goes per item; every path writes the bytes of the compact, sorted json.dumps, where a
+    # float column at any depth is a list of numbers, never of the strings of its reprs
     assert _dump_json(obj) == _reference_json(obj)
 
 
@@ -1136,7 +1182,7 @@ def test_counterexample_artifacts_keep_their_bytes(tmp_path):
         out = tmp_path / f"c{n}.json"
         assert main(["counterexample", "-N", str(n), "--out", str(out)]) == 0
         result, rows = _counterexample_as_first_written(n)
-        _assert_same(out.read_text(encoding="utf-8"), json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _assert_same(out.read_text(encoding="utf-8"), _reference_json(result))
         _assert_same((tmp_path / f"c{n}.json.series.csv").read_text(encoding="utf-8"), _reference_csv(header, rows))
 
 
@@ -1163,7 +1209,7 @@ def test_formatted_columns_match_their_floats(obj, xs):
 
 
 def test_csv_rows_keep_the_bytes_of_joining_their_strs():
-    col = _Reprs([1.5, -0.0, 0.0, 1.5, 1e-300])
+    col = list(_Reprs([1.5, -0.0, 0.0, 1.5, 1e-300]))
     rows = [(2**63, math.inf, col[0]), (-(2**70), -math.inf, col[1]), (0, math.nan, col[2]),
             (True, -0.0, col[3]), (10**30, 5e-324, col[4]), (-1, 1.7976931348623157e308, "a,b")]
     expected = "\n".join(["i,x,c", *(",".join(map(str, row)) for row in rows), ""])
@@ -1226,8 +1272,14 @@ def test_long_lists_keep_their_bytes(n):
 def encoder_calls(monkeypatch):
     """The lengths of the lists that the writer hands to the C encoder."""
     calls = []
-    encoder = cli._encoder
-    monkeypatch.setattr(cli, "_encoder", lambda level: lambda obj: calls.append(len(obj)) or encoder(level)(obj))
+    encode = cli._ENCODE
+
+    def counting(obj):
+        if isinstance(obj, (list, tuple)):
+            calls.append(len(obj))
+        return encode(obj)
+
+    monkeypatch.setattr(cli, "_ENCODE", counting)
     return calls
 
 
@@ -1240,10 +1292,10 @@ def test_repetitive_float_lists_are_formatted_per_distinct_value(encoder_calls):
 
 
 def test_short_texts_take_one_encoder_call_and_one_write(tmp_path, monkeypatch, encoder_calls):
-    for n, expected in [(cli._CHUNK, [cli._CHUNK]), (cli._CHUNK + 1, [cli._CHUNK, 1])]:
+    for n in (1, cli._SAMPLE + 1, 100_000):
         encoder_calls.clear()
-        _dump_json([i / 7 for i in range(n)])  # distinct floats: the encoder writes them
-        assert encoder_calls == expected
+        _dump_json({"a": [i / 7 for i in range(n)]})  # distinct floats: the encoder writes them, whole
+        assert encoder_calls == [n]
     writes = []
 
     def spy_open(*args, **kwargs):
@@ -1525,6 +1577,36 @@ def test_orbit_command_argv_exits_0_2_or_3(orbit_files, capsys, case):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     assert elapsed < 10.0, argv
+
+
+def test_every_json_artifact_is_the_compact_dump_of_its_parse(tmp_path, bargmann_op_spec):
+    vec = write_json(tmp_path / "v.json", {"p": 1, "entries": [[2, 0.5, 0.25], [4, -1.0, 3.0]]})
+    apart = write_json(tmp_path / "w.json", {"p": 1, "entries": [[3, 0.0, 0.0]]})  # <vec, apart> = 0
+    omega = write_json(tmp_path / "s.json", {"family": "block_pattern", "role": "omega"})
+    targets = write_json(tmp_path / "t.json", {"targets": [{"p": 0, "entries": [[m, 0.1, 0.2]]} for m in (2, 0)]})
+    commands = [
+        ["weights", "--spec", omega, "--range", "1:50", "--format", "json"],
+        ["basis", "eval", "--basis", "theta", "-m", "3", "-z", "0.5,-1"],
+        ["op", "apply", "--op", bargmann_op_spec, "--vec", vec],
+        ["op", "power", "--op", bargmann_op_spec, "--vec", vec, "-k", "2"],
+        ["op", "matrix", "--op", bargmann_op_spec, "-N", "6", "--format", "json"],
+        ["inner", "--vec", vec, "--vec2", apart],
+        ["criterion", "--weights", omega, "-N", "3000"],  # repetitive partials: a column of reprs
+        ["eigen", "--lambda=0.5,0.1", "--mu=0.3,-0.2"],
+        ["periodic", "--q", "3"],
+        ["hypercyclic", "--targets", targets],
+        ["counterexample", "-N", "2000"],
+        ["density-probe", "--count", "2"],
+    ]
+    leaves = {(a[0], a[1]) if a[0] in cli._GROUPS else (None, a[0]) for a in commands}
+    assert leaves == {(group, name) for group, name, *_ in cli._LEAVES}
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}.json"
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        for path in (out, Path(f"{out}.manifest.json")):
+            text = path.read_text(encoding="utf-8")
+            assert text == _compact(json.loads(text)), (argv, path.name)
+    assert json.loads((tmp_path / "out5.json").read_text(encoding="utf-8"))["logmag"] == "-inf"
 
 
 def test_an_unread_nan_option_is_echoed_in_the_manifest(tmp_path):
