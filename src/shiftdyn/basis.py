@@ -51,8 +51,10 @@ class CoeffVector:
                 raise ValidationError(f"index {key} has {len(key)} axes, the vector {len(offsets)}")
             if any(map(lt, key, offsets)):
                 raise ValidationError(f"index {key} below the vector's offsets {offsets}")
-            if c.logmag == NEG_INF:
-                raise ValidationError("exact zeros must be absent keys, not stored")
+            if not NEG_INF < c.logmag < math.inf:
+                if c.logmag == NEG_INF:
+                    raise ValidationError("exact zeros must be absent keys, not stored")
+                raise OverflowNotRepresentable(f"the coefficient at {key} has log-magnitude {c.logmag}: not a float")
 
     @classmethod
     def unit(cls, key: tuple[int, ...], offsets: tuple[int, ...]) -> "CoeffVector":

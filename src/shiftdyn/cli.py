@@ -169,11 +169,15 @@ def _dump_json(obj) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """text to path in UTF-8, in slices of _SLICE characters, so no bytes copy of the whole is made."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for k in range(0, len(text), _SLICE):
-            fh.write(text[k:k + _SLICE])
+    """text to path in UTF-8, in slices of _SLICE characters, so no bytes copy of the whole is made;
+    a path that cannot be written is a ValidationError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            for k in range(0, len(text), _SLICE):
+                fh.write(text[k:k + _SLICE])
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -190,7 +194,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 def _manifest(args) -> dict:
     config = {  # an option the command does not read may be NaN, which JSON cannot hold: "nan"
-        k: (str(v) if isinstance(v, Path) or (isinstance(v, float) and math.isnan(v)) else v)
+        k: ("nan" if isinstance(v, float) and math.isnan(v) else v)
         for k, v in sorted(vars(args).items())
         if k != "command" and not k.startswith("_") and not callable(v)
     }

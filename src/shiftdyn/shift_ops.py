@@ -34,8 +34,8 @@ from functools import reduce
 from operator import add, ge, getitem, sub
 
 from .basis import CoeffVector
-from .errors import OffsetMismatch, ValidationError
-from .numerics import LogComplex
+from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
+from .numerics import NEG_INF, LogComplex
 from .weights import WeightSequence, check_index_count, weight_sequence_from_json
 
 
@@ -101,7 +101,8 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
     its signed span once per distinct index, and the spans are added first,
     c + (s1 + s2 + ...), from s1 rather than 0.0; a right-inverse step
     followed by a backward step thus subtracts and re-adds the identical
-    float.
+    float.  A result log-magnitude of +inf or -inf raises `OverflowNotRepresentable`
+    naming its index, from the result vector's own check of each entry.
     """
     if k < 0:
         raise ValidationError(f"power must be >= 0, got {k}")
@@ -111,29 +112,33 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         return CoeffVector(v.offsets, dict(v.entries))
     if len(op.weights) == 1:
         # one axis: every index is its own key, so a span needs no cache.  This is the hot path
-        # (a single_orbit benchmark pass at seed 1 makes 287 calls); through the general path
-        # below, that pass ran 1-18% slower when its schedule probes made 2,159.
+        # (a single_orbit benchmark pass at seed 1 makes 287 calls over 5,205 entries); through
+        # the general path below, that pass ran 4-10% slower (pass_s, 4 paired 10 s runs).
         shift, lo, hi, sign, floor, span = _action_rule(op.weights[0], op.direction, k)
         out = {
             (m + shift,): LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)
             for (m,), c in v.entries.items()
             if m >= floor
         }
+    else:
+        rules = [_action_rule(w, op.direction, k) for w in op.weights]
+        shift, lo, hi, sign = rules[0][:4]  # one direction for every axis
+        floors = [rule[4] for rule in rules]
+        live = [(key, c) for key, c in v.entries.items() if all(map(ge, key, floors))]
+        spans = [
+            {m: sign * span(m + lo, m + hi) for m in {key[i] for key, _ in live}}
+            for i, (*_, span) in enumerate(rules)
+        ]
+        out = {
+            tuple(m + shift for m in key):
+                LogComplex(c.logmag + reduce(add, map(getitem, spans, key)), c.phase)
+            for key, c in live
+        }
+    try:  # the vector refuses a log-magnitude of +inf, and of -inf, which here is no stored zero
         return CoeffVector(v.offsets, out)
-    rules = [_action_rule(w, op.direction, k) for w in op.weights]
-    shift, lo, hi, sign = rules[0][:4]  # one direction for every axis
-    floors = [rule[4] for rule in rules]
-    live = [(key, c) for key, c in v.entries.items() if all(map(ge, key, floors))]
-    spans = [
-        {m: sign * span(m + lo, m + hi) for m in {key[i] for key, _ in live}}
-        for i, (*_, span) in enumerate(rules)
-    ]
-    out = {
-        tuple(m + shift for m in key):
-            LogComplex(c.logmag + reduce(add, map(getitem, spans, key)), c.phase)
-        for key, c in live
-    }
-    return CoeffVector(v.offsets, out)
+    except ValidationError:  # the keys are valid, so an entry is -inf
+        key = next(key for key, c in out.items() if c.logmag == NEG_INF)
+        raise OverflowNotRepresentable(f"the coefficient at {key} has log-magnitude -inf: not a float") from None
 
 
 def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float]]:

@@ -2,11 +2,11 @@
 
 Families, each with its domain of indices:
 
-* theta raw          -- log w(m) = (pi/nu + 2*alpha) + (2*pi/nu) * m, m >= 0
+* theta raw          -- log w(m) = s + r*m, s = pi/nu + 2*alpha, r = 2*pi/nu, m >= 0
 * theta composite    -- the action weight of the order-p theta shift: the
                         coefficient on e_{m-1} when the operator hits e_m,
-                        log a(m) = log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j),
-                        m >= p+1
+                        log a(m) = log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j)
+                        = (2p+1)(s + r(m-1)) - r*p(p+1), m >= p+1
 * bargmann raw       -- w(n) = sqrt(n+1), n >= 0
 * bargmann composite -- action weight of z^p d^{p+1}/dz^{p+1} on z^n/sqrt(n!):
                         a(n) = sqrt(n) * (n-1)! / (n-1-p)!, via log-gamma,
@@ -17,6 +17,10 @@ Families, each with its domain of indices:
                         reciprocal
 * table              -- explicit finite list of positive weights, at indices
                         start .. start + len - 1
+
+The theta order p is an integer in [0, 2**53), as every index is.  The closed
+form has the bits of a raw weight at p = 0 (1*x - 0.0 is x), and of the exact
+sum wherever s, r and the sum are integers below 2**53 (nu = pi, alpha = 0).
 
 Each family writes its formula once (`_log`); `WeightSequence` holds the
 domain rule (`_check`) and both entry points, `log_weight(i)`, the only
@@ -65,8 +69,6 @@ _INF = math.inf
 # the most indices one request may evaluate: a scan horizon, a matrix size, a weight range, or
 # the span table or memo
 MAX_INDICES = 10_000_000
-# the highest theta order: one theta action weight adds p + 1 raw weights
-MAX_THETA_ORDER = 1000
 
 
 def check_index_count(n: int, what: str) -> None:
@@ -93,26 +95,23 @@ class ThetaParams:
         if not math.isfinite(math.pi / self.nu + 2.0 * self.alpha):  # the prefactor of _theta_log
             raise ValidationError(
                 f"alpha must be such that pi/nu + 2*alpha is finite, got {self.alpha} with nu = {self.nu}")
-        if not 0 <= self.p <= MAX_THETA_ORDER:
-            raise ValidationError(f"invariant violated: p must be in [0, {MAX_THETA_ORDER}], got {self.p}")
+        if int_parse(self.p, "p") < 0:  # an order is an index: an integer of magnitude below 2**53
+            raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
 
 
 def _theta_log(params: ThetaParams, p: int, m):
-    """log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j), for an int m or elementwise on an int64 array.
+    """log w(m-1) + 2 * sum_{j=1..p} log w(m-1-j) in closed form, for an int m or on an int64 array.
 
     log w(k) = s + r*k, with the prefactor s = pi/nu + 2*alpha and the ratio r = 2*pi/nu.
     """
     s, r = math.pi / params.nu + 2.0 * params.alpha, 2.0 * math.pi / params.nu
-    acc = s + r * (m - 1)
-    for j in range(1, p + 1):
-        acc += 2.0 * (s + r * (m - 1 - j))
-    return acc
+    return (2 * p + 1) * (s + r * (m - 1)) - r * (p * (p + 1))
 
 
 def _theta_logs(self, indices: range) -> np.ndarray:
     """A theta family's `_log` once, on the range as an int64 array; an infinite one raises at its index."""
     import numpy as np
-    with np.errstate(over="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below: inf - inf is NaN
         out = self._log(np.arange(indices.start, indices.stop, dtype=np.int64))
     finite = np.isfinite(out)
     if not finite.all():
@@ -278,7 +277,7 @@ class BargmannActionWeights(WeightSequence):
     family: str = field(default="bargmann_composite", init=False)
 
     def __post_init__(self):
-        if self.p < 0:
+        if int_parse(self.p, "p") < 0:  # the rule of ThetaParams.p
             raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
 
     @property

@@ -755,10 +755,13 @@ _NOT_NUMBER_IDS = {param.id for param in _NOT_NUMBERS}
         pytest.param(["op", "power", "--op", "{ri}", "--vec", "{v}", "-k", str(2**40)],
                      {"{ri}": {"direction": "right_inverse", "weights": {"family": "bargmann_composite", "p": 1}},
                       **_vec([2, 0.0, 0.0])}, id="right-inverse-power-above-the-index-limit"),
-        # one theta weight adds p + 1 terms, so the order is capped
-        pytest.param(["weights", "--spec", "{v}", "--range", "30000001:30000003"],
-                     {"{v}": {"family": "theta_composite", "nu": 3.14, "p": 30000000}},
-                     id="theta-order-above-the-cap"),
+        # an order is an index: an integer of magnitude below 2**53
+        pytest.param(["weights", "--spec", "{v}", "--range", "1:3"],
+                     {"{v}": {"family": "theta_composite", "nu": 3.14, "p": 2**53}},
+                     id="theta-order-beyond-2**53"),
+        pytest.param(["weights", "--spec", "{v}", "--range", "1:3"],
+                     {"{v}": {"family": "bargmann_composite", "p": 2**53}},
+                     id="bargmann-order-beyond-2**53"),
         pytest.param(["weights", "--spec", "{missing}", "--range", "0:3"], {}, id="missing-file"),
         pytest.param(["weights", "--spec", "{v}", "--range", "0:3"], {"{v}": "{not json"},
                      id="invalid-json"),
@@ -824,6 +827,10 @@ _OVERFLOW_OP = {"weights": {"family": "theta_composite", "nu": 1e-300}}
         # log w(m) = pi/nu + (2 pi/nu) m is finite at m = 0 only
         (["weights", "--spec", "{w}", "--range", "0:3"], {"{w}": {"family": "theta_raw", "nu": 4e-308}},
          "theta_raw log weight 1 overflows the float range"),
+        # both terms of the closed form are +inf, so it is NaN, which numpy must not warn of
+        (["weights", "--spec", "{w}", "--range", f"{2**52 + 1}:{2**52 + 3}"],
+         {"{w}": {"family": "theta_composite", "nu": 1e-300, "p": 2**52}},
+         f"theta_composite log weight {2**52 + 1} overflows the float range"),
         # every weight is finite; their sum passes the largest float at the 7,565th
         (["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "50000"],
          {"{op}": _OVERFLOW_OP, "{v}": {"p": 0, "entries": [[50000, 0.0, 0.0]]}},
@@ -831,8 +838,21 @@ _OVERFLOW_OP = {"weights": {"family": "theta_composite", "nu": 1e-300}}
         (["op", "power", "--op", "{op}", "--vec", "{v}", "-k", "50000"],
          {"{op}": {**_OVERFLOW_OP, "direction": "right_inverse"}, "{v}": {"p": 0, "entries": [[0, 0.0, 0.0]]}},
          "theta_composite log-weight span 1..50000 overflows the float range at index 7565"),
+        # every weight and span is finite; the coefficient it moves leaves the float range
+        (["op", "apply", "--op", "{op}", "--vec", "{v}"],
+         {"{op}": _OVERFLOW_OP, "{v}": {"p": 0, "entries": [[2000000, 1.7e308, 0.5]]}},
+         "the coefficient at (1999999,) has log-magnitude inf: not a float"),
+        (["op", "apply", "--op", "{op}", "--vec", "{v}"],
+         {"{op}": {"left": _OVERFLOW_OP, "right": _OVERFLOW_OP},
+          "{v}": {"p1": 0, "p2": 0, "entries": [[2000000, 2000000, 1.7e308, 0.5]]}},
+         "the coefficient at (1999999, 1999999) has log-magnitude inf: not a float"),
+        (["op", "apply", "--op", "{op}", "--vec", "{v}"],
+         {"{op}": {**_OVERFLOW_OP, "direction": "right_inverse"},
+          "{v}": {"p": 0, "entries": [[2000000, -1.7e308, 0.5]]}},
+         "the coefficient at (2000001,) has log-magnitude -inf: not a float"),
     ],
-    ids=["weight", "backward-span", "right-inverse-span"],
+    ids=["weight", "weight-inf-minus-inf", "backward-span", "right-inverse-span",
+         "backward-entry", "tensor-entry", "right-inverse-entry"],
 )
 def test_weights_and_spans_that_overflow_are_numeric_failures(tmp_path, capsys, argv, files, message):
     paths = {name: write_json(tmp_path / f"input{i}.json", obj) for i, (name, obj) in enumerate(files.items())}
@@ -842,6 +862,31 @@ def test_weights_and_spans_that_overflow_are_numeric_failures(tmp_path, capsys, 
         assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 3
     assert capsys.readouterr().err == f"shiftdyn: numeric failure: {message}\n"
     assert not out.exists()
+
+
+def test_an_order_of_any_size_below_2_53_takes_one_evaluation(tmp_path, capsys):
+    # the theta action weight has one closed form at every order, and an order is an index
+    spec = write_json(tmp_path / "w.json", {"family": "theta_composite", "nu": 3.14, "p": 30_000_000})
+    assert main(["weights", "--spec", spec, "--range", "30000001:30000003"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3
+    out = tmp_path / "eigen.json"
+    eigen = ["eigen", "--lambda=0.5,0.1", "--mu=0.4,-0.3", "--out", str(out)]
+    assert main([*eigen, "--p", "1001"]) == 0
+    assert json.loads(out.read_text())["vector"]["p1"] == 1001
+    out.unlink()
+    assert main([*eigen, "--p", str(2**53)]) == 2
+    assert "p must be an integer of magnitude below 2**53" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["{dir}", "", "{file}/out.json"], ids=["directory", "empty", "below-a-file"])
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    out = out.replace("{dir}", str(tmp_path)).replace("{file}", str(tmp_path / "file"))
+    assert main(["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "0.5,0", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shiftdyn: invalid input: cannot write {Path(out)}: ")
+    assert "Traceback" not in err
 
 
 def test_integral_json_floats_keep_their_meaning(tmp_path, capsys):
@@ -1403,7 +1448,7 @@ _PAIR_OPTIONS = {
     "--mu": (st.builds("{},{}".format, _EIGEN_REAL, _EIGEN_REAL), _BAD_COMPLEX),
     "--q": (st.integers(1, 16).map(str), st.sampled_from(["0", "-1", "-7", *_NON_NUMBERS])),
     "--tail": (st.floats(-200.0, -0.5).map(repr), st.sampled_from(["0", "10", *_BAD_REALS])),
-    "--p": (st.integers(0, 3).map(str), st.sampled_from(["-1", "1.5", str(2**40)])),
+    "--p": (st.integers(0, 3).map(str), st.sampled_from(["-1", "1.5", str(2**53)])),
     "--nu": (st.floats(0.1, 10.0).map(repr), st.sampled_from(["0", "-1.0", *_BAD_REALS])),
     "--alpha": (st.floats(-2.0, 2.0).map(repr), st.sampled_from(_BAD_REALS)),
     "--op": (st.sampled_from([None, 0]), st.integers(1, len(_EIGEN_OPS) - 1)),

@@ -21,7 +21,6 @@ from shiftdyn import (
     ValidationError,
     weight_sequence_from_json,
 )
-from shiftdyn.weights import MAX_THETA_ORDER
 
 LN2 = math.log(2.0)
 
@@ -67,9 +66,38 @@ def test_theta_params_invariants():
         ThetaParams(nu=-2.0)
     with pytest.raises(ValidationError):
         ThetaParams(nu=1.0, p=-1)
-    assert ThetaParams(nu=1.0, p=MAX_THETA_ORDER).p == MAX_THETA_ORDER
-    with pytest.raises(ValidationError, match="p must be in"):
-        ThetaParams(nu=1.0, p=MAX_THETA_ORDER + 1)  # one weight would add p + 1 terms
+
+
+@pytest.mark.parametrize("family", [lambda p: ThetaParams(nu=1.0, p=p), lambda p: BargmannActionWeights(p=p)],
+                         ids=["theta", "bargmann"])
+def test_an_order_follows_the_index_rule(family):
+    # an order is an integer of magnitude below 2**53, as every index is, and >= 0
+    assert family(2**53 - 1) is not None
+    for bad in (2**53, -(2**53), 1.5, True, "1"):
+        with pytest.raises(ValidationError, match=r"p must be an integer of magnitude below 2\*\*53"):
+            family(bad)
+    with pytest.raises(ValidationError, match="p must be >= 0"):
+        family(-1)
+
+
+_U = Fraction(1, 2**53)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(nu=st.floats(0.05, 50.0), alpha=st.floats(0.0, 5.0), data=st.data())
+def test_theta_closed_form_is_within_11_units_of_its_defining_sum(nu, alpha, data):
+    # the defining sum of 2p + 1 raw weights s + r*k, taken exactly in rationals on the floats s and r
+    # that the program forms (by Gauss's sum over j, as p reaches 2**53).  With alpha >= 0 every raw
+    # weight is positive, so no cancellation: rounding bounds the closed form's error by 11 units
+    # (2**-53) of the weight at first order, the worst case where p >= 2**52 makes 2p + 1 round
+    p = data.draw(st.integers(0, 10) | st.integers(0, 2**53 - 2) | st.integers(2**52, 2**53 - 2))
+    m = data.draw(st.just(p + 1) | st.integers(p + 1, min(p + 1000, 2**53 - 1)) | st.integers(p + 1, 2**53 - 1))
+    s, r = Fraction(math.pi / nu + 2.0 * alpha), Fraction(2.0 * math.pi / nu)
+    exact = (s + r * (m - 1)) + 2 * (p * s + r * (p * (m - 1) - Fraction(p * (p + 1), 2)))
+    w = ThetaActionWeights(ThetaParams(nu=nu, alpha=alpha, p=p))
+    got = w.log_weight(m)
+    assert abs(Fraction(got) - exact) <= 11 * _U * exact
+    assert w.log_weights(range(m, m + 1)).tolist() == [got]
 
 
 def test_theta_action_p0_equals_raw_shifted():
@@ -276,6 +304,14 @@ def test_bargmann_composite_bulk_keeps_the_scalar_bits(p):
     with pytest.raises(IndexBelowOffset, match=f"index {w.first - 1} outside"):
         w.log_weights(range(w.first - 1, w.first + 10))
     assert w.log_weights(range(w.first - 1, w.first - 1)).size == 0
+
+
+@pytest.mark.parametrize("p", [0, 3, 10**6, 2**52 + 1])
+def test_theta_composite_bulk_keeps_the_scalar_bits(p):
+    for nu, alpha in [(math.pi, 0.0), (2.2, 0.1), (1.3, -0.7)]:
+        w = ThetaActionWeights(ThetaParams(nu=nu, alpha=alpha, p=p))
+        for lo in (w.first, w.first + 3_000_017):
+            _assert_bulk_is_scalar(w, range(lo, lo + 10_000))
 
 
 # the last index of block-pattern run k, T(k) = k(k+1)/2, for every run ending below 2**52
