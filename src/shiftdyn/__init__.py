@@ -42,7 +42,7 @@ from .shift_ops import (
     shift_operator_from_json,
     tensor_operator,
 )
-from .tensor_ops import tensor_of
+from .tensor_ops import TensorVector
 from .criteria import (
     CriterionReport,
     Verdict,

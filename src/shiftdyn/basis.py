@@ -4,7 +4,7 @@ A `CoeffVector` holds finitely many log-domain coefficients over index
 tuples, one index per axis, with axis i holding indices >= offsets[i]; exact
 zeros are never stored.  A single-space vector has one axis and is keyed
 (m,), so its sorted keys order as its indices do; a tensor vector has one
-axis per factor space (`tensor_of` concatenates keys and offsets).  The
+axis per factor space, keyed by the concatenated indices.  The
 `coeff_*` algebra (sum, difference, inner product, norm) treats every
 vector alike, and each result is rebuilt with its input's own offsets.
 Inner products are taken in coefficient (Parseval) space.  Pointwise

@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 validation/config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -54,8 +55,8 @@ from .dynamics import (
     rank_one_log_norms,
     rank_one_residual_log,
 )
-from .errors import ShiftDynError, ValidationError
-from .numerics import LogComplex, int_parse, lc_to_json
+from .errors import OverflowNotRepresentable, ShiftDynError, ValidationError
+from .numerics import LogComplex, int_parse, lc_to_json, wrap_phase
 from .shift_ops import (
     Direction,
     ShiftOperator,
@@ -64,7 +65,6 @@ from .shift_ops import (
     nilpotence_index,
     shift_operator_from_json,
 )
-from .tensor_ops import tensor_of
 from .weights import (
     BlockPatternWeights,
     ThetaParams,
@@ -211,19 +211,31 @@ def _manifest(args) -> dict:
 def _emit(args, result: dict | str, series: tuple[list[str], Iterable] | None) -> None:
     """Write the result (and optional series CSV) plus the run manifest.
 
-    A dict is written as JSON; a str (a CSV table) is written as given.
+    A dict is written as JSON; a str (a CSV table) is written as given.  When
+    a file cannot be written, those already written are removed, so a failed
+    command leaves no output behind.
     """
     text = result if isinstance(result, str) else _dump_json(result)
     if args.out is None:
         sys.stdout.write(text)
         return
     out = Path(args.out)
-    _write_text(out, text)
-    del text  # not held while the series CSV is formed, which lowers the peak memory
-    if series is not None:
-        header, rows = series
-        _write_text(out.with_suffix(out.suffix + ".series.csv"), _csv_text(header, rows))
-    _write_text(out.with_suffix(out.suffix + ".manifest.json"), _dump_json(_manifest(args)))
+    written: list[Path] = []
+    try:
+        _write_text(out, text)
+        written.append(out)
+        del text  # not held while the series CSV is formed, which lowers the peak memory
+        if series is not None:
+            header, rows = series
+            path = out.with_suffix(out.suffix + ".series.csv")
+            _write_text(path, _csv_text(header, rows))
+            written.append(path)
+        _write_text(out.with_suffix(out.suffix + ".manifest.json"), _dump_json(_manifest(args)))
+    except BaseException:  # a later file cannot be written: remove those already written, so none is left
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
     log.info("wrote %s", out)
 
 
@@ -272,9 +284,26 @@ def _targets(payload) -> list[CoeffVector]:
     return [CoeffVector.from_json_dict(v) for v in vectors]
 
 
+def _rank_one_json(a: CoeffVector, b: CoeffVector) -> dict:
+    """The dense rectangle g = a (x) b of a builder's two factors (each holds its axis's offset), as
+    its `CoeffVector.to_json_dict()` reads, formed row by row: entry (m, n) is
+    [m, n, la + lb, wrap_phase(pa + pb)], `lc_mul`'s sums.
+
+    Float addition is monotone, so the extreme sums bound every other: a log-magnitude outside the
+    float range is found from them, and raises `OverflowNotRepresentable` naming its (m, n).
+    """
+    rows_a, rows_b = ([(key[0], c.logmag, c.phase) for key, c in sorted(v.entries.items())] for v in (a, b))
+    for pick in (max, min):
+        (m, la, _), (n, lb, _) = (pick(rows, key=lambda row: row[1]) for rows in (rows_a, rows_b))
+        if not -math.inf < la + lb < math.inf:
+            raise OverflowNotRepresentable(f"the coefficient at {(m, n)} has log-magnitude {la + lb}: not a float")
+    entries = [[m, n, la + lb, wrap_phase(pa + pb)] for m, la, pa in rows_a for n, lb, pb in rows_b]
+    return {"p1": a.offsets[0], "p2": b.offsets[0], "entries": entries}
+
+
 def _orbit_result(args, a, b, log_norms: list[float], result: dict):
     """result with the vector g = a (x) b and the tail target, and g's orbit log-norms as the series."""
-    result.update(tail_tol_log=args.tail, vector=tensor_of(a, b).to_json_dict())
+    result.update(tail_tol_log=args.tail, vector=_rank_one_json(a, b))
     return result, (["k", "log_norm"], list(enumerate(log_norms)))
 
 
@@ -360,8 +389,8 @@ def _cmd_periodic(args):
 def _cmd_hypercyclic(args):
     op = _operator(args.op, bargmann_backward_shift)
     targets = _read(args.targets, _targets)
-    psi, schedule = hypercyclic_vector_build(op, targets, args.eps)
-    replay = [(n, coeff_norm_log(coeff_sub(apply_power(op, psi, n), y))) for n, y in zip(schedule, targets)]
+    psi, schedule, errors = hypercyclic_vector_build(op, targets, args.eps)
+    replay = list(zip(schedule, errors))
     result = {"eps": args.eps, "schedule": schedule, "replay_error_logs": replay, "psi": psi.to_json_dict()}
     return result, (["k", "replay_error_log"], replay)
 

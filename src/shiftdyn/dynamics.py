@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, getitem
 
-from .basis import CoeffVector, coeff_add, coeff_norm_log, norm_log
+from .basis import CoeffVector, coeff_add, coeff_norm_log, coeff_sub, norm_log
 from .errors import (
     OverflowNotRepresentable,
     QTooSmall,
@@ -403,16 +403,26 @@ def hypercyclic_vector_build(
     targets: list[CoeffVector],
     eps: float,
     n_cap: int = 100_000,
-) -> tuple[CoeffVector, list[int]]:
-    """A vector whose orbit visits every target within eps, with schedule, over one axis or two.
+) -> tuple[CoeffVector, list[int], list[float]]:
+    """A vector whose orbit visits every target within eps, with schedule and replay errors, over
+    one axis or two.
 
-    The vector is sum_j S^{n_j} y_j.  Gaps annihilate all earlier terms
+    The vector is psi = sum_j S^{n_j} y_j.  Gaps annihilate all earlier terms
     exactly under T^{n_j} (nilpotence), and each later term is pushed far
     enough up that its pullback norms fit a geometric budget: the i-th term
     contributes at most eps * 2^{-j'} * 2^{-(i-j')} at checkpoint j'.  Each
     (target, checkpoint) pair keeps its pullback's spans running
     (`_Pullback`), so a later candidate time reads one more weight per entry,
     and a farther checkpoint continues the spans of the nearer one.
+
+    With T S = I and disjoint blocks, T^{n_j} psi - y_j is the own-block round
+    trip T^{n_j} S^{n_j} y_j - y_j plus sum_{i>j} S^{n_i - n_j} y_i.  Replay
+    error j is `norm_log` over the log-magnitudes of that round trip, in key
+    order, then over log ||S^{n_i - n_j} y_i|| for i > j ascending: the norms
+    target i's accepted time was probed with, kept rather than recomputed.  It
+    is the float replay of T^{n_j} psi - y_j up to rounding, each at
+    O(|y_j| n_j) span terms and O(J) scalars, where applying T^{n_j} to psi
+    reads a span for every later entry.
     """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("hypercyclic vectors are built over the backward operator")
@@ -427,12 +437,14 @@ def hypercyclic_vector_build(
             )
     s_op = right_inverse(op)
     schedule: list[int] = []
+    masses: list[list[float]] = []  # masses[i][j] = log ||S^{n_i - n_j} y_i||; none for a zero target
     n = 1
     for j, y in enumerate(targets, start=1):
         budget = math.log(eps) - j * math.log(2.0)
-        # nearest checkpoint first: its gap is the smallest, so it is the likeliest to fail
+        # nearest checkpoint first: its gap is the smallest, so it is the likeliest to fail; a zero
+        # target fits at once, with no probe
         pullbacks, nearer = [], None
-        for t in reversed(schedule):
+        for t in reversed(schedule) if not y.is_zero else ():
             nearer = _Pullback(s_op, y, nearer)
             pullbacks.append((t, nearer))
         while True:
@@ -440,13 +452,23 @@ def hypercyclic_vector_build(
                 raise ScheduleOverflow(
                     f"schedule time exceeded {n_cap}; weights grow too slowly for eps={eps}"
                 )
-            if y.is_zero or not any(pullback.norm_log(n - t) > budget for t, pullback in pullbacks):
+            probed = []
+            for t, pullback in pullbacks:
+                probed.append(pullback.norm_log(n - t))
+                if probed[-1] > budget:
+                    break
+            else:  # every checkpoint fits, so every probe was made
                 break
             n += 1
         schedule.append(n)
+        masses.append(probed[::-1])
         # the next block waits until T^n annihilates this one exactly, as it does every earlier one
         n += max(1, nilpotence_index(op, y))
-    psi = CoeffVector(op.offsets)
-    for n, y in zip(schedule, targets):
-        psi = coeff_add(psi, apply_power(s_op, y, n))
-    return psi, schedule
+    blocks = [apply_power(s_op, y, n) for n, y in zip(schedule, targets)]  # on disjoint supports
+    psi = CoeffVector(op.offsets, {key: c for block in blocks for key, c in block.entries.items()})
+    replay = []
+    for j, (n, y, block) in enumerate(zip(schedule, targets, blocks)):
+        own = coeff_sub(apply_power(op, block, n), y).entries
+        later = (row[j] for row in masses[j + 1:] if row)
+        replay.append(norm_log(itertools.chain((own[key].logmag for key in sorted(own)), later)))
+    return psi, schedule, replay

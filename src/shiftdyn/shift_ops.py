@@ -112,8 +112,8 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         return CoeffVector(v.offsets, dict(v.entries))
     if len(op.weights) == 1:
         # one axis: every index is its own key, so a span needs no cache.  This is the hot path
-        # (a single_orbit benchmark pass at seed 1 makes 287 calls over 5,205 entries); through
-        # the general path below, that pass ran 4-10% slower (pass_s, 4 paired 10 s runs).
+        # (a single_orbit benchmark pass at seed 1 makes 287 calls over 968 entries); through
+        # the general path below, that pass ran 5-8% slower (pass_s, 4 paired 10 s runs).
         shift, lo, hi, sign, floor, span = _action_rule(op.weights[0], op.direction, k)
         out = {
             (m + shift,): LogComplex(c.logmag + sign * span(m + lo, m + hi), c.phase)

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite: random builders, log-domain asserts, and references.
 
 The references are independent of the code under test where they can be:
-stepping an orbit one `apply_power(op, v, 1)` at a time, the dense residual
-band and the entrywise residual of an eigenvector, the adjoint pairing, and
-the hypercyclic schedule search with every probe built by `apply_power`.
+stepping an orbit one `apply_power(op, v, 1)` at a time, the dense outer
+product of two factors, the dense residual band and the entrywise residual of
+an eigenvector, the adjoint pairing, the hypercyclic schedule search with
+every probe built by `apply_power`, and the full float replay of a
+hypercyclic vector.
 `factors(op)` splits an operator into its one-axis operators.
 """
 
@@ -95,6 +97,13 @@ def orbit(op, seed: CoeffVector, k_max: int) -> list[CoeffVector]:
     return steps
 
 
+def tensor_of(u: CoeffVector, v: CoeffVector) -> CoeffVector:
+    """The dense outer product u (x) v, each entry `lc_mul` of its factors' entries; zero when either
+    factor is."""
+    entries = {ku + kv: lc_mul(cu, cv) for ku, cu in u.entries.items() for kv, cv in v.entries.items()}
+    return CoeffVector(u.offsets + v.offsets, entries)
+
+
 def band_residual_log(g: CoeffVector, lam: complex, mu: complex, q: int = 1) -> float:
     """log ||T^q g - (lambda*mu)^q g|| of a dense truncated eigenvector, from its width-q band.
 
@@ -163,3 +172,8 @@ def hypercyclic_reference(op, targets, eps: float, n_cap: int = 100_000, probes:
     for n, y in zip(schedule, targets):
         psi = coeff_add(psi, apply_power(s_op, y, n))
     return psi, schedule
+
+
+def replay_reference(op, psi: CoeffVector, schedule: list[int], targets) -> list[float]:
+    """log ||T^n psi - y|| for each scheduled (n, y), each power applied to the whole of psi."""
+    return [coeff_norm_log(coeff_sub(apply_power(op, psi, n), y)) for n, y in zip(schedule, targets)]

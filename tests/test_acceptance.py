@@ -33,7 +33,6 @@ from shiftdyn import (
     rank_one_defect_log,
     right_inverse,
     salas_scan,
-    tensor_of,
     tensor_operator,
     tensor_salas_scan,
     theta_backward_shift,
@@ -43,7 +42,7 @@ from shiftdyn.cli import main
 from shiftdyn.numerics import LogComplex
 
 from conftest import (
-    adjoint_pairing_gap_log, band_residual_log, factors, orbit, rand_coeff_vector, rand_tensor_vector,
+    adjoint_pairing_gap_log, band_residual_log, factors, orbit, rand_coeff_vector, rand_tensor_vector, tensor_of,
 )
 
 LN2 = math.log(2.0)
@@ -211,11 +210,12 @@ def test_criterion_08_hypercyclic_replay():
         op = bargmann_backward_shift(0)
         for _ in range(5):
             targets = [rand_coeff_vector(rng, 0, 4, 6) for _ in range(3)]
-            psi, schedule = hypercyclic_vector_build(op, targets, 1e-6)
+            psi, schedule, errors = hypercyclic_vector_build(op, targets, 1e-6)
             steps = orbit(op, psi, max(schedule))
-            for n_j, y in zip(schedule, targets):
+            for n_j, y, written in zip(schedule, targets, errors):
                 err = coeff_norm_log(coeff_sub(steps[n_j], y))
                 assert err <= math.log(1e-6)
+                assert written <= math.log(1e-6)
     report(8, "orbit of built psi hits every target within 1e-6 at scheduled times", budget)
 
 

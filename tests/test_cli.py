@@ -26,15 +26,17 @@ from shiftdyn import (
     BargmannActionWeights,
     BlockPatternWeights,
     CoeffVector,
+    LogComplex,
+    OverflowNotRepresentable,
     WeightSequence,
     apply_power,
+    bargmann_backward_shift,
     coeff_inner,
     default_tensor_shift,
     eigenvector_build,
     periodic_point_from_eigen,
     salas_scan,
     shift_operator_from_json,
-    tensor_of,
     tensor_operator,
     tensor_salas_scan,
 )
@@ -42,6 +44,8 @@ import shiftdyn.cli as cli
 import shiftdyn.dynamics as dynamics
 from shiftdyn.cli import _csv_text, _dump_json, _join_dash_values, _Reprs, build_parser, main
 from shiftdyn.numerics import lc_to_json
+
+from conftest import tensor_of
 
 
 def write_json(path, obj):
@@ -205,7 +209,7 @@ def test_eigen_zero_case(tmp_path):
 
 
 def _assert_written_rectangle(vector, a, b, spec):
-    """The artifact's vector is the library's tensor_of(a, b): the full truncation rectangle in index order."""
+    """The artifact's vector is the reference tensor_of(a, b): the full truncation rectangle in index order."""
     assert vector == json.loads(json.dumps(tensor_of(a, b).to_json_dict()))
     keys = [(m, n) for m, n, _logmag, _phase in vector["entries"]]
     p = 0  # the default pair's offsets
@@ -281,6 +285,23 @@ def test_hypercyclic(tmp_path):
     assert len(result["schedule"]) == 2
     for _, err in result["replay_error_logs"]:
         assert err == "-inf" or err <= math.log(1e-6)
+
+
+def test_hypercyclic_writes_the_build_replay_and_applies_no_power(tmp_path, monkeypatch):
+    # the command writes the errors the build returns: it applies no power of its own to psi
+    def refuse(*args):
+        raise AssertionError("the command applied a power")
+
+    monkeypatch.setattr(cli, "apply_power", refuse)
+    rng = random.Random(23)
+    targets = [CoeffVector((0,), {(m,): LogComplex(rng.uniform(-1.0, 1.0), rng.uniform(-3.0, 3.0))
+                                  for m in rng.sample(range(4), 2)}) for _ in range(12)]
+    path = write_json(tmp_path / "t.json", {"targets": [y.to_json_dict() for y in targets]})
+    out = tmp_path / "hyper.json"
+    assert main(["hypercyclic", "--targets", path, "--eps", "1e-9", "--out", str(out)]) == 0
+    _, schedule, errors = dynamics.hypercyclic_vector_build(bargmann_backward_shift(0), targets, 1e-9)
+    want = json.loads(_dump_json({"r": list(zip(schedule, errors))}))["r"]
+    assert json.loads(out.read_text())["replay_error_logs"] == want
 
 
 def _log_weights_mp(spec, top):
@@ -887,6 +908,55 @@ def test_an_unwritable_out_path_exits_2(tmp_path, capsys, out):
     err = capsys.readouterr().err
     assert err.startswith(f"shiftdyn: invalid input: cannot write {Path(out)}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [(["basis", "eval", "--basis", "bargmann", "-m", "2", "-z", "0.5,0"], ".manifest.json"),
+     (["eigen", "--lambda=0.5,0.1", "--mu=0.3,0"], ".series.csv"),
+     (["eigen", "--lambda=0.5,0.1", "--mu=0.3,0"], ".manifest.json")],
+    ids=["manifest", "series", "manifest-after-series"],
+)
+def test_a_failed_write_leaves_no_output(tmp_path, capsys, argv, blocked):
+    out = tmp_path / "d" / "x.json"
+    (tmp_path / "d" / f"x.json{blocked}").mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"shiftdyn: invalid input: cannot write {out}{blocked}: ")
+    assert "Traceback" not in err
+    assert sorted(path.name for path in out.parent.iterdir()) == [f"x.json{blocked}"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_the_written_rectangle_is_the_reference_outer_product(data):
+    # the phases are drawn past pi, so that their sums wrap
+    def factor(p):
+        n = data.draw(st.integers(1, 6))
+        terms = st.tuples(st.floats(-800.0, 800.0), st.floats(-3.2, 3.2))
+        return CoeffVector((p,), {(p + i,): LogComplex(*data.draw(terms)) for i in range(n)})
+
+    a, b = factor(data.draw(st.integers(0, 3))), factor(data.draw(st.integers(0, 3)))
+    assert _dump_json(cli._rank_one_json(a, b)) == _dump_json(tensor_of(a, b).to_json_dict())
+
+
+@pytest.mark.parametrize("logmag, key", [(1e308, (2, 4)), (-1e308, (2, 4))], ids=["above", "below"])
+def test_a_rectangle_entry_beyond_the_float_range_exits_3(tmp_path, capsys, monkeypatch, logmag, key):
+    # la + lb leaves the float range only at the extreme pair, which the error names
+    a = CoeffVector((1,), {(1,): LogComplex(-0.5 * logmag, 0.1), (2,): LogComplex(0.9 * logmag, 3.0)})
+    b = CoeffVector((3,), {(3,): LogComplex(0.9 * logmag, -3.0), (4,): LogComplex(0.95 * logmag, 1.0)})
+    extreme = max if logmag > 0 else min
+    assert key == (extreme(a.entries, key=lambda k: a.entries[k].logmag)[0],
+                   extreme(b.entries, key=lambda k: b.entries[k].logmag)[0])
+    with pytest.raises(OverflowNotRepresentable, match=re.escape(f"the coefficient at {key} has log-magnitude")):
+        cli._rank_one_json(a, b)
+    spec = dynamics.EigenSpec(0.5, 0.3, 2, 4, -60.0)
+    monkeypatch.setattr(cli, "eigenvector_build", lambda *args: (a, b, spec))
+    out = tmp_path / "eigen.json"
+    assert main(["eigen", "--lambda=0.5,0", "--mu=0.3,0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"shiftdyn: numeric failure: the coefficient at {key} has log-magnitude")
+    assert not out.exists()
 
 
 def test_integral_json_floats_keep_their_meaning(tmp_path, capsys):

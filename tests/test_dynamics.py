@@ -7,6 +7,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shiftdyn import (
     BargmannRawWeights,
@@ -38,13 +40,13 @@ from shiftdyn import (
     salas_scan,
     tensor_salas_scan,
     theta_backward_shift,
-    tensor_of,
     tensor_operator,
     theta_basis_eval,
 )
 
 import shiftdyn.dynamics as dynamics
 from shiftdyn.dynamics import EIGEN_SERIES_STEPS
+from shiftdyn.shift_ops import nilpotence_index
 
 from conftest import (
     NEG_INF,
@@ -54,6 +56,8 @@ from conftest import (
     orbit,
     rand_coeff_vector,
     rand_tensor_vector,
+    replay_reference,
+    tensor_of,
 )
 
 U = 2.0**-53
@@ -381,28 +385,30 @@ def test_periodic_from_target_q_too_small():
 def test_hypercyclic_single_target_exact():
     op = bargmann_backward_shift(0)
     y = CoeffVector.unit((0,), (0,))
-    psi, schedule = hypercyclic_vector_build(op, [y], 1e-8)
+    psi, schedule, errors = hypercyclic_vector_build(op, [y], 1e-8)
     assert len(schedule) == 1
     replay = apply_power(op, psi, schedule[0])
     assert replay.entries == y.entries  # unit-chain roundtrip is exact
+    assert errors == [NEG_INF]
 
 
 def test_hypercyclic_two_targets_replay():
     op = bargmann_backward_shift(0)
     t1 = CoeffVector.unit((0,), (0,))
     t2 = CoeffVector((0,), {(0,): LogComplex(0.0, 0.0), (1,): LogComplex(0.0, 0.0)})
-    psi, schedule = hypercyclic_vector_build(op, [t1, t2], 1e-6)
+    psi, schedule, errors = hypercyclic_vector_build(op, [t1, t2], 1e-6)
     assert schedule[0] < schedule[1]
-    for n, y in zip(schedule, (t1, t2)):
+    for n, y, written in zip(schedule, (t1, t2), errors):
         err = coeff_norm_log(coeff_sub(apply_power(op, psi, n), y))
         assert err <= math.log(1e-6)
+        assert written <= math.log(1e-6)
 
 
 def test_hypercyclic_orbit_replay_via_trace():
     op = bargmann_backward_shift(0)
     rng = random.Random(307)
     targets = [rand_coeff_vector(rng, 0, 3, 4) for _ in range(3)]
-    psi, schedule = hypercyclic_vector_build(op, targets, 1e-6)
+    psi, schedule, _ = hypercyclic_vector_build(op, targets, 1e-6)
     steps = orbit(op, psi, max(schedule))
     for n, y in zip(schedule, targets):
         err = coeff_norm_log(coeff_sub(steps[n], y))
@@ -428,13 +434,14 @@ def test_hypercyclic_search_probes_the_nearest_checkpoint_first(monkeypatch):
     rng = random.Random(409)
     targets = [rand_coeff_vector(rng, 0, 3, 4) for _ in range(8)]
     op = bargmann_backward_shift(0)
-    psi, schedule = hypercyclic_vector_build(op, targets, 1e-6)
+    psi, schedule, _ = hypercyclic_vector_build(op, targets, 1e-6)
     assert schedule == [1, 17, 31, 47, 63, 81, 98, 114]
     want = []
     hypercyclic_reference(op, targets, 1e-6, probes=want)
     assert len(gaps) == 112
     assert gaps == want  # the same probes, in the same order
-    assert powers == schedule  # one term of psi per target, and no power for a probe
+    # each target's term of psi, then each term's round trip for its replay error; no power for a probe
+    assert powers == schedule + schedule
 
 
 @pytest.mark.parametrize(
@@ -488,9 +495,97 @@ def test_hypercyclic_build_matches_the_reference_search(case):
     want_psi, want_schedule = hypercyclic_reference(op, targets, eps)
     fresh = ShiftOperator(tuple(map(copy.copy, op.weights)), op.direction)  # copies start with empty tables
     for target_op in (op, fresh):  # warm tables, then cold ones
-        psi, schedule = hypercyclic_vector_build(target_op, targets, eps)
+        psi, schedule, _ = hypercyclic_vector_build(target_op, targets, eps)
         assert schedule == want_schedule
         assert _entry_bits(psi) == _entry_bits(want_psi)
+
+
+def _replay_rounding_bound(op, psi: CoeffVector, schedule: list[int], targets, j: int) -> float:
+    """A bound on |written - full replay| for replay error j, from the rounding of both.
+
+    A later entry c at m, of target i, is (c - A) + B in the full replay, with
+    A the float span of the weights at m+1 .. m+n_i and B that at
+    m+n_i-n_j+1 .. m+n_i, and c - C in the written one, with C the span at
+    m+1 .. m+n_i-n_j.  The three are the same exact number.  A span of k
+    weights is off by at most k u sum|w| (Higham, ch. 4), and each of the
+    three subtractions and additions by u of its operands, so the two differ
+    by at most (2 N + 6) u (c_max + W), with N the last schedule time, c_max
+    the largest |log-magnitude| of a target and W the sum of |log w| over
+    every index psi reads, summed over the axes.  Each `norm_log` step is off
+    by at most u (|acc| + 3) and its acc by at most 2 L + log T, over T steps
+    in all: at most K for the full replay, and the K entries again, the own
+    block and J masses for the written one.
+    """
+    u = 2.0**-53
+    top = [max(key[i] for key in psi.entries) if psi.entries else w.offset_p for i, w in enumerate(op.weights)]
+    w_sum = sum(float(abs(w.log_weights(range(w.offset_p + 1, t + 1))).sum()) for w, t in zip(op.weights, top))
+    c_max = max((abs(c.logmag) for y in targets for c in y.entries.values()), default=0.0)
+    full = coeff_sub(apply_power(op, psi, schedule[j]), targets[j])
+    steps = 2 * len(full.entries) + len(targets) + 1
+    big_l = max((abs(c.logmag) for c in full.entries.values()), default=0.0)
+    return u * ((2 * max(schedule) + 6) * (c_max + w_sum) + steps * (2 * big_l + math.log(steps) + 3))
+
+
+def _replay_agreement(op, psi, schedule, targets, errors, want) -> list[bool]:
+    """Per target, whether the written replay error is the full replay's within the rounding bound."""
+    return [got == ref or abs(got - ref) <= _replay_rounding_bound(op, psi, schedule, targets, j)
+            for j, (got, ref) in enumerate(zip(errors, want))]
+
+
+def _target(rng, offsets, size: int, logmag_lo: float = -3.0, logmag_hi: float = 3.0) -> CoeffVector:
+    keys = {tuple(p + rng.randint(0, 4) for p in offsets) for _ in range(size)}
+    return CoeffVector(offsets, {key: LogComplex(rng.uniform(logmag_lo, logmag_hi), rng.uniform(-3.0, 3.0))
+                                 for key in keys})
+
+
+_REPLAY_OPS = {
+    "bargmann p=0": bargmann_backward_shift(0),
+    "bargmann p=2": bargmann_backward_shift(2),
+    "theta p=1": theta_backward_shift(math.pi, 0.0, 1),
+    "theta p=0": theta_backward_shift(2.0, 0.3, 0),
+    "two axes": tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2)),
+    "default pair": default_tensor_shift(0),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_REPLAY_OPS)), st.integers(1, 6), st.sampled_from([1e-3, 1e-6, 1e-9]),
+       st.randoms(use_true_random=False))
+def test_written_replay_errors_are_the_full_replay_up_to_rounding(name, count, eps, rng):
+    # T^{n_j} psi - y_j is the own round trip plus the later blocks pulled back, whose norms the
+    # search kept; the last target has no later block, so its error is the full replay's float
+    op = _REPLAY_OPS[name]
+    targets = [_target(rng, op.offsets, rng.randint(0, 3)) for _ in range(count)]
+    psi, schedule, errors = hypercyclic_vector_build(op, targets, eps)
+    want = replay_reference(op, psi, schedule, targets)
+    assert errors[-1].hex() == want[-1].hex()
+    assert _replay_agreement(op, psi, schedule, targets, errors, want) == [True] * count
+
+
+@pytest.mark.parametrize(
+    "op, offsets",
+    [(bargmann_backward_shift(0), (0,)),
+     (tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2)), (1, 2))],
+    ids=["one axis", "two axes"],
+)
+def test_a_gap_one_short_shows_in_the_written_replay(monkeypatch, op, offsets):
+    # targets so small that every candidate fits at once, so the gap rule alone sets the schedule;
+    # a gap one short lets the first block's top entry survive T^{n_2}, a leak of about e^-40 at a
+    # key where the second target has no entry, which the full replay holds and the identity omits
+    first = CoeffVector(offsets, {tuple(p + 3 for p in offsets): LogComplex(-40.0, 0.5),
+                                  tuple(p + 1 for p in offsets): LogComplex(-41.0, -1.0)})
+    second = CoeffVector(offsets, {tuple(p + 1 for p in offsets): LogComplex(-40.0, 2.0)})
+    targets = [first, second]
+    gap = nilpotence_index(op, first)
+    psi, schedule, errors = hypercyclic_vector_build(op, targets, 1e-6)
+    assert schedule == [1, 1 + gap]
+    want = replay_reference(op, psi, schedule, targets)
+    assert _replay_agreement(op, psi, schedule, targets, errors, want) == [True, True]
+    monkeypatch.setattr(dynamics, "nilpotence_index", lambda op, v: nilpotence_index(op, v) - 1)
+    psi, schedule, errors = hypercyclic_vector_build(op, targets, 1e-6)
+    assert schedule == [1, gap]
+    want = replay_reference(op, psi, schedule, targets)
+    assert want[-1] > errors[-1] + 10.0
 
 
 def test_a_table_that_runs_out_mid_search_raises_the_reference_error():

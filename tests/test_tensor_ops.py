@@ -24,13 +24,13 @@ from shiftdyn import (
     lc_mul,
     right_inverse,
     shift_operator_from_json,
-    tensor_of,
     tensor_operator,
     theta_backward_shift,
 )
 
 from conftest import (
     adjoint_forward, adjoint_pairing_gap_log, factors, rand_coeff_vector, rand_tensor_vector, rel_gap_log,
+    tensor_of,
 )
 
 _THETA = {"family": "theta_composite", "nu": math.pi, "alpha": 0.0}
