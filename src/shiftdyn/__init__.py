@@ -26,11 +26,8 @@ from .weights import (
 from .basis import (
     CoeffVector,
     bargmann_basis_eval,
-    coeff_add,
     coeff_inner,
-    coeff_neg,
     coeff_norm_log,
-    coeff_sub,
     theta_basis_eval,
 )
 from .shift_ops import (

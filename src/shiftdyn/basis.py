@@ -5,8 +5,8 @@ tuples, one index per axis, with axis i holding indices >= offsets[i]; exact
 zeros are never stored.  A single-space vector has one axis and is keyed
 (m,), so its sorted keys order as its indices do; a tensor vector has one
 axis per factor space, keyed by the concatenated indices.  The
-`coeff_*` algebra (sum, difference, inner product, norm) treats every
-vector alike, and each result is rebuilt with its input's own offsets.
+inner product and norm (`coeff_inner`, `coeff_norm_log`) treat every vector
+alike; the builders assemble sums as unions of disjoint supports.
 Inner products are taken in coefficient (Parseval) space.  Pointwise
 evaluation of one basis function is provided for the monomial basis
 z^n/sqrt(n!) and for the theta-lattice basis, both computed termwise in the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import lt
 from typing import Mapping
 
@@ -30,7 +30,6 @@ from .numerics import (
     lc_add,
     lc_conj,
     lc_mul,
-    lc_neg,
     lc_parse,
     wrap_phase,
 )
@@ -94,34 +93,10 @@ def _offset_names(n_axes: int) -> tuple[str, ...]:
     return ("p",) if n_axes == 1 else tuple(f"p{i}" for i in range(1, n_axes + 1))
 
 
-def _check_same_space(u, v) -> None:
-    if u is not v and u.offsets != v.offsets:
-        raise OffsetMismatch(f"offsets differ: {u.offsets} vs {v.offsets}")
-
-
-def coeff_add(u, v):
-    _check_same_space(u, v)
-    out = dict(u.entries)
-    for key, c in v.entries.items():
-        s = lc_add(out[key], c) if key in out else c
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return replace(u, entries=out)
-
-
-def coeff_neg(u):
-    return replace(u, entries={key: lc_neg(c) for key, c in u.entries.items()})
-
-
-def coeff_sub(u, v):
-    return coeff_add(u, coeff_neg(v))
-
-
 def coeff_inner(u, v) -> LogComplex:
     """<u, v> = sum u_key * conj(v_key) over shared keys, linear on the left."""
-    _check_same_space(u, v)
+    if u is not v and u.offsets != v.offsets:
+        raise OffsetMismatch(f"offsets differ: {u.offsets} vs {v.offsets}")
     acc = LC_ZERO
     for key in sorted(set(u.entries) & set(v.entries)):
         acc = lc_add(acc, lc_mul(u.entries[key], lc_conj(v.entries[key])))

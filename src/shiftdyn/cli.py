@@ -40,8 +40,7 @@ from .basis import (
     CoeffVector,
     bargmann_basis_eval,
     coeff_inner,
-    coeff_norm_log,
-    coeff_sub,
+    norm_log,
     theta_basis_eval,
 )
 from .criteria import salas_scan, tensor_salas_scan
@@ -278,12 +277,6 @@ def _pair_operator(args) -> ShiftOperator:
     return op
 
 
-def _targets(payload) -> list[CoeffVector]:
-    """Hypercyclic targets: {"targets": [vector, ...]} or the bare list."""
-    vectors = payload["targets"] if isinstance(payload, dict) else payload
-    return [CoeffVector.from_json_dict(v) for v in vectors]
-
-
 def _rank_one_json(a: CoeffVector, b: CoeffVector) -> dict:
     """The dense rectangle g = a (x) b of a builder's two factors (each holds its axis's offset), as
     its `CoeffVector.to_json_dict()` reads, formed row by row: entry (m, n) is
@@ -388,7 +381,7 @@ def _cmd_periodic(args):
 
 def _cmd_hypercyclic(args):
     op = _operator(args.op, bargmann_backward_shift)
-    targets = _read(args.targets, _targets)
+    targets = _read(args.targets, lambda obj: [CoeffVector.from_json_dict(v) for v in obj["targets"]])
     psi, schedule, errors = hypercyclic_vector_build(op, targets, args.eps)
     replay = list(zip(schedule, errors))
     result = {"eps": args.eps, "schedule": schedule, "replay_error_logs": replay, "psi": psi.to_json_dict()}
@@ -431,8 +424,9 @@ def _cmd_density_probe(args):
         errs = []
         for mult in (1, 2, 4):
             q = q0 * mult
-            x = periodic_from_target(op, y, q, args.tail)
-            err = coeff_norm_log(coeff_sub(x, y))
+            x = periodic_from_target(op, y, q, args.tail).entries
+            # x is y and its pushed terms on disjoint keys, so x - y is x without y's keys
+            err = norm_log(x[key].logmag for key in sorted(x.keys() - y.entries.keys()))
             errs.append([q, err])
             rows.append((s, q, err))
         samples.append({"target": y.to_json_dict(), "q_and_error_log": errs})

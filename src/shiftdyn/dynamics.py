@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add, getitem
 
-from .basis import CoeffVector, coeff_add, coeff_norm_log, coeff_sub, norm_log
+from .basis import CoeffVector, coeff_norm_log, norm_log
 from .errors import (
+    OffsetMismatch,
     OverflowNotRepresentable,
     QTooSmall,
     ScheduleOverflow,
@@ -46,7 +47,9 @@ from .numerics import (
     NEG_INF,
     LogComplex,
     int_parse,
+    lc_add,
     lc_from_complex,
+    lc_neg,
     log_add_exp,
     log_sum_exp,
     wrap_phase,
@@ -57,6 +60,7 @@ from .weights import WeightSequence
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
 _EIGEN_BAND_MARGIN = 1  # an eigenvector certifies the residual band of T^1
 _SERIES_TERMS_CAP = 10_000  # terms of a periodic approximant
+_SCHEDULE_CAP = 100_000  # schedule times of a hypercyclic vector
 EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
 
 
@@ -341,29 +345,34 @@ def periodic_from_target(
     Requires T^q y = 0 exactly, i.e. q >= nilpotence_index(op, y).  Terms are
     added (always at least the r = 1 correction) until the last retained
     term's norm is at or below tail_tol_log; by telescoping, T^q x - x is
-    exactly minus that last term.
+    exactly minus that last term.  x is the union of y and the terms, which
+    that gap puts on disjoint supports; one `_Pullback` pushes y up q at a
+    time, with `apply_power`'s bits and errors, so R terms read R q |y| span terms.
     """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("periodic points are built for the backward operator")
     _check_tail_tol(tail_tol_log)
-    if y.is_zero:
-        return y
+    q = int_parse(q, "q")
+    if q < 1:
+        raise ValidationError(f"q must be >= 1, got {q}")
     nil = nilpotence_index(op, y)
     if q < nil:
         raise QTooSmall(f"q must exceed max(support) - p = {nil - 1}, got {q}")
-    s_op = right_inverse(op)
-    x = y
+    if y.offsets != op.offsets:
+        raise OffsetMismatch(f"vector offsets {y.offsets} do not match operator offsets {op.offsets}")
+    pullback = _Pullback(right_inverse(op), y, None)
+    entries = dict(y.entries)
     for r in range(1, _SERIES_TERMS_CAP + 1):
-        term = apply_power(s_op, y, q * r)
-        x = coeff_add(x, term)
+        term = pullback.push(q * r)
+        entries.update(term.entries)
         if coeff_norm_log(term) <= tail_tol_log:
-            return x
+            return CoeffVector(y.offsets, entries)
     raise TailNotCertifiable(f"series did not reach tail_tol_log within {_SERIES_TERMS_CAP} terms")
 
 
 class _Pullback:
-    """log ||S^g y|| for one target y and a growing gap g, S the right inverse: `coeff_norm_log` of
-    `apply_power(S, y, g)`, with the same bits and errors.
+    """S^g y and log ||S^g y|| for one target y and a growing gap g, S the right inverse:
+    `apply_power(S, y, g)` and `coeff_norm_log` of it, with the same bits and errors.
 
     Each axis index m keeps its span of the weights at m + 1 .. m + g running,
     so a larger g adds only the new weights, one at a time in ascending order.
@@ -377,7 +386,8 @@ class _Pullback:
         self.sums = [dict.fromkeys(sorted({key[i] for key in y.entries}), 0.0) for i in range(len(y.offsets))]
         self.rows = [(key, c.logmag) for key, c in sorted(y.entries.items())]
 
-    def norm_log(self, g: int) -> float:
+    def logmags(self, g: int):
+        """The log-magnitudes of S^g y in key order."""
         nearer = self.nearer
         if nearer is not None and nearer.g > self.g:
             self.g, self.sums = nearer.g, [dict(sums) for sums in nearer.sums]
@@ -395,14 +405,27 @@ class _Pullback:
                 raise
             self.g = g
         sums = self.sums
-        return norm_log(c - reduce(add, map(getitem, sums, key)) for key, c in self.rows)  # apply_power's c + (-s1 + -s2)
+        return (c - reduce(add, map(getitem, sums, key)) for key, c in self.rows)  # apply_power's c + (-s1 + -s2)
+
+    def norm_log(self, g: int) -> float:
+        return norm_log(self.logmags(g))
+
+    def push(self, g: int) -> CoeffVector:
+        """S^g y."""
+        y = self.y
+        pushed = {tuple(m + g for m in key): LogComplex(c, y.entries[key].phase)
+                  for (key, _), c in zip(self.rows, self.logmags(g))}
+        try:
+            return CoeffVector(y.offsets, pushed)
+        except ShiftDynError:  # a log-magnitude outside the float range
+            apply_power(self.s_op, y, g)  # raises its error, naming the key
+            raise
 
 
 def hypercyclic_vector_build(
     op: ShiftOperator,
     targets: list[CoeffVector],
     eps: float,
-    n_cap: int = 100_000,
 ) -> tuple[CoeffVector, list[int], list[float]]:
     """A vector whose orbit visits every target within eps, with schedule and replay errors, over
     one axis or two.
@@ -448,9 +471,9 @@ def hypercyclic_vector_build(
             nearer = _Pullback(s_op, y, nearer)
             pullbacks.append((t, nearer))
         while True:
-            if n > n_cap:
+            if n > _SCHEDULE_CAP:
                 raise ScheduleOverflow(
-                    f"schedule time exceeded {n_cap}; weights grow too slowly for eps={eps}"
+                    f"schedule time exceeded {_SCHEDULE_CAP}; weights grow too slowly for eps={eps}"
                 )
             probed = []
             for t, pullback in pullbacks:
@@ -468,7 +491,8 @@ def hypercyclic_vector_build(
     psi = CoeffVector(op.offsets, {key: c for block in blocks for key, c in block.entries.items()})
     replay = []
     for j, (n, y, block) in enumerate(zip(schedule, targets, blocks)):
-        own = coeff_sub(apply_power(op, block, n), y).entries
+        back = apply_power(op, block, n).entries  # on y's keys: T^n S^n y
+        own = (lc_add(back[key], lc_neg(c)).logmag for key, c in sorted(y.entries.items()))
         later = (row[j] for row in masses[j + 1:] if row)
-        replay.append(norm_log(itertools.chain((own[key].logmag for key in sorted(own)), later)))
+        replay.append(norm_log(itertools.chain(own, later)))
     return psi, schedule, replay

@@ -354,6 +354,10 @@ class TableWeights(WeightSequence):
     offset_p: int = field(default=0, init=False)
     _error = TableRangeError
 
+    def __post_init__(self):
+        # the first index of the domain: an integer of magnitude below 2**53, kept as an int
+        object.__setattr__(self, "start", int_parse(self.start, "start"))
+
     @classmethod
     def from_weights(cls, weights, start: int = 1) -> "TableWeights":
         if not isinstance(weights, Iterable):
@@ -401,5 +405,5 @@ def weight_sequence_from_json(obj: dict) -> WeightSequence:
     if family == "block_pattern":
         return BlockPatternWeights(role=obj.get("role", "omega"))
     if family == "table":
-        return TableWeights.from_weights(obj["table"], start=int_parse(obj.get("start", 1), "start"))
+        return TableWeights.from_weights(obj["table"], start=obj.get("start", 1))
     raise ValidationError(f"unknown weight family {family!r}")

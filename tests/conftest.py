@@ -4,9 +4,11 @@ The references are independent of the code under test where they can be:
 stepping an orbit one `apply_power(op, v, 1)` at a time, the dense outer
 product of two factors, the dense residual band and the entrywise residual of
 an eigenvector, the adjoint pairing, the hypercyclic schedule search with
-every probe built by `apply_power`, and the full float replay of a
-hypercyclic vector.
-`factors(op)` splits an operator into its one-axis operators.
+every probe built by `apply_power`, the full float replay of a hypercyclic
+vector, and the periodic approximant with every term built by `apply_power`.
+`coeff_add`, `coeff_neg` and `coeff_sub` are the general entrywise vector
+algebra, which the package does without (its sums are unions of disjoint
+supports).  `factors(op)` splits an operator into its one-axis operators.
 """
 
 from __future__ import annotations
@@ -20,23 +22,46 @@ from shiftdyn import (
     CoeffVector,
     Direction,
     LogComplex,
+    OffsetMismatch,
     ScheduleOverflow,
     ShiftOperator,
+    TailNotCertifiable,
     apply_power,
-    coeff_add,
     coeff_inner,
     coeff_norm_log,
-    coeff_sub,
     lc_add,
     lc_from_complex,
     lc_mul,
     lc_neg,
     right_inverse,
 )
+from shiftdyn.dynamics import _SERIES_TERMS_CAP
 from shiftdyn.numerics import log_sum_exp, wrap_phase
 from shiftdyn.shift_ops import nilpotence_index
 
 NEG_INF = float("-inf")
+
+
+def coeff_add(u: CoeffVector, v: CoeffVector) -> CoeffVector:
+    """u + v, key by key with `lc_add`; a sum that cancels to the exact zero is dropped."""
+    if u.offsets != v.offsets:
+        raise OffsetMismatch(f"offsets differ: {u.offsets} vs {v.offsets}")
+    out = dict(u.entries)
+    for key, c in v.entries.items():
+        s = lc_add(out[key], c) if key in out else c
+        if s.is_zero:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return replace(u, entries=out)
+
+
+def coeff_neg(u: CoeffVector) -> CoeffVector:
+    return replace(u, entries={key: lc_neg(c) for key, c in u.entries.items()})
+
+
+def coeff_sub(u: CoeffVector, v: CoeffVector) -> CoeffVector:
+    return coeff_add(u, coeff_neg(v))
 
 
 def rand_lc(rng: random.Random, logmag_lo=-3.0, logmag_hi=3.0) -> LogComplex:
@@ -177,3 +202,16 @@ def hypercyclic_reference(op, targets, eps: float, n_cap: int = 100_000, probes:
 def replay_reference(op, psi: CoeffVector, schedule: list[int], targets) -> list[float]:
     """log ||T^n psi - y|| for each scheduled (n, y), each power applied to the whole of psi."""
     return [coeff_norm_log(coeff_sub(apply_power(op, psi, n), y)) for n, y in zip(schedule, targets)]
+
+
+def periodic_reference(op, y: CoeffVector, q: int, tail_tol_log: float) -> CoeffVector:
+    """`periodic_from_target` for a nonzero y and a valid q, each term `apply_power(S, y, q r)` built
+    from scratch and added with `coeff_add`."""
+    s_op = right_inverse(op)
+    x = y
+    for r in range(1, _SERIES_TERMS_CAP + 1):
+        term = apply_power(s_op, y, q * r)
+        x = coeff_add(x, term)
+        if coeff_norm_log(term) <= tail_tol_log:
+            return x
+    raise TailNotCertifiable(f"series did not reach tail_tol_log within {_SERIES_TERMS_CAP} terms")

@@ -21,7 +21,6 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     coeff_norm_log,
-    coeff_sub,
     default_tensor_shift,
     eigenvector_build,
     hypercyclic_vector_build,
@@ -42,7 +41,8 @@ from shiftdyn.cli import main
 from shiftdyn.numerics import LogComplex
 
 from conftest import (
-    adjoint_pairing_gap_log, band_residual_log, factors, orbit, rand_coeff_vector, rand_tensor_vector, tensor_of,
+    adjoint_pairing_gap_log, band_residual_log, coeff_sub, factors, orbit, rand_coeff_vector, rand_tensor_vector,
+    tensor_of,
 )
 
 LN2 = math.log(2.0)

@@ -32,6 +32,7 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     coeff_inner,
+    coeff_norm_log,
     default_tensor_shift,
     eigenvector_build,
     periodic_point_from_eigen,
@@ -45,7 +46,7 @@ import shiftdyn.dynamics as dynamics
 from shiftdyn.cli import _csv_text, _dump_json, _join_dash_values, _Reprs, build_parser, main
 from shiftdyn.numerics import lc_to_json
 
-from conftest import tensor_of
+from conftest import coeff_sub, periodic_reference, tensor_of
 
 
 def write_json(path, obj):
@@ -373,6 +374,7 @@ def test_tensor_density_probe_errors_fall_as_q_doubles(tmp_path):
         assert [q for q, _ in sample["q_and_error_log"]] == [q0, 2 * q0, 4 * q0]
         errs = [e for _, e in sample["q_and_error_log"]]
         assert errs[0] > errs[1] > errs[2]
+    _assert_reference_errors(shift_operator_from_json(_PAIR_SPEC), json.loads(out.read_text()))
 
 
 def test_op_commands_take_a_tensor_operator_file(tmp_path, theta_op_spec, bargmann_op_spec):
@@ -455,6 +457,15 @@ def test_counterexample_high_threshold(tmp_path):
     assert result["product"]["verdict"] == "bounded_above_by"
 
 
+def _assert_reference_errors(op, result: dict) -> None:
+    # each written error is ||x - y|| of the approximant built term by term and added with coeff_add
+    for sample in result["samples"]:
+        y = CoeffVector.from_json_dict(sample["target"])
+        for q, err in sample["q_and_error_log"]:
+            x = periodic_reference(op, y, q, result["tail_tol_log"])
+            assert err.hex() == coeff_norm_log(coeff_sub(x, y)).hex()
+
+
 def test_density_probe(tmp_path):
     out = tmp_path / "probe.json"
     rc = main(["density-probe", "--count", "3", "--seed", "7", "--tail", "-40", "--out", str(out)])
@@ -465,6 +476,7 @@ def test_density_probe(tmp_path):
     for sample in result["samples"]:
         errs = [e for _, e in sample["q_and_error_log"]]
         assert errs[0] > errs[1] > errs[2]
+    _assert_reference_errors(bargmann_backward_shift(0), result)
 
 
 def test_density_probe_needs_a_sample(tmp_path, capsys):
@@ -731,6 +743,8 @@ _NOT_NUMBER_IDS = {param.id for param in _NOT_NUMBERS}
         pytest.param(_OP_APPLY, {"{v}": [[1, 0.0, 0.0]]}, id="vector-is-a-list"),
         pytest.param(["hypercyclic", "--targets", "{v}"], {"{v}": {"targets": 5}},
                      id="targets-not-a-list"),
+        pytest.param(["hypercyclic", "--targets", "{v}"], {"{v}": [{"p": 0, "entries": [[0, 0.0, 0.0]]}]},
+                     id="targets-bare-list"),
         pytest.param(["op", "apply", "--op", "{dir}", "--vec", "{v}"], _vec(),
                      id="operator-is-a-directory"),
         pytest.param(_OP_APPLY, _vec([3, math.nan, 0.0]), id="nan-logmag"),
@@ -815,7 +829,7 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, request, theta_op_spec, 
     assert err.startswith("shiftdyn:")
     assert "Traceback" not in err
     assert not out.exists()
-    if request.node.callspec.id in _NOT_NUMBER_IDS:
+    if request.node.callspec.id in _NOT_NUMBER_IDS | {"targets-bare-list"}:
         assert f"{paths['{v}']}: " in err
 
 

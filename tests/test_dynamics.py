@@ -23,11 +23,11 @@ from shiftdyn import (
     TailNotCertifiable,
     ThetaParams,
     ValidationError,
+    WeightSequence,
     apply_power,
     bargmann_backward_shift,
     bargmann_basis_eval,
     coeff_norm_log,
-    coeff_sub,
     default_tensor_shift,
     eigenvector_build,
     hypercyclic_vector_build,
@@ -45,15 +45,18 @@ from shiftdyn import (
 )
 
 import shiftdyn.dynamics as dynamics
+from shiftdyn.basis import norm_log
 from shiftdyn.dynamics import EIGEN_SERIES_STEPS
 from shiftdyn.shift_ops import nilpotence_index
 
 from conftest import (
     NEG_INF,
     band_residual_log,
+    coeff_sub,
     hypercyclic_reference,
     numeric_residual_log,
     orbit,
+    periodic_reference,
     rand_coeff_vector,
     rand_tensor_vector,
     replay_reference,
@@ -382,6 +385,60 @@ def test_periodic_from_target_q_too_small():
         periodic_from_target(op, y, 5, -40.0)
 
 
+def test_periodic_order_is_an_integer_of_at_least_1():
+    op = bargmann_backward_shift(0)
+    for y in (CoeffVector.unit((2,), (0,)), CoeffVector((0,))):
+        for q in (2.5, math.nan, math.inf, True, "3"):
+            with pytest.raises(ValidationError, match=r"q must be an integer of magnitude below 2\*\*53"):
+                periodic_from_target(op, y, q, -40.0)
+        for q in (0, -3):
+            with pytest.raises(ValidationError, match="q must be >= 1"):
+                periodic_from_target(op, y, q, -40.0)
+    y = CoeffVector.unit((2,), (0,))
+    assert periodic_from_target(op, y, 3.0, -40.0) == periodic_from_target(op, y, 3, -40.0)
+
+
+def test_periodic_terms_continue_the_previous_terms_spans(monkeypatch):
+    # term r reads the q weights above term r - 1's spans, so R terms read R q |y| span terms;
+    # building each term from scratch read q r |y| for term r, 6,177,672 in all here
+    op = theta_backward_shift(3.0, -3000.0, 0)
+    y = CoeffVector((0,), {(m,): LogComplex(0.0, 0.0) for m in (0, 3, 5)})
+    reads = []
+    span_terms = WeightSequence.span_terms
+
+    def counted(self, lo, hi):
+        terms = span_terms(self, lo, hi)
+        reads.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(WeightSequence, "span_terms", counted)
+    x = periodic_from_target(op, y, 8, -40.0)
+    terms = (len(x.entries) - len(y.entries)) // len(y.entries)
+    assert terms == 717
+    assert sum(reads) == terms * 8 * len(y.entries) == 17_208
+
+
+@pytest.mark.parametrize(
+    "logmag, alpha, message",
+    [
+        # S y is e^(4e307) e_1, and the span of S^2 passes the lowest float at its second weight
+        (-5e307, -4.5e307, r"span 1\.\.2 overflows the float range at index 2"),
+        (1e308, -5e307, r"coefficient at \(1,\) has log-magnitude inf"),
+        (-1e308, 5e307, r"coefficient at \(1,\) has log-magnitude -inf"),
+    ],
+    ids=["span", "entry above", "entry below"],
+)
+def test_a_pushed_term_out_of_float_range_raises_the_apply_power_error(logmag, alpha, message):
+    # log w(m) = 1 + 2 alpha + 2 (m - 1) for theta(pi, alpha, 0)
+    op = theta_backward_shift(math.pi, alpha, 0)
+    y = CoeffVector((0,), {(0,): LogComplex(logmag, 0.5)})
+    with pytest.raises(OverflowNotRepresentable, match=message) as want:
+        periodic_reference(op, y, 1, -40.0)
+    with pytest.raises(OverflowNotRepresentable) as got:
+        periodic_from_target(op, y, 1, -40.0)
+    assert str(got.value) == str(want.value)
+
+
 def test_hypercyclic_single_target_exact():
     op = bargmann_backward_shift(0)
     y = CoeffVector.unit((0,), (0,))
@@ -470,7 +527,9 @@ def test_a_pullback_has_the_bits_of_the_power_it_stands_for(op):
                        (0, True), (1, False), (13, True), (5, False), (90, True)):
         g += step
         for pullback, gap in ((nearer, g), (farther, g + 9))[: 1 + both]:
-            assert pullback.norm_log(gap).hex() == coeff_norm_log(apply_power(s_op, y, gap)).hex(), gap
+            power = apply_power(s_op, y, gap)
+            assert pullback.norm_log(gap).hex() == coeff_norm_log(power).hex(), gap
+            assert _entry_bits(pullback.push(gap)) == _entry_bits(power), gap
 
 
 def _entry_bits(v: CoeffVector) -> dict:
@@ -546,6 +605,22 @@ _REPLAY_OPS = {
     "two axes": tensor_operator(theta_backward_shift(3.0, 0.1, 1), bargmann_backward_shift(2)),
     "default pair": default_tensor_shift(0),
 }
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_REPLAY_OPS)), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from([-20.0, -40.0, -60.0]), st.randoms(use_true_random=False))
+def test_periodic_approximant_is_the_reference_sum_bit_for_bit(name, size, extra, tail, rng):
+    # q >= the nilpotence index puts y and its pushed terms on disjoint supports, so their union is
+    # the coeff_add chain, and x - y is x without y's keys, as density-probe computes it
+    op = _REPLAY_OPS[name]
+    y = _target(rng, op.offsets, size)
+    q = nilpotence_index(op, y) + extra
+    x = periodic_from_target(op, y, q, tail)
+    want = periodic_reference(op, y, q, tail)
+    assert x.offsets == want.offsets and _entry_bits(x) == _entry_bits(want)
+    error = norm_log(x.entries[key].logmag for key in sorted(x.entries.keys() - y.entries.keys()))
+    assert error.hex() == coeff_norm_log(coeff_sub(x, y)).hex()
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -628,11 +703,12 @@ def test_a_span_that_overflows_mid_search_raises_the_reference_error():
     assert str(got.value) == str(want.value)
 
 
-def test_hypercyclic_schedule_overflow_on_flat_weights():
+def test_hypercyclic_schedule_overflow_on_flat_weights(monkeypatch):
     flat = ShiftOperator((TableWeights.from_weights([1.0] * 300),))
     targets = [CoeffVector.unit((0,), (0,)), CoeffVector.unit((1,), (0,))]
-    with pytest.raises(ScheduleOverflow):
-        hypercyclic_vector_build(flat, targets, 1e-6, n_cap=100)
+    monkeypatch.setattr(dynamics, "_SCHEDULE_CAP", 100)
+    with pytest.raises(ScheduleOverflow, match="exceeded 100;"):
+        hypercyclic_vector_build(flat, targets, 1e-6)
 
 
 def test_hypercyclic_validations():
@@ -706,8 +782,9 @@ def test_non_finite_parameters_rejected_where_taken_in(name, call):
         lambda n: bargmann_basis_eval(n, 2.0 + 1.0j),
         lambda n: theta_basis_eval(n, 0.5 + 0.0j, ThetaParams(nu=math.pi)),
         lambda n: periodic_point_from_eigen(default_tensor_shift(), n, -40.0),
+        lambda n: periodic_from_target(bargmann_backward_shift(0), CoeffVector.unit((2,), (0,)), n, -40.0),
     ],
-    ids=["bargmann basis", "theta basis", "periodic point"],
+    ids=["bargmann basis", "theta basis", "periodic point", "periodic approximant"],
 )
 def test_integers_beyond_float_range_rejected_where_taken_in(call):
     # each turns its integer into a float, which holds every integer only below 2**53

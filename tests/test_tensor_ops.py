@@ -16,10 +16,8 @@ from shiftdyn import (
     ValidationError,
     apply_power,
     bargmann_backward_shift,
-    coeff_add,
     coeff_inner,
     coeff_norm_log,
-    coeff_sub,
     lc_from_complex,
     lc_mul,
     right_inverse,
@@ -29,8 +27,8 @@ from shiftdyn import (
 )
 
 from conftest import (
-    adjoint_forward, adjoint_pairing_gap_log, factors, rand_coeff_vector, rand_tensor_vector, rel_gap_log,
-    tensor_of,
+    adjoint_forward, adjoint_pairing_gap_log, coeff_add, coeff_sub, factors, rand_coeff_vector, rand_tensor_vector,
+    rel_gap_log, tensor_of,
 )
 
 _THETA = {"family": "theta_composite", "nu": math.pi, "alpha": 0.0}

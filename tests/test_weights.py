@@ -234,6 +234,16 @@ def test_table_weights():
         TableWeights.from_weights([1.0, -2.0])
 
 
+def test_a_table_start_follows_the_index_rule():
+    # the first index of the domain [start, start + len), checked where the library takes it in
+    for bad in (math.nan, math.inf, 2.5, True, 2**53, "1"):
+        for make in (lambda: TableWeights.from_weights([1.0], start=bad), lambda: TableWeights((0.0,), bad)):
+            with pytest.raises(ValidationError, match=r"start must be an integer of magnitude below 2\*\*53"):
+                make()
+    t = TableWeights.from_weights([1.0], start=2.0)
+    assert type(t.start) is int and (t.first, t.end) == (2, 3) and t.log_weight(2) == 0.0
+
+
 def test_scan_start_per_family():
     assert ThetaRawWeights(ThetaParams(nu=1.0)).scan_start == 1
     assert ThetaActionWeights(ThetaParams(nu=1.0, p=2)).scan_start == 3
