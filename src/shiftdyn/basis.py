@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from operator import lt
-from typing import Mapping
 
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import (
@@ -33,19 +32,20 @@ from .numerics import (
     lc_parse,
     wrap_phase,
 )
+from .value import Value
 from .weights import ThetaParams
 
 
-@dataclass(slots=True)
-class CoeffVector:
+class CoeffVector(Value):
     """Finite-support coefficient vector over index tuples key >= offsets, axis by axis."""
 
-    offsets: tuple[int, ...] = (0,)
-    entries: dict[tuple[int, ...], LogComplex] = field(default_factory=dict)
+    __slots__ = _fields = ("offsets", "entries")
 
-    def __post_init__(self):
-        offsets = self.offsets
-        for key, c in self.entries.items():
+    def __init__(self, offsets: tuple[int, ...] = (0,),
+                 entries: dict[tuple[int, ...], LogComplex] | None = None):  # None: a new empty dict
+        self.offsets = offsets
+        self.entries = entries = {} if entries is None else entries
+        for key, c in entries.items():
             if len(key) != len(offsets):
                 raise ValidationError(f"index {key} has {len(key)} axes, the vector {len(offsets)}")
             if any(map(lt, key, offsets)):

@@ -23,7 +23,6 @@ import argparse
 import contextlib
 import itertools
 import json
-import logging
 import math
 import os
 import random
@@ -31,7 +30,6 @@ import re
 import sys
 import time
 from collections.abc import Iterable
-from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -71,19 +69,25 @@ from .weights import (
     weight_sequence_from_json,
 )
 
-log = logging.getLogger("shiftdyn")
-
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERIC = 3
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("SHIFTDYN_LOG_LEVEL", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        raise ValidationError(f"SHIFTDYN_LOG_LEVEL must be one of {sorted(levels)}")
-    logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(levelname)s %(message)s")
+def _info_enabled() -> bool:
+    """Whether SHIFTDYN_LOG_LEVEL asks for a stderr line per result written: info and debug do, error
+    (the default) does not; any other value is a ValidationError."""
+    level = os.environ.get("SHIFTDYN_LOG_LEVEL", "error").lower()
+    if level not in ("error", "info", "debug"):
+        raise ValidationError("SHIFTDYN_LOG_LEVEL must be one of ['debug', 'error', 'info']")
+    return level != "error"
+
+
+def _utc_now() -> str:
+    """The current UTC time in ISO 8601, as `datetime.now(timezone.utc).isoformat()` writes it."""
+    us = time.time_ns() // 1000
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(us // 1_000_000))
+    return f"{stamp}.{us % 1_000_000:06d}+00:00" if us % 1_000_000 else f"{stamp}+00:00"
 
 
 def _read(path: str, parse):
@@ -202,7 +206,7 @@ def _manifest(args) -> dict:
         "config": config,
         "seed": getattr(args, "seed", 0),
         "version": __version__,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+        "timestamp_utc": _utc_now(),
         "wall_time_s": time.monotonic() - args._t0,
     }
 
@@ -235,7 +239,8 @@ def _emit(args, result: dict | str, series: tuple[list[str], Iterable] | None) -
             with contextlib.suppress(OSError):
                 path.unlink()
         raise
-    log.info("wrote %s", out)
+    if args._info:
+        print(f"INFO wrote {out}", file=sys.stderr)
 
 
 def _parse_complex(text: str) -> complex:
@@ -537,13 +542,13 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _setup_logging()
+        info = _info_enabled()
         try:
             argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
             args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:  # --help, --version, or a usage error already printed
             return exc.code if isinstance(exc.code, int) else _EXIT_VALIDATION
-        args._t0 = time.monotonic()
+        args._t0, args._info = time.monotonic(), info
         _emit(args, *args.func(args))
         return _EXIT_OK
     except ValidationError as exc:

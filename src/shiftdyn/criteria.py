@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import OverflowNotRepresentable, ValidationError
+from .value import Value
 from .weights import WeightSequence, check_index_count
 
 
@@ -32,16 +32,29 @@ _FINITE_HORIZON_NOTE = (
 )
 
 
-@dataclass(slots=True)
-class CriterionReport:
-    partial_log_products: np.ndarray
-    sup_attained: float
-    verdict: Verdict
-    bound: float | None
-    horizon_n: int
-    threshold: float
-    scan_start: int
-    note: str = _FINITE_HORIZON_NOTE
+class CriterionReport(Value):
+    __slots__ = _fields = (
+        "partial_log_products", "sup_attained", "verdict", "bound", "horizon_n", "threshold", "scan_start", "note")
+
+    def __init__(
+        self,
+        partial_log_products: np.ndarray,
+        sup_attained: float,
+        verdict: Verdict,
+        bound: float | None,
+        horizon_n: int,
+        threshold: float,
+        scan_start: int,
+        note: str = _FINITE_HORIZON_NOTE,
+    ):
+        self.partial_log_products = partial_log_products
+        self.sup_attained = sup_attained
+        self.verdict = verdict
+        self.bound = bound
+        self.horizon_n = horizon_n
+        self.threshold = threshold
+        self.scan_start = scan_start
+        self.note = note
 
     def to_json_dict(self, include_series: bool = True) -> dict:
         out = {

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, getitem
 
@@ -55,6 +54,7 @@ from .numerics import (
     wrap_phase,
 )
 from .shift_ops import Direction, ShiftOperator, apply_power, nilpotence_index, right_inverse
+from .value import Value
 from .weights import WeightSequence
 
 _ENTRY_BUDGET = 400_000  # truncation rectangle entries; lambda = mu = 50 needs 277,360
@@ -64,13 +64,15 @@ _SCHEDULE_CAP = 100_000  # schedule times of a hypercyclic vector
 EIGEN_SERIES_STEPS = 8  # orbit steps of the eigen series
 
 
-@dataclass(slots=True)
-class EigenSpec:
-    lam: complex
-    mu: complex
-    trunc_m: int
-    trunc_n: int
-    tail_log_bound: float
+class EigenSpec(Value):
+    __slots__ = _fields = ("lam", "mu", "trunc_m", "trunc_n", "tail_log_bound")
+
+    def __init__(self, lam: complex, mu: complex, trunc_m: int, trunc_n: int, tail_log_bound: float):
+        self.lam = lam
+        self.mu = mu
+        self.trunc_m = trunc_m
+        self.trunc_n = trunc_n
+        self.tail_log_bound = tail_log_bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,7 +410,10 @@ class _Pullback:
         return (c - reduce(add, map(getitem, sums, key)) for key, c in self.rows)  # apply_power's c + (-s1 + -s2)
 
     def norm_log(self, g: int) -> float:
-        return norm_log(self.logmags(g))
+        logmags = list(self.logmags(g))
+        if not all(map(math.isfinite, logmags)):  # apply_power refuses an entry out of the float range
+            apply_power(self.s_op, self.y, g)  # raises its error, naming the key
+        return norm_log(logmags)
 
     def push(self, g: int) -> CoeffVector:
         """S^g y."""

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-
 from .errors import ValidationError
+from .value import Value
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -43,17 +42,22 @@ def opposite_phase(phi: float) -> float:
     return wrap_phase(phi + _PI)
 
 
-@dataclass(frozen=True, slots=True)
-class LogComplex:
+class LogComplex(Value, frozen=True):
     """A complex scalar as (natural-log magnitude, phase in (-pi, pi])."""
 
-    logmag: float
-    phase: float = 0.0
+    __slots__ = _fields = ("logmag", "phase")
+
+    def __init__(self, logmag: float, phase: float = 0.0):
+        _set_logmag(self, logmag)
+        _set_phase(self, phase)
 
     @property
     def is_zero(self) -> bool:
         return self.logmag == NEG_INF
 
+
+# the slots' own setters: the fastest way past the frozen __setattr__, on the hottest constructor
+_set_logmag, _set_phase = LogComplex.logmag.__set__, LogComplex.phase.__set__
 
 LC_ZERO = LogComplex(NEG_INF, 0.0)
 

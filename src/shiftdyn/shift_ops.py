@@ -29,13 +29,13 @@ spans read.  For the backward direction
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, ge, getitem, sub
 
 from .basis import CoeffVector
 from .errors import OffsetMismatch, OverflowNotRepresentable, ValidationError
 from .numerics import NEG_INF, LogComplex
+from .value import Value
 from .weights import WeightSequence, check_index_count, weight_sequence_from_json
 
 
@@ -45,17 +45,16 @@ class Direction(enum.Enum):
     ADJOINT_FORWARD = "adjoint_forward"
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftOperator:
-    weights: tuple[WeightSequence, ...]  # one per axis: one axis, or the two of a tensor product
-    direction: Direction = Direction.BACKWARD
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+class ShiftOperator(Value, frozen=True):
+    _fields = ("weights", "direction")  # weights: one per axis, one axis or the two of a tensor product
+    __slots__ = (*_fields, "offsets")
 
-    def __post_init__(self):
-        weights = self.weights
+    def __init__(self, weights: tuple[WeightSequence, ...], direction: Direction = Direction.BACKWARD):
         if not (isinstance(weights, tuple) and len(weights) in (1, 2)
                 and all(isinstance(w, WeightSequence) for w in weights)):
             raise ValidationError(f"an operator takes a tuple of one or two weight sequences: {weights!r}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "direction", direction)
         # derived once: every action checks the vector's offsets against these
         object.__setattr__(self, "offsets", tuple(w.offset_p for w in weights))
 
@@ -64,7 +63,7 @@ def right_inverse(op: ShiftOperator) -> ShiftOperator:
     """The right inverse of a backward operator, axis by axis."""
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("right inverse is defined for the backward direction")
-    return replace(op, direction=Direction.RIGHT_INVERSE)
+    return ShiftOperator(op.weights, Direction.RIGHT_INVERSE)
 
 
 def _action_rule(weights: WeightSequence, direction: Direction, k: int):

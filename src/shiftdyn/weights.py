@@ -43,8 +43,9 @@ the table grows over memo indices it takes their floats from the memo.  So
 every operator and direction built over the same weights evaluates each
 weight once, and only where a span reads it.  Table and memo only grow,
 under a lock, are each capped at `MAX_INDICES` entries, and live outside the
-fields: equality, hash and repr do not see them, and copies and pickles
-start empty.
+fields: equality, hash and repr do not see them, and copies and pickles,
+which a family makes by calling its constructor again (`value.Value`), start
+empty.
 
 All weights are strictly positive and handled exclusively through their
 natural logs.  Factorial ratios go through lgamma, never integer factorials
@@ -58,10 +59,10 @@ import math
 import numbers
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .errors import IndexBelowOffset, OverflowNotRepresentable, TableRangeError, ValidationError
 from .numerics import int_parse, real_parse
+from .value import Value
 
 _LN2 = math.log(2.0)
 _INF = math.inf
@@ -77,26 +78,26 @@ def check_index_count(n: int, what: str) -> None:
         raise ValidationError(f"{what} spans {n} indices, above the limit of {MAX_INDICES}")
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaParams:
+class ThetaParams(Value, frozen=True):
     """Parameters of the theta family: nu > 0, real alpha, shift order p."""
 
-    nu: float
-    alpha: float = 0.0
-    p: int = 0
+    __slots__ = _fields = ("nu", "alpha", "p")
 
-    def __post_init__(self):
-        if not (0 < self.nu < math.inf):
-            raise ValidationError(f"invariant violated: nu must be finite and > 0, got {self.nu}")
-        if not math.isfinite(self.alpha):
-            raise ValidationError(f"alpha must be finite, got {self.alpha}")
-        if not math.isfinite(2.0 * math.pi / self.nu):  # the ratio of _theta_log
-            raise ValidationError(f"nu must be such that 2*pi/nu is finite, got {self.nu}")
-        if not math.isfinite(math.pi / self.nu + 2.0 * self.alpha):  # the prefactor of _theta_log
+    def __init__(self, nu: float, alpha: float = 0.0, p: int = 0):
+        if not (0 < nu < math.inf):
+            raise ValidationError(f"invariant violated: nu must be finite and > 0, got {nu}")
+        if not math.isfinite(alpha):
+            raise ValidationError(f"alpha must be finite, got {alpha}")
+        if not math.isfinite(2.0 * math.pi / nu):  # the ratio of _theta_log
+            raise ValidationError(f"nu must be such that 2*pi/nu is finite, got {nu}")
+        if not math.isfinite(math.pi / nu + 2.0 * alpha):  # the prefactor of _theta_log
             raise ValidationError(
-                f"alpha must be such that pi/nu + 2*alpha is finite, got {self.alpha} with nu = {self.nu}")
-        if int_parse(self.p, "p") < 0:  # an order is an index: an integer of magnitude below 2**53
-            raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
+                f"alpha must be such that pi/nu + 2*alpha is finite, got {alpha} with nu = {nu}")
+        if int_parse(p, "p") < 0:  # an order is an index: an integer of magnitude below 2**53
+            raise ValidationError(f"invariant violated: p must be >= 0, got {p}")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "p", p)
 
 
 def _theta_log(params: ThetaParams, p: int, m):
@@ -210,8 +211,8 @@ class WeightSequence:
                     f"{self.family} log-weight span {lo}..{hi} overflows the float range at index {j}")
 
     def __getstate__(self):
-        # the families' dataclass state holds their fields only; any other subclass drops the
-        # span table here, so its copies and pickles start empty too (a lock does not pickle)
+        # the families pickle through their constructors (`Value.__reduce__`); any other subclass
+        # drops the span table here, so its copies and pickles start empty too (a lock does not pickle)
         return {k: v for k, v in self.__dict__.items() if k != "_span_table"}
 
     def log_weights(self, indices: range) -> np.ndarray:
@@ -233,12 +234,14 @@ class WeightSequence:
         return max(1, self.offset_p + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaRawWeights(WeightSequence):
-    params: ThetaParams
-    family: str = field(default="theta_raw", init=False)
-    offset_p: int = field(default=0, init=False)
+class ThetaRawWeights(WeightSequence, Value, frozen=True):
+    __slots__ = _fields = ("params",)
+    _shown = ("family", "offset_p")
+    family = "theta_raw"
     first = 0
+
+    def __init__(self, params: ThetaParams):
+        object.__setattr__(self, "params", params)
 
     def _log(self, m):
         return _theta_log(self.params, 0, m + 1)  # s + r*((m+1) - 1): the bits of s + r*m
@@ -246,10 +249,13 @@ class ThetaRawWeights(WeightSequence):
     _logs = _theta_logs
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaActionWeights(WeightSequence):
-    params: ThetaParams
-    family: str = field(default="theta_composite", init=False)
+class ThetaActionWeights(WeightSequence, Value, frozen=True):
+    __slots__ = _fields = ("params",)
+    _shown = ("family",)
+    family = "theta_composite"
+
+    def __init__(self, params: ThetaParams):
+        object.__setattr__(self, "params", params)
 
     @property
     def offset_p(self) -> int:  # type: ignore[override]
@@ -261,24 +267,25 @@ class ThetaActionWeights(WeightSequence):
     _logs = _theta_logs
 
 
-@dataclass(frozen=True, slots=True)
-class BargmannRawWeights(WeightSequence):
-    family: str = field(default="bargmann_raw", init=False)
-    offset_p: int = field(default=0, init=False)
+class BargmannRawWeights(WeightSequence, Value, frozen=True):
+    __slots__ = ()
+    _shown = ("family", "offset_p")
+    family = "bargmann_raw"
     first = 0
 
     def _log(self, n: int) -> float:
         return 0.5 * math.log(n + 1.0)
 
 
-@dataclass(frozen=True, slots=True)
-class BargmannActionWeights(WeightSequence):
-    p: int = 0
-    family: str = field(default="bargmann_composite", init=False)
+class BargmannActionWeights(WeightSequence, Value, frozen=True):
+    __slots__ = _fields = ("p",)
+    _shown = ("family",)
+    family = "bargmann_composite"
 
-    def __post_init__(self):
-        if int_parse(self.p, "p") < 0:  # the rule of ThetaParams.p
-            raise ValidationError(f"invariant violated: p must be >= 0, got {self.p}")
+    def __init__(self, p: int = 0):
+        if int_parse(p, "p") < 0:  # the rule of ThetaParams.p
+            raise ValidationError(f"invariant violated: p must be >= 0, got {p}")
+        object.__setattr__(self, "p", p)
 
     @property
     def offset_p(self) -> int:  # type: ignore[override]
@@ -308,8 +315,7 @@ def _block_run(i: int) -> int:
     return k + (k * (k + 1) // 2 < i)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPatternWeights(WeightSequence):
+class BlockPatternWeights(WeightSequence, Value, frozen=True):
     """Alternating runs of twos and halves, run k of length k, from i = 1.
 
     The runs start with a single 2: (2 | 1/2 1/2 | 2 2 2 | 1/2 1/2 1/2 1/2 | ...).
@@ -320,13 +326,14 @@ class BlockPatternWeights(WeightSequence):
     identically 1.
     """
 
-    role: str = "omega"
-    family: str = field(default="block_pattern", init=False)
-    offset_p: int = field(default=0, init=False)
+    __slots__ = _fields = ("role",)
+    _shown = ("family", "offset_p")
+    family = "block_pattern"
 
-    def __post_init__(self):
-        if self.role not in ("omega", "varpi"):
-            raise ValidationError(f"unknown block role {self.role!r}")
+    def __init__(self, role: str = "omega"):
+        if role not in ("omega", "varpi"):
+            raise ValidationError(f"unknown block role {role!r}")
+        object.__setattr__(self, "role", role)
 
     def _log(self, i: int) -> float:
         return _LN2 if (_block_run(i) % 2 == 1) == (self.role == "omega") else -_LN2
@@ -344,19 +351,18 @@ class BlockPatternWeights(WeightSequence):
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class TableWeights(WeightSequence):
+class TableWeights(WeightSequence, Value, frozen=True):
     """Explicit finite weight list; queries beyond the table are errors."""
 
-    log_values: tuple[float, ...]
-    start: int = 1
-    family: str = field(default="table", init=False)
-    offset_p: int = field(default=0, init=False)
+    __slots__ = _fields = ("log_values", "start")
+    _shown = ("family", "offset_p")
+    family = "table"
     _error = TableRangeError
 
-    def __post_init__(self):
+    def __init__(self, log_values: tuple[float, ...], start: int = 1):
+        object.__setattr__(self, "log_values", log_values)
         # the first index of the domain: an integer of magnitude below 2**53, kept as an int
-        object.__setattr__(self, "start", int_parse(self.start, "start"))
+        object.__setattr__(self, "start", int_parse(start, "start"))
 
     @classmethod
     def from_weights(cls, weights, start: int = 1) -> "TableWeights":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import replace
 
 from shiftdyn import (
     CoeffVector,
@@ -53,11 +52,11 @@ def coeff_add(u: CoeffVector, v: CoeffVector) -> CoeffVector:
             out.pop(key, None)
         else:
             out[key] = s
-    return replace(u, entries=out)
+    return CoeffVector(u.offsets, out)
 
 
 def coeff_neg(u: CoeffVector) -> CoeffVector:
-    return replace(u, entries={key: lc_neg(c) for key, c in u.entries.items()})
+    return CoeffVector(u.offsets, {key: lc_neg(c) for key, c in u.entries.items()})
 
 
 def coeff_sub(u: CoeffVector, v: CoeffVector) -> CoeffVector:
@@ -157,7 +156,7 @@ def factors(op) -> tuple:
 
 def adjoint_forward(op):
     """The adjoint of a backward operator: the same weights, forward."""
-    return replace(op, direction=Direction.ADJOINT_FORWARD)
+    return ShiftOperator(op.weights, Direction.ADJOINT_FORWARD)
 
 
 def adjoint_pairing_gap_log(op, u: CoeffVector, v: CoeffVector) -> float:

@@ -516,6 +516,31 @@ def test_debug_log_level_accepted(monkeypatch, tmp_path):
     assert main(["weights", "--spec", spec, "--range", "0:3", "--out", str(tmp_path / "w.csv")]) == 0
 
 
+@pytest.mark.parametrize("level, logged", [("info", True), ("DEBUG", True), ("error", False)])
+def test_log_line_and_manifest_timestamp_in_a_fresh_interpreter(tmp_path, level, logged):
+    import datetime
+    import os
+    import subprocess
+
+    import shiftdyn
+
+    src = str(Path(shiftdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               SHIFTDYN_LOG_LEVEL=level)
+    out = tmp_path / "sub" / "c.json"
+    start = datetime.datetime.now(datetime.timezone.utc)
+    proc = subprocess.run([sys.executable, "-m", "shiftdyn.cli", "counterexample", "-N", "10", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    end = datetime.datetime.now(datetime.timezone.utc)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == (f"INFO wrote {out}\n" if logged else "")
+    text = json.loads(out.with_name("c.json.manifest.json").read_text())["timestamp_utc"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", text)
+    stamp = datetime.datetime.fromisoformat(text)
+    assert stamp.utcoffset() == datetime.timedelta(0)
+    assert start <= stamp <= end
+
+
 def test_console_script_entry_point(tmp_path):
     import os
     import subprocess

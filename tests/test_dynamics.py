@@ -703,6 +703,19 @@ def test_a_span_that_overflows_mid_search_raises_the_reference_error():
     assert str(got.value) == str(want.value)
 
 
+def test_a_probe_entry_below_the_float_range_raises_the_reference_error():
+    # log w(m) = (1 + 1e308) + 2 (m - 1): S y for y = e^(-1e308) e_0 has the entry at (1,) at
+    # -1e308 - (1 + 1e308), below the lowest float, while its span stays finite
+    op = theta_backward_shift(math.pi, 5e307, 0)
+    targets = [CoeffVector.unit((0,), (0,)), CoeffVector((0,), {(0,): LogComplex(-1e308, 0.0)})]
+    message = r"the coefficient at \(1,\) has log-magnitude -inf"
+    with pytest.raises(OverflowNotRepresentable, match=message) as want:
+        hypercyclic_reference(op, targets, 1e-6)
+    with pytest.raises(OverflowNotRepresentable) as got:
+        hypercyclic_vector_build(op, targets, 1e-6)
+    assert str(got.value) == str(want.value)
+
+
 def test_hypercyclic_schedule_overflow_on_flat_weights(monkeypatch):
     flat = ShiftOperator((TableWeights.from_weights([1.0] * 300),))
     targets = [CoeffVector.unit((0,), (0,)), CoeffVector.unit((1,), (0,))]

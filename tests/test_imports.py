@@ -1,8 +1,9 @@
 """What the package imports and exports.
 
 numpy is imported only in the two modules that do bulk arithmetic, and only inside the functions
-that do it, so a command that builds no array never loads numpy.  Every exported name is read by
-the package or the benchmark, and README's library tour runs as written.
+that do it, so a command that builds no array never loads numpy.  No module imports `dataclasses`,
+`inspect`, `logging`, `datetime` or `typing`, which cost start-up time and serve no command.  Every
+exported name is read by the package or the benchmark, and README's library tour runs as written.
 """
 
 import ast
@@ -13,24 +14,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shiftdyn
 
 SRC = Path(shiftdyn.__file__).parent
+UNUSED = ["dataclasses", "inspect", "logging", "datetime"]  # modules no command needs loaded
 
 
-def _is_numpy_import(node: ast.AST) -> bool:
+def _imported(node: ast.AST) -> set[str]:
+    """The top-level packages an import statement names; none for any other node or a relative import."""
     if isinstance(node, ast.Import):
-        return any(a.name.split(".")[0] == "numpy" for a in node.names)
-    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy"
+        return {a.name.split(".")[0] for a in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
 
 
-def _numpy_imports(node: ast.AST, in_function: bool = False):
-    """(line, whether inside a function body) of each numpy import under node."""
+def _imports(node: ast.AST, in_function: bool = False):
+    """(package, line, whether inside a function body) of each absolute import under node."""
     for child in ast.iter_child_nodes(node):
-        if _is_numpy_import(child):
-            yield child.lineno, in_function
+        for name in _imported(child):
+            yield name, child.lineno, in_function
         inner = in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _numpy_imports(child, inner)
+        yield from _imports(child, inner)
 
 
 def _trees():
@@ -38,20 +45,28 @@ def _trees():
 
 
 def test_numpy_is_imported_only_by_weights_and_criteria():
-    users = {name for name, tree in _trees().items() if any(_numpy_imports(tree))}
+    users = {name for name, tree in _trees().items() if any(pkg == "numpy" for pkg, *_ in _imports(tree))}
     assert users == {"weights.py", "criteria.py"}
 
 
 def test_no_module_imports_numpy_when_it_is_imported():
     # an import in a class body or under a module-level `if` runs at import time too
     at_import = [(name, line) for name, tree in _trees().items()
-                 for line, in_function in _numpy_imports(tree) if not in_function]
+                 for pkg, line, in_function in _imports(tree) if pkg == "numpy" and not in_function]
     assert at_import == []
+
+
+def test_no_module_imports_what_no_command_needs():
+    # typing too: site may preload it, so only this check keeps it out of the import path
+    found = [(name, pkg, line) for name, tree in _trees().items()
+             for pkg, line, _ in _imports(tree) if pkg in [*UNUSED, "typing"]]
+    assert found == []
 
 
 _RUN_COMMANDS = """
 import json, sys
 from pathlib import Path
+preloaded = set(sys.modules)
 from shiftdyn.cli import main
 
 d = Path(sys.argv[1])
@@ -80,21 +95,34 @@ commands = [
 ]
 for i, argv in enumerate(commands):
     assert main([*argv, "--out", str(d / f"out{i}.json")]) == 0, argv
-loaded = "numpy" in sys.modules
+loaded = sorted(set(sys.modules) - preloaded)
 assert main(["criterion", "--weights", spec, "-N", "10", "--out", str(d / "c.json")]) == 0
-print(json.dumps([loaded, "numpy" in sys.modules]))
+print(json.dumps([loaded, sorted(set(sys.modules) - preloaded)]))
 """
 
 
-def test_commands_that_build_no_array_never_load_numpy(tmp_path):
-    # a fresh interpreter: the test process itself has numpy loaded
+@pytest.fixture(scope="module")
+def newly_loaded(tmp_path_factory):
+    """The modules a fresh interpreter loads for `import shiftdyn.cli` and every command that builds
+    no array, then for those and one Salas scan."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, str(tmp_path)], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, str(tmp_path_factory.mktemp("run"))],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout)
-    assert not before
-    assert after  # the control: a Salas scan loads numpy
+    return json.loads(proc.stdout)
+
+
+def test_commands_that_build_no_array_never_load_numpy(newly_loaded):
+    # a fresh interpreter: the test process itself has numpy loaded
+    before, after = newly_loaded
+    assert "numpy" not in before
+    assert "numpy" in after  # the control: a Salas scan loads numpy
+
+
+def test_commands_that_build_no_array_load_nothing_they_do_not_use(newly_loaded):
+    before, _ = newly_loaded
+    assert "shiftdyn.cli" in before  # the control: the import came after the snapshot
+    assert [name for name in UNUSED if name in before] == []
 
 
 def _reads(tree: ast.AST, skip: str = ""):
