@@ -34,7 +34,7 @@ from .shift_ops import (
     Direction,
     ShiftOperator,
     apply_power,
-    matrix_triplets,
+    matrix_columns,
     right_inverse,
     shift_operator_from_json,
     tensor_operator,

@@ -7,8 +7,9 @@ byte-reproducible for a fixed config and seed; only the manifest's
 timestamp/wall-time fields vary between runs.
 
 Each leaf command has one handler, which returns its result (a dict for
-JSON, a str for CSV) and an optional series table.  Every input file is
-read by `_read`, so a missing or malformed file is a validation error.
+JSON, a (header, rows) pair for CSV) and an optional series table, which
+`_emit` streams into their files.  Every input file is read by `_read`, so
+a missing or malformed file is a validation error.
 
 Every operator is named by `--op` (one axis or two) and read by `_operator`.
 `op` requires it; `eigen`/`periodic` default to theta(--nu, --alpha, --p) (x)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -58,7 +60,7 @@ from .shift_ops import (
     Direction,
     ShiftOperator,
     apply_power,
-    matrix_triplets,
+    matrix_columns,
     nilpotence_index,
     shift_operator_from_json,
 )
@@ -106,93 +108,99 @@ def _read(path: str, parse):
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
-_CHUNK = 8192  # CSV rows per join
-_SAMPLE = 1024  # a longer float list with at most _SAMPLE // 2 distinct values here is written as _Reprs
-_SLICE = 1 << 20  # characters per file write
+_CHUNK = 8192  # values or rows per piece
 
 
-class _Reprs:
-    """A float column as its reprs, for a JSON list and the CSV cells alike: each distinct value
-    formatted once (block-pattern partials repeat), each zero one of two shared strings (0.0 == -0.0).
-    It is no list, so the C encoder refuses it rather than write its reprs as strings."""
-
-    def __init__(self, values: list[float]):
-        table = {v: repr(v) for v in set(values)}
-        self.reprs = [table[v] if v else ("0.0", "-0.0")[math.copysign(1.0, v) < 0] for v in values]
-
-    def __iter__(self):
-        return iter(self.reprs)
+class _Rows(tuple):
+    """Columns of one length (float64 arrays or sequences of scalars), written as rows: JSON lists or CSV lines."""
 
 
-def _json_pieces(obj, out: list) -> None:
-    """Append the pieces of `_dump_json(obj)`: dicts are walked here, every other value goes to the
-    C encoder whole, and a list holding a _Reprs or a non-finite float, which it refuses, goes per item.
-    A float list of more than _SAMPLE items, at most _SAMPLE // 2 distinct among its first _SAMPLE,
-    is written as a _Reprs."""
+def _cells(column, lo):
+    """The strs of column[lo:lo + _CHUNK]; a float64 chunk that repeats formats each distinct bit pattern
+    once (the int64 view keeps -0.0 apart from 0.0)."""
+    part = column[lo:lo + _CHUNK]
+    if not hasattr(part, "view"):
+        return map(str, part)
+    bits = part.view("i8")
+    ordered = bits.copy()
+    ordered.sort()
+    rises = ordered[1:] != ordered[:-1]
+    if 2 * rises.sum() >= len(part):  # mostly distinct
+        return map(repr, part.tolist())
+    above = ordered[1:][rises]  # the distinct patterns above ordered[0]
+    reprs = list(map(repr, [*ordered[:1].view("f8").tolist(), *above.view("f8").tolist()]))
+    return map(reprs.__getitem__, above.searchsorted(bits, side="right").tolist())
+
+
+def _lines(rows, lo):
+    """Rows lo to lo + _CHUNK, each as its cells joined by commas."""
+    return map(",".join, zip(*map(_cells, rows, [lo] * len(rows))))
+
+
+def _json_pieces(obj, write) -> None:
+    """Write obj's JSON piece by piece: dicts are walked here, a callable writes itself, an array or
+    _Rows goes _CHUNK at a time, any other value to the C encoder whole, or per item if it refuses."""
     if isinstance(obj, dict) and obj:
         sep = "{"
         for key, value in sorted(obj.items()):
-            out.append(f"{sep}{encode_basestring_ascii(key)}:")
-            _json_pieces(value, out)
+            write(f"{sep}{encode_basestring_ascii(key)}:")
+            _json_pieces(value, write)
             sep = ","
-        out.append("}")
-        return
-    if (isinstance(obj, (list, tuple)) and len(obj) > _SAMPLE and set(map(type, obj)) == {float}
-            and len(set(obj[:_SAMPLE])) <= _SAMPLE // 2):
-        obj = _Reprs(obj)
-    if isinstance(obj, _Reprs):
-        text = ",".join(obj.reprs)
-        if "n" not in text:  # inf and nan are the only float reprs with an "n"; they take the floats' rule
-            out += ("[", text, "]")
-            return
-        obj = list(map(float, obj.reprs))
-    try:
-        out.append(_ENCODE(obj))
-    except (TypeError, ValueError):  # a _Reprs or a non-finite float
-        if isinstance(obj, float) and math.isinf(obj):
-            out.append('"inf"' if obj > 0 else '"-inf"')
-        elif isinstance(obj, (list, tuple)):
-            sep = "["
-            for item in obj:
-                out.append(sep)
-                _json_pieces(item, out)
-                sep = ","
-            out.append("]")
-        else:  # NaN, or a value JSON cannot hold
-            raise
+        write("}")
+    elif callable(obj):
+        obj(write)
+    elif isinstance(obj, _Rows) or getattr(obj, "ndim", 0):  # a numpy scalar has ndim 0
+        rows = isinstance(obj, _Rows)
+        write("[")
+        for lo in range(0, len(obj[0] if rows else obj), _CHUNK):
+            text = "[" + "],[".join(_lines(obj, lo)) + "]" if rows else ",".join(_cells(obj, lo))
+            if "n" in text:  # only inf and nan hold an "n"
+                if "nan" in text:
+                    raise ValueError("Out of range float values are not JSON compliant")
+                text = re.sub("-?inf", r'"\g<0>"', text)
+            write(f",{text}" if lo else text)
+        write("]")
+    else:
+        try:
+            write(_ENCODE(obj))
+        except (TypeError, ValueError):
+            if isinstance(obj, float) and math.isinf(obj):
+                write('"inf"' if obj > 0 else '"-inf"')
+            elif isinstance(obj, (list, tuple)):
+                sep = "["
+                for item in obj:
+                    write(sep)
+                    _json_pieces(item, write)
+                    sep = ","
+                write("]")
+            else:  # NaN, or a value JSON cannot hold
+                raise
 
 
-def _dump_json(obj) -> str:
-    """obj as `json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))` writes it,
-    plus a newline, with each infinite float as the string "inf" or "-inf"; NaN raises ValueError."""
-    out: list[str] = []
-    _json_pieces(obj, out)
-    out.append("\n")
-    return "".join(out)
+def _dump_json(obj, write) -> None:
+    """obj to write as `json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))` plus a
+    newline, each infinite float as the string "inf" or "-inf"; NaN raises ValueError."""
+    _json_pieces(obj, write)
+    write("\n")
 
 
-def _write_text(path: Path, text: str) -> None:
-    """text to path in UTF-8, in slices of _SLICE characters, so no bytes copy of the whole is made;
-    a path that cannot be written is a ValidationError naming it."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for k in range(0, len(text), _SLICE):
-                fh.write(text[k:k + _SLICE])
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+def _csv_text(header: list[str], rows, write) -> None:
+    """The header and rows (a _Rows, or rows as wide as the header) to write as comma-separated lines;
+    a cell is its str, repr for a float."""
+    rows = rows if isinstance(rows, _Rows) else _Rows(zip(*rows))
+    write(",".join(header) + "\n")
+    for lo in range(0, len(rows[0]) if rows else 0, _CHUNK):
+        write("\n".join(_lines(rows, lo)) + "\n")
 
 
-def _csv_text(header: list[str], rows) -> str:
-    """Comma-separated lines, each row as wide as the header, joined _CHUNK rows at a time; cells are
-    Python scalars, and format(cell, "") is str(cell), which is repr for a float."""
-    line = ",".join(["{}"] * len(header)).format
-    rows = iter(rows)
-    pieces = [",".join(header)]
-    while chunk := list(itertools.islice(rows, _CHUNK)):
-        pieces.append("\n".join(itertools.starmap(line, chunk)))
-    pieces.append("")
-    return "\n".join(pieces)
+def _write_text(path: Path, text: str, *, fh) -> None:
+    """text to fh, the file open at path."""
+    fh.write(text)
+
+
+def _dump(obj, write) -> None:
+    """A (header, rows) pair as CSV, any other value as JSON."""
+    return _csv_text(*obj, write) if isinstance(obj, tuple) else _dump_json(obj, write)
 
 
 def _manifest(args) -> dict:
@@ -211,33 +219,28 @@ def _manifest(args) -> dict:
     }
 
 
-def _emit(args, result: dict | str, series: tuple[list[str], Iterable] | None) -> None:
-    """Write the result (and optional series CSV) plus the run manifest.
-
-    A dict is written as JSON; a str (a CSV table) is written as given.  When
-    a file cannot be written, those already written are removed, so a failed
-    command leaves no output behind.
-    """
-    text = result if isinstance(result, str) else _dump_json(result)
+def _emit(args, result, series) -> None:
+    """Stream the result (a dict as JSON, (header, rows) as CSV), the optional series CSV and the run
+    manifest into their files.  On any failure every file begun is removed, so none is left behind."""
     if args.out is None:
-        sys.stdout.write(text)
-        return
+        return _dump(result, sys.stdout.write)
     out = Path(args.out)
-    written: list[Path] = []
+    files = [(out, result), (Path(f"{out}.series.csv"), series), (Path(f"{out}.manifest.json"), _manifest)]
+    begun: list[Path] = []
     try:
-        _write_text(out, text)
-        written.append(out)
-        del text  # not held while the series CSV is formed, which lowers the peak memory
-        if series is not None:
-            header, rows = series
-            path = out.with_suffix(out.suffix + ".series.csv")
-            _write_text(path, _csv_text(header, rows))
-            written.append(path)
-        _write_text(out.with_suffix(out.suffix + ".manifest.json"), _dump_json(_manifest(args)))
-    except BaseException:  # a later file cannot be written: remove those already written, so none is left
-        for path in written:
+        for path, obj in files:
+            if obj is None:
+                continue
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as fh:
+                begun.append(path)
+                _dump(obj(args) if obj is _manifest else obj, functools.partial(_write_text, path, fh=fh))
+    except BaseException as exc:
+        for done in begun:
             with contextlib.suppress(OSError):
-                path.unlink()
+                done.unlink()
+        if isinstance(exc, OSError):  # from opening or writing path
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
     if args._info:
         print(f"INFO wrote {out}", file=sys.stderr)
@@ -282,21 +285,23 @@ def _pair_operator(args) -> ShiftOperator:
     return op
 
 
-def _rank_one_json(a: CoeffVector, b: CoeffVector) -> dict:
-    """The dense rectangle g = a (x) b of a builder's two factors (each holds its axis's offset), as
-    its `CoeffVector.to_json_dict()` reads, formed row by row: entry (m, n) is
-    [m, n, la + lb, wrap_phase(pa + pb)], `lc_mul`'s sums.
-
-    Float addition is monotone, so the extreme sums bound every other: a log-magnitude outside the
-    float range is found from them, and raises `OverflowNotRepresentable` naming its (m, n).
-    """
+def _rank_one_json(a: CoeffVector, b: CoeffVector):
+    """The writer of g = a (x) b's `to_json_dict()`, one row of a at a time, from a builder's two factors:
+    entry (m, n) is [m, n, la + lb, wrap_phase(pa + pb)], `lc_mul`'s sums.  Float addition is monotone,
+    so the extreme sums find, up front, a log-magnitude outside the float range: OverflowNotRepresentable."""
     rows_a, rows_b = ([(key[0], c.logmag, c.phase) for key, c in sorted(v.entries.items())] for v in (a, b))
     for pick in (max, min):
         (m, la, _), (n, lb, _) = (pick(rows, key=lambda row: row[1]) for rows in (rows_a, rows_b))
         if not -math.inf < la + lb < math.inf:
             raise OverflowNotRepresentable(f"the coefficient at {(m, n)} has log-magnitude {la + lb}: not a float")
-    entries = [[m, n, la + lb, wrap_phase(pa + pb)] for m, la, pa in rows_a for n, lb, pb in rows_b]
-    return {"p1": a.offsets[0], "p2": b.offsets[0], "entries": entries}
+
+    def write_rows(write) -> None:
+        sep = '{"entries":['
+        for m, la, pa in rows_a:
+            write(sep + _ENCODE([[m, n, la + lb, wrap_phase(pa + pb)] for n, lb, pb in rows_b])[1:-1])
+            sep = ","
+        write(f'],"p1":{a.offsets[0]},"p2":{b.offsets[0]}}}')
+    return write_rows
 
 
 def _orbit_result(args, a, b, log_norms: list[float], result: dict):
@@ -309,10 +314,10 @@ def _cmd_weights(args):
     w = _read(args.spec, weight_sequence_from_json)
     lo, hi = _parse_range(args.range)
     check_index_count(hi - lo, "--range")
-    rows = zip(range(lo, hi), w.log_weights(range(lo, hi)).tolist())
+    rows = _Rows((range(lo, hi), w.log_weights(range(lo, hi))))
     if args.format == "csv":
-        return _csv_text(["index", "logweight"], rows), None
-    return {"family": w.family, "rows": list(rows)}, None
+        return (["index", "logweight"], rows), None
+    return {"family": w.family, "rows": rows}, None
 
 
 def _cmd_basis_eval(args):
@@ -330,9 +335,9 @@ def _cmd_power(args):
 
 
 def _cmd_op_matrix(args):
-    triplets = matrix_triplets(_operator(args.op), int_parse(args.n, "-N"))
+    triplets = _Rows(matrix_columns(_operator(args.op), int_parse(args.n, "-N")))
     if args.format == "csv":
-        return _csv_text(["row", "col", "logmag"], triplets), None
+        return (["row", "col", "logmag"], triplets), None
     return {"triplets": triplets}, None
 
 
@@ -343,13 +348,9 @@ def _cmd_inner(args):
 
 
 def _cmd_criterion(args):
-    w1 = _read(args.weights, weight_sequence_from_json)
-    if args.weights2:
-        w2 = _read(args.weights2, weight_sequence_from_json)
-        report = tensor_salas_scan(w1, w2, args.n, args.threshold)
-    else:
-        report = salas_scan(w1, args.n, args.threshold)
-    return report.to_json_dict(include_series=True), None
+    ws = [_read(path, weight_sequence_from_json) for path in (args.weights, args.weights2) if path]
+    report = (tensor_salas_scan if len(ws) == 2 else salas_scan)(*ws, args.n, args.threshold)
+    return {**report.to_json_dict(include_series=False), "partial_log_products": report.partial_log_products}, None
 
 
 def _cmd_eigen(args):
@@ -402,12 +403,11 @@ def _cmd_counterexample(args):
         "product": tensor_salas_scan(omega, varpi, args.n, args.threshold),
     }
     m = min(args.n, 100_000)  # keep huge-horizon artifacts bounded
-    columns = {k: _Reprs(r.partial_log_products[:m].tolist()) for k, r in reports.items()}
     result = {k: r.to_json_dict(include_series=False) for k, r in reports.items()}
     if args.n <= m:
-        for k, column in columns.items():
-            result[k]["partial_log_products"] = column
-    rows = zip(range(1, m + 1), *columns.values())
+        for k, r in reports.items():
+            result[k]["partial_log_products"] = r.partial_log_products
+    rows = _Rows((range(1, m + 1), *(r.partial_log_products[:m] for r in reports.values())))
     return result, (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
 
 

@@ -56,6 +56,16 @@ class CriterionReport(Value):
         self.scan_start = scan_start
         self.note = note
 
+    def __eq__(self, other):
+        """Equal partials bit for bit (their bytes as float64) and equal other fields: a bool, where
+        numpy's `==` on two arrays is an array."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+        mine, theirs = (np.asarray(r.partial_log_products, dtype=np.float64) for r in (self, other))
+        return (mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+                and self._values()[1:] == other._values()[1:])
+
     def to_json_dict(self, include_series: bool = True) -> dict:
         out = {
             "verdict": self.verdict.value,

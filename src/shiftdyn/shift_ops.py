@@ -140,8 +140,8 @@ def apply_power(op, v: CoeffVector, k: int) -> CoeffVector:
         raise OverflowNotRepresentable(f"the coefficient at {key} has log-magnitude -inf: not a float") from None
 
 
-def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float]]:
-    """Sparse triplets (row, col, log-weight) of the truncated matrix.
+def matrix_columns(op: ShiftOperator, n_max: int) -> tuple[range, range, np.ndarray]:
+    """Sparse triplets (row, col, log-weight) of the truncated matrix, as three columns.
 
     Covers basis columns up to n_max; all row/col indices stay in
     [offset_p, n_max].
@@ -151,12 +151,12 @@ def matrix_triplets(op: ShiftOperator, n_max: int) -> list[tuple[int, int, float
     (weights,) = op.weights
     if n_max <= weights.offset_p:
         raise ValidationError(f"truncation must exceed the offset {weights.offset_p}, got {n_max}")
-    # column m is e_m under one step, reading the weight at m + lo; sign = +-1, so sign * w is exact
+    # column m is e_m under one step, reading the weight at m + lo, negated (exactly) where sign is -1
     shift, lo, _, sign, floor, _ = _action_rule(weights, op.direction, 1)
     cols = range(floor, n_max + 1 - max(shift, 0))
     check_index_count(cols.stop - cols.start, "matrix size")
     logs = weights.log_weights(range(cols.start + lo, cols.stop + lo))
-    return [(m + shift, m, sign * w) for m, w in zip(cols, logs.tolist())]
+    return range(cols.start + shift, cols.stop + shift), cols, logs if sign > 0 else -logs
 
 
 def tensor_operator(left: ShiftOperator, right: ShiftOperator) -> ShiftOperator:

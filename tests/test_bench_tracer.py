@@ -4,7 +4,9 @@
 `src` can break `bench/run.py --trace 1` without failing any other test.  It
 times the CLI's `_dump_json`, `_csv_text` and `_write_text(path, text)` as
 the serialize and write parts, and counts `len(text)` in UTF-8 as the bytes
-written; those names and that signature are part of its contract.
+written; those names and that signature (two positional arguments, the open
+file passed by keyword) are part of its contract.  An artifact is streamed,
+so `_write_text` is called once per piece.
 """
 
 import json
@@ -57,6 +59,31 @@ def test_tracer_reports_every_per_layer_metric(tmp_path):
     spec = json.loads((tmp_path / "out" / "eigen.json").read_text(encoding="utf-8"))["eigen_spec"]
     p = 0
     assert report["dynamics.eigen_entries"] == spec["trunc_m"] - p + 1
+
+
+def test_tracer_counts_the_pieces_of_streamed_artifacts(tmp_path):
+    # artifacts written in many pieces: a criterion of 50,000 partials (seven chunks of 8,192) and an
+    # eigen rectangle of many rows; every piece passes _write_text(path, text) and is counted once
+    (tmp_path / "spec.json").write_text(json.dumps({"family": "bargmann_composite", "p": 2}), encoding="utf-8")
+    commands = [
+        ["criterion", "--weights", "spec.json", "-N", "50000", "--out", "out/criterion.json"],
+        ["eigen", "--lambda", "20,0", "--mu", "20,0", "--out", "out/eigen.json"],
+    ]
+    script = _SCRIPT.format(src=str(ROOT / "src"), bench=str(ROOT / "bench"), commands=commands)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    report = out["report"]
+    written = [path for path in (tmp_path / "out").iterdir() if not path.name.endswith(".manifest.json")]
+    assert sorted(path.name for path in written) == ["criterion.json", "eigen.json", "eigen.json.series.csv"]
+    assert report["cli.bytes_written"] == sum(path.stat().st_size for path in written)
+    assert report["cli.serialize_s"] > 0 and report["cli.write_s"] > 0
+    eigen = json.loads((tmp_path / "out" / "eigen.json").read_text(encoding="utf-8"))
+    assert len(json.loads((tmp_path / "out" / "criterion.json").read_text(encoding="utf-8"))["partial_log_products"]) == 50_000
+    assert report["dynamics.eigen_entries"] >= 10  # rows of the rectangle, one piece each
+    assert len(eigen["vector"]["entries"]) >= 10 * report["dynamics.eigen_entries"]
 
 
 _HYPERCYCLIC_SCRIPT = """

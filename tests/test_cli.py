@@ -3,6 +3,7 @@
 import argparse
 import collections
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -43,10 +44,28 @@ from shiftdyn import (
 )
 import shiftdyn.cli as cli
 import shiftdyn.dynamics as dynamics
-from shiftdyn.cli import _csv_text, _dump_json, _join_dash_values, _Reprs, build_parser, main
+from shiftdyn.cli import _join_dash_values, _Rows, build_parser, main
 from shiftdyn.numerics import lc_to_json
 
 from conftest import coeff_sub, periodic_reference, tensor_of
+
+
+def _dump_json(obj) -> str:
+    """The text that cli._dump_json writes for obj, piece by piece."""
+    pieces = []
+    cli._dump_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def _csv_text(header, rows) -> str:
+    """The text that cli._csv_text writes for the table, piece by piece."""
+    pieces = []
+    cli._csv_text(header, rows, pieces.append)
+    return "".join(pieces)
+
+
+def _column(xs) -> np.ndarray:
+    return np.array(xs, dtype=np.float64)
 
 
 def write_json(path, obj):
@@ -966,6 +985,37 @@ def test_a_failed_write_leaves_no_output(tmp_path, capsys, argv, blocked):
     assert sorted(path.name for path in out.parent.iterdir()) == [f"x.json{blocked}"]
 
 
+@pytest.mark.parametrize("failing", ["", ".series.csv", ".manifest.json"], ids=["result", "series", "manifest"])
+def test_a_write_that_fails_in_mid_stream_leaves_no_output(tmp_path, capsys, monkeypatch, failing):
+    # counterexample writes its result and series in many pieces; the file named fails at its second,
+    # as on a full disk, after the files before it were written whole
+    out = tmp_path / "d" / "c.json"
+    write_text, pieces = cli._write_text, collections.Counter()
+
+    def full_disk(path, text, *, fh):
+        pieces[path] += 1
+        if str(path) == f"{out}{failing}" and pieces[path] == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_text(path, text, fh=fh)
+
+    monkeypatch.setattr(cli, "_write_text", full_disk)
+    assert main(["counterexample", "-N", "20000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"shiftdyn: invalid input: cannot write {out}{failing}: No space left on device\n"
+    assert pieces[out] >= 2 and list(out.parent.iterdir()) == []
+
+
+def test_a_nan_in_the_last_chunk_leaves_no_output(tmp_path, monkeypatch):
+    # JSON cannot hold NaN: the criterion's result file is begun, and removed when the last chunk raises
+    report = salas_scan(BargmannActionWeights(0), 3 * cli._CHUNK)
+    report.partial_log_products[-1] = math.nan
+    monkeypatch.setattr(cli, "salas_scan", lambda *args: report)
+    spec = write_json(tmp_path / "spec.json", _BARGMANN_SPEC)
+    out = tmp_path / "d" / "c.json"
+    with pytest.raises(ValueError):
+        main(["criterion", "--weights", spec, "-N", str(3 * cli._CHUNK), "--out", str(out)])
+    assert list(out.parent.iterdir()) == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_the_written_rectangle_is_the_reference_outer_product(data):
@@ -1141,10 +1191,17 @@ def test_a_leaf_argv_builds_only_the_parsers_on_its_path(monkeypatch):
         assert len(built) == 1 + 2 + len(_LEAF_PATHS)  # the top level, the two groups and every leaf
 
 
+def _rows_of(table: _Rows):
+    """The rows of a _Rows, as tuples of Python ints and floats."""
+    return zip(*(column.tolist() if isinstance(column, np.ndarray) else list(column) for column in table))
+
+
 def _reference_jsonable(obj):
-    """Infinite floats as strings, tuples and float columns as lists: the values JSON can hold."""
-    if isinstance(obj, _Reprs):
-        return [_reference_jsonable(float(r)) for r in obj]
+    """Infinite floats as strings, tuples, arrays and the rows of a _Rows as lists: the values JSON can hold."""
+    if isinstance(obj, _Rows):
+        obj = list(_rows_of(obj))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, float):
         if obj == float("-inf"):
             return "-inf"
@@ -1167,6 +1224,8 @@ def _reference_json(obj) -> str:
 
 
 def _reference_csv(header, rows) -> str:
+    if isinstance(rows, _Rows):
+        rows = _rows_of(rows)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -1187,7 +1246,8 @@ _NUMBER = _FLOAT | _FLOAT.map(np.float64) | st.integers() | st.booleans()
 _TEXT = st.text(st.sampled_from('[]{}",:\\\n aé∑😀'), max_size=6) | st.text(max_size=6)
 _ROWS = st.lists(st.lists(_FLOAT | st.integers(), min_size=1, max_size=4), min_size=1, max_size=6)
 _ARTIFACT = st.recursive(
-    _NUMBER | _TEXT | st.none() | _ROWS | st.lists(_FLOAT, max_size=8) | st.lists(_FLOAT, max_size=8).map(_Reprs),
+    _NUMBER | _TEXT | st.none() | _ROWS | st.lists(_FLOAT, max_size=8) | st.lists(_FLOAT, max_size=8).map(_column)
+    | st.lists(_FLOAT, max_size=8).map(lambda xs: _Rows((range(-3, len(xs) - 3), _column(xs), -_column(xs)))),
     lambda children: (
         st.lists(children, max_size=5)
         | st.tuples(children, children)
@@ -1200,9 +1260,9 @@ _ARTIFACT = st.recursive(
 @settings(max_examples=400, deadline=None, database=None)
 @given(obj=_ARTIFACT)
 def test_json_artifacts_match_the_compact_dump_byte_for_byte(obj):
-    # a value goes to the C encoder whole; one that holds a float column or a non-finite float
-    # goes per item; every path writes the bytes of the compact, sorted json.dumps, where a
-    # float column at any depth is a list of numbers, never of the strings of its reprs
+    # a value goes to the C encoder whole; one that holds an array, a _Rows or a non-finite float
+    # goes per item; every path writes the bytes of the compact, sorted json.dumps, where an
+    # array or a _Rows at any depth is a list of numbers, never of the strings of their reprs
     assert _dump_json(obj) == _reference_json(obj)
 
 
@@ -1356,14 +1416,14 @@ def test_block_pattern_criterion_artifacts_keep_their_bytes(tmp_path, weights, n
 @settings(max_examples=100, deadline=None, database=None)
 @given(obj=_ARTIFACT, xs=st.lists(_FLOAT, max_size=8))
 def test_formatted_columns_match_their_floats(obj, xs):
-    # a column of reprs is written as the list of its floats, infinities included, at any depth
+    # a float64 array is written as the list of its floats, infinities included, at any depth
     for wrap in (lambda c: {"a": obj, "col": c}, lambda c: [obj, [c]]):
-        assert _dump_json(wrap(_Reprs(xs))) == _reference_json(wrap(xs))
-    assert _csv_text(["c"], zip(_Reprs(xs))) == _reference_csv(["c"], zip(xs))
+        assert _dump_json(wrap(_column(xs))) == _reference_json(wrap(xs))
+    assert _csv_text(["c"], _Rows((_column(xs),))) == _reference_csv(["c"], zip(xs))
 
 
 def test_csv_rows_keep_the_bytes_of_joining_their_strs():
-    col = list(_Reprs([1.5, -0.0, 0.0, 1.5, 1e-300]))
+    col = ["1.5", "-0.0", "0.0", "1.5", "1e-300"]
     rows = [(2**63, math.inf, col[0]), (-(2**70), -math.inf, col[1]), (0, math.nan, col[2]),
             (True, -0.0, col[3]), (10**30, 5e-324, col[4]), (-1, 1.7976931348623157e308, "a,b")]
     expected = "\n".join(["i,x,c", *(",".join(map(str, row)) for row in rows), ""])
@@ -1373,12 +1433,15 @@ def test_csv_rows_keep_the_bytes_of_joining_their_strs():
 
 def test_formatted_columns_keep_the_non_finite_rule():
     xs = [1.5, math.inf, -0.0, 0.0, 1.5, -math.inf]
-    col = _Reprs(xs)
+    col = _column(xs)
     assert _dump_json({"col": col}) == _reference_json({"col": xs})
     assert json.loads(_dump_json({"col": col}))["col"][1::4] == ["inf", "-inf"]
-    assert _csv_text(["c"], zip(col)) == "c\n1.5\ninf\n-0.0\n0.0\n1.5\n-inf\n"
-    with pytest.raises(ValueError):
-        _dump_json({"col": _Reprs([1.0, math.nan])})
+    assert _csv_text(["c"], _Rows((col,))) == "c\n1.5\ninf\n-0.0\n0.0\n1.5\n-inf\n"
+    assert _dump_json(_Rows((range(6), col))) == _reference_json(list(zip(range(6), xs)))
+    for bad in ({"col": _column([1.0, math.nan])}, _Rows((range(2), _column([1.0, math.nan])))):
+        with pytest.raises(ValueError):
+            _dump_json(bad)
+    assert _csv_text(["c"], _Rows((_column([math.nan]),))) == "c\nnan\n"  # CSV writes every float's repr
 
 
 def _long_lists(n: int) -> list[list]:
@@ -1410,9 +1473,12 @@ def test_long_lists_keep_their_bytes(n):
         with pytest.raises(ValueError):
             _dump_json({"a": [*xs[1:], math.nan]})
         if all(type(x) is float for x in xs):
-            _assert_same(_dump_json({"col": _Reprs(xs)}), _reference_json({"col": xs}))
+            _assert_same(_dump_json({"col": _column(xs)}), _reference_json({"col": xs}))
+            table = _Rows((range(n), _column(xs), _column(xs[::-1])))
+            _assert_same(_dump_json({"rows": table}), _reference_json({"rows": table}))
+            _assert_same(_csv_text(["i", "x", "y"], table), _reference_csv(["i", "x", "y"], table))
         if k == 1:
-            _assert_same(_dump_json([_Reprs([*xs, -math.inf])]), _reference_json([[*xs, -math.inf]]))
+            _assert_same(_dump_json([_column([*xs, -math.inf])]), _reference_json([[*xs, -math.inf]]))
         rows = list(zip(range(n), xs, reversed(xs)))
         _assert_same(_dump_json({"rows": rows}), _reference_json({"rows": rows}))
         _assert_same(_csv_text(["i", "x", "y"], rows), _reference_csv(["i", "x", "y"], rows))
@@ -1437,33 +1503,27 @@ def encoder_calls(monkeypatch):
     return calls
 
 
-def test_repetitive_float_lists_are_formatted_per_distinct_value(encoder_calls):
-    # more than 1,024 floats, at most 512 distinct among the first 1,024: a _Reprs column
-    for n, distinct, expected in [(1025, 512, []), (1025, 513, [1025]), (1024, 512, [1024]), (20_000, 1, [])]:
+def test_repetitive_float_lists_are_formatted_per_distinct_value(monkeypatch):
+    # an array chunk whose values repeat is formatted once per distinct bit pattern, -0.0 apart from 0.0
+    reprs = []
+    monkeypatch.setattr(cli, "repr", lambda x: reprs.append(x) or repr(x), raising=False)
+    n = 3 * cli._CHUNK
+    for values, expected in [([0.5, -0.0, 0.0], 3 * 3), ([1e-300], 3), (range(n), n), ([0.0] * 2 + [1.0], 3 * 2)]:
+        xs = _column([values[i % len(values)] for i in range(n)])
+        reprs.clear()
+        text = _dump_json(xs)
+        _assert_same(text, _reference_json(xs.tolist()))
+        assert len(reprs) == expected, values
+        reprs.clear()
+        assert _csv_text(["x"], _Rows((xs,))) == _reference_csv(["x"], zip(xs.tolist()))
+        assert len(reprs) == expected
+
+
+def test_short_values_take_one_encoder_call(encoder_calls):
+    for n in (1, 1025, 100_000):
         encoder_calls.clear()
-        _dump_json([float(i % distinct) for i in range(n)])
-        assert encoder_calls == expected, (n, distinct)
-
-
-def test_short_texts_take_one_encoder_call_and_one_write(tmp_path, monkeypatch, encoder_calls):
-    for n in (1, cli._SAMPLE + 1, 100_000):
-        encoder_calls.clear()
-        _dump_json({"a": [i / 7 for i in range(n)]})  # distinct floats: the encoder writes them, whole
-        assert encoder_calls == [n]
-    writes = []
-
-    def spy_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        write = fh.write
-        fh.write = lambda text: writes.append(len(text)) or write(text)
-        return fh
-
-    monkeypatch.setattr(cli, "open", spy_open, raising=False)
-    for n, expected in [(cli._SLICE, [cli._SLICE]), (cli._SLICE + 1, [cli._SLICE, 1]), (0, [])]:
-        writes.clear()
-        cli._write_text(tmp_path / "t.txt", "x" * n)
-        assert writes == expected
-        assert (tmp_path / "t.txt").stat().st_size == n
+        _dump_json({"a": [i / 7 for i in range(n)], "b": [[1, 2.5]] * 3})  # Python lists: the encoder writes each whole
+        assert encoder_calls == [n, 3]
 
 
 def _traced_peak(f, *args):
@@ -1477,19 +1537,20 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
-def test_artifact_text_is_built_once(tmp_path):
-    # a chunk's transient copies are bounded; the pieces and their join hold the text twice
-    rng = random.Random(0)
-    floats = [rng.uniform(-1e3, 1e3) for _ in range(200_000)]
-    rows = [(i, rng.uniform(-1e3, 1e3)) for i in range(100_000)]
-    for f, args in [(_dump_json, (floats,)), (_dump_json, (rows,)), (_csv_text, (["i", "x"], rows))]:
-        text, peak = _traced_peak(f, *args)
-        assert peak <= 2.2 * sys.getsizeof(text), f.__name__
-    # a file is written in slices, not encoded whole
-    text = "0123456789" * 3_000_000
-    _, peak = _traced_peak(cli._write_text, tmp_path / "big.txt", text)
-    assert peak <= 4 * 2**20
-    _assert_same((tmp_path / "big.txt").read_text(encoding="utf-8"), text)
+@pytest.mark.parametrize("argv", [["criterion", "--weights", "{spec}", "-N", "1000000"],
+                                  ["eigen", "--lambda=50,0", "--mu=50,0"]], ids=["criterion", "eigen"])
+def test_commands_stream_their_artifacts_in_bounded_memory(tmp_path, argv):
+    # the artifacts are written piece by piece: a command's peak stays within a few MiB of what its
+    # handler holds (its arrays or factors), while the text it writes is several times that margin
+    argv = [a.replace("{spec}", write_json(tmp_path / "spec.json", _BARGMANN_SPEC)) for a in argv]
+    args = build_parser(argv).parse_args(argv)
+    _, held = _traced_peak(args.func, args)
+    out = tmp_path / "out.json"
+    code, peak = _traced_peak(main, [*argv, "--out", str(out)])
+    assert code == 0
+    written = sum(path.stat().st_size for path in tmp_path.glob("out.json*") if "manifest" not in path.name)
+    assert written > 6 * 2**20
+    assert peak - held <= min(4 * 2**20, written / 2), (peak, held, written)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Partial-product scans, and the hypercyclicity-criterion premises on basis vectors."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -28,6 +30,7 @@ from shiftdyn import (
     tensor_salas_scan,
     theta_backward_shift,
 )
+from shiftdyn.criteria import CriterionReport
 from shiftdyn.shift_ops import nilpotence_index
 from shiftdyn.weights import MAX_INDICES
 
@@ -162,6 +165,26 @@ def test_report_json_shape():
     assert obj["horizon_n"] == 50
     assert len(obj["partial_log_products"]) == 50
     assert "finite-horizon" in obj["note"]
+
+
+def test_reports_compare_their_partials_bit_for_bit():
+    w = BargmannActionWeights(2)
+    report = salas_scan(w, 50)
+    same = salas_scan(w, 50)
+    assert (report == same) is True and (report != same) is False
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert isinstance(twin.partial_log_products, np.ndarray)  # the constructor got the array
+        assert (twin == report) is True
+    assert (report == salas_scan(w, 51)) is False  # another length
+    assert (report == salas_scan(w, 50, threshold=99.0)) is False  # another field
+    flipped = report.partial_log_products.copy()
+    flipped[-1] = np.nextafter(flipped[-1], np.inf)
+    assert (report == CriterionReport(flipped, *report._values()[1:])) is False
+    # zeros of either sign are different bits; equal NaNs are the same bits
+    zeros = [CriterionReport(np.array([z, 1.0]), 1.0, Verdict.INCONCLUSIVE, None, 2, 100.0, 1) for z in (0.0, -0.0)]
+    assert (zeros[0] == zeros[1]) is False
+    nans = [CriterionReport(np.array([math.nan]), 1.0, Verdict.INCONCLUSIVE, None, 1, 100.0, 1) for _ in range(2)]
+    assert (nans[0] == nans[1]) is True
 
 
 def _bcs_premises(op, key, k_max: int, tol_log: float):

@@ -15,7 +15,7 @@ from shiftdyn import (
     apply_power,
     bargmann_backward_shift,
     coeff_norm_log,
-    matrix_triplets,
+    matrix_columns,
     right_inverse,
     shift_operator_from_json,
     tensor_operator,
@@ -176,6 +176,13 @@ def test_adjoint_pairing_random_vectors():
         gap = adjoint_pairing_gap_log(op, u, v)
         bound = math.log(1e-11) + coeff_norm_log(u) + coeff_norm_log(v) + max_w
         assert gap <= bound
+
+
+def matrix_triplets(op, n_max):
+    """The (row, col, log-weight) triplets of matrix_columns."""
+    rows, cols, logs = matrix_columns(op, n_max)
+    assert len(rows) == len(cols) == len(logs) and logs.dtype == "float64"
+    return list(zip(rows, cols, logs.tolist()))
 
 
 def test_matrix_triplets_backward():
