@@ -221,7 +221,7 @@ def _manifest(args) -> dict:
 
 def _emit(args, result, series) -> None:
     """Stream the result (a dict as JSON, (header, rows) as CSV), the optional series CSV and the run
-    manifest into their files.  On any failure every file begun is removed, so none is left behind."""
+    manifest, formed last for its wall time, into their files.  A failure removes every file begun."""
     if args.out is None:
         return _dump(result, sys.stdout.write)
     out = Path(args.out)
