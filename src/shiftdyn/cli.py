@@ -221,13 +221,14 @@ def _manifest(args) -> dict:
 
 def _emit(args, result, series) -> None:
     """Stream the result (a dict as JSON, (header, rows) as CSV), the optional series CSV and the run
-    manifest, formed last for its wall time, into their files.  A failure removes every file begun."""
-    if args.out is None:
-        return _dump(result, sys.stdout.write)
-    out = Path(args.out)
-    files = [(out, result), (Path(f"{out}.series.csv"), series), (Path(f"{out}.manifest.json"), _manifest)]
-    begun: list[Path] = []
+    manifest, formed last for its wall time, into their files.  A failure removes every file begun; a
+    NaN, which JSON cannot hold, is a numeric failure that names the file."""
+    path, begun = "stdout", []
     try:
+        if args.out is None:
+            return _dump(result, sys.stdout.write)
+        out = Path(args.out)
+        files = [(out, result), (Path(f"{out}.series.csv"), series), (Path(f"{out}.manifest.json"), _manifest)]
         for path, obj in files:
             if obj is None:
                 continue
@@ -241,6 +242,8 @@ def _emit(args, result, series) -> None:
                 done.unlink()
         if isinstance(exc, OSError):  # from opening or writing path
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        if type(exc) is ValueError:  # a NaN, which JSON cannot hold
+            raise OverflowNotRepresentable(f"cannot write {path}: {exc}") from None
         raise
     if args._info:
         print(f"INFO wrote {out}", file=sys.stderr)
@@ -350,7 +353,7 @@ def _cmd_inner(args):
 def _cmd_criterion(args):
     ws = [_read(path, weight_sequence_from_json) for path in (args.weights, args.weights2) if path]
     report = (tensor_salas_scan if len(ws) == 2 else salas_scan)(*ws, args.n, args.threshold)
-    return {**report.to_json_dict(include_series=False), "partial_log_products": report.partial_log_products}, None
+    return {**report.to_json_dict(), "partial_log_products": report.partial_log_products}, None
 
 
 def _cmd_eigen(args):
@@ -403,7 +406,7 @@ def _cmd_counterexample(args):
         "product": tensor_salas_scan(omega, varpi, args.n, args.threshold),
     }
     m = min(args.n, 100_000)  # keep huge-horizon artifacts bounded
-    result = {k: r.to_json_dict(include_series=False) for k, r in reports.items()}
+    result = {k: r.to_json_dict() for k, r in reports.items()}
     if args.n <= m:
         for k, r in reports.items():
             result[k]["partial_log_products"] = r.partial_log_products

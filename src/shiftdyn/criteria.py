@@ -66,8 +66,9 @@ class CriterionReport(Value):
         return (mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
                 and self._values()[1:] == other._values()[1:])
 
-    def to_json_dict(self, include_series: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """The summary; a writer attaches `partial_log_products`, a float64 array, where it writes it."""
+        return {
             "verdict": self.verdict.value,
             "bound": self.bound,
             "sup_attained": self.sup_attained,
@@ -76,9 +77,6 @@ class CriterionReport(Value):
             "scan_start": self.scan_start,
             "note": self.note,
         }
-        if include_series:
-            out["partial_log_products"] = self.partial_log_products.tolist()
-        return out
 
 
 def _verdict(partials: np.ndarray, sup: float, threshold: float) -> tuple[Verdict, float | None]:

@@ -376,11 +376,12 @@ class _Pullback:
     """S^g y and log ||S^g y|| for one target y and a growing gap g, S the right inverse:
     `apply_power(S, y, g)` and `coeff_norm_log` of it, with the same bits and errors.
 
-    Each axis index m keeps its span of the weights at m + 1 .. m + g running,
-    so a larger g adds only the new weights, one at a time in ascending order.
-    The pullback of the next nearer checkpoint, at a gap no larger than g,
-    holds the first terms of those spans: one that is behind it starts from
-    its sums.
+    Each axis index m keeps its span s of the weights at m + 1 .. m + g
+    running, so a larger g adds only the new weights, one at a time in
+    ascending order from 0.0, as `log_weight_span` adds them.  The pullback of
+    the next nearer checkpoint, at a gap no larger than g, holds the first
+    terms of those spans: one that is behind it starts from its sums.  An
+    entry c pulls back to c - (s1 + s2), which is apply_power's c + (-s1 + -s2).
     """
 
     def __init__(self, s_op: ShiftOperator, y: CoeffVector, nearer: "_Pullback | None"):
@@ -388,43 +389,47 @@ class _Pullback:
         self.sums = [dict.fromkeys(sorted({key[i] for key in y.entries}), 0.0) for i in range(len(y.offsets))]
         self.rows = [(key, c.logmag) for key, c in sorted(y.entries.items())]
 
-    def logmags(self, g: int):
-        """The log-magnitudes of S^g y in key order."""
-        nearer = self.nearer
-        if nearer is not None and nearer.g > self.g:
-            self.g, self.sums = nearer.g, [dict(sums) for sums in nearer.sums]
-        if g > self.g:
-            try:
+    def logmags(self, g: int) -> list[float]:
+        """The log-magnitudes of S^g y in key order; where a span fails, or an entry is not a float,
+        the error of `apply_power(S, y, g)`."""
+        try:
+            nearer = self.nearer
+            if nearer is not None and nearer.g > self.g:
+                self.g, self.sums = nearer.g, [dict(sums) for sums in nearer.sums]
+            if g > self.g:
                 for weights, sums in zip(self.s_op.weights, self.sums):
                     for m, acc in sums.items():
                         for w in weights.span_terms(m + self.g + 1, m + g):
                             acc += w
-                        if not -math.inf < acc < math.inf:
-                            raise OverflowNotRepresentable(f"the span above {m} overflows")
                         sums[m] = acc
-            except ShiftDynError:
-                apply_power(self.s_op, self.y, g)  # the error of the first span that fails
-                raise
-            self.g = g
-        sums = self.sums
-        return (c - reduce(add, map(getitem, sums, key)) for key, c in self.rows)  # apply_power's c + (-s1 + -s2)
+                self.g = g
+            sums = self.sums
+            logmags = [c - reduce(add, map(getitem, sums, key)) for key, c in self.rows]
+            if not all(map(math.isfinite, logmags)):  # from an entry, or a span, out of the float range
+                raise OverflowNotRepresentable(f"S^{g} y leaves the float range")
+        except ShiftDynError:
+            apply_power(self.s_op, self.y, g)  # raises the error of the first span or entry that fails
+            raise
+        return logmags
 
     def norm_log(self, g: int) -> float:
-        logmags = list(self.logmags(g))
-        if not all(map(math.isfinite, logmags)):  # apply_power refuses an entry out of the float range
-            apply_power(self.s_op, self.y, g)  # raises its error, naming the key
-        return norm_log(logmags)
+        return norm_log(self.logmags(g))
 
     def push(self, g: int) -> CoeffVector:
         """S^g y."""
         y = self.y
-        pushed = {tuple(m + g for m in key): LogComplex(c, y.entries[key].phase)
-                  for (key, _), c in zip(self.rows, self.logmags(g))}
-        try:
-            return CoeffVector(y.offsets, pushed)
-        except ShiftDynError:  # a log-magnitude outside the float range
-            apply_power(self.s_op, y, g)  # raises its error, naming the key
-            raise
+        return CoeffVector(y.offsets, {tuple(m + g for m in key): LogComplex(c, y.entries[key].phase)
+                                       for (key, _), c in zip(self.rows, self.logmags(g))})
+
+    def round_trip_gaps(self, g: int) -> list[float]:
+        """log |T^g S^g y - y| at y's keys in key order.  T^g S^g y is (c - s) + s, adding back the very
+        s subtracted, as `apply_power(T, self.push(g), g)` does."""
+        logmags, sums = self.logmags(g), self.sums  # the sums at gap g
+        back = [c + reduce(add, map(getitem, sums, key)) for (key, _), c in zip(self.rows, logmags)]
+        if not all(map(math.isfinite, back)):
+            raise OverflowNotRepresentable(f"T^{g} S^{g} y leaves the float range")
+        targets = sorted(self.y.entries.items())
+        return [lc_add(LogComplex(b, c.phase), lc_neg(c)).logmag for b, (_, c) in zip(back, targets)]
 
 
 def hypercyclic_vector_build(
@@ -440,17 +445,19 @@ def hypercyclic_vector_build(
     enough up that its pullback norms fit a geometric budget: the i-th term
     contributes at most eps * 2^{-j'} * 2^{-(i-j')} at checkpoint j'.  Each
     (target, checkpoint) pair keeps its pullback's spans running
-    (`_Pullback`), so a later candidate time reads one more weight per entry,
-    and a farther checkpoint continues the spans of the nearer one.
+    (`_Pullback`), so a later candidate time reads one more weight per index,
+    and a farther checkpoint continues the spans of the nearer one.  Once n_j
+    is accepted, one more pullback, at t = 0, continues the farthest one's
+    spans by n_1 weights per index to psi's block S^{n_j} y_j and its round
+    trip, with the bits and errors of `apply_power`.
 
     With T S = I and disjoint blocks, T^{n_j} psi - y_j is the own-block round
     trip T^{n_j} S^{n_j} y_j - y_j plus sum_{i>j} S^{n_i - n_j} y_i.  Replay
     error j is `norm_log` over the log-magnitudes of that round trip, in key
     order, then over log ||S^{n_i - n_j} y_i|| for i > j ascending: the norms
     target i's accepted time was probed with, kept rather than recomputed.  It
-    is the float replay of T^{n_j} psi - y_j up to rounding, each at
-    O(|y_j| n_j) span terms and O(J) scalars, where applying T^{n_j} to psi
-    reads a span for every later entry.
+    is the float replay of T^{n_j} psi - y_j up to rounding, from O(|y_j| + J)
+    scalars, where applying T^{n_j} to psi reads a span for every later entry.
     """
     if op.direction is not Direction.BACKWARD:
         raise ValidationError("hypercyclic vectors are built over the backward operator")
@@ -466,6 +473,8 @@ def hypercyclic_vector_build(
     s_op = right_inverse(op)
     schedule: list[int] = []
     masses: list[list[float]] = []  # masses[i][j] = log ||S^{n_i - n_j} y_i||; none for a zero target
+    owns: list[list[float]] = []  # owns[j]: the round trip's log |T^{n_j} S^{n_j} y_j - y_j| in key order
+    entries: dict = {}  # psi's blocks, on disjoint supports
     n = 1
     for j, y in enumerate(targets, start=1):
         budget = math.log(eps) - j * math.log(2.0)
@@ -490,14 +499,12 @@ def hypercyclic_vector_build(
             n += 1
         schedule.append(n)
         masses.append(probed[::-1])
+        origin = _Pullback(s_op, y, nearer)  # t = 0, past the farthest checkpoint
+        entries.update(origin.push(n).entries)
+        owns.append(origin.round_trip_gaps(n))
+        del origin  # and with it the checkpoints' spans, which no later search reads
         # the next block waits until T^n annihilates this one exactly, as it does every earlier one
         n += max(1, nilpotence_index(op, y))
-    blocks = [apply_power(s_op, y, n) for n, y in zip(schedule, targets)]  # on disjoint supports
-    psi = CoeffVector(op.offsets, {key: c for block in blocks for key, c in block.entries.items()})
-    replay = []
-    for j, (n, y, block) in enumerate(zip(schedule, targets, blocks)):
-        back = apply_power(op, block, n).entries  # on y's keys: T^n S^n y
-        own = (lc_add(back[key], lc_neg(c)).logmag for key, c in sorted(y.entries.items()))
-        later = (row[j] for row in masses[j + 1:] if row)
-        replay.append(norm_log(itertools.chain(own, later)))
-    return psi, schedule, replay
+    replay = [norm_log(itertools.chain(own, (row[j] for row in masses[j + 1:] if row)))
+              for j, own in enumerate(owns)]
+    return CoeffVector(op.offsets, entries), schedule, replay

@@ -1004,16 +1004,31 @@ def test_a_write_that_fails_in_mid_stream_leaves_no_output(tmp_path, capsys, mon
     assert pieces[out] >= 2 and list(out.parent.iterdir()) == []
 
 
-def test_a_nan_in_the_last_chunk_leaves_no_output(tmp_path, monkeypatch):
-    # JSON cannot hold NaN: the criterion's result file is begun, and removed when the last chunk raises
+def test_a_nan_in_the_last_chunk_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # JSON cannot hold NaN: the criterion's result file is begun, and removed when the last chunk
+    # raises; the command is a numeric failure that names the file, not a traceback
     report = salas_scan(BargmannActionWeights(0), 3 * cli._CHUNK)
     report.partial_log_products[-1] = math.nan
     monkeypatch.setattr(cli, "salas_scan", lambda *args: report)
     spec = write_json(tmp_path / "spec.json", _BARGMANN_SPEC)
     out = tmp_path / "d" / "c.json"
-    with pytest.raises(ValueError):
-        main(["criterion", "--weights", spec, "-N", str(3 * cli._CHUNK), "--out", str(out)])
+    argv = ["criterion", "--weights", spec, "-N", str(3 * cli._CHUNK)]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"shiftdyn: numeric failure: cannot write {out}: Out of range float values are not JSON compliant\n")
     assert list(out.parent.iterdir()) == []
+    assert main(argv) == 3  # on stdout too, where the text already written stays
+    assert capsys.readouterr().err.startswith("shiftdyn: numeric failure: cannot write stdout: ")
+
+
+def test_a_write_error_on_stdout_is_a_validation_error(monkeypatch, capsys):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["counterexample", "-N", "20"]) == 2
+    assert capsys.readouterr().err == "shiftdyn: invalid input: cannot write stdout: No space left on device\n"
 
 
 @settings(max_examples=50, deadline=None)
@@ -1385,8 +1400,11 @@ def _counterexample_as_first_written(n: int, threshold: float = 30.0):
     omega, varpi = BlockPatternWeights(role="omega"), BlockPatternWeights(role="varpi")
     reports = {"omega": salas_scan(omega, n, threshold), "varpi": salas_scan(varpi, n, threshold),
                "product": tensor_salas_scan(omega, varpi, n, threshold)}
-    result = {k: r.to_json_dict(include_series=n <= 100_000) for k, r in reports.items()}
+    result = {k: r.to_json_dict() for k, r in reports.items()}
     m = min(n, 100_000)
+    if n <= m:
+        for k, r in reports.items():
+            result[k]["partial_log_products"] = r.partial_log_products.tolist()
     return result, zip(range(1, m + 1), *(r.partial_log_products[:m].tolist() for r in reports.values()))
 
 
@@ -1410,7 +1428,8 @@ def test_block_pattern_criterion_artifacts_keep_their_bytes(tmp_path, weights, n
     assert main(["criterion", *options, "-N", str(n), "--out", str(out)]) == 0
     ws = [BlockPatternWeights(role=role) for role in weights]
     report = salas_scan(*ws, n) if len(ws) == 1 else tensor_salas_scan(*ws, n)
-    _assert_same(out.read_text(encoding="utf-8"), _reference_json(report.to_json_dict()))
+    want = {**report.to_json_dict(), "partial_log_products": report.partial_log_products.tolist()}
+    _assert_same(out.read_text(encoding="utf-8"), _reference_json(want))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -31,6 +31,8 @@ from shiftdyn import (
     default_tensor_shift,
     eigenvector_build,
     hypercyclic_vector_build,
+    lc_add,
+    lc_neg,
     periodic_from_target,
     periodic_point_from_eigen,
     rank_one_defect_log,
@@ -497,8 +499,8 @@ def test_hypercyclic_search_probes_the_nearest_checkpoint_first(monkeypatch):
     hypercyclic_reference(op, targets, 1e-6, probes=want)
     assert len(gaps) == 112
     assert gaps == want  # the same probes, in the same order
-    # each target's term of psi, then each term's round trip for its replay error; no power for a probe
-    assert powers == schedule + schedule
+    # psi's blocks and their round trips come from the search's own pullbacks: no power at all
+    assert powers == []
 
 
 @pytest.mark.parametrize(
@@ -545,18 +547,38 @@ def _search_cases():
                       1e-6),
         # few indices per axis, so entries share the running span of an axis index
         "two axes": (pair, [rand_tensor_vector(rng, (1, 2), 5, 7) for _ in range(6)], 1e-6),
+        # log weights of either sign
+        "table": (ShiftOperator((TableWeights.from_weights([rng.uniform(0.2, 9.0) for _ in range(400)]),)),
+                  [rand_coeff_vector(rng, 0, 4, 9) for _ in range(6)], 1e-6),
     }
+
+
+def _replay_from_powers(op, targets, schedule: list[int]) -> list[float]:
+    """The written replay errors from `apply_power` alone: the own block's round trip
+    T^n S^n y - y in key order, then log ||S^{n_i - n} y_i|| for each later target i."""
+    s_op = right_inverse(op)
+    errors = []
+    for j, (n, y) in enumerate(zip(schedule, targets)):
+        back = apply_power(op, apply_power(s_op, y, n), n).entries
+        own = [lc_add(back[key], lc_neg(c)).logmag for key, c in sorted(y.entries.items())]
+        later = [coeff_norm_log(apply_power(s_op, y_i, n_i - n))
+                 for n_i, y_i in zip(schedule[j + 1:], targets[j + 1:])]
+        errors.append(norm_log(own + later))  # a zero target's -inf adds nothing
+    return errors
 
 
 @pytest.mark.parametrize("case", sorted(_search_cases()))
 def test_hypercyclic_build_matches_the_reference_search(case):
+    # psi, the schedule and the written replay errors, each with the bits of building every power anew
     op, targets, eps = _search_cases()[case]
     want_psi, want_schedule = hypercyclic_reference(op, targets, eps)
+    want_errors = [e.hex() for e in _replay_from_powers(op, targets, want_schedule)]
     fresh = ShiftOperator(tuple(map(copy.copy, op.weights)), op.direction)  # copies start with empty tables
     for target_op in (op, fresh):  # warm tables, then cold ones
-        psi, schedule, _ = hypercyclic_vector_build(target_op, targets, eps)
+        psi, schedule, errors = hypercyclic_vector_build(target_op, targets, eps)
         assert schedule == want_schedule
         assert _entry_bits(psi) == _entry_bits(want_psi)
+        assert [e.hex() for e in errors] == want_errors
 
 
 def _replay_rounding_bound(op, psi: CoeffVector, schedule: list[int], targets, j: int) -> float:

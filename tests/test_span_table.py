@@ -284,6 +284,25 @@ def test_powers_match_the_termwise_loop_on_fresh_and_warm_tables(case):
         assert set(w.calls.values()) <= {1}  # each (sequence, index) is evaluated at most once
 
 
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_one_axis_powers_read_their_spans_in_entry_order(order):
+    # the bench's wide vector: 30 indices up to about 6,000, so most spans sit far above the table and
+    # go to the memo, and the span read first decides which weights the table and the memo hold
+    indices = sorted(random.Random(8).sample(range(1, 6000), 30))
+    if order == "shuffled":
+        random.Random(9).shuffle(indices)
+    v = CoeffVector((1,), {(m,): LogComplex(0.1 * i, 0.2) for i, m in enumerate(indices)})
+    weights, termwise = CountingWeights(1), CountingWeights(1)
+    got = apply_power(ShiftOperator((weights,)), v, 10)
+    for (m,) in v.entries:  # one span per entry, over the entries in dict order
+        if m - 1 >= 10:
+            termwise.log_weight_span(m - 9, m)
+    assert list(weights.calls.items()) == list(termwise.calls.items())  # first called in the same order
+    (values, _, _, far), (want_values, _, _, want_far) = (vars(w)["_span_table"] for w in (weights, termwise))
+    assert values == want_values and list(far.items()) == list(want_far.items())
+    assert entry_bits(got) == as_bits(ref_power(ShiftOperator((termwise.inner,)), v, 10))
+
+
 def test_tensor_step_reads_each_factor_weight_once():
     for direction in ("backward", "right_inverse"):
         left, right = CountingWeights(1), CountingWeights(2)

@@ -136,6 +136,7 @@ def test_a_scan_report_copies_with_its_series():
     report = salas_scan(BargmannActionWeights(1), n_horizon=50)
     for copied in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert copied.to_json_dict() == report.to_json_dict()
+        assert copied.partial_log_products.tolist() == report.partial_log_products.tolist()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
