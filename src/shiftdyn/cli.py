@@ -108,17 +108,22 @@ def _read(path: str, parse):
 
 
 _ENCODE = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
-_CHUNK = 8192  # values or rows per piece
+_CHUNK = 8192  # cells per piece
 
 
 class _Rows(tuple):
     """Columns of one length (float64 arrays or sequences of scalars), written as rows: JSON lists or CSV lines."""
 
 
-def _cells(column, lo):
-    """The strs of column[lo:lo + _CHUNK]; a float64 chunk that repeats formats each distinct bit pattern
+def _step(rows: _Rows) -> int:
+    """The rows of a piece: at most _CHUNK cells."""
+    return _CHUNK // max(len(rows), 1)
+
+
+def _cells(column, lo, size=_CHUNK):
+    """The strs of column[lo:lo + size]; a float64 chunk that repeats formats each distinct bit pattern
     once (the int64 view keeps -0.0 apart from 0.0)."""
-    part = column[lo:lo + _CHUNK]
+    part = column[lo:lo + size]
     if not hasattr(part, "view"):
         return map(str, part)
     bits = part.view("i8")
@@ -133,13 +138,14 @@ def _cells(column, lo):
 
 
 def _lines(rows, lo):
-    """Rows lo to lo + _CHUNK, each as its cells joined by commas."""
-    return map(",".join, zip(*map(_cells, rows, [lo] * len(rows))))
+    """Rows lo to lo + _step(rows), each as its cells joined by commas."""
+    size = _step(rows)
+    return map(",".join, zip(*(_cells(column, lo, size) for column in rows)))
 
 
 def _json_pieces(obj, write) -> None:
     """Write obj's JSON piece by piece: dicts are walked here, a callable writes itself, an array or
-    _Rows goes _CHUNK at a time, any other value to the C encoder whole, or per item if it refuses."""
+    _Rows goes _CHUNK cells at a time, any other value to the C encoder whole, or per item if it refuses."""
     if isinstance(obj, dict) and obj:
         sep = "{"
         for key, value in sorted(obj.items()):
@@ -152,13 +158,15 @@ def _json_pieces(obj, write) -> None:
     elif isinstance(obj, _Rows) or getattr(obj, "ndim", 0):  # a numpy scalar has ndim 0
         rows = isinstance(obj, _Rows)
         write("[")
-        for lo in range(0, len(obj[0] if rows else obj), _CHUNK):
-            text = "[" + "],[".join(_lines(obj, lo)) + "]" if rows else ",".join(_cells(obj, lo))
+        for lo in range(0, len(obj[0] if rows else obj), _step(obj) if rows else _CHUNK):
+            text = ",".join(map("[{}]".format, _lines(obj, lo)) if rows else _cells(obj, lo))
             if "n" in text:  # only inf and nan hold an "n"
                 if "nan" in text:
                     raise ValueError("Out of range float values are not JSON compliant")
                 text = re.sub("-?inf", r'"\g<0>"', text)
-            write(f",{text}" if lo else text)
+            if lo:  # apart, so the text is not copied
+                write(",")
+            write(text)
         write("]")
     else:
         try:
@@ -189,8 +197,9 @@ def _csv_text(header: list[str], rows, write) -> None:
     a cell is its str, repr for a float."""
     rows = rows if isinstance(rows, _Rows) else _Rows(zip(*rows))
     write(",".join(header) + "\n")
-    for lo in range(0, len(rows[0]) if rows else 0, _CHUNK):
-        write("\n".join(_lines(rows, lo)) + "\n")
+    for lo in range(0, len(rows[0]) if rows else 0, _step(rows)):
+        write("\n".join(_lines(rows, lo)))
+        write("\n")
 
 
 def _write_text(path: Path, text: str, *, fh) -> None:
@@ -350,10 +359,16 @@ def _cmd_inner(args):
     return lc_to_json(coeff_inner(u, v)), None
 
 
+def _scan(ws, args):
+    """The summary and the partials of the scan over ws (one factor or two) with -N and --threshold."""
+    report = (tensor_salas_scan if len(ws) == 2 else salas_scan)(*ws, args.n, args.threshold)
+    return report.to_json_dict(), report.partial_log_products
+
+
 def _cmd_criterion(args):
     ws = [_read(path, weight_sequence_from_json) for path in (args.weights, args.weights2) if path]
-    report = (tensor_salas_scan if len(ws) == 2 else salas_scan)(*ws, args.n, args.threshold)
-    return {**report.to_json_dict(), "partial_log_products": report.partial_log_products}, None
+    summary, partials = _scan(ws, args)
+    return {**summary, "partial_log_products": partials}, None
 
 
 def _cmd_eigen(args):
@@ -400,17 +415,15 @@ def _cmd_hypercyclic(args):
 def _cmd_counterexample(args):
     omega = BlockPatternWeights(role="omega")
     varpi = BlockPatternWeights(role="varpi")
-    reports = {
-        "omega": salas_scan(omega, args.n, args.threshold),
-        "varpi": salas_scan(varpi, args.n, args.threshold),
-        "product": tensor_salas_scan(omega, varpi, args.n, args.threshold),
-    }
     m = min(args.n, 100_000)  # keep huge-horizon artifacts bounded
-    result = {k: r.to_json_dict() for k, r in reports.items()}
-    if args.n <= m:
-        for k, r in reports.items():
-            result[k]["partial_log_products"] = r.partial_log_products
-    rows = _Rows((range(1, m + 1), *(r.partial_log_products[:m] for r in reports.values())))
+    result, heads = {}, []
+    for key, ws in (("omega", [omega]), ("varpi", [varpi]), ("product", [omega, varpi])):
+        result[key], partials = _scan(ws, args)
+        if args.n <= m:
+            result[key]["partial_log_products"] = partials
+        heads.append(partials if args.n <= m else partials[:m].copy())
+        del partials  # a longer array is dropped before the next scan
+    rows = _Rows((range(1, m + 1), *heads))
     return result, (["i", "omega_partial", "varpi_partial", "product_partial"], rows)
 
 

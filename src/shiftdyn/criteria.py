@@ -5,20 +5,23 @@ test: the supremum of the running weight products must be infinite.  Scans
 over a finite horizon cannot prove divergence, so verdicts are explicitly
 labelled evidence with the horizon and threshold recorded.  The tensor scan
 applies the same test to the pointwise product of two weight sequences.
-Each factor's weights are one bulk read (`WeightSequence.log_weights`), and
-the partial sums one `np.cumsum`, numpy being imported in the scan alone.
-Partials that leave the float range raise `OverflowNotRepresentable`.
+A scan holds one array as long as its horizon: the first factor's weights,
+one bulk read (`WeightSequence.log_weights`), to which each further factor
+is added in place one `CHUNK` of indices at a time, and which one in-place
+`np.cumsum` turns into the partial sums; numpy is imported in the scan
+alone.  The first factor's whole range is read first, so its errors come
+before the second's.  Partials that leave the float range raise
+`OverflowNotRepresentable`.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 
 from .errors import OverflowNotRepresentable, ValidationError
 from .value import Value
-from .weights import WeightSequence, check_index_count
+from .weights import CHUNK, WeightSequence, check_index_count
 
 
 class Verdict(enum.Enum):
@@ -103,12 +106,17 @@ def _scan(n_horizon: int, threshold: float, *ws: WeightSequence) -> CriterionRep
     if not math.isfinite(threshold):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     import numpy as np
+    first, *rest = ws
+    partials = first.log_weights(range(first.scan_start, first.scan_start + n_horizon))
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-        logs = [w.log_weights(range(w.scan_start, w.scan_start + n_horizon)) for w in ws]
-        partials = np.cumsum(functools.reduce(np.add, logs))
-    finite = np.isfinite(partials)
-    if not finite.all():
-        k = int(np.argmin(finite)) + 1
+        for w in rest:
+            for lo in range(0, n_horizon, CHUNK):
+                partials[lo : lo + CHUNK] += w.log_weights(
+                    range(w.scan_start + lo, w.scan_start + min(lo + CHUNK, n_horizon)))
+        np.cumsum(partials, out=partials)
+    # a partial beyond the float range leaves every later one inf or NaN, so the last one tells
+    if not math.isfinite(partials[-1]):
+        k = int(np.argmin(np.isfinite(partials))) + 1
         raise OverflowNotRepresentable(f"partial log-product {k} of {n_horizon} overflows the float range")
     sup = float(partials.max())
     verdict, bound = _verdict(partials, sup, threshold)

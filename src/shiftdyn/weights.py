@@ -26,13 +26,15 @@ Each family writes its formula once (`_log`); `WeightSequence` holds the
 domain rule (`_check`) and both entry points, `log_weight(i)`, the only
 per-index evaluation, and `log_weights(indices)`, a range in and a float64
 array out, with the same bits.  In bulk, the only place numpy is imported,
-the theta formulas run once on an int64 array, the block pattern fills one
-run at a time, the Bargmann composite reads one `math.lgamma` column for both
-of its lgamma terms and adds in numpy, and the Bargmann raw and table ones
-run per index (numpy has no lgamma, and `np.log` differs from `math.log` in
-the last bit).  An index outside the domain raises `IndexBelowOffset`
-(`TableRangeError` for a table), and a log weight beyond the float range
-`OverflowNotRepresentable`, each naming the first such index.
+the result is allocated once and filled `CHUNK` indices at a time, so no
+other array is longer than a chunk: the theta formulas run on a chunk's int64
+array, the block pattern fills one run at a time, the Bargmann composite
+reads one `math.lgamma` column per chunk for both of its lgamma terms and
+adds in numpy, and the Bargmann raw and table ones run per index (numpy has
+no lgamma, and `np.log` differs from `math.log` in the last bit).  The domain
+is checked for the whole range first.  An index outside the domain raises
+`IndexBelowOffset` (`TableRangeError` for a table), and a log weight beyond
+the float range `OverflowNotRepresentable`, each naming the first such index.
 
 `log_weight_span(lo, hi)` sums consecutive log weights, the products behind
 every power of a shift, from `span_terms(lo, hi)`.  Each sequence object
@@ -70,6 +72,8 @@ _INF = math.inf
 # the most indices one request may evaluate: a scan horizon, a matrix size, a weight range, or
 # the span table or memo
 MAX_INDICES = 10_000_000
+# the most indices a bulk read evaluates at once
+CHUNK = 8192
 
 
 def check_index_count(n: int, what: str) -> None:
@@ -217,12 +221,17 @@ class WeightSequence:
 
     def log_weights(self, indices: range) -> np.ndarray:
         """The log weights at a range of consecutive indices, as a float64 array: the bits of
-        `log_weight` on each index, and its error at the first index outside the domain."""
+        `log_weight` on each index, and its error at the first index outside the domain.  The
+        result is the one array as long as the range; `_logs` fills it a chunk at a time."""
         if indices.step != 1:
             raise ValidationError(f"bulk weights take consecutive indices, got {indices}")
         if indices:
             self._check(indices.start, indices.stop - 1)
-        return self._logs(indices)
+        import numpy as np
+        out = np.empty(len(indices))
+        for lo in range(0, len(indices), CHUNK):
+            out[lo : lo + CHUNK] = self._logs(indices[lo : lo + CHUNK])
+        return out
 
     def _logs(self, indices: range) -> np.ndarray:
         """The bulk formula; by default the scalar one on each index."""

@@ -5,8 +5,9 @@ stepping an orbit one `apply_power(op, v, 1)` at a time, the dense outer
 product of two factors, the dense residual band and the entrywise residual of
 an eigenvector, the adjoint pairing, the hypercyclic schedule search with
 every probe built by `apply_power`, the full float replay of a hypercyclic
-vector, and the periodic approximant with every term built by `apply_power`.
-`coeff_add`, `coeff_neg` and `coeff_sub` are the general entrywise vector
+vector, the periodic approximant with every term built by `apply_power`, and
+a family's log weights from one array expression over a whole range.
+`traced_peak` measures what a call allocates.  `coeff_add`, `coeff_neg` and `coeff_sub` are the general entrywise vector
 algebra, which the package does without (its sums are unions of disjoint
 supports).  `factors(op)` splits an operator into its one-axis operators.
 """
@@ -16,15 +17,25 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import tracemalloc
+
+import numpy as np
 
 from shiftdyn import (
+    BargmannActionWeights,
+    BargmannRawWeights,
+    BlockPatternWeights,
     CoeffVector,
     Direction,
     LogComplex,
     OffsetMismatch,
     ScheduleOverflow,
     ShiftOperator,
+    TableWeights,
     TailNotCertifiable,
+    ThetaActionWeights,
+    ThetaParams,
+    ThetaRawWeights,
     apply_power,
     coeff_inner,
     coeff_norm_log,
@@ -37,6 +48,7 @@ from shiftdyn import (
 from shiftdyn.dynamics import _SERIES_TERMS_CAP
 from shiftdyn.numerics import log_sum_exp, wrap_phase
 from shiftdyn.shift_ops import nilpotence_index
+from shiftdyn.weights import CHUNK
 
 NEG_INF = float("-inf")
 
@@ -214,3 +226,45 @@ def periodic_reference(op, y: CoeffVector, q: int, tail_tol_log: float) -> Coeff
         if coeff_norm_log(term) <= tail_tol_log:
             return x
     raise TailNotCertifiable(f"series did not reach tail_tol_log within {_SERIES_TERMS_CAP} terms")
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, above what was live before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# one of each family, the table long enough for every horizon of the chunk-boundary tests, and
+# horizons around the bulk reads' chunk
+CHUNK_FAMILIES = [
+    ThetaRawWeights(ThetaParams(nu=2.2, alpha=0.1)),
+    ThetaActionWeights(ThetaParams(nu=1.3, alpha=-0.7, p=4)),
+    BargmannRawWeights(),
+    BargmannActionWeights(p=2),
+    BlockPatternWeights(role="omega"),
+    BlockPatternWeights(role="varpi"),
+    TableWeights.from_weights(np.random.default_rng(29).uniform(0.1, 10.0, 3 * CHUNK + 12).tolist(), start=2),
+]
+CHUNK_HORIZONS = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def whole_range_log_weights(w, idx: range) -> np.ndarray:
+    """w's log weights on idx in one pass over the whole range: the theta closed form on one int64
+    array, the Bargmann composite from three whole columns in `_log`'s order of operations, and any
+    other family (whose bulk read is its scalar formula) index by index."""
+    m = np.arange(idx.start, idx.stop, dtype=np.int64)
+    if isinstance(w, (ThetaRawWeights, ThetaActionWeights)):
+        s, r = math.pi / w.params.nu + 2.0 * w.params.alpha, 2.0 * math.pi / w.params.nu
+        p = w.offset_p
+        m = m + 1 if isinstance(w, ThetaRawWeights) else m  # log w(m) = s + r*((m+1) - 1)
+        return (2 * p + 1) * (s + r * (m - 1)) - r * (p * (p + 1))
+    if isinstance(w, BargmannActionWeights):
+        columns = (math.log, math.lgamma, lambda i: math.lgamma(i - w.p))
+        logs, lg, lg_p = (np.array([f(i) for i in idx], dtype=np.float64) for f in columns)
+        return 0.5 * logs + lg - lg_p
+    return np.array([w.log_weight(i) for i in idx], dtype=np.float64)

@@ -13,7 +13,6 @@ import re
 import shlex
 import sys
 import time
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -47,7 +46,7 @@ import shiftdyn.dynamics as dynamics
 from shiftdyn.cli import _join_dash_values, _Rows, build_parser, main
 from shiftdyn.numerics import lc_to_json
 
-from conftest import coeff_sub, periodic_reference, tensor_of
+from conftest import coeff_sub, periodic_reference, tensor_of, traced_peak
 
 
 def _dump_json(obj) -> str:
@@ -887,7 +886,7 @@ def test_a_power_at_a_far_index_reads_only_its_span(tmp_path, capsys, bargmann_o
     assert "above the limit of" in capsys.readouterr().err
     assert weight_reads == [] and not out.exists()
     # the gap below a span of 2 is longer than the span, so its two weights are read termwise
-    code, peak = _traced_peak(main, [*power, "-k", "2"])
+    code, peak = traced_peak(main, [*power, "-k", "2"])
     assert code == 0
     assert weight_reads == [top - 1, top]
     assert peak < 30 * 2**20
@@ -1410,7 +1409,7 @@ def _counterexample_as_first_written(n: int, threshold: float = 30.0):
 
 def test_counterexample_artifacts_keep_their_bytes(tmp_path):
     header = ["i", "omega_partial", "varpi_partial", "product_partial"]
-    for n in (2000, 20_000):  # 20,000 rows cross the writers' chunks
+    for n in (2000, 20_000, 100_001):  # 20,000 rows cross the writers' chunks; above 100,000 only the summaries
         out = tmp_path / f"c{n}.json"
         assert main(["counterexample", "-N", str(n), "--out", str(out)]) == 0
         result, rows = _counterexample_as_first_written(n)
@@ -1477,7 +1476,8 @@ def _long_lists(n: int) -> list[list]:
     ]
 
 
-_LENGTHS = [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 1023, 1024, 1025, 20_000]
+# around a chunk of one column, and of a three-column table's rows
+_LENGTHS = [cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1, 1023, 1024, 1025, 20_000, cli._CHUNK // 3, cli._CHUNK // 3 + 1]
 
 
 @pytest.mark.parametrize("n", _LENGTHS)
@@ -1545,31 +1545,54 @@ def test_short_values_take_one_encoder_call(encoder_calls):
         assert encoder_calls == [n, 3]
 
 
-def _traced_peak(f, *args):
-    """f(*args) and the peak of the memory it allocated, above what was live before the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = f(*args)
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+_MILLION = ["-N", "1000000"]
 
 
-@pytest.mark.parametrize("argv", [["criterion", "--weights", "{spec}", "-N", "1000000"],
-                                  ["eigen", "--lambda=50,0", "--mu=50,0"]], ids=["criterion", "eigen"])
-def test_commands_stream_their_artifacts_in_bounded_memory(tmp_path, argv):
+@pytest.mark.parametrize(
+    "argv, text_floor, handler_cap",
+    [
+        # a scan's handler holds the partials, one float64 array as long as the horizon
+        (["criterion", "--weights", "{bargmann}", *_MILLION], 6 * 2**20, 8 * 10**6 + 2**20),
+        (["criterion", "--weights", "{theta}", "--weights2", "{bargmann}", *_MILLION], 6 * 2**20, 8 * 10**6 + 2**20),
+        # counterexample: one scan's partials at a time, and the 100,000 rows of each that it writes
+        (["counterexample", *_MILLION], 4 * 2**20, 8 * 10**6 + 3 * 8 * 10**5 + 2**20),
+        (["eigen", "--lambda=50,0", "--mu=50,0"], 6 * 2**20, None),
+    ],
+    ids=["criterion", "criterion-weights2", "counterexample", "eigen"],
+)
+def test_commands_stream_their_artifacts_in_bounded_memory(tmp_path, argv, text_floor, handler_cap):
     # the artifacts are written piece by piece: a command's peak stays within a few MiB of what its
     # handler holds (its arrays or factors), while the text it writes is several times that margin
-    argv = [a.replace("{spec}", write_json(tmp_path / "spec.json", _BARGMANN_SPEC)) for a in argv]
+    specs = {"{bargmann}": _BARGMANN_SPEC, "{theta}": {**_THETA_SPEC, "p": 4}}
+    argv = [write_json(tmp_path / f"{a[1:-1]}.json", specs[a]) if a in specs else a for a in argv]
     args = build_parser(argv).parse_args(argv)
-    _, held = _traced_peak(args.func, args)
+    _, held = traced_peak(args.func, args)
+    if handler_cap is not None:
+        assert held <= handler_cap, held
     out = tmp_path / "out.json"
-    code, peak = _traced_peak(main, [*argv, "--out", str(out)])
+    code, peak = traced_peak(main, [*argv, "--out", str(out)])
     assert code == 0
     written = sum(path.stat().st_size for path in tmp_path.glob("out.json*") if "manifest" not in path.name)
-    assert written > 6 * 2**20
+    assert written > text_floor
     assert peak - held <= min(4 * 2**20, written / 2), (peak, held, written)
+
+
+def test_a_piece_holds_at_most_chunk_cells():
+    # a c-column table goes _CHUNK // c rows a piece, and a piece's separator or newline is written
+    # apart from its text, so writing a table of any width holds about one _CHUNK of cells
+    rng = np.random.default_rng(29)
+    n, header = 20_000, ["i", "x", "y", "z"]
+    table = _Rows((range(n), *(rng.standard_normal(n) for _ in range(3))))
+    for dump, want in [(lambda write: cli._csv_text(header, table, write), _reference_csv(header, table)),
+                       (lambda write: cli._dump_json({"rows": table}, write), _reference_json({"rows": table}))]:
+        pieces = []
+        dump(pieces.append)
+        _assert_same("".join(pieces), want)
+        texts = [piece for piece in pieces[1:] if len(piece) > 2]  # past the header or key, not separators
+        assert not any(text.startswith(",") or text.endswith("\n") for text in texts)
+        assert max(text.count(",") + text.count("\n") + 1 for text in texts) == cli._CHUNK // 4 * 4
+        _, peak = traced_peak(dump, lambda piece: None)
+        assert peak <= 2**20, peak
 
 
 @pytest.mark.parametrize(

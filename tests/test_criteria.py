@@ -15,6 +15,7 @@ from shiftdyn import (
     CoeffVector,
     OverflowNotRepresentable,
     ShiftOperator,
+    TableRangeError,
     TableWeights,
     ThetaActionWeights,
     ThetaParams,
@@ -32,7 +33,9 @@ from shiftdyn import (
 )
 from shiftdyn.criteria import CriterionReport
 from shiftdyn.shift_ops import nilpotence_index
-from shiftdyn.weights import MAX_INDICES
+from shiftdyn.weights import CHUNK, MAX_INDICES
+
+from conftest import CHUNK_FAMILIES, CHUNK_HORIZONS, traced_peak, whole_range_log_weights
 
 LN2 = math.log(2.0)
 
@@ -229,3 +232,68 @@ def test_bcs_flags_flat_weights():
         identity, _, decreasing, below_at = _bcs_premises(flat, (m,), 30, -50.0)
         assert identity  # the identity still holds structurally
         assert not decreasing and below_at is None
+
+
+def _whole_scan(n, *ws):
+    """The partials of a scan from whole-range reads: the factors' sum, then one np.cumsum."""
+    logs = sum(whole_range_log_weights(w, range(w.scan_start, w.scan_start + n)) for w in ws)
+    return np.cumsum(logs)
+
+
+_TENSOR_PAIRS = [(ThetaActionWeights(ThetaParams(nu=3.0, alpha=0.2, p=4)), BargmannActionWeights(p=2)),
+                 (BlockPatternWeights(role="omega"), BlockPatternWeights(role="varpi"))]
+
+
+@pytest.mark.parametrize("n", CHUNK_HORIZONS)
+@pytest.mark.parametrize("ws", [*([w] for w in CHUNK_FAMILIES), *map(list, _TENSOR_PAIRS)],
+                         ids=lambda ws: "-".join(w.family for w in ws))
+def test_scans_keep_their_bits_across_chunk_boundaries(ws, n):
+    report = (tensor_salas_scan if len(ws) == 2 else salas_scan)(*ws, n)
+    assert report.partial_log_products.tobytes() == _whole_scan(n, *ws).tobytes()
+
+
+def _theta_raw_overflowing_at(m):
+    """A theta_raw sequence whose log weight leaves the float range first at about index m."""
+    return ThetaRawWeights(ThetaParams(nu=2 * math.pi * m / 1.7e308))
+
+
+def _first_error(w, n):
+    """The message of the first error a loop over w's scan range raises."""
+    for i in range(w.scan_start, w.scan_start + n):
+        try:
+            w.log_weight(i)
+        except (OverflowNotRepresentable, ValidationError) as exc:
+            return str(exc)
+    raise AssertionError("no error")
+
+
+@pytest.mark.parametrize(
+    "factor1, factor2, n, named",
+    [
+        # factor 2 is a table that ends in its fourth chunk: its end is named
+        (BargmannRawWeights(), CHUNK_FAMILIES[-1], 4 * CHUNK, 2),
+        # factor 1's partials would overflow, but factor 2's table ends first: factors are read before the sums
+        (ThetaRawWeights(ThetaParams(nu=1e-300)), TableWeights.from_weights([1.0] * 100), 10_000, 2),
+        # both factors overflow, factor 2 at a lower index: factor 1, read whole first, is named
+        (_theta_raw_overflowing_at(2.5 * CHUNK), _theta_raw_overflowing_at(1.5 * CHUNK), 4 * CHUNK, 1),
+        # factor 1 overflows, factor 2's table ends before that: factor 1 is named
+        (_theta_raw_overflowing_at(2.5 * CHUNK), TableWeights.from_weights([1.0] * 100), 4 * CHUNK, 1),
+    ],
+)
+def test_tensor_scans_name_the_first_factors_error_first(factor1, factor2, n, named):
+    expected = _first_error((factor1, factor2)[named - 1], n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings are silenced, not printed
+        with pytest.raises((OverflowNotRepresentable, TableRangeError)) as caught:
+            tensor_salas_scan(factor1, factor2, n)
+    assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("ws", [[BargmannActionWeights(p=2)], list(_TENSOR_PAIRS[0])],
+                         ids=lambda ws: "-".join(w.family for w in ws))
+def test_a_scan_holds_one_array_as_long_as_its_horizon(ws):
+    # the partials, 8 bytes a term: the second factor is added and the sums formed in place
+    n = 10**6
+    report, peak = traced_peak((tensor_salas_scan if len(ws) == 2 else salas_scan), *ws, n)
+    assert len(report.partial_log_products) == n
+    assert peak <= 8 * n + 2**20, peak

@@ -13,6 +13,7 @@ from shiftdyn import (
     BargmannRawWeights,
     BlockPatternWeights,
     IndexBelowOffset,
+    OverflowNotRepresentable,
     TableRangeError,
     TableWeights,
     ThetaActionWeights,
@@ -21,6 +22,9 @@ from shiftdyn import (
     ValidationError,
     weight_sequence_from_json,
 )
+from shiftdyn.weights import CHUNK
+
+from conftest import CHUNK_FAMILIES, CHUNK_HORIZONS, traced_peak, whole_range_log_weights
 
 LN2 = math.log(2.0)
 
@@ -357,3 +361,36 @@ def test_bulk_equals_scalar_for_every_family(w, data):
 def test_bulk_weights_take_consecutive_indices():
     with pytest.raises(ValidationError, match="consecutive"):
         BargmannRawWeights().log_weights(range(0, 10, 2))
+
+
+@pytest.mark.parametrize("n", CHUNK_HORIZONS)
+@pytest.mark.parametrize("w", CHUNK_FAMILIES, ids=lambda w: w.family)
+def test_bulk_reads_keep_their_bits_across_chunk_boundaries(w, n):
+    for lo in (w.first, w.first + 5):
+        idx = range(lo, lo + n)
+        assert w.log_weights(idx).tobytes() == whole_range_log_weights(w, idx).tobytes()
+
+
+def test_a_bulk_read_names_the_first_index_that_overflows_in_any_chunk():
+    # log w(m) = pi/nu + (2 pi/nu) m passes the largest float in the third chunk; the domain check
+    # comes first, for the whole range
+    w = ThetaRawWeights(ThetaParams(nu=2 * math.pi * 2.5 * CHUNK / 1.7e308))
+    first = next(m for m in range(3 * CHUNK) if not math.isfinite(w._log(m)))
+    assert 2 * CHUNK < first < 3 * CHUNK
+    with pytest.raises(OverflowNotRepresentable, match=f"theta_raw log weight {first} overflows"):
+        w.log_weights(range(0, 4 * CHUNK))
+    with pytest.raises(IndexBelowOffset, match="index -1 outside"):
+        w.log_weights(range(-1, 4 * CHUNK))
+    table = CHUNK_FAMILIES[-1]
+    with pytest.raises(TableRangeError, match=f"index {table.end} outside"):
+        table.log_weights(range(table.first, table.end + CHUNK))
+
+
+@pytest.mark.parametrize("w", [BargmannActionWeights(p=2), ThetaActionWeights(ThetaParams(nu=3.0, alpha=0.2, p=4))],
+                         ids=lambda w: w.family)
+def test_a_bulk_read_holds_one_array_as_long_as_its_range(w):
+    # the float64 result, 8 bytes an index; every other array is one chunk long
+    n = 10**6
+    logs, peak = traced_peak(w.log_weights, range(w.first, w.first + n))
+    assert len(logs) == n
+    assert peak <= 8 * n + 2**20, peak
